@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import CubeId, DomainError, NumericError, SparseFamily, WeightPair
+from .dyadic import (CubeId, DomainError, NumericError, WeightPair, _avg_pyramid,
+                     ancestor_accumulate)
 
 _E = math.e
 _EE = math.exp(math.e)
@@ -211,12 +212,12 @@ _admissibility_cache: dict = {}
 
 
 def ensure_admissible(spec: BumpSpec) -> AdmissibilityReport:
-    key = (spec.psi_family, spec.psi_eps, spec.phi_family, spec.phi_eps,
-           id(spec.psi_fn), id(spec.phi_fn))
-    report = _admissibility_cache.get(key)
+    # keyed on the spec itself: the cache keeps custom functions alive, so
+    # a later function can never be mistaken for a freed one
+    report = _admissibility_cache.get(spec)
     if report is None:
         report = check_bump(spec)
-        _admissibility_cache[key] = report
+        _admissibility_cache[spec] = report
     if not report.ok:
         raise AdmissibilityError("; ".join(report.reasons))
     return report
@@ -394,34 +395,36 @@ def bp_tail_estimate(blocks) -> float:
 # -- Luxemburg norms --------------------------------------------------------
 
 
-def _mean_A(young: YoungSpec, f: np.ndarray, lam):
-    return np.mean(np.asarray(young.A(f / lam)))
-
-
 def luxemburg_norm(f, cube: CubeId, young: YoungSpec, depth: int,
-                   rel_tol: float = 1e-12) -> float:
+                   A_fn=None, rel_tol: float = 1e-12) -> float:
     """Normalized Luxemburg gauge on one cube: the lambda with
-    (1/|Q|) int_Q A(f/lambda) = 1, by bracketing plus bisection."""
+    (1/|Q|) int_Q A(f/lambda) = 1, by bracketing plus bisection.  A_fn
+    overrides young.A (used for the tabulated conjugate)."""
     f = np.asarray(f, dtype=float)
     if not np.isfinite(f).all():
         raise DomainError("non-finite leaf values")
+    A = A_fn if A_fn is not None else young.A
     sub = f[cube.leaf_slice(depth)]
     if np.all(sub == 0.0):
         return 0.0
+
+    def mean(lam):
+        return float(np.mean(np.asarray(A(sub / lam))))
+
     hi = float(np.max(np.abs(sub)))
     lo = hi
     # grow/shrink the bracket so that mean A(f/hi) <= 1 <= mean A(f/lo)
     for _ in range(200):
-        if _mean_A(young, sub, hi) <= 1.0:
+        if mean(hi) <= 1.0:
             break
         hi *= 2.0
     for _ in range(200):
-        if _mean_A(young, sub, lo) >= 1.0:
+        if mean(lo) >= 1.0:
             break
         lo *= 0.5
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if _mean_A(young, sub, mid) > 1.0:
+        if mean(mid) > 1.0:
             lo = mid
         else:
             hi = mid
@@ -472,23 +475,36 @@ def luxemburg_norms_level(f, level: int, young: YoungSpec, depth: int,
     return out
 
 
-# -- cube iteration helper --------------------------------------------------
+# -- cube selection -------------------------------------------------------
+
+
+def _select(levels, cubes) -> np.ndarray:
+    """Per-level arrays flattened in (level, index) order over every cube
+    ("all") or over a SparseFamily's cubes, picked by its masks."""
+    if cubes == "all" or cubes is None:
+        return np.concatenate(levels)
+    return np.concatenate([v[m] for v, m in zip(levels, cubes.masks)])
+
+
+def _cube_list(pair: WeightPair, cubes) -> list:
+    """The cubes of _select, in the same order."""
+    if cubes == "all" or cubes is None:
+        return list(pair.geometry.cubes())
+    return cubes.sorted_cubes()
 
 
 def _cube_averages(pair: WeightPair, cubes):
-    """(cube list, w averages, sigma averages) for "all" or a SparseFamily."""
-    if cubes == "all" or cubes is None:
-        cube_list = list(pair.geometry.cubes())
-        w = np.concatenate([pair.w_avg_level(l) for l in range(pair.geometry.depth + 1)])
-        s = np.concatenate([pair.sigma_avg_level(l) for l in range(pair.geometry.depth + 1)])
-        return cube_list, w, s
-    if isinstance(cubes, SparseFamily):
-        cube_list = cubes.sorted_cubes()
-    else:
-        cube_list = sorted(cubes)
-    w = np.array([pair.w_avg(c) for c in cube_list])
-    s = np.array([pair.sigma_avg(c) for c in cube_list])
-    return cube_list, w, s
+    """(w averages, sigma averages) over "all" cubes or a SparseFamily."""
+    levels = range(pair.geometry.depth + 1)
+    return (_select([pair.w_avg_level(l) for l in levels], cubes),
+            _select([pair.sigma_avg_level(l) for l in levels], cubes))
+
+
+def _luxemburg_norms(pair: WeightPair, f, young: YoungSpec, cubes, A_fn=None):
+    """Luxemburg norms of f over the cubes of _select, level by level."""
+    depth = pair.geometry.depth
+    return _select([luxemburg_norms_level(f, level, young, depth, A_fn=A_fn)
+                    for level in range(depth + 1)], cubes)
 
 
 # -- bump constants ---------------------------------------------------------
@@ -496,22 +512,22 @@ def _cube_averages(pair: WeightPair, cubes):
 
 def ap_constant(pair: WeightPair, cubes="all") -> float:
     """sup_Q w_Q * sigma_Q^{p-1} over the requested cube set."""
-    _, w, s = _cube_averages(pair, cubes)
+    w, s = _cube_averages(pair, cubes)
     return float(np.max(w * s ** (pair.p - 1.0)))
 
 
 def nu_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:
     """sup_Q w_Q * sigma_Q^{p-1} * nu_p(sigma_Q)."""
     ensure_admissible(spec)
-    _, w, s = _cube_averages(pair, cubes)
+    w, s = _cube_averages(pair, cubes)
     return float(np.max(w * s ** (pair.p - 1.0) * np.asarray(spec.nu_p(pair.p, s))))
 
 
 def nu_lambda_table(pair: WeightPair, spec: BumpSpec, cubes="all") -> dict:
     """lambda_Q = psi(sigma_Q); the Theorem-route lambda table."""
-    cube_list, _, s = _cube_averages(pair, cubes)
+    _, s = _cube_averages(pair, cubes)
     vals = np.asarray(spec.psi(s))
-    return dict(zip(cube_list, vals.tolist()))
+    return dict(zip(_cube_list(pair, cubes), vals.tolist()))
 
 
 def _phi_clamped(spec: BumpSpec, x):
@@ -529,22 +545,12 @@ def orlicz_li_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
     ensure_admissible(spec)
     if not math.isfinite(bp_integral(young, pair.p)):
         raise AdmissibilityError("Young function is not in B_p")
-    p, depth = pair.p, pair.geometry.depth
-    froot = pair.sigma_leaves ** (1.0 / p)
-    if cubes == "all" or cubes is None:
-        norms = {}
-        for level in range(depth + 1):
-            ns = luxemburg_norms_level(froot, level, young, depth)
-            for j, v in enumerate(ns):
-                norms[CubeId(level, int(j))] = float(v)
-        cube_list, w, s = _cube_averages(pair, "all")
-    else:
-        cube_list, w, s = _cube_averages(pair, cubes)
-        norms = {c: luxemburg_norm(froot, c, young, depth) for c in cube_list}
-    nvec = np.array([norms[c] for c in cube_list])
+    p = pair.p
+    w, s = _cube_averages(pair, cubes)
+    nvec = _luxemburg_norms(pair, pair.sigma_leaves ** (1.0 / p), young, cubes)
     lam = s / nvec ** p
     terms = w ** (1.0 / p) * (s / nvec) * _phi_clamped(spec, lam) ** (1.0 / pair.p_dual)
-    return float(np.max(terms)), dict(zip(cube_list, lam.tolist()))
+    return float(np.max(terms)), dict(zip(_cube_list(pair, cubes), lam.tolist()))
 
 
 def orlicz_lacey_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
@@ -554,68 +560,22 @@ def orlicz_lacey_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
     ensure_admissible(spec)
     if not math.isfinite(bp_integral(young, pair.p)):
         raise AdmissibilityError("Young function is not in B_p")
-    p, depth = pair.p, pair.geometry.depth
-    abar = _conjugate_table(young)
-    fdual = pair.sigma_leaves ** (1.0 / pair.p_dual)
-    if cubes == "all" or cubes is None:
-        norms = {}
-        for level in range(depth + 1):
-            ns = luxemburg_norms_level(fdual, level, young, depth, A_fn=abar)
-            for j, v in enumerate(ns):
-                norms[CubeId(level, int(j))] = float(v)
-        cube_list, w, s = _cube_averages(pair, "all")
-    else:
-        cube_list, w, s = _cube_averages(pair, cubes)
-        norms = {c: _luxemburg_with_fn(fdual, c, abar, depth) for c in cube_list}
-    nvec = np.array([norms[c] for c in cube_list])
+    p = pair.p
+    w, s = _cube_averages(pair, cubes)
+    nvec = _luxemburg_norms(pair, pair.sigma_leaves ** (1.0 / pair.p_dual), young, cubes,
+                            A_fn=_conjugate_table(young))
     lam = nvec ** p / s ** (p - 1.0)
     terms = w ** (1.0 / p) * nvec * _phi_clamped(spec, lam) ** (1.0 / pair.p_dual)
-    return float(np.max(terms)), dict(zip(cube_list, lam.tolist()))
-
-
-def _luxemburg_with_fn(f, cube: CubeId, A_fn, depth: int,
-                       rel_tol: float = 1e-12) -> float:
-    sub = np.asarray(f, dtype=float)[cube.leaf_slice(depth)]
-    if np.all(sub == 0.0):
-        return 0.0
-    hi = float(np.max(np.abs(sub)))
-    lo = hi
-    mean = lambda lam: float(np.mean(np.asarray(A_fn(sub / lam))))
-    for _ in range(200):
-        if mean(hi) <= 1.0:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        if mean(lo) >= 1.0:
-            break
-        lo *= 0.5
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if mean(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * lo:
-            break
-    return 0.5 * (lo + hi)
+    return float(np.max(terms)), dict(zip(_cube_list(pair, cubes), lam.tolist()))
 
 
 def sepcon_constant(pair: WeightPair, young: YoungSpec, cubes="all") -> float:
     """Right side of the separated-bump conjecture:
     sup_Q w_Q^{1/p} * ||sigma^{1/p'}||_{Abar,Q}."""
-    p, depth = pair.p, pair.geometry.depth
-    abar = _conjugate_table(young)
-    fdual = pair.sigma_leaves ** (1.0 / pair.p_dual)
-    if cubes == "all" or cubes is None:
-        best = 0.0
-        cube_list, w, _ = _cube_averages(pair, "all")
-        norms = []
-        for level in range(depth + 1):
-            norms.append(luxemburg_norms_level(fdual, level, young, depth, A_fn=abar))
-        nvec = np.concatenate(norms)
-    else:
-        cube_list, w, _ = _cube_averages(pair, cubes)
-        nvec = np.array([_luxemburg_with_fn(fdual, c, abar, depth) for c in cube_list])
+    p = pair.p
+    w, _ = _cube_averages(pair, cubes)
+    nvec = _luxemburg_norms(pair, pair.sigma_leaves ** (1.0 / pair.p_dual), young, cubes,
+                            A_fn=_conjugate_table(young))
     return float(np.max(w ** (1.0 / p) * nvec))
 
 
@@ -625,17 +585,11 @@ def sepcon_constant(pair: WeightPair, young: YoungSpec, cubes="all") -> float:
 def dyadic_maximal(sigma_leaves, cube: CubeId, geometry) -> np.ndarray:
     """Leaf values of max over dyadic Q' with leaf in Q' subset of Q of
     sigma_{Q'}, restricted to Q; one top-down pass."""
-    from .dyadic import _mass_pyramid
-    s = np.asarray(sigma_leaves, dtype=float)
-    depth = geometry.depth
-    masses = _mass_pyramid(s, depth)
-    width = 1 << (depth - cube.level)
-    running = np.full(width, masses[cube.level][cube.index] * 2.0 ** cube.level)
-    for level in range(cube.level + 1, depth + 1):
-        avgs = masses[level] * 2.0 ** level
-        seg = avgs[cube.index << (level - cube.level):(cube.index + 1) << (level - cube.level)]
-        running = np.maximum(running, np.repeat(seg, 1 << (depth - level)))
-    return running
+    avgs = _avg_pyramid(np.asarray(sigma_leaves, dtype=float), geometry.depth)
+    # the subtree of Q as its own tree: level k holds Q's 2**k descendants
+    segs = [avgs[level][cube.index << k:(cube.index + 1) << k]
+            for k, level in enumerate(range(cube.level, geometry.depth + 1))]
+    return ancestor_accumulate(segs, np.maximum)[-1]
 
 
 def entropy_lambda(sigma_leaves, cube: CubeId, geometry) -> float:
@@ -648,19 +602,31 @@ def entropy_lambda(sigma_leaves, cube: CubeId, geometry) -> float:
     return integral / mass
 
 
+def _entropy_lambdas(sigma_leaves, depth: int) -> list[np.ndarray]:
+    """entropy_lambda of every cube, per level: one running-max pass down
+    from each starting level, all of that level's cubes at once."""
+    s = np.asarray(sigma_leaves, dtype=float)
+    avgs = _avg_pyramid(s, depth)
+    out = []
+    for level in range(depth + 1):
+        running = ancestor_accumulate(avgs[level:], np.maximum)[-1]
+        # the leaf measure 2**-depth cancels from int_Q M and sigma(Q)
+        out.append(running.reshape(1 << level, -1).sum(axis=1)
+                   / s.reshape(1 << level, -1).sum(axis=1))
+    return out
+
+
 def entropy_lambda_table(pair: WeightPair, cubes="all") -> dict:
-    cube_list, _, _ = _cube_averages(pair, cubes)
-    geometry = pair.geometry
-    return {c: entropy_lambda(pair.sigma_leaves, c, geometry) for c in cube_list}
+    lam = _select(_entropy_lambdas(pair.sigma_leaves, pair.geometry.depth), cubes)
+    return dict(zip(_cube_list(pair, cubes), lam.tolist()))
 
 
 def entropy_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:
     """sup_Q w_Q^{1/p} * sigma_Q^{1/p'} * lambda_Q^{1/p} * phi(lambda_Q)
     with the entropy lambda."""
     ensure_admissible(spec)
-    cube_list, w, s = _cube_averages(pair, cubes)
-    lam = np.array([entropy_lambda(pair.sigma_leaves, c, pair.geometry)
-                    for c in cube_list])
+    w, s = _cube_averages(pair, cubes)
+    lam = _select(_entropy_lambdas(pair.sigma_leaves, pair.geometry.depth), cubes)
     p = pair.p
     terms = w ** (1.0 / p) * s ** (1.0 / pair.p_dual) * lam ** (1.0 / p) \
         * np.asarray(_phi_clamped(spec, lam))
@@ -670,7 +636,7 @@ def entropy_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:
 def maximal_bound_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:
     """sup_Q w_Q^{1/p} * sigma_Q^{1/p'} * psi(sigma_Q)^{1/p}."""
     ensure_admissible(spec)
-    _, w, s = _cube_averages(pair, cubes)
+    w, s = _cube_averages(pair, cubes)
     p = pair.p
     terms = w ** (1.0 / p) * s ** (1.0 / pair.p_dual) * np.asarray(spec.psi(s)) ** (1.0 / p)
     return float(np.max(terms))

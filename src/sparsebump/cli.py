@@ -258,22 +258,17 @@ def cmd_search(args) -> int:
     cfg = search_mod.SearchConfig(depth=args.depths[0], eta=args.eta,
                                   strategy=args.strategy, dist=args.dist,
                                   dist_params=tuple(args.dist_params),
-                                  steps=args.steps, seed=args.seed,
-                                  parallel=args.parallel)
+                                  steps=args.steps, seed=args.seed)
     config = {"cmd": "search", "objective": args.objective, "p": args.p,
               "depths": args.depths, "steps": args.steps, "seed": args.seed,
               "eta": args.eta, "strategy": args.strategy, "dist": args.dist}
-    rows = search_mod.depth_sweep(objective, cfg, args.depths, timing=args.timing)
+    rows, results = search_mod.sweep_results(objective, cfg, args.depths,
+                                             timing=args.timing)
     csv_text = _config_header(config) + search_mod.sweep_csv(rows)
     _write(args.out, csv_text)
     if args.result_out:
-        best_depth = max(rows, key=lambda r: r[1])[0]
-        cfg_best = search_mod.SearchConfig(
-            depth=best_depth, eta=args.eta, strategy=args.strategy, dist=args.dist,
-            dist_params=tuple(args.dist_params), steps=args.steps,
-            seed=args.seed + 7919 * best_depth, parallel=args.parallel)
-        result = search_mod.anneal(objective, cfg_best)
-        payload = {"config": config, "result": result.to_json_dict()}
+        best = max(results, key=lambda r: r.best_ratio)
+        payload = {"config": config, "result": best.to_json_dict()}
         _write(args.result_out, json.dumps(payload, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -369,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dist", default="mixed",
                    choices=["lognormal", "spike", "mixed"])
     s.add_argument("--dist-params", type=float, nargs="*", default=[])
-    s.add_argument("--parallel", type=int, default=1)
     s.add_argument("--bumps", default=None)
     s.add_argument("--young", default=None)
     s.add_argument("--timing", action="store_true")

@@ -79,14 +79,37 @@ class CubeId:
         return slice(self.index * width, (self.index + 1) * width)
 
 
+def subtree_sums(levels):
+    """Bottom-up sum over subcubes: out[l] = levels[l] + (out[l+1][0::2]
+    + out[l+1][1::2]), so out[l][j] totals levels over the subtree of
+    cube (l, j).  Each level holds twice the entries of the one above (a
+    scalar entry broadcasts)."""
+    out = list(levels)
+    for level in range(len(out) - 2, -1, -1):
+        below = out[level + 1]
+        out[level] = levels[level] + (below[0::2] + below[1::2])
+    return out
+
+
+def ancestor_accumulate(levels, op=np.add):
+    """Top-down accumulation along ancestors: out[l] = op(out[l-1]
+    repeated onto the two children, levels[l]).  op is an elementwise
+    binary function such as np.add or np.maximum; each level holds twice
+    the entries of the one above."""
+    out = list(levels)
+    for level in range(1, len(out)):
+        out[level] = op(np.repeat(out[level - 1], 2), levels[level])
+    return out
+
+
 def _mass_pyramid(leaves: np.ndarray, depth: int) -> list[np.ndarray]:
     """Per-level cube masses; pyramid[l][j] = integral over cube (l, j)."""
-    pyramid = [None] * (depth + 1)
-    pyramid[depth] = leaves * 2.0 ** (-depth)
-    for level in range(depth - 1, -1, -1):
-        below = pyramid[level + 1]
-        pyramid[level] = below[0::2] + below[1::2]
-    return pyramid
+    return subtree_sums([0.0] * depth + [leaves * 2.0 ** (-depth)])
+
+
+def _avg_pyramid(leaves, depth: int) -> list[np.ndarray]:
+    """Per-level cube averages of the leaf values."""
+    return [m * 2.0 ** level for level, m in enumerate(_mass_pyramid(leaves, depth))]
 
 
 class WeightPair:
@@ -166,9 +189,12 @@ def mass(weights, cube: CubeId, geometry: TreeGeometry) -> float:
 
 @dataclass(frozen=True)
 class SparseFamily:
+    """A family of cubes; masks[l][j] is True iff cube (l, j) belongs to it."""
+
     cubes: frozenset
     eta: float
     packing: float = field(compare=False)
+    masks: list = field(compare=False, repr=False)
 
     @staticmethod
     def build(cubes, eta: float, geometry: TreeGeometry) -> "SparseFamily":
@@ -178,13 +204,31 @@ class SparseFamily:
         for c in cubes:
             if not geometry.contains(c):
                 raise DomainError(f"cube {c} outside depth-{geometry.depth} tree")
-        return SparseFamily(cubes, float(eta), packing_constant(cubes, geometry))
+        masks = _cube_masks(cubes, geometry.depth)
+        return SparseFamily(cubes, float(eta), _packing(masks), masks)
+
+    @staticmethod
+    def from_masks(masks, eta: float) -> "SparseFamily":
+        cubes = frozenset(CubeId(level, int(j))
+                          for level, m in enumerate(masks) for j in np.flatnonzero(m))
+        return SparseFamily(cubes, float(eta), _packing(masks), masks)
 
     def sorted_cubes(self) -> list[CubeId]:
         return sorted(self.cubes)
 
-    def descendants_in(self, R: CubeId) -> list[CubeId]:
-        return sorted(q for q in self.cubes if R.contains_cube(q))
+
+def _cube_masks(cubes, depth: int) -> list[np.ndarray]:
+    masks = [np.zeros(1 << level, dtype=bool) for level in range(depth + 1)]
+    for c in cubes:
+        masks[c.level][c.index] = True
+    return masks
+
+
+def _packing(masks) -> float:
+    # acc[l][j] = total measure of family cubes inside cube (l, j)
+    acc = subtree_sums([m * 2.0 ** (-level) for level, m in enumerate(masks)])
+    return float(max(np.max(a[m], initial=0.0) * 2.0 ** level
+                     for level, (a, m) in enumerate(zip(acc, masks))))
 
 
 def packing_constant(cubes, geometry: TreeGeometry) -> float:
@@ -193,17 +237,7 @@ def packing_constant(cubes, geometry: TreeGeometry) -> float:
     cubes = set(cubes)
     if not cubes:
         raise DomainError("packing constant of an empty family")
-    depth = geometry.depth
-    # acc[l][j] = total measure of family cubes inside cube (l, j)
-    acc = [np.zeros(1 << level) for level in range(depth + 1)]
-    for c in cubes:
-        acc[c.level][c.index] += c.measure
-    for level in range(depth - 1, -1, -1):
-        acc[level] += acc[level + 1][0::2] + acc[level + 1][1::2]
-    best = 0.0
-    for c in cubes:
-        best = max(best, acc[c.level][c.index] / c.measure)
-    return float(best)
+    return _packing(_cube_masks(cubes, geometry.depth))
 
 
 def verify_sparse(family: SparseFamily, eta: float, geometry: TreeGeometry) -> bool:
@@ -293,24 +327,17 @@ def stopping_time_family(sigma_leaves, a: float, geometry: TreeGeometry) -> Spar
     average, recursively.  The result is (1 - 1/a)-sparse by construction."""
     if not a > 1.0:
         raise DomainError(f"stopping threshold a must exceed 1, got {a}")
-    s = np.asarray(sigma_leaves, dtype=float)
-    masses = _mass_pyramid(s, geometry.depth)
-    avgs = [masses[l] * 2.0 ** l for l in range(geometry.depth + 1)]
-    selected = []
-    stack = [CubeId(0, 0)]
-    while stack:
-        stop = stack.pop()
-        selected.append(stop)
-        threshold = a * avgs[stop.level][stop.index]
-        # maximal strict descendants with average above the threshold
-        frontier = list(stop.children) if stop.level < geometry.depth else []
-        while frontier:
-            c = frontier.pop()
-            if avgs[c.level][c.index] > threshold:
-                stack.append(c)
-            elif c.level < geometry.depth:
-                frontier.extend(c.children)
-    return SparseFamily.build(selected, 1.0 - 1.0 / a, geometry)
+    avgs = _avg_pyramid(np.asarray(sigma_leaves, dtype=float), geometry.depth)
+
+    def govern(parent_stop, avg):
+        # the average of the stopping cube that governs each cube
+        return np.where(avg > a * parent_stop, avg, parent_stop)
+
+    stops = ancestor_accumulate(avgs, govern)
+    masks = [np.ones(1, dtype=bool)] + [
+        avgs[level] > a * np.repeat(stops[level - 1], 2)
+        for level in range(1, geometry.depth + 1)]
+    return SparseFamily.from_masks(masks, 1.0 - 1.0 / a)
 
 
 # -- instance (de)serialization --------------------------------------------

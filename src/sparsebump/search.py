@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dyadic import (DomainError, Instance, NumericError, SparseFamily,
-                     TreeGeometry, WeightPair, generate_sparse,
-                     stopping_time_family, DENSITY_FLOOR)
+from .dyadic import (DomainError, Instance, NumericError, TreeGeometry,
+                     WeightPair, generate_sparse, DENSITY_FLOOR)
 from .bumps import (BumpSpec, YoungSpec, ensure_admissible, entropy_constant,
                     maximal_bound_constant, nu_constant, orlicz_li_constant,
                     sepcon_constant)
@@ -50,18 +49,12 @@ class SearchConfig:
     t0: float = 0.5
     gamma: float = 0.999
     seed: int = 0
-    parallel: int = 1
 
     def __post_init__(self):
         if self.steps < 1:
             raise DomainError("steps must be >= 1")
         if not 0.0 < self.gamma < 1.0:
             raise DomainError("gamma must lie in (0, 1)")
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["dist_params"] = list(self.dist_params)
-        return d
 
 
 @dataclass
@@ -96,12 +89,6 @@ def _draw_leaves(rng, n: int, dist: str, params) -> np.ndarray:
     raise DomainError(f"unknown leaf distribution {dist!r}")
 
 
-def _build_family(config: SearchConfig, geometry: TreeGeometry,
-                  sigma: np.ndarray, seed: int) -> SparseFamily:
-    return generate_sparse(geometry, config.strategy, config.eta, seed,
-                           sigma_leaves=sigma)
-
-
 def random_instance(config: SearchConfig, seed: int) -> Instance:
     """Deterministic random weight pair plus derived sparse family."""
     rng = np.random.default_rng(np.uint64(seed))
@@ -111,7 +98,7 @@ def random_instance(config: SearchConfig, seed: int) -> Instance:
     w = _draw_leaves(rng, n, "lognormal", (0.0, 1.0))
     # objective p is attached at evaluation time; store a placeholder
     pair = WeightPair(geometry, w, sigma, 2.0)
-    family = _build_family(config, geometry, sigma, seed)
+    family = generate_sparse(geometry, config.strategy, config.eta, seed, sigma_leaves=sigma)
     sparse_cfg = {"strategy": config.strategy, "eta": config.eta, "seed": seed}
     return Instance(pair, family, sparse_cfg)
 
@@ -154,7 +141,8 @@ def _instance_from_state(config: SearchConfig, log_w, log_sigma, p: float,
     w = np.exp(log_w)
     sigma = np.exp(log_sigma)
     pair = WeightPair(geometry, w, sigma, p)
-    family = _build_family(config, geometry, sigma, family_seed)
+    family = generate_sparse(geometry, config.strategy, config.eta, family_seed,
+                             sigma_leaves=sigma)
     sparse_cfg = {"strategy": config.strategy, "eta": config.eta, "seed": family_seed}
     return Instance(pair, family, sparse_cfg)
 
@@ -190,7 +178,6 @@ def anneal(objective: Objective, config: SearchConfig) -> SearchResult:
     trace = [best_val]
     temperature = config.t0
     evals = 1
-    width = max(1, config.parallel)
     for step in range(1, config.steps):
         if step % restart_every == 0:
             log_w, log_sigma = fresh(config.seed + step)
@@ -199,23 +186,14 @@ def anneal(objective: Objective, config: SearchConfig) -> SearchResult:
             cur_val = evaluate(objective, current)
             evals += 1
         else:
-            # width independent proposals; deterministic max-reduction
-            proposals = []
-            for _ in range(width):
-                pw = log_w + 0.5 * rng.standard_normal(n)
-                ps = log_sigma + 0.5 * rng.standard_normal(n)
-                proposals.append((pw, ps))
-            best_prop, best_prop_val = None, -math.inf
-            for pw, ps in proposals:
-                cand = _instance_from_state(config, pw, ps, objective.p, family_seed)
-                val = evaluate(objective, cand)
-                evals += 1
-                if val > best_prop_val:
-                    best_prop_val, best_prop = val, (pw, ps, cand)
-            delta = best_prop_val - cur_val
+            pw = log_w + 0.5 * rng.standard_normal(n)
+            ps = log_sigma + 0.5 * rng.standard_normal(n)
+            cand = _instance_from_state(config, pw, ps, objective.p, family_seed)
+            val = evaluate(objective, cand)
+            evals += 1
+            delta = val - cur_val
             if delta >= 0 or rng.random() < math.exp(delta / max(temperature, 1e-12)):
-                log_w, log_sigma, current = best_prop
-                cur_val = best_prop_val
+                log_w, log_sigma, current, cur_val = pw, ps, cand, val
         if step % refresh_every == 0 and config.strategy == "stopping_time":
             current = _instance_from_state(config, log_w, log_sigma,
                                            objective.p, family_seed)
@@ -239,22 +217,27 @@ def anneal(objective: Objective, config: SearchConfig) -> SearchResult:
                         sub_ap_fraction=_sub_ap_fraction(best_inst, objective.p))
 
 
-def depth_sweep(objective: Objective, config: SearchConfig, depths,
-                timing: bool = False):
-    """anneal per depth with derived seeds; rows of
-    (depth, best_ratio, evaluations, seconds).  seconds is 0.0 unless
-    timing is requested, keeping the CSV byte-reproducible."""
-    rows = []
+def sweep_results(objective: Objective, config: SearchConfig, depths,
+                  timing: bool = False):
+    """anneal per depth with derived seeds; (rows, results) with one row
+    (depth, best_ratio, evaluations, seconds) and one SearchResult per
+    depth.  seconds is 0.0 unless timing is requested, keeping the CSV
+    byte-reproducible."""
+    rows, results = [], []
     for depth in depths:
-        cfg = SearchConfig(depth=depth, eta=config.eta, strategy=config.strategy,
-                           dist=config.dist, dist_params=config.dist_params,
-                           steps=config.steps, t0=config.t0, gamma=config.gamma,
-                           seed=config.seed + 7919 * depth, parallel=config.parallel)
         start = time.perf_counter()
-        result = anneal(objective, cfg)
+        result = anneal(objective, replace(config, depth=depth,
+                                           seed=config.seed + 7919 * depth))
         seconds = time.perf_counter() - start if timing else 0.0
         rows.append((depth, result.best_ratio, result.evaluations, seconds))
-    return rows
+        results.append(result)
+    return rows, results
+
+
+def depth_sweep(objective: Objective, config: SearchConfig, depths,
+                timing: bool = False):
+    """The rows of sweep_results."""
+    return sweep_results(objective, config, depths, timing)[0]
 
 
 def sweep_csv(rows) -> str:

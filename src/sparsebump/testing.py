@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import (CubeId, DomainError, NumericError, SparseFamily,
-                     TreeGeometry, WeightPair)
+                     TreeGeometry, WeightPair, _avg_pyramid, ancestor_accumulate)
 from .bumps import (BumpSpec, ap_constant, ensure_admissible, nu_constant)
 
 
@@ -67,10 +67,14 @@ def local_sum(S: SparseFamily, pair: WeightPair, R: CubeId) -> LeafFunction:
     geometry = pair.geometry
     if not geometry.contains(R):
         raise DomainError(f"cube {R} outside the tree")
+    # the subtree of R as its own tree: level k holds R's 2**k descendants
+    terms = []
+    for k, level in enumerate(range(R.level, geometry.depth + 1)):
+        sl = slice(R.index << k, (R.index + 1) << k)
+        terms.append(np.where(S.masks[level][sl],
+                              pair.sigma_masses[level][sl] * 2.0 ** level, 0.0))
     out = np.zeros(geometry.n_leaves)
-    for q in S.cubes:
-        if R.contains_cube(q):
-            out[q.leaf_slice(geometry.depth)] += pair.sigma_avg(q)
+    out[R.leaf_slice(geometry.depth)] = ancestor_accumulate(terms)[-1]
     return LeafFunction(geometry, out)
 
 
@@ -87,53 +91,54 @@ def testing_constant(pair: WeightPair, S: SparseFamily):
     """[w,sigma]_p: max over R in S of ||local_sum(R)||_{L^p(w)} /
     sigma(R)^{1/p}.  Returns (value, maximizing R); ties break toward the
     smallest (level, index)."""
+    depth, p = pair.geometry.depth, pair.p
+    # g is every level-r local sum at once, accumulated from the leaves
+    # up so that small local sums are never differences of large ones
+    g = np.zeros(pair.geometry.n_leaves)
     best, best_R = -math.inf, None
-    for R in S.sorted_cubes():
-        num = lp_norm(local_sum(S, pair, R), pair.w_leaves, pair.p)
-        val = num / pair.sigma_mass(R) ** (1.0 / pair.p)
-        if val > best:
-            best, best_R = val, R
+    for level in range(depth, -1, -1):
+        mask = S.masks[level]
+        if not mask.any():
+            continue
+        width = 1 << (depth - level)
+        g += np.repeat(np.where(mask, pair.sigma_avg_level(level), 0.0), width)
+        idx = np.flatnonzero(mask)
+        rows = g.reshape(-1, width)[idx] ** p * pair.w_leaves.reshape(-1, width)[idx]
+        num = (rows.sum(axis=1) * 2.0 ** (-depth)) ** (1.0 / p)
+        vals = num / pair.sigma_masses[level][idx] ** (1.0 / p)
+        k = int(np.argmax(vals))  # the first maximum: the smallest index
+        if vals[k] >= best:  # levels run upward, so ties go to the coarser
+            best, best_R = float(vals[k]), CubeId(level, int(idx[k]))
     return best, best_R
+
+
+def _sum_of_means(S: SparseFamily, values: np.ndarray) -> np.ndarray:
+    """Leaf vector of the sum over Q in S of mean_Q(values) * chi_Q."""
+    avgs = _avg_pyramid(values, len(S.masks) - 1)
+    return ancestor_accumulate([np.where(m, a, 0.0) for m, a in zip(S.masks, avgs)])[-1]
 
 
 def apply_sparse(S: SparseFamily, f: LeafFunction) -> LeafFunction:
     """A_S f = sum over Q in S of f_Q * chi_Q."""
-    geometry = f.geometry
-    out = np.zeros(geometry.n_leaves)
-    for q in S.cubes:
-        sl = q.leaf_slice(geometry.depth)
-        out[sl] += np.mean(f.values[sl])
-    return LeafFunction(geometry, out)
+    return LeafFunction(f.geometry, _sum_of_means(S, f.values))
 
 
 class _SparseOperatorP2:
     """f -> A_S(f sigma) as a map between the weighted L^2 leaf spaces,
-    conjugated to an unweighted matrix B = W^{1/2} G S^{1/2} whose largest
-    singular value is the operator norm."""
+    conjugated to the unweighted matrix B = W^{1/2} A_S S^{1/2} (the leaf
+    measures cancel) whose largest singular value is the operator norm."""
 
     def __init__(self, S: SparseFamily, pair: WeightPair):
-        self.depth = pair.geometry.depth
-        n = pair.geometry.n_leaves
-        mu = 2.0 ** (-self.depth)
-        self.sw = np.sqrt(pair.w_leaves * mu)
-        self.ss = np.sqrt(pair.sigma_leaves * mu)
-        self.slices = [(q.leaf_slice(self.depth), 1.0 / q.measure) for q in S.sorted_cubes()]
-        self.n = n
-
-    def _G(self, v: np.ndarray) -> np.ndarray:
-        # v already carries the sqrt(measure) factors, so plain slice sums
-        out = np.zeros(self.n)
-        cs = np.concatenate(([0.0], np.cumsum(v)))
-        for sl, inv_measure in self.slices:
-            c = (cs[sl.stop] - cs[sl.start]) * inv_measure
-            out[sl.start:sl.stop] += c
-        return out
+        self.S = S
+        self.sw = np.sqrt(pair.w_leaves)
+        self.ss = np.sqrt(pair.sigma_leaves)
+        self.n = pair.geometry.n_leaves
 
     def B(self, h: np.ndarray) -> np.ndarray:
-        return self.sw * self._G(self.ss * h)
+        return self.sw * _sum_of_means(self.S, self.ss * h)
 
     def Bt(self, g: np.ndarray) -> np.ndarray:
-        return self.ss * self._G(self.sw * g)
+        return self.ss * _sum_of_means(self.S, self.sw * g)
 
     def dense(self) -> np.ndarray:
         cols = []
@@ -181,20 +186,11 @@ def operator_norm_lower(S: SparseFamily, pair: WeightPair, budget: int,
     p = pair.p
     mu = 2.0 ** (-geometry.depth)
 
-    def apply_weighted(f: np.ndarray, density: np.ndarray) -> np.ndarray:
-        out = np.zeros(geometry.n_leaves)
-        g = f * density
-        cs = np.concatenate(([0.0], np.cumsum(g)))
-        for q in S.cubes:
-            sl = q.leaf_slice(geometry.depth)
-            out[sl] += (cs[sl.stop] - cs[sl.start]) * mu / q.measure
-        return out
-
     def trial_ratio(f: np.ndarray) -> float:
         den = float(np.sum(np.abs(f) ** p * pair.sigma_leaves) * mu) ** (1.0 / p)
         if den == 0.0:
             return 0.0
-        img = apply_weighted(f, pair.sigma_leaves)
+        img = _sum_of_means(S, f * pair.sigma_leaves)
         num = float(np.sum(np.abs(img) ** p * pair.w_leaves) * mu) ** (1.0 / p)
         return num / den
 
@@ -215,8 +211,8 @@ def operator_norm_lower(S: SparseFamily, pair: WeightPair, budget: int,
     # fixed point: f proportional to (A_S^*(w |A_S(f sigma)|^{p-1}) / sigma)^{1/(p-1)}
     f = best_f if best_f is not None else np.ones(geometry.n_leaves)
     for _ in range(min(budget, 30)):
-        u = apply_weighted(f, pair.sigma_leaves)
-        v = apply_weighted(np.maximum(u, 0.0) ** (p - 1.0), pair.w_leaves)
+        u = _sum_of_means(S, f * pair.sigma_leaves)
+        v = _sum_of_means(S, np.maximum(u, 0.0) ** (p - 1.0) * pair.w_leaves)
         nxt = (v / pair.sigma_leaves) ** (1.0 / (p - 1.0))
         m = np.max(nxt)
         if not np.isfinite(m) or m == 0.0:
@@ -417,17 +413,8 @@ def theorem_main_ratio(pair: WeightPair, S: SparseFamily, spec: BumpSpec):
 
 def dyadic_maximal_full(f_leaves, geometry: TreeGeometry) -> np.ndarray:
     """M_d g per leaf: max over all dyadic ancestors of the average of g."""
-    g = np.asarray(f_leaves, dtype=float)
-    depth = geometry.depth
-    pyramid = [None] * (depth + 1)
-    pyramid[depth] = g * 2.0 ** (-depth)
-    for level in range(depth - 1, -1, -1):
-        pyramid[level] = pyramid[level + 1][0::2] + pyramid[level + 1][1::2]
-    out = np.full(geometry.n_leaves, -math.inf)
-    for level in range(depth + 1):
-        avgs = pyramid[level] * 2.0 ** level
-        out = np.maximum(out, np.repeat(avgs, 1 << (depth - level)))
-    return out
+    avgs = _avg_pyramid(np.asarray(f_leaves, dtype=float), geometry.depth)
+    return ancestor_accumulate(avgs, np.maximum)[-1]
 
 
 def maximal_norm_lower(pair: WeightPair, budget: int, seed: int = 0) -> float:

@@ -55,6 +55,30 @@ def brute_packing(cubes, depth):
     return best
 
 
+def brute_stopping_time(sigma, a, depth):
+    """Principal cubes by plain recursion over (level, index) pairs: the
+    root, then below each stopping cube its maximal subcubes whose average
+    exceeds a times the stopping cube's average.  Sorted."""
+    avg = {q: brute_average(sigma, q[0], q[1], depth) for q in all_cubes(depth)}
+    selected = []
+
+    def below(q, threshold):
+        if q[0] == depth:
+            return
+        for child in ((q[0] + 1, 2 * q[1]), (q[0] + 1, 2 * q[1] + 1)):
+            if avg[child] > threshold:
+                stop(child)
+            else:
+                below(child, threshold)
+
+    def stop(q):
+        selected.append(q)
+        below(q, a * avg[q])
+
+    stop((0, 0))
+    return sorted(selected)
+
+
 # -- multi-precision psi / phi / nu_p ---------------------------------------
 
 def mp_psi(t, eps=1.0, family="log_power"):

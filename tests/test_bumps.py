@@ -92,6 +92,18 @@ class TestAdmissibility:
         with pytest.raises(AdmissibilityError):
             ensure_admissible(BumpSpec(psi_family="log_power", psi_eps=0.0))
 
+    def test_cache_not_fooled_by_a_reused_function_id(self):
+        # a freed custom psi's id can be handed to the next function made;
+        # the inadmissible spec must not inherit the admissible report
+        base = BumpSpec()
+        for _ in range(50):
+            good = BumpSpec(psi_family="custom", psi_fn=lambda t: base.psi(t))
+            ensure_admissible(good)
+            del good
+            bad = BumpSpec(psi_family="custom", psi_fn=lambda t: np.ones_like(t))
+            with pytest.raises(AdmissibilityError):
+                ensure_admissible(bad)
+
     def test_tail_sum_dominates_direct_partial_sum(self):
         rep = check_bump(BumpSpec())
         spec = BumpSpec()
@@ -273,6 +285,16 @@ class TestMaximalAndEntropy:
             for lam in entropy_lambda_table(inst.pair, "all").values():
                 assert lam >= 1.0 - 1e-12
 
+    def test_entropy_lambda_table_matches_per_cube(self):
+        spike = np.full(32, 1e-12)
+        spike[3:7] = 8.0
+        pairs = [inst.pair for inst in random_corpus(10, seed=17, depths=(0, 2, 3, 5))]
+        pairs.append(WeightPair(TreeGeometry(5), np.ones(32), spike, 2.0))
+        for pair in pairs:
+            for cube, lam in entropy_lambda_table(pair, "all").items():
+                ref = entropy_lambda(pair.sigma_leaves, cube, pair.geometry)
+                assert lam == pytest.approx(ref, rel=1e-13)
+
     def test_entropy_lambda_scale_invariant(self):
         rng = np.random.default_rng(21)
         g = TreeGeometry(4)
@@ -400,9 +422,36 @@ class TestOrliczConstants:
         val = sepcon_constant(inst.pair, self.YOUNG, "all")
         assert val > 0.0
         froot = np.ones(8)
-        from sparsebump.bumps import _conjugate_table, _luxemburg_with_fn
-        ref = _luxemburg_with_fn(froot, CubeId(0, 0), _conjugate_table(self.YOUNG), 3)
+        from sparsebump.bumps import _conjugate_table, luxemburg_norm
+        ref = luxemburg_norm(froot, CubeId(0, 0), self.YOUNG, 3,
+                             A_fn=_conjugate_table(self.YOUNG))
         assert val == pytest.approx(ref, rel=1e-10)
+
+    def test_family_constants_restrict_the_all_table(self):
+        from sparsebump.bumps import _conjugate_table
+        spec = BumpSpec()
+        abar = _conjugate_table(self.YOUNG)
+        for inst in random_corpus(8, seed=31, depths=(2, 3, 4, 5), ps=(2.0, 3.0)):
+            pair, S = inst.pair, inst.family
+            p, pd, depth = pair.p, pair.p_dual, pair.geometry.depth
+            lux = [luxemburg_norms_level(pair.sigma_leaves ** (1.0 / p), l,
+                                         self.YOUNG, depth) for l in range(depth + 1)]
+            lux_bar = [luxemburg_norms_level(pair.sigma_leaves ** (1.0 / pd), l, self.YOUNG,
+                                             depth, A_fn=abar) for l in range(depth + 1)]
+            phi = lambda lam: float(spec.phi(max(lam, 1.0))) ** (1.0 / pd)
+            li, lacey, sep = [], [], []
+            for c in S.cubes:
+                w, s = pair.w_avg(c), pair.sigma_avg(c)
+                n, nb = lux[c.level][c.index], lux_bar[c.level][c.index]
+                li.append(w ** (1.0 / p) * (s / n) * phi(s / n ** p))
+                lacey.append(w ** (1.0 / p) * nb * phi(nb ** p / s ** (p - 1.0)))
+                sep.append(w ** (1.0 / p) * nb)
+            for fn, terms in ((orlicz_li_constant, li), (orlicz_lacey_constant, lacey)):
+                _, table_all = fn(pair, self.YOUNG, spec, "all")
+                value, table = fn(pair, self.YOUNG, spec, S)
+                assert table == {c: table_all[c] for c in S.cubes}
+                assert value == pytest.approx(max(terms), rel=1e-12)
+            assert sepcon_constant(pair, self.YOUNG, S) == pytest.approx(max(sep), rel=1e-12)
 
     def test_li_requires_bp(self, instance_a):
         spec = BumpSpec()

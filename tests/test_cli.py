@@ -124,6 +124,25 @@ class TestSearch:
         inst = instance_from_dict(payload["result"]["best_instance"])
         assert inst.pair.geometry.depth == 2
 
+    def test_result_out_anneals_each_depth_once(self, tmp_path, monkeypatch):
+        from sparsebump import search
+        calls, anneal = [], search.anneal
+
+        def counted(objective, config):
+            calls.append(config.depth)
+            return anneal(objective, config)
+
+        monkeypatch.setattr(search, "anneal", counted)
+        out, res = tmp_path / "s.csv", tmp_path / "result.json"
+        assert run_cli("search", "--objective", "main_theorem", "--depths", "2", "3",
+                       "--steps", "40", "--out", str(out), "--result-out", str(res)) == 0
+        assert calls == [2, 3]
+        rows = [ln.split(",") for ln in read(out).splitlines()[3:]]
+        best = max(rows, key=lambda r: float(r[1]))
+        result = json.loads(read(res))["result"]
+        assert result["best_ratio"] == float(best[1])
+        assert result["evaluations"] == int(best[2])
+
     def test_unknown_objective_is_usage_error(self):
         assert run_cli("search", "--objective", "bogus") == 2
 

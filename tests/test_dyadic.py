@@ -189,6 +189,26 @@ class TestGenerators:
             fam = stopping_time_family(sigma, a, g)
             assert fam.packing <= 1.0 / (1.0 - 1.0 / a) + 1e-12
 
+    @pytest.mark.parametrize("law", ["lognormal", "spike", "constant"])
+    @pytest.mark.parametrize("a", [4.0 / 3.0, 2.0, 4.0])
+    def test_stopping_time_matches_brute_recursion(self, law, a):
+        rng = np.random.default_rng(41)
+        for depth in range(9):
+            n = 1 << depth
+            if law == "lognormal":
+                sigma = np.exp(1.5 * rng.standard_normal(n))
+            elif law == "spike":
+                # mass on a random run of leaves, the rest at the density floor
+                sigma = np.full(n, 1e-12)
+                start = int(rng.integers(n))
+                width = int(rng.integers(1, n - start + 1))
+                sigma[start:start + width] = n / width
+            else:
+                sigma = np.full(n, 3.0)
+            fam = stopping_time_family(sigma, a, TreeGeometry(depth))
+            got = sorted((c.level, c.index) for c in fam.cubes)
+            assert got == oracles.brute_stopping_time(sigma, a, depth)
+
     def test_unknown_strategy(self):
         with pytest.raises(DomainError):
             generate_sparse(TreeGeometry(2), "nope", 0.5, 0)
