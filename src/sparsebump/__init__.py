@@ -1,9 +1,9 @@
 """Two-weight sparse-operator machinery on finite dyadic trees."""
 
 from .dyadic import (CubeId, DomainError, Instance, NumericError, SparseFamily,
-                     TreeGeometry, WeightPair, average, generate_sparse,
-                     instance_from_dict, load_instance, mass, packing_constant,
-                     stopping_time_family, verify_sparse)
+                     TreeGeometry, WeightPair, generate_sparse, instance_from_dict,
+                     load_instance, packing_constant, stopping_time_family,
+                     verify_sparse)
 from .bumps import (AdmissibilityError, BumpSpec, YoungSpec, ap_constant,
                     bp_integral, check_bump, dyadic_maximal, entropy_constant,
                     entropy_lambda, luxemburg_norm, maximal_bound_constant,

@@ -17,16 +17,14 @@ from functools import lru_cache
 import numpy as np
 
 from .dyadic import (CubeId, DomainError, NumericError, WeightPair, _avg_pyramid,
-                     ancestor_accumulate)
+                     _select, ancestor_accumulate)
 
 _E = math.e
 _EE = math.exp(math.e)
 
-# dyadic tail sums: direct summation range and the shorter range quoted
-# in reports; the hard lemma bounds only need the direct part to cover
-# every realizable sigma_Q block
+# dyadic tail sums: direct summation range; the hard lemma bounds only
+# need it to cover every realizable sigma_Q block
 TAIL_DIRECT_K = 512
-TAIL_CORE_K = 64
 
 
 class AdmissibilityError(ValueError):
@@ -122,7 +120,6 @@ class AdmissibilityReport:
     s_psi: float
     s_phi: float
     growth_c: float
-    psi_star: dict  # k -> inf of psi over (2^k, 2^{k+1}], for |k| <= TAIL_DIRECT_K
 
 
 def _tail_converges(u):
@@ -172,7 +169,7 @@ def check_bump(spec: BumpSpec) -> AdmissibilityReport:
     if np.any(np.diff(phi_big) < -1e-12 * np.abs(phi_big[:-1])):
         reasons.append("phi not increasing on (1,inf)")
 
-    # psi_star(2^k) = inf of psi over the block (2^k, 2^{k+1}]; for the
+    # star[k] = inf of psi over the block (2^k, 2^{k+1}]; for the
     # straddling block k = -1 the one-sided limit at t -> 1- is included
     ks = np.arange(-TAIL_DIRECT_K, TAIL_DIRECT_K + 1)
     pw = np.asarray(spec.psi(2.0 ** ks.astype(float)))
@@ -180,7 +177,6 @@ def check_bump(spec: BumpSpec) -> AdmissibilityReport:
     straddle = np.where(ks[:-1] == -1)[0]
     if straddle.size:
         star[straddle[0]] = min(star[straddle[0]], float(spec.psi(1.0 - 1e-12)))
-    psi_star = {int(k): float(s) for k, s in zip(ks[:-1], star)}
 
     inv = 1.0 / star
     # split into the two monotone tails (u increasing toward k = +-inf in psi
@@ -205,7 +201,7 @@ def check_bump(spec: BumpSpec) -> AdmissibilityReport:
     growth_c = float(np.exp(max(np.max(log_excess), math.log(spec.psi(1.0)) - 1.0)))
 
     return AdmissibilityReport(ok=not reasons, reasons=reasons, s_psi=s_psi,
-                               s_phi=s_phi, growth_c=growth_c, psi_star=psi_star)
+                               s_phi=s_phi, growth_c=growth_c)
 
 
 _admissibility_cache: dict = {}
@@ -219,7 +215,7 @@ def ensure_admissible(spec: BumpSpec) -> AdmissibilityReport:
         report = check_bump(spec)
         _admissibility_cache[spec] = report
     if not report.ok:
-        raise AdmissibilityError("; ".join(report.reasons))
+        raise AdmissibilityError("inadmissible bump spec: " + "; ".join(report.reasons))
     return report
 
 
@@ -285,7 +281,8 @@ def check_young(young: YoungSpec) -> YoungReport:
 def ensure_young(young: YoungSpec) -> None:
     report = check_young(young)
     if not report.ok:
-        raise AdmissibilityError("; ".join(report.reasons))
+        raise AdmissibilityError("inadmissible Young function: "
+                                 + "; ".join(report.reasons))
 
 
 def young_conjugate(young: YoungSpec, s: float) -> float:
@@ -478,26 +475,16 @@ def luxemburg_norms_level(f, level: int, young: YoungSpec, depth: int,
 # -- cube selection -------------------------------------------------------
 
 
-def _select(levels, cubes) -> np.ndarray:
-    """Per-level arrays flattened in (level, index) order over every cube
-    ("all") or over a SparseFamily's cubes, picked by its masks."""
-    if cubes == "all" or cubes is None:
-        return np.concatenate(levels)
-    return np.concatenate([v[m] for v, m in zip(levels, cubes.masks)])
-
-
-def _cube_list(pair: WeightPair, cubes) -> list:
-    """The cubes of _select, in the same order."""
-    if cubes == "all" or cubes is None:
-        return list(pair.geometry.cubes())
-    return cubes.sorted_cubes()
+def _lambda_table(pair: WeightPair, cubes, lam: np.ndarray) -> dict:
+    """CubeId -> lambda_Q for a family vector of lambdas over "all" cubes
+    or a SparseFamily."""
+    ids = pair.geometry.cubes() if cubes in ("all", None) else cubes.sorted_cubes()
+    return dict(zip(ids, lam.tolist()))
 
 
 def _cube_averages(pair: WeightPair, cubes):
     """(w averages, sigma averages) over "all" cubes or a SparseFamily."""
-    levels = range(pair.geometry.depth + 1)
-    return (_select([pair.w_avg_level(l) for l in levels], cubes),
-            _select([pair.sigma_avg_level(l) for l in levels], cubes))
+    return _select(pair.w_avgs, cubes), _select(pair.sigma_avgs, cubes)
 
 
 def _luxemburg_norms(pair: WeightPair, f, young: YoungSpec, cubes, A_fn=None):
@@ -526,8 +513,7 @@ def nu_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:
 def nu_lambda_table(pair: WeightPair, spec: BumpSpec, cubes="all") -> dict:
     """lambda_Q = psi(sigma_Q); the Theorem-route lambda table."""
     _, s = _cube_averages(pair, cubes)
-    vals = np.asarray(spec.psi(s))
-    return dict(zip(_cube_list(pair, cubes), vals.tolist()))
+    return _lambda_table(pair, cubes, np.asarray(spec.psi(s)))
 
 
 def _phi_clamped(spec: BumpSpec, x):
@@ -550,7 +536,7 @@ def orlicz_li_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
     nvec = _luxemburg_norms(pair, pair.sigma_leaves ** (1.0 / p), young, cubes)
     lam = s / nvec ** p
     terms = w ** (1.0 / p) * (s / nvec) * _phi_clamped(spec, lam) ** (1.0 / pair.p_dual)
-    return float(np.max(terms)), dict(zip(_cube_list(pair, cubes), lam.tolist()))
+    return float(np.max(terms)), _lambda_table(pair, cubes, lam)
 
 
 def orlicz_lacey_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
@@ -566,7 +552,7 @@ def orlicz_lacey_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
                             A_fn=_conjugate_table(young))
     lam = nvec ** p / s ** (p - 1.0)
     terms = w ** (1.0 / p) * nvec * _phi_clamped(spec, lam) ** (1.0 / pair.p_dual)
-    return float(np.max(terms)), dict(zip(_cube_list(pair, cubes), lam.tolist()))
+    return float(np.max(terms)), _lambda_table(pair, cubes, lam)
 
 
 def sepcon_constant(pair: WeightPair, young: YoungSpec, cubes="all") -> float:
@@ -618,7 +604,7 @@ def _entropy_lambdas(sigma_leaves, depth: int) -> list[np.ndarray]:
 
 def entropy_lambda_table(pair: WeightPair, cubes="all") -> dict:
     lam = _select(_entropy_lambdas(pair.sigma_leaves, pair.geometry.depth), cubes)
-    return dict(zip(_cube_list(pair, cubes), lam.tolist()))
+    return _lambda_table(pair, cubes, lam)
 
 
 def entropy_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:

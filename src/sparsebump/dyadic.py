@@ -116,7 +116,8 @@ class WeightPair:
     """A couple of strictly positive leaf densities plus an exponent.
 
     Immutable by convention: no method mutates the arrays after
-    construction, and the mass pyramids are precomputed eagerly.
+    construction, and the mass and average pyramids are precomputed
+    eagerly.
     """
 
     def __init__(self, geometry: TreeGeometry, w_leaves, sigma_leaves, p: float):
@@ -137,6 +138,8 @@ class WeightPair:
         self.p = float(p)
         self.w_masses = _mass_pyramid(w, geometry.depth)
         self.sigma_masses = _mass_pyramid(s, geometry.depth)
+        self.w_avgs = [m * 2.0 ** level for level, m in enumerate(self.w_masses)]
+        self.sigma_avgs = [m * 2.0 ** level for level, m in enumerate(self.sigma_masses)]
 
     @property
     def p_dual(self) -> float:
@@ -167,24 +170,10 @@ class WeightPair:
         return self.sigma_mass(cube) * 2.0 ** cube.level
 
     def w_avg_level(self, level: int) -> np.ndarray:
-        return self.w_masses[level] * 2.0 ** level
+        return self.w_avgs[level]
 
     def sigma_avg_level(self, level: int) -> np.ndarray:
-        return self.sigma_masses[level] * 2.0 ** level
-
-
-def average(weights, cube: CubeId, geometry: TreeGeometry) -> float:
-    """Mean of the leaf densities under `cube` (uniform leaf measure)."""
-    leaves = np.asarray(weights, dtype=float)
-    if leaves.shape != (geometry.n_leaves,):
-        raise DomainError("weights length must equal the leaf count")
-    if not geometry.contains(cube):
-        raise DomainError(f"cube {cube} outside depth-{geometry.depth} tree")
-    return float(np.mean(leaves[cube.leaf_slice(geometry.depth)]))
-
-
-def mass(weights, cube: CubeId, geometry: TreeGeometry) -> float:
-    return average(weights, cube, geometry) * cube.measure
+        return self.sigma_avgs[level]
 
 
 @dataclass(frozen=True)
@@ -215,6 +204,27 @@ class SparseFamily:
 
     def sorted_cubes(self) -> list[CubeId]:
         return sorted(self.cubes)
+
+
+def _select(levels, cubes) -> np.ndarray:
+    """The family vector: per-level arrays flattened in (level, index)
+    order, the order of TreeGeometry.cubes() and sorted_cubes(), over
+    every cube ("all"), a SparseFamily's cubes, or the cubes of a list of
+    per-level masks."""
+    flat = np.concatenate(levels)
+    if cubes in ("all", None):
+        return flat
+    masks = cubes.masks if isinstance(cubes, SparseFamily) else cubes
+    return flat[np.concatenate(masks)]
+
+
+def _inside(S: SparseFamily, R: CubeId) -> np.ndarray:
+    """S's family vector of "the cube lies inside R".  Cube (l, j) sits at
+    2**l - 1 + j of the flattened levels; its heap number 2**l + j shifted
+    right by l - R.level is that of its ancestor at R's level."""
+    heap = np.flatnonzero(np.concatenate(S.masks)) + 1
+    shift = np.frexp(heap)[1] - (1 + R.level)  # l - R.level: 2**l <= heap < 2**(l+1)
+    return heap >> np.maximum(shift, 0) == (1 << R.level) + R.index
 
 
 def _cube_masks(cubes, depth: int) -> list[np.ndarray]:

@@ -17,9 +17,9 @@ import numpy as np
 
 from .dyadic import (DomainError, Instance, NumericError, TreeGeometry,
                      WeightPair, generate_sparse, DENSITY_FLOOR)
-from .bumps import (BumpSpec, YoungSpec, ensure_admissible, entropy_constant,
-                    maximal_bound_constant, nu_constant, orlicz_li_constant,
-                    sepcon_constant)
+from .bumps import (BumpSpec, YoungSpec, _cube_averages, ensure_admissible,
+                    entropy_constant, maximal_bound_constant, nu_constant,
+                    orlicz_li_constant, sepcon_constant)
 from .testing import maximal_norm_lower, testing_constant
 
 OBJECTIVE_KINDS = ("main_theorem", "conjecture_nc", "conjecture_sepcon",
@@ -151,10 +151,8 @@ def _sub_ap_fraction(instance: Instance, p: float) -> float:
     pair = instance.pair
     if abs(pair.p - p) > 1e-12:
         pair = WeightPair(pair.geometry, pair.w_leaves, pair.sigma_leaves, p)
-    cubes = instance.family.sorted_cubes()
-    below = sum(1 for q in cubes
-                if pair.w_avg(q) * pair.sigma_avg(q) ** (p - 1.0) < 1.0)
-    return below / len(cubes)
+    w, s = _cube_averages(pair, instance.family)
+    return float(np.mean(w * s ** (p - 1.0) < 1.0))
 
 
 def anneal(objective: Objective, config: SearchConfig) -> SearchResult:

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import (CubeId, DomainError, NumericError, SparseFamily,
-                     TreeGeometry, WeightPair, _avg_pyramid, ancestor_accumulate)
-from .bumps import (BumpSpec, ap_constant, ensure_admissible, nu_constant)
+                     TreeGeometry, WeightPair, _avg_pyramid, _cube_masks, _inside,
+                     _mass_pyramid, _select, ancestor_accumulate, subtree_sums)
+from .bumps import (BumpSpec, _cube_averages, ap_constant, ensure_admissible,
+                    nu_constant)
 
 
 @dataclass(frozen=True)
@@ -225,26 +227,28 @@ def operator_norm_lower(S: SparseFamily, pair: WeightPair, budget: int,
 
 
 # -- displayed-inequality checkers ------------------------------------------
+# Per-cube terms are family vectors (dyadic._select), a sum over Q inside R
+# is one sum masked by dyadic._inside, and psi and phi see whole vectors.
 
 
 def cov_sides(family, a_values: dict, w_leaves, p: float,
               geometry: TreeGeometry) -> tuple[float, float]:
     """Both sides of the discrete Carleson expansion for
     ||sum a_Q chi_Q||_{L^p(w)}: (lhs, rhs), each exact."""
+    depth = geometry.depth
     w = np.asarray(w_leaves, dtype=float)
-    cubes = sorted(family)
-    f = np.zeros(geometry.n_leaves)
-    for q in cubes:
-        f[q.leaf_slice(geometry.depth)] += a_values[q]
-    lhs = lp_norm(LeafFunction(geometry, f), w, p)
-    mu = 2.0 ** (-geometry.depth)
-    wmass = {q: float(np.sum(w[q.leaf_slice(geometry.depth)])) * mu for q in cubes}
-    total = 0.0
-    for q in cubes:
-        if wmass[q] <= 0.0:
-            raise DomainError("w(Q) must be positive for every family cube")
-        inner = sum(a_values[q2] * wmass[q2] for q2 in cubes if q.contains_cube(q2))
-        total += a_values[q] * (inner / wmass[q]) ** (p - 1.0) * wmass[q]
+    masks = _cube_masks(family, depth)
+    a = [np.zeros(1 << level) for level in range(depth + 1)]
+    for q in family:
+        a[q.level][q.index] = a_values[q]
+    lhs = lp_norm(LeafFunction(geometry, ancestor_accumulate(a)[-1]), w, p)
+    wmass = _mass_pyramid(w, depth)
+    # inner[l][j] = sum of a_Q w(Q) over the family cubes Q inside (l, j)
+    inner = subtree_sums([al * wl for al, wl in zip(a, wmass)])
+    a, wmass, inner = (_select(v, masks) for v in (a, wmass, inner))
+    if np.any(wmass <= 0.0):
+        raise DomainError("w(Q) must be positive for every family cube")
+    total = float((a * (inner / wmass) ** (p - 1.0) * wmass).sum())
     return lhs, total ** (1.0 / p)
 
 
@@ -263,12 +267,10 @@ def carleson_embedding_ratio(S: SparseFamily, w_leaves, s: float, R: CubeId,
     constant depends on (s, eta), so report only."""
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
-    w = np.asarray(w_leaves, dtype=float)
-    mu = 2.0 ** (-geometry.depth)
-    def avg(q):
-        return float(np.mean(w[q.leaf_slice(geometry.depth)]))
-    lhs = sum(avg(q) ** s * q.measure for q in S.cubes if R.contains_cube(q))
-    rhs = avg(R) ** s * R.measure
+    avgs = _avg_pyramid(np.asarray(w_leaves, dtype=float), geometry.depth)
+    terms = _select([a ** s * 2.0 ** (-level) for level, a in enumerate(avgs)], S)
+    lhs = float(terms[_inside(S, R)].sum())
+    rhs = float(avgs[R.level][R.index]) ** s * R.measure
     return CheckReport.make("carleson_embedding", lhs, rhs)
 
 
@@ -277,39 +279,41 @@ def hytonen_ratio(S: SparseFamily, pair: WeightPair, R: CubeId) -> CheckReport:
     report only."""
     f = local_sum(S, pair, R)
     lhs = lp_norm(f, pair.w_leaves, pair.p) ** pair.p
-    sup = max(pair.w_avg(q) * pair.sigma_avg(q) ** (pair.p - 1.0) for q in S.cubes)
-    total = sum(pair.sigma_mass(q) for q in S.cubes if R.contains_cube(q))
-    return CheckReport.make("hytonen", lhs, sup * total)
+    total = float(_select(pair.sigma_masses, S)[_inside(S, R)].sum())
+    return CheckReport.make("hytonen", lhs, ap_constant(pair, S) * total)
+
+
+def _in_level(s, k: int):
+    """2^k < s <= 2^{k+1}: the level-set convention, strict below, weak above."""
+    return (2.0 ** k < s) & (s <= 2.0 ** (k + 1))
 
 
 def levelset_family(S: SparseFamily, pair: WeightPair, k: int) -> set:
     """{Q in S : 2^k < sigma_Q <= 2^{k+1}} (strict lower, weak upper)."""
-    lo, hi = 2.0 ** k, 2.0 ** (k + 1)
-    return {q for q in S.cubes if lo < pair.sigma_avg(q) <= hi}
+    masks = [m & _in_level(pair.sigma_avg_level(level), k)
+             for level, m in enumerate(S.masks)]
+    return set(SparseFamily.from_masks(masks, S.eta).cubes)
 
 
 def realized_levels(S: SparseFamily, pair: WeightPair) -> list[int]:
     """The k with nonempty level set, under the strict/weak convention."""
-    exact = set()
-    for q in S.cubes:
-        s = pair.sigma_avg(q)
-        k = int(math.floor(math.log2(s)))
-        while not 2.0 ** k < s:
-            k -= 1
-        while not s <= 2.0 ** (k + 1):
-            k += 1
-        exact.add(k)
-    return sorted(exact)
+    s = _select(pair.sigma_avgs, S)
+    k = np.floor(np.log2(s)).astype(int)
+    # log2 can round across a power of two: one step each way restores
+    # 2^k < s, then s <= 2^{k+1}
+    k = np.where(np.ldexp(1.0, k) < s, k, k - 1)
+    k = np.where(s <= np.ldexp(1.0, k + 1), k, k + 1)
+    return sorted(set(k.tolist()))
 
 
 def prop32_check(S: SparseFamily, pair: WeightPair, R: CubeId, k: int) -> CheckReport:
     """Level-set Carleson sum against sigma(R) with the proof-tracked
     hard bound 2 * Lambda."""
-    fam = levelset_family(S, pair, k)
-    lhs = sum(pair.sigma_mass(q) for q in fam if R.contains_cube(q))
-    rep = CheckReport.make(f"prop32_k{k}", lhs, pair.sigma_mass(R),
-                           bound=2.0 * S.packing, hard=True)
-    return rep
+    s = _select(pair.sigma_avgs, S)
+    masses = _select(pair.sigma_masses, S)
+    lhs = float(masses[_inside(S, R) & _in_level(s, k)].sum())
+    return CheckReport.make(f"prop32_k{k}", lhs, pair.sigma_mass(R),
+                            bound=2.0 * S.packing, hard=True)
 
 
 def prop33_check(S: SparseFamily, pair: WeightPair, spec: BumpSpec,
@@ -317,8 +321,9 @@ def prop33_check(S: SparseFamily, pair: WeightPair, spec: BumpSpec,
     """sum over Q subset R of sigma(Q)/psi(sigma_Q) against sigma(R), hard
     bound 2 * Lambda * S_psi."""
     report = ensure_admissible(spec)
-    lhs = sum(pair.sigma_mass(q) / float(spec.psi(pair.sigma_avg(q)))
-              for q in S.cubes if R.contains_cube(q))
+    s = _select(pair.sigma_avgs, S)
+    inside = _inside(S, R)
+    lhs = float((_select(pair.sigma_masses, S)[inside] / spec.psi(s[inside])).sum())
     return CheckReport.make("prop33", lhs, pair.sigma_mass(R),
                             bound=2.0 * S.packing * report.s_psi, hard=True)
 
@@ -327,14 +332,13 @@ def lambda_condition_constant(S: SparseFamily, pair: WeightPair,
                               lambda_table: dict, R: CubeId) -> float:
     """Smallest C with sum over Q subset R of lambda_Q^{-1} sigma(Q)
     <= C * sigma(R), for the given R."""
-    total = 0.0
-    for q in S.cubes:
-        if not R.contains_cube(q):
-            continue
-        lam = lambda_table[q]
-        if lam < 1.0 - 1e-12:
-            raise DomainError(f"lambda_Q must be >= 1, got {lam} at {q}")
-        total += pair.sigma_mass(q) / lam
+    cubes = S.sorted_cubes()
+    lam = np.array([lambda_table[q] for q in cubes], dtype=float)
+    inside = _inside(S, R)
+    bad = np.flatnonzero(inside & (lam < 1.0 - 1e-12))
+    if bad.size:
+        raise DomainError(f"lambda_Q must be >= 1, got {lam[bad[0]]} at {cubes[bad[0]]}")
+    total = float((_select(pair.sigma_masses, S)[inside] / lam[inside]).sum())
     return total / pair.sigma_mass(R)
 
 
@@ -343,15 +347,13 @@ def prop31_bound(pair: WeightPair, S: SparseFamily, lambda_table: dict,
     """Testing constant against the lambda-bump sup; the proof constant is
     implicit, so the pass flag compares against a configurable cap."""
     ensure_admissible(spec)
-    p = pair.p
-    sup = 0.0
-    for q in S.sorted_cubes():
-        lam = max(lambda_table[q], 1.0)
-        term = (pair.w_avg(q) ** (1.0 / p) * pair.sigma_avg(q) ** (1.0 / pair.p_dual)
-                * lam ** (1.0 / p) * float(spec.phi(lam)) ** (1.0 / pair.p_dual))
-        sup = max(sup, term)
+    p, pd = pair.p, pair.p_dual
+    w, s = _cube_averages(pair, S)
+    lam = np.maximum([lambda_table[q] for q in S.sorted_cubes()], 1.0)
+    terms = (w ** (1.0 / p) * s ** (1.0 / pd) * lam ** (1.0 / p)
+             * spec.phi(lam) ** (1.0 / pd))
     tc, _ = testing_constant(pair, S)
-    return CheckReport.make("prop31", tc, sup, bound=cap)
+    return CheckReport.make("prop31", tc, float(terms.max()), bound=cap)
 
 
 def sawyer_sum_bound(pair: WeightPair, S: SparseFamily, spec: BumpSpec,
@@ -361,12 +363,10 @@ def sawyer_sum_bound(pair: WeightPair, S: SparseFamily, spec: BumpSpec,
     hard via the exact term-by-term identity."""
     report = ensure_admissible(spec)
     p = pair.p
-    lhs = sum(pair.sigma_avg(q) ** p * pair.w_mass(q)
-              for q in S.cubes if R.contains_cube(q))
-    sup = max(pair.w_avg(q) * pair.sigma_avg(q) ** (p - 1.0)
-              * float(spec.psi(pair.sigma_avg(q))) for q in S.cubes)
-    rhs = sup * pair.sigma_mass(R)
-    return CheckReport.make("sawyer_sum", lhs, rhs,
+    w, s = _cube_averages(pair, S)
+    lhs = float((s ** p * _select(pair.w_masses, S))[_inside(S, R)].sum())
+    sup = float((w * s ** (p - 1.0) * spec.psi(s)).max())
+    return CheckReport.make("sawyer_sum", lhs, sup * pair.sigma_mass(R),
                             bound=2.0 * S.packing * report.s_psi, hard=True)
 
 
@@ -375,25 +375,20 @@ def eset_split_check(pair: WeightPair, S: SparseFamily, R: CubeId):
     w_Q sigma_Q^{p-1} >= 1 and compare against A_p times the Sawyer sum.
     Returns (split report, hard membership report)."""
     p = pair.p
-    geometry = pair.geometry
-    E = [q for q in S.cubes if pair.w_avg(q) * pair.sigma_avg(q) ** (p - 1.0) >= 1.0]
-    f = np.zeros(geometry.n_leaves)
-    for q in E:
-        if R.contains_cube(q):
-            f[q.leaf_slice(geometry.depth)] += pair.sigma_avg(q)
-    lhs = lp_norm(LeafFunction(geometry, f), pair.w_leaves, p) ** p
-    ap = ap_constant(pair, S)
-    sawyer = sum(pair.sigma_avg(q) ** p * pair.w_mass(q)
-                 for q in S.cubes if R.contains_cube(q))
-    split = CheckReport.make("eset_split", lhs, ap * sawyer if sawyer > 0 else 1.0)
+    E = SparseFamily.from_masks(
+        [m & (pair.w_avg_level(level) * pair.sigma_avg_level(level) ** (p - 1.0) >= 1.0)
+         for level, m in enumerate(S.masks)], S.eta)
+    lhs = lp_norm(local_sum(E, pair, R), pair.w_leaves, p) ** p
+    s = _select(pair.sigma_avgs, S)
+    sawyer = float((s ** p * _select(pair.w_masses, S))[_inside(S, R)].sum())
+    split = CheckReport.make("eset_split", lhs,
+                             ap_constant(pair, S) * sawyer if sawyer > 0 else 1.0)
+    if not E.cubes:
+        return split, CheckReport("eset_member", 0.0, 1.0, 1.0, 0.0, True, True)
     # hard intermediate: sigma(Q) <= sigma_Q^p w(Q) for every Q in E
-    worst = 0.0
-    for q in E:
-        worst = max(worst, pair.sigma_mass(q) / (pair.sigma_avg(q) ** p * pair.w_mass(q)))
-    member = CheckReport.make("eset_member", worst, 1.0, bound=1.0, hard=True)
-    if not E:
-        member = CheckReport("eset_member", 0.0, 1.0, 1.0, 0.0, True, True)
-    return split, member
+    s = _select(pair.sigma_avgs, E)
+    worst = (_select(pair.sigma_masses, E) / (s ** p * _select(pair.w_masses, E))).max()
+    return split, CheckReport.make("eset_member", float(worst), 1.0, bound=1.0, hard=True)
 
 
 def theorem_main_ratio(pair: WeightPair, S: SparseFamily, spec: BumpSpec):

@@ -187,6 +187,29 @@ def brute_testing(cubes, w, sigma, p, depth):
     return best, arg
 
 
+def brute_family_sum_inside(cubes, R, term):
+    """Sum of term(Q) over the family cubes Q inside R, all as (level,
+    index) pairs; term computes each cube's value from the leaf lists."""
+    return math.fsum(term(q) for q in cubes if contains(R, q))
+
+
+def brute_cov_sides(cubes, a, w, p, depth):
+    """Both sides of the Carleson expansion of sum a_Q chi_Q in L^p(w), a
+    keyed by (level, index): the leaf vector for the left side, and the
+    O(n^2) double loop over Q and the family cubes inside Q for the right."""
+    f = [0.0] * (1 << depth)
+    for q in cubes:
+        lo, hi = leaf_range(q[0], q[1], depth)
+        for i in range(lo, hi):
+            f[i] += a[q]
+    wmass = {q: brute_mass(w, q[0], q[1], depth) for q in cubes}
+    terms = []
+    for q in cubes:
+        inner = math.fsum(a[q2] * wmass[q2] for q2 in cubes if contains(q, q2))
+        terms.append(a[q] * (inner / wmass[q]) ** (p - 1.0) * wmass[q])
+    return brute_lp_norm(f, w, p, depth), math.fsum(terms) ** (1.0 / p)
+
+
 def brute_dyadic_maximal(sigma, level, index, depth):
     """Leaf values of max over dyadic Q' with leaf in Q' inside Q."""
     a, b = leaf_range(level, index, depth)

@@ -77,6 +77,13 @@ class TestConstants:
     def test_missing_file_is_usage_error(self):
         assert run_cli("constants", "--in", "/nonexistent.json") == 2
 
+    def test_inadmissible_young_rejected(self, tmp_path, instance_file, capsys):
+        young = tmp_path / "young.json"
+        young.write_text(json.dumps({"family": "power", "q": 0.5}))
+        assert run_cli("constants", "--in", str(instance_file), "--young", str(young),
+                       "--out", str(tmp_path / "c.csv")) == 2
+        assert "not convex" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_random_corpus_all_suites_pass(self, tmp_path):
@@ -145,6 +152,14 @@ class TestSearch:
 
     def test_unknown_objective_is_usage_error(self):
         assert run_cli("search", "--objective", "bogus") == 2
+
+    def test_inadmissible_young_rejected(self, tmp_path, capsys):
+        young = tmp_path / "young.json"
+        young.write_text(json.dumps({"family": "power", "q": 0.5}))
+        assert run_cli("search", "--objective", "main_theorem", "--depths", "2",
+                       "--steps", "5", "--young", str(young),
+                       "--out", str(tmp_path / "s.csv")) == 2
+        assert "not convex" in capsys.readouterr().err
 
 
 class TestReport:

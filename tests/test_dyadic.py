@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import STRATEGIES, make_instance
 from sparsebump import (CubeId, DomainError, Instance, SparseFamily,
-                        TreeGeometry, WeightPair, average, generate_sparse,
-                        instance_from_dict, load_instance, mass,
-                        packing_constant, stopping_time_family, verify_sparse)
+                        TreeGeometry, WeightPair, generate_sparse,
+                        instance_from_dict, load_instance, packing_constant,
+                        stopping_time_family, verify_sparse)
 
 
 class TestGeometry:
@@ -87,13 +87,6 @@ class TestMassPyramid:
             row = pair.w_avg_level(level)
             for j in range(1 << level):
                 assert row[j] == pytest.approx(pair.w_avg(CubeId(level, j)), rel=1e-12)
-
-    def test_standalone_average_and_mass(self):
-        g = TreeGeometry(3)
-        leaves = np.arange(1.0, 9.0)
-        c = CubeId(1, 1)
-        assert average(leaves, c, g) == pytest.approx(6.5)
-        assert mass(leaves, c, g) == pytest.approx(3.25)
 
     def test_swapped_pair_is_dual(self):
         rng = np.random.default_rng(11)

@@ -18,6 +18,7 @@ from sparsebump import (CubeId, LeafFunction, SparseFamily, TreeGeometry,
                         theorem_main_ratio)
 from sparsebump.bumps import BumpSpec, check_bump, nu_lambda_table
 from sparsebump.dyadic import DomainError
+from sparsebump.search import _sub_ap_fraction
 from sparsebump.testing import (CheckReport, CHECK_CSV_HEADER,
                                 cov_bracket_report, dyadic_maximal_full,
                                 realized_levels)
@@ -247,6 +248,109 @@ class TestLevelSets:
         # sigma_Q = 1 must land in k = -1 under the strict/weak convention
         inst = make_instance(2, np.ones(4), np.ones(4), 2.0, strategy="tower")
         assert realized_levels(inst.family, inst.pair) == [-1]
+
+    def test_boundary_values_one_ulp_apart(self):
+        # constant sigma makes every cube average exactly the leaf value
+        for k in (-3, -1, 0, 1, 4):
+            edge = 2.0 ** k
+            for value, level in ((np.nextafter(edge, 0.0), k - 1), (edge, k - 1),
+                                 (np.nextafter(edge, np.inf), k)):
+                inst = make_instance(3, np.ones(8), np.full(8, value), 2.0,
+                                     strategy="all_above_level", eta=0.25)
+                fam, pair = inst.family, inst.pair
+                assert len(fam.cubes) == 15
+                assert realized_levels(fam, pair) == [level], (k, value)
+                assert levelset_family(fam, pair, level) == set(fam.cubes)
+                for other in (level - 1, level + 1):
+                    assert levelset_family(fam, pair, other) == set()
+                    assert prop32_check(fam, pair, ROOT, other).lhs == 0.0
+                assert prop32_check(fam, pair, ROOT, level).lhs == \
+                    pytest.approx(4.0 * value, rel=1e-15)
+
+
+class TestCheckersAgainstOracles:
+    """Every checker's sums against plain-Python sums over leaf lists, for
+    every R of each corpus family."""
+    SPEC = BumpSpec()
+
+    def test_every_checker_at_every_R(self):
+        for inst in random_corpus(56, seed=19):
+            self._check_instance(inst)
+
+    def _check_instance(self, inst):
+        pair, fam, spec = inst.pair, inst.family, self.SPEC
+        depth, p, pd = pair.geometry.depth, pair.p, pair.p_dual
+        w, sigma = list(pair.w_leaves), list(pair.sigma_leaves)
+        cubes = [(c.level, c.index) for c in fam.sorted_cubes()]
+        s_avg = {q: oracles.brute_average(sigma, q[0], q[1], depth) for q in cubes}
+        w_avg = {q: oracles.brute_average(w, q[0], q[1], depth) for q in cubes}
+        s_mass = {q: s_avg[q] * 2.0 ** -q[0] for q in cubes}
+        w_mass = {q: w_avg[q] * 2.0 ** -q[0] for q in cubes}
+        psi = {q: float(oracles.mp_psi(s_avg[q])) for q in cubes}
+        ap = {q: w_avg[q] * s_avg[q] ** (p - 1.0) for q in cubes}
+        E = [q for q in cubes if ap[q] >= 1.0]
+        table = nu_lambda_table(pair, spec, fam)
+        lam = {q: table[CubeId(*q)] for q in cubes}
+
+        def level_of(s):
+            k = math.floor(math.log2(s))
+            while not 2.0 ** k < s:
+                k -= 1
+            while not s <= 2.0 ** (k + 1):
+                k += 1
+            return k
+
+        levels = sorted({level_of(s_avg[q]) for q in cubes})
+        assert realized_levels(fam, pair) == levels
+        for k in levels:
+            assert levelset_family(fam, pair, k) == \
+                {CubeId(*q) for q in cubes if level_of(s_avg[q]) == k}
+        assert _sub_ap_fraction(inst, p) == sum(ap[q] < 1.0 for q in cubes) / len(cubes)
+
+        def near(got, want):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+        lam1 = {q: max(lam[q], 1.0) for q in cubes}
+        near(prop31_bound(pair, fam, table, spec).rhs,
+             max(w_avg[q] ** (1.0 / p) * s_avg[q] ** (1.0 / pd) * lam1[q] ** (1.0 / p)
+                 * float(oracles.mp_phi(lam1[q])) ** (1.0 / pd) for q in cubes))
+        a = {q: s_avg[q] for q in cubes}
+        got = cov_sides(fam.cubes, {CubeId(*q): a[q] for q in cubes}, pair.w_leaves, p,
+                        pair.geometry)
+        for g, want in zip(got, oracles.brute_cov_sides(cubes, a, w, p, depth)):
+            near(g, want)
+
+        sawyer_sup = max(ap[q] * psi[q] for q in cubes)
+        for R in fam.sorted_cubes():
+            r = (R.level, R.index)
+
+            def inside(term):
+                return oracles.brute_family_sum_inside(cubes, r, term)
+
+            for k in levels:
+                near(prop32_check(fam, pair, R, k).lhs,
+                     inside(lambda q: s_mass[q] if level_of(s_avg[q]) == k else 0.0))
+            near(prop33_check(fam, pair, spec, R).lhs, inside(lambda q: s_mass[q] / psi[q]))
+            near(lambda_condition_constant(fam, pair, table, R),
+                 inside(lambda q: s_mass[q] / lam[q]) / s_mass[r])
+            sawyer = inside(lambda q: s_avg[q] ** p * w_mass[q])
+            rep = sawyer_sum_bound(pair, fam, spec, R)
+            near(rep.lhs, sawyer)
+            near(rep.rhs, sawyer_sup * s_mass[r])
+            rep = hytonen_ratio(fam, pair, R)
+            near(rep.lhs, oracles.brute_lp_norm(
+                oracles.brute_local_sum(cubes, sigma, r, depth), w, p, depth) ** p)
+            near(rep.rhs, max(ap.values()) * inside(lambda q: s_mass[q]))
+            split, member = eset_split_check(pair, fam, R)
+            near(split.lhs, oracles.brute_lp_norm(
+                oracles.brute_local_sum(E, sigma, r, depth), w, p, depth) ** p)
+            near(split.rhs, max(ap.values()) * sawyer)
+            near(member.lhs, max((s_mass[q] / (s_avg[q] ** p * w_mass[q]) for q in E),
+                                 default=0.0))
+            for s in (0.25, 0.5):
+                rep = carleson_embedding_ratio(fam, pair.w_leaves, s, R, pair.geometry)
+                near(rep.lhs, inside(lambda q: w_avg[q] ** s * 2.0 ** -q[0]))
+                near(rep.rhs, w_avg[r] ** s * 2.0 ** -r[0])
 
 
 class TestTrackedConstants:
