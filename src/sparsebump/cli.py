@@ -77,9 +77,8 @@ def cmd_gen(args) -> int:
     data = inst.to_json_dict()
     data["p"] = args.p
     # keep the file valid instance JSON: the config echo rides in a meta key
-    blob = json.dumps(config, sort_keys=True)
-    data["meta"] = {"config": config,
-                    "config_hash": hashlib.sha256(blob.encode()).hexdigest()[:16]}
+    # (the header's last word is the config hash)
+    data["meta"] = {"config": config, "config_hash": _config_header(config).split()[-1]}
     _write(args.out, json.dumps(data, sort_keys=True) + "\n")
     return EXIT_OK
 

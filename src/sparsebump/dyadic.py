@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -176,34 +177,47 @@ class WeightPair:
         return self.sigma_avgs[level]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseFamily:
-    """A family of cubes; masks[l][j] is True iff cube (l, j) belongs to it."""
+    """A family of cubes, held as its level masks: masks[l][j] is True iff
+    cube (l, j) belongs to it.  The cube views and the packing constant
+    derive from the masks on first use.  Equality is identity."""
 
-    cubes: frozenset
+    masks: list = field(repr=False)
     eta: float
-    packing: float = field(compare=False)
-    masks: list = field(compare=False, repr=False)
 
     @staticmethod
     def build(cubes, eta: float, geometry: TreeGeometry) -> "SparseFamily":
+        """The validated family of an explicit cube list."""
         cubes = frozenset(cubes)
         if not cubes:
             raise DomainError("sparse family must be nonempty")
         for c in cubes:
             if not geometry.contains(c):
                 raise DomainError(f"cube {c} outside depth-{geometry.depth} tree")
-        masks = _cube_masks(cubes, geometry.depth)
-        return SparseFamily(cubes, float(eta), _packing(masks), masks)
+        return SparseFamily(_cube_masks(cubes, geometry.depth), float(eta))
 
-    @staticmethod
-    def from_masks(masks, eta: float) -> "SparseFamily":
-        cubes = frozenset(CubeId(level, int(j))
-                          for level, m in enumerate(masks) for j in np.flatnonzero(m))
-        return SparseFamily(cubes, float(eta), _packing(masks), masks)
+    @cached_property
+    def _cube_tuple(self) -> tuple:
+        # (level, index) order: the order of _select's family vectors
+        return tuple(CubeId(level, j) for level, m in enumerate(self.masks)
+                     for j in np.flatnonzero(m).tolist())
+
+    @cached_property
+    def cubes(self) -> frozenset:
+        return frozenset(self._cube_tuple)
 
     def sorted_cubes(self) -> list[CubeId]:
-        return sorted(self.cubes)
+        return list(self._cube_tuple)
+
+    @cached_property
+    def packing(self) -> float:
+        """Carleson packing constant: max over family cubes Q of the total
+        measure of the family cubes inside Q, divided by |Q|."""
+        # acc[l][j] = total measure of family cubes inside cube (l, j)
+        acc = subtree_sums([m * 2.0 ** (-level) for level, m in enumerate(self.masks)])
+        return float(max(np.max(a[m], initial=0.0) * 2.0 ** level
+                         for level, (a, m) in enumerate(zip(acc, self.masks))))
 
 
 def _select(levels, cubes) -> np.ndarray:
@@ -234,20 +248,9 @@ def _cube_masks(cubes, depth: int) -> list[np.ndarray]:
     return masks
 
 
-def _packing(masks) -> float:
-    # acc[l][j] = total measure of family cubes inside cube (l, j)
-    acc = subtree_sums([m * 2.0 ** (-level) for level, m in enumerate(masks)])
-    return float(max(np.max(a[m], initial=0.0) * 2.0 ** level
-                     for level, (a, m) in enumerate(zip(acc, masks))))
-
-
 def packing_constant(cubes, geometry: TreeGeometry) -> float:
-    """Carleson packing constant: max over family cubes Q of
-    sum of |Q'| over family cubes Q' contained in Q, divided by |Q|."""
-    cubes = set(cubes)
-    if not cubes:
-        raise DomainError("packing constant of an empty family")
-    return _packing(_cube_masks(cubes, geometry.depth))
+    """Carleson packing constant of a nonempty cube list in the tree."""
+    return SparseFamily.build(cubes, 1.0, geometry).packing
 
 
 def verify_sparse(family: SparseFamily, eta: float, geometry: TreeGeometry) -> bool:
@@ -275,13 +278,13 @@ def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int
 
     name, _, arg = strategy.partition(":")
     if name == "tower":
-        cubes, total = [], 0.0
+        masks, total = _cube_masks((), depth), 0.0
         for level in range(depth + 1):
             total += 2.0 ** (-level)
             if total > cap + 1e-12:
                 break
-            cubes.append(CubeId(level, 0))
-        return SparseFamily.build(cubes, eta, geometry)
+            masks[level][0] = True
+        return SparseFamily(masks, float(eta))
 
     if name == "all_above_level":
         m = int(arg) if arg else min(depth, int(np.floor(cap + 1e-12)) - 1)
@@ -289,36 +292,26 @@ def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int
         if m + 1 > cap + 1e-12:
             raise DomainError(
                 f"all_above_level {m} has packing {m + 1} > 1/eta = {cap}")
-        cubes = [CubeId(l, j) for l in range(m + 1) for j in range(1 << l)]
-        return SparseFamily.build(cubes, eta, geometry)
+        return SparseFamily([np.full(1 << l, l <= m) for l in range(depth + 1)], float(eta))
 
     if name == "random_greedy":
         rng = np.random.default_rng(np.uint64(seed))
-        # subtree[l][j]: measure of admitted family cubes inside cube (l, j)
-        subtree = [np.zeros(1 << level) for level in range(depth + 1)]
-        admitted = set()
+        # subtree[l][j]: measure of admitted family cubes inside cube (l, j).
+        # A candidate's own subtree is still empty when it is drawn, and the
+        # root has no ancestors, so only admitted ancestors can reject.
+        subtree = [[0.0] * (1 << level) for level in range(depth + 1)]
+        admitted = [[False] * (1 << level) for level in range(depth + 1)]
         for level in range(depth + 1):
-            order = rng.permutation(1 << level)
-            for j in order:
-                cand = CubeId(level, int(j))
-                m_c = cand.measure
-                if subtree[level][j] + m_c > cap * m_c + 1e-15:
+            m_c = 2.0 ** (-level)
+            for j in rng.permutation(1 << level).tolist():
+                if any(admitted[a][j >> (level - a)]
+                       and subtree[a][j >> (level - a)] + m_c > cap * 2.0 ** (-a) + 1e-15
+                       for a in range(level)):
                     continue
-                ok = True
-                for anc_level in range(level):
-                    anc_j = int(j) >> (level - anc_level)
-                    if CubeId(anc_level, anc_j) in admitted:
-                        if subtree[anc_level][anc_j] + m_c > cap * 2.0 ** (-anc_level) + 1e-15:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                admitted.add(cand)
-                for anc_level in range(level + 1):
-                    subtree[anc_level][int(j) >> (level - anc_level)] += m_c
-        if not admitted:
-            admitted.add(CubeId(0, 0))
-        return SparseFamily.build(admitted, eta, geometry)
+                admitted[level][j] = True
+                for a in range(level + 1):
+                    subtree[a][j >> (level - a)] += m_c
+        return SparseFamily([np.array(m, dtype=bool) for m in admitted], float(eta))
 
     if name == "stopping_time":
         if sigma_leaves is None:
@@ -347,7 +340,7 @@ def stopping_time_family(sigma_leaves, a: float, geometry: TreeGeometry) -> Spar
     masks = [np.ones(1, dtype=bool)] + [
         avgs[level] > a * np.repeat(stops[level - 1], 2)
         for level in range(1, geometry.depth + 1)]
-    return SparseFamily.from_masks(masks, 1.0 - 1.0 / a)
+    return SparseFamily(masks, 1.0 - 1.0 / a)
 
 
 # -- instance (de)serialization --------------------------------------------

@@ -10,6 +10,8 @@ source material leaves unspecified.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -177,52 +179,59 @@ def operator_norm_p2(S: SparseFamily, pair: WeightPair, rel_tol: float = 1e-10,
     raise NumericError("power iteration did not converge")
 
 
+def _trial_ratio(pair: WeightPair, apply, f: np.ndarray) -> float:
+    """||apply(f sigma)||_{L^p(w)} / ||f||_{L^p(sigma)}, 0 for f = 0."""
+    p, mu = pair.p, 2.0 ** (-pair.geometry.depth)
+    den = float(np.sum(np.abs(f) ** p * pair.sigma_leaves) * mu) ** (1.0 / p)
+    if den == 0.0:
+        return 0.0
+    img = apply(f * pair.sigma_leaves)
+    num = float(np.sum(np.abs(img) ** p * pair.w_leaves) * mu) ** (1.0 / p)
+    return num / den
+
+
+def _best_trial(pair: WeightPair, apply, cubes, budget: int, seed: int):
+    """The largest _trial_ratio and its trial function (None if no ratio
+    beats 0) over the indicators of cubes, then budget seeded random
+    nonnegative leaf vectors."""
+    if budget < 1:
+        raise DomainError("budget must be >= 1")
+    geometry = pair.geometry
+    rng = np.random.default_rng(np.uint64(seed))
+
+    def indicator(q: CubeId) -> np.ndarray:
+        f = np.zeros(geometry.n_leaves)
+        f[q.leaf_slice(geometry.depth)] = 1.0
+        return f
+
+    randoms = (rng.exponential(1.0, geometry.n_leaves) for _ in range(budget))
+    best, best_f = 0.0, None
+    for f in itertools.chain(map(indicator, cubes), randoms):
+        r = _trial_ratio(pair, apply, f)
+        if r > best:
+            best, best_f = r, f
+    return best, best_f
+
+
 def operator_norm_lower(S: SparseFamily, pair: WeightPair, budget: int,
                         seed: int = 0) -> float:
     """Lower bound for ||A_S(. sigma)||_{L^p(sigma) -> L^p(w)} from trial
     functions: indicators of every R in S, seeded random nonnegative leaf
     vectors, and a dual-normalization fixed-point iteration."""
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
-    geometry = pair.geometry
+    apply = functools.partial(_sum_of_means, S)
+    best, best_f = _best_trial(pair, apply, S.sorted_cubes(), budget, seed)
     p = pair.p
-    mu = 2.0 ** (-geometry.depth)
-
-    def trial_ratio(f: np.ndarray) -> float:
-        den = float(np.sum(np.abs(f) ** p * pair.sigma_leaves) * mu) ** (1.0 / p)
-        if den == 0.0:
-            return 0.0
-        img = _sum_of_means(S, f * pair.sigma_leaves)
-        num = float(np.sum(np.abs(img) ** p * pair.w_leaves) * mu) ** (1.0 / p)
-        return num / den
-
-    best = 0.0
-    best_f = None
-    for R in S.sorted_cubes():
-        f = np.zeros(geometry.n_leaves)
-        f[R.leaf_slice(geometry.depth)] = 1.0
-        r = trial_ratio(f)
-        if r > best:
-            best, best_f = r, f
-    rng = np.random.default_rng(np.uint64(seed))
-    for _ in range(budget):
-        f = rng.exponential(1.0, geometry.n_leaves)
-        r = trial_ratio(f)
-        if r > best:
-            best, best_f = r, f
     # fixed point: f proportional to (A_S^*(w |A_S(f sigma)|^{p-1}) / sigma)^{1/(p-1)}
-    f = best_f if best_f is not None else np.ones(geometry.n_leaves)
+    f = best_f if best_f is not None else np.ones(pair.geometry.n_leaves)
     for _ in range(min(budget, 30)):
-        u = _sum_of_means(S, f * pair.sigma_leaves)
-        v = _sum_of_means(S, np.maximum(u, 0.0) ** (p - 1.0) * pair.w_leaves)
+        u = apply(f * pair.sigma_leaves)
+        v = apply(np.maximum(u, 0.0) ** (p - 1.0) * pair.w_leaves)
         nxt = (v / pair.sigma_leaves) ** (1.0 / (p - 1.0))
         m = np.max(nxt)
         if not np.isfinite(m) or m == 0.0:
             break
         f = nxt / m
-        r = trial_ratio(f)
-        if r > best:
-            best = r
+        best = max(best, _trial_ratio(pair, apply, f))
     return best
 
 
@@ -292,7 +301,7 @@ def levelset_family(S: SparseFamily, pair: WeightPair, k: int) -> set:
     """{Q in S : 2^k < sigma_Q <= 2^{k+1}} (strict lower, weak upper)."""
     masks = [m & _in_level(pair.sigma_avg_level(level), k)
              for level, m in enumerate(S.masks)]
-    return set(SparseFamily.from_masks(masks, S.eta).cubes)
+    return set(SparseFamily(masks, S.eta).cubes)
 
 
 def realized_levels(S: SparseFamily, pair: WeightPair) -> list[int]:
@@ -375,7 +384,7 @@ def eset_split_check(pair: WeightPair, S: SparseFamily, R: CubeId):
     w_Q sigma_Q^{p-1} >= 1 and compare against A_p times the Sawyer sum.
     Returns (split report, hard membership report)."""
     p = pair.p
-    E = SparseFamily.from_masks(
+    E = SparseFamily(
         [m & (pair.w_avg_level(level) * pair.sigma_avg_level(level) ** (p - 1.0) >= 1.0)
          for level, m in enumerate(S.masks)], S.eta)
     lhs = lp_norm(local_sum(E, pair, R), pair.w_leaves, p) ** p
@@ -414,27 +423,8 @@ def dyadic_maximal_full(f_leaves, geometry: TreeGeometry) -> np.ndarray:
 
 def maximal_norm_lower(pair: WeightPair, budget: int, seed: int = 0) -> float:
     """Trial-based lower bound for the dyadic maximal operator norm
-    ||M_d(. sigma)||_{L^p(sigma) -> L^p(w)}."""
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
+    ||M_d(. sigma)||_{L^p(sigma) -> L^p(w)}: indicators of every cube and
+    seeded random nonnegative leaf vectors."""
     geometry = pair.geometry
-    p = pair.p
-    mu = 2.0 ** (-geometry.depth)
-
-    def trial_ratio(f):
-        den = float(np.sum(np.abs(f) ** p * pair.sigma_leaves) * mu) ** (1.0 / p)
-        if den == 0.0:
-            return 0.0
-        img = dyadic_maximal_full(f * pair.sigma_leaves, geometry)
-        num = float(np.sum(img ** p * pair.w_leaves) * mu) ** (1.0 / p)
-        return num / den
-
-    best = 0.0
-    for q in geometry.cubes():
-        f = np.zeros(geometry.n_leaves)
-        f[q.leaf_slice(geometry.depth)] = 1.0
-        best = max(best, trial_ratio(f))
-    rng = np.random.default_rng(np.uint64(seed))
-    for _ in range(budget):
-        best = max(best, trial_ratio(rng.exponential(1.0, geometry.n_leaves)))
-    return best
+    return _best_trial(pair, lambda g: dyadic_maximal_full(g, geometry), geometry.cubes(),
+                       budget, seed)[0]

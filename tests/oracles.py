@@ -79,6 +79,33 @@ def brute_stopping_time(sigma, a, depth):
     return sorted(selected)
 
 
+def brute_random_greedy(eta, seed, depth):
+    """The random_greedy family by its defining loop over (level, index)
+    pairs: level by level, in the seeded random order, admit a cube unless
+    it, or an admitted ancestor, would then hold family cubes of total
+    measure above 1/eta times its own; the root if nothing.  Sorted."""
+    cap = 1.0 / eta
+    rng = np.random.default_rng(np.uint64(seed))
+    subtree = {q: 0.0 for q in all_cubes(depth)}
+    admitted = set()
+    for level in range(depth + 1):
+        m_c = 2.0 ** (-level)
+        for j in rng.permutation(1 << level):
+            cand = (level, int(j))
+            if subtree[cand] + m_c > cap * m_c + 1e-15:
+                continue
+            ancestors = [(l, cand[1] >> (level - l)) for l in range(level)]
+            if any(q in admitted and subtree[q] + m_c > cap * 2.0 ** (-q[0]) + 1e-15
+                   for q in ancestors):
+                continue
+            admitted.add(cand)
+            for q in ancestors + [cand]:
+                subtree[q] += m_c
+    if not admitted:
+        admitted.add((0, 0))
+    return sorted(admitted)
+
+
 # -- multi-precision psi / phi / nu_p ---------------------------------------
 
 def mp_psi(t, eps=1.0, family="log_power"):

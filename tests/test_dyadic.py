@@ -140,6 +140,13 @@ class TestPacking:
         assert packing_constant(chain, g) == pytest.approx(
             sum(2.0 ** (-l) for l in range(5)) / 1.0)
 
+    def test_rejects_cubes_outside_the_tree(self):
+        g = TreeGeometry(2)
+        # index -4 would wrap to cube (2, 0); level 3 lies below the leaves
+        for cubes in ([CubeId(1, 0), CubeId(2, -4)], [CubeId(3, 0)]):
+            with pytest.raises(DomainError):
+                packing_constant(cubes, g)
+
 
 class TestGenerators:
     def test_generated_families_respect_eta(self):
@@ -154,7 +161,31 @@ class TestGenerators:
             fam = generate_sparse(g, strategy, eta, checked, sigma_leaves=sigma)
             assert verify_sparse(fam, eta, g)
             assert fam.packing <= 1.0 / eta + 1e-12
+            assert fam.sorted_cubes() == sorted(fam.cubes)
+            assert fam.packing == packing_constant(fam.cubes, g)
             checked += 1
+
+    def test_generators_match_their_definitions(self):
+        for depth in range(10):
+            g = TreeGeometry(depth)
+            for eta in (0.25, 0.3, 0.5, 0.7, 0.9, 1.0):
+                def cubes(strategy, seed=0):
+                    fam = generate_sparse(g, strategy, eta, seed)
+                    return sorted((c.level, c.index) for c in fam.cubes)
+
+                for seed in range(8):
+                    assert cubes("random_greedy", seed) == \
+                        oracles.brute_random_greedy(eta, seed, depth)
+                # tower: the root chain while its measures total at most 1/eta
+                assert cubes("tower") == [
+                    (l, 0) for l in range(depth + 1)
+                    if math.fsum(2.0 ** (-i) for i in range(l + 1)) <= 1.0 / eta + 1e-12]
+                # all_above_level:<m>: every cube of level <= m, packing m + 1
+                for m in range(depth + 1):
+                    if m + 1 <= 1.0 / eta:
+                        assert cubes(f"all_above_level:{m}") == oracles.all_cubes(m)
+                default = max(0, min(depth, math.floor(1.0 / eta + 1e-12) - 1))
+                assert cubes("all_above_level") == oracles.all_cubes(default)
 
     def test_determinism(self):
         g = TreeGeometry(6)
