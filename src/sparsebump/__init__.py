@@ -11,10 +11,10 @@ from .bumps import (AdmissibilityError, BumpSpec, YoungSpec, ap_constant,
                     young_conjugate)
 from .testing import (CheckReport, LeafFunction, apply_sparse,
                       carleson_embedding_ratio, cov_sides, eset_split_check,
-                      hytonen_ratio, lambda_condition_constant, levelset_family,
-                      local_sum, lp_norm, maximal_norm_lower, operator_norm_lower,
-                      operator_norm_p2, prop31_bound, prop32_check, prop33_check,
-                      sawyer_sum_bound, testing_constant, theorem_main_ratio)
+                      hytonen_ratio, lambda_condition_constant, lemma_reports,
+                      levelset_family, local_sum, lp_norm, maximal_norm_lower,
+                      operator_norm_lower, operator_norm_p2, prop31_bound, prop32_check,
+                      prop33_check, sawyer_sum_bound, testing_constant, theorem_main_ratio)
 from .search import (Objective, SearchConfig, SearchResult, anneal, depth_sweep,
                      evaluate, random_instance)
 

@@ -476,8 +476,7 @@ def luxemburg_norms_level(f, level: int, young: YoungSpec, depth: int,
 
 
 def _lambda_table(pair: WeightPair, cubes, lam: np.ndarray) -> dict:
-    """CubeId -> lambda_Q for a family vector of lambdas over "all" cubes
-    or a SparseFamily."""
+    """CubeId -> lambda_Q from a family vector over "all" cubes or S."""
     ids = pair.geometry.cubes() if cubes in ("all", None) else cubes.sorted_cubes()
     return dict(zip(ids, lam.tolist()))
 
@@ -527,7 +526,8 @@ def orlicz_li_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
     """sup_Q w_Q^{1/p} * (sigma_Q / ||sigma^{1/p}||_{A,Q})
     * phi^{1/p'}(sigma_Q / ||sigma^{1/p}||_{A,Q}^p).
 
-    Returns (value, lambda table) with lambda_Q = sigma_Q / ||.||^p."""
+    Returns (value, lambda) with lambda_Q = sigma_Q / ||.||^p as a family
+    vector in _select order."""
     ensure_admissible(spec)
     if not math.isfinite(bp_integral(young, pair.p)):
         raise AdmissibilityError("Young function is not in B_p")
@@ -536,13 +536,16 @@ def orlicz_li_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
     nvec = _luxemburg_norms(pair, pair.sigma_leaves ** (1.0 / p), young, cubes)
     lam = s / nvec ** p
     terms = w ** (1.0 / p) * (s / nvec) * _phi_clamped(spec, lam) ** (1.0 / pair.p_dual)
-    return float(np.max(terms)), _lambda_table(pair, cubes, lam)
+    return float(np.max(terms)), lam
 
 
 def orlicz_lacey_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
                           cubes="all"):
     """sup_Q w_Q^{1/p} * ||sigma^{1/p'}||_{Abar,Q}
-    * phi^{1/p'}(||sigma^{1/p'}||_{Abar,Q}^p / sigma_Q^{p-1})."""
+    * phi^{1/p'}(||sigma^{1/p'}||_{Abar,Q}^p / sigma_Q^{p-1}).
+
+    Returns (value, lambda) with lambda_Q = ||.||^p / sigma_Q^{p-1} as a
+    family vector in _select order."""
     ensure_admissible(spec)
     if not math.isfinite(bp_integral(young, pair.p)):
         raise AdmissibilityError("Young function is not in B_p")
@@ -552,7 +555,7 @@ def orlicz_lacey_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
                             A_fn=_conjugate_table(young))
     lam = nvec ** p / s ** (p - 1.0)
     terms = w ** (1.0 / p) * nvec * _phi_clamped(spec, lam) ** (1.0 / pair.p_dual)
-    return float(np.max(terms)), _lambda_table(pair, cubes, lam)
+    return float(np.max(terms)), lam
 
 
 def sepcon_constant(pair: WeightPair, young: YoungSpec, cubes="all") -> float:

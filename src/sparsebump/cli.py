@@ -10,6 +10,7 @@ starts with a header echoing the resolved configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -155,30 +156,17 @@ def _scaling_reports(pair, S) -> list:
 
 
 def _lemma_reports(pair, S, spec) -> list:
-    reports = []
-    levels = testing_mod.realized_levels(S, pair)
-    for R in S.sorted_cubes():
-        for k in levels:
-            reports.append(testing_mod.prop32_check(S, pair, R, k))
-        reports.append(testing_mod.prop33_check(S, pair, spec, R))
-        reports.append(testing_mod.sawyer_sum_bound(pair, S, spec, R))
-    root = S.sorted_cubes()[0]
-    split, member = testing_mod.eset_split_check(pair, S, root)
-    reports += [split, member]
-    lam = bumps.nu_lambda_table(pair, spec, S)
-    reports.append(testing_mod.prop31_bound(pair, S, lam, spec))
-    r1, r2 = testing_mod.theorem_main_ratio(pair, S, spec)
-    reports += [r1, r2]
-    return reports
+    reports = testing_mod.lemma_reports(S, pair, testing_mod.realized_levels(S, pair), spec)
+    reports += testing_mod.eset_split_check(pair, S, S.sorted_cubes()[0])
+    reports.append(testing_mod.prop31_bound(pair, S, bumps.nu_lambda_table(pair, spec, S), spec))
+    return reports + list(testing_mod.theorem_main_ratio(pair, S, spec))
 
 
 def _cov_reports(pair, S) -> list:
-    a = {q: pair.sigma_avg(q) for q in S.cubes}
+    sides = (S, pair.sigma_avgs, pair.w_leaves, pair.p, pair.geometry)
     if abs(pair.p - 2.0) <= 1e-12:
-        return [testing_mod.cov_bracket_report(S.cubes, a, pair.w_leaves, pair.p,
-                                               pair.geometry)]
-    lhs, rhs = testing_mod.cov_sides(S.cubes, a, pair.w_leaves, pair.p, pair.geometry)
-    return [testing_mod.CheckReport.make(f"cov_p{pair.p:g}", lhs, rhs)]
+        return [testing_mod.cov_bracket_report(*sides)]
+    return [testing_mod.CheckReport.make(f"cov_p{pair.p:g}", *testing_mod.cov_sides(*sides))]
 
 
 def _check_one(inst: Instance, spec, suite: str) -> list:
@@ -316,7 +304,9 @@ def cmd_report(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it as is)."""
     parser = argparse.ArgumentParser(prog="sparsebump")
     sub = parser.add_subparsers(dest="command", required=True)
 

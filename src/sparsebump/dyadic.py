@@ -232,15 +232,6 @@ def _select(levels, cubes) -> np.ndarray:
     return flat[np.concatenate(masks)]
 
 
-def _inside(S: SparseFamily, R: CubeId) -> np.ndarray:
-    """S's family vector of "the cube lies inside R".  Cube (l, j) sits at
-    2**l - 1 + j of the flattened levels; its heap number 2**l + j shifted
-    right by l - R.level is that of its ancestor at R's level."""
-    heap = np.flatnonzero(np.concatenate(S.masks)) + 1
-    shift = np.frexp(heap)[1] - (1 + R.level)  # l - R.level: 2**l <= heap < 2**(l+1)
-    return heap >> np.maximum(shift, 0) == (1 << R.level) + R.index
-
-
 def _cube_masks(cubes, depth: int) -> list[np.ndarray]:
     masks = [np.zeros(1 << level, dtype=bool) for level in range(depth + 1)]
     for c in cubes:

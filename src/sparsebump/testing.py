@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import (CubeId, DomainError, NumericError, SparseFamily,
-                     TreeGeometry, WeightPair, _avg_pyramid, _cube_masks, _inside,
-                     _mass_pyramid, _select, ancestor_accumulate, subtree_sums)
+                     TreeGeometry, WeightPair, _avg_pyramid, _mass_pyramid, _select,
+                     ancestor_accumulate, subtree_sums)
 from .bumps import (BumpSpec, _cube_averages, ap_constant, ensure_admissible,
                     nu_constant)
 
@@ -236,34 +236,47 @@ def operator_norm_lower(S: SparseFamily, pair: WeightPair, budget: int,
 
 
 # -- displayed-inequality checkers ------------------------------------------
-# Per-cube terms are family vectors (dyadic._select), a sum over Q inside R
-# is one sum masked by dyadic._inside, and psi and phi see whole vectors.
+# Per-cube terms are family vectors (dyadic._select), psi and phi see whole
+# vectors, and a per-R checker reads its sums off the pass over every R.
 
 
-def cov_sides(family, a_values: dict, w_leaves, p: float,
+def _sums_inside(S: SparseFamily, terms, R: CubeId | None = None) -> np.ndarray:
+    """The sum of terms (a family vector of S; trailing axes are separate
+    columns) over the cubes of S inside R, or, with R None, inside every
+    cube of S at once as a family vector: one subtree_sums pass."""
+    if R is not None and not TreeGeometry(len(S.masks) - 1).contains(R):
+        raise DomainError(f"cube {R} outside the tree")
+    mask = np.concatenate(S.masks)
+    flat = np.zeros(mask.shape + np.shape(terms)[1:])
+    flat[mask] = terms
+    sums = subtree_sums(np.split(flat, [(1 << level) - 1 for level in range(1, len(S.masks))]))
+    return _select(sums, S) if R is None else sums[R.level][R.index]
+
+
+def _sawyer_terms(S: SparseFamily, pair: WeightPair) -> np.ndarray:
+    """sigma_Q^p w(Q) over S."""
+    return _select(pair.sigma_avgs, S) ** pair.p * _select(pair.w_masses, S)
+
+
+def cov_sides(S: SparseFamily, a, w_leaves, p: float,
               geometry: TreeGeometry) -> tuple[float, float]:
-    """Both sides of the discrete Carleson expansion for
-    ||sum a_Q chi_Q||_{L^p(w)}: (lhs, rhs), each exact."""
-    depth = geometry.depth
+    """Both sides (lhs, rhs), each exact, of the discrete Carleson expansion
+    for ||sum over Q in S of a_Q chi_Q||_{L^p(w)}; a holds per-level arrays."""
     w = np.asarray(w_leaves, dtype=float)
-    masks = _cube_masks(family, depth)
-    a = [np.zeros(1 << level) for level in range(depth + 1)]
-    for q in family:
-        a[q.level][q.index] = a_values[q]
+    a = [np.where(m, al, 0.0) for m, al in zip(S.masks, a)]
     lhs = lp_norm(LeafFunction(geometry, ancestor_accumulate(a)[-1]), w, p)
-    wmass = _mass_pyramid(w, depth)
-    # inner[l][j] = sum of a_Q w(Q) over the family cubes Q inside (l, j)
-    inner = subtree_sums([al * wl for al, wl in zip(a, wmass)])
-    a, wmass, inner = (_select(v, masks) for v in (a, wmass, inner))
+    a, wmass = _select(a, S), _select(_mass_pyramid(w, geometry.depth), S)
     if np.any(wmass <= 0.0):
         raise DomainError("w(Q) must be positive for every family cube")
+    # inner_Q = sum of a_P w(P) over the family cubes P inside Q
+    inner = _sums_inside(S, a * wmass)
     total = float((a * (inner / wmass) ** (p - 1.0) * wmass).sum())
     return lhs, total ** (1.0 / p)
 
 
-def cov_bracket_report(family, a_values, w_leaves, p, geometry) -> CheckReport:
+def cov_bracket_report(S: SparseFamily, a, w_leaves, p, geometry) -> CheckReport:
     """p = 2 exact bracket rhs <= lhs <= sqrt(2) * rhs; hard assert."""
-    lhs, rhs = cov_sides(family, a_values, w_leaves, p, geometry)
+    lhs, rhs = cov_sides(S, a, w_leaves, p, geometry)
     rep = CheckReport.make("cov_bracket", lhs, rhs, bound=math.sqrt(2.0), hard=True)
     if rep.ratio < 1.0 - 1e-9:
         rep.passed = False
@@ -278,21 +291,19 @@ def carleson_embedding_ratio(S: SparseFamily, w_leaves, s: float, R: CubeId,
         raise DomainError(f"s must lie in (0, 1), got {s}")
     avgs = _avg_pyramid(np.asarray(w_leaves, dtype=float), geometry.depth)
     terms = _select([a ** s * 2.0 ** (-level) for level, a in enumerate(avgs)], S)
-    lhs = float(terms[_inside(S, R)].sum())
     rhs = float(avgs[R.level][R.index]) ** s * R.measure
-    return CheckReport.make("carleson_embedding", lhs, rhs)
+    return CheckReport.make("carleson_embedding", float(_sums_inside(S, terms, R)), rhs)
 
 
 def hytonen_ratio(S: SparseFamily, pair: WeightPair, R: CubeId) -> CheckReport:
     """int_R (local sum)^p w against (sup w_Q sigma_Q^{p-1}) * sum sigma(Q);
     report only."""
-    f = local_sum(S, pair, R)
-    lhs = lp_norm(f, pair.w_leaves, pair.p) ** pair.p
-    total = float(_select(pair.sigma_masses, S)[_inside(S, R)].sum())
+    lhs = lp_norm(local_sum(S, pair, R), pair.w_leaves, pair.p) ** pair.p
+    total = float(_sums_inside(S, _select(pair.sigma_masses, S), R))
     return CheckReport.make("hytonen", lhs, ap_constant(pair, S) * total)
 
 
-def _in_level(s, k: int):
+def _in_level(s, k):
     """2^k < s <= 2^{k+1}: the level-set convention, strict below, weak above."""
     return (2.0 ** k < s) & (s <= 2.0 ** (k + 1))
 
@@ -315,40 +326,61 @@ def realized_levels(S: SparseFamily, pair: WeightPair) -> list[int]:
     return sorted(set(k.tolist()))
 
 
+def lemma_reports(S: SparseFamily, pair: WeightPair, ks, spec: BumpSpec | None = None,
+                  R: CubeId | None = None) -> list[CheckReport]:
+    """prop32_check at each k of ks and, given a spec, prop33_check and
+    sawyer_sum_bound, in that order, at R or (R None) at every R in S in
+    sorted_cubes() order: one subtree pass and one psi call in all."""
+    s, masses = _select(pair.sigma_avgs, S), _select(pair.sigma_masses, S)
+    terms = [np.where(_in_level(s[:, None], np.array(ks, dtype=int)), masses[:, None], 0.0)]
+    if spec is not None:
+        psi_bound = 2.0 * S.packing * ensure_admissible(spec).s_psi
+        psi = spec.psi(s)
+        sup = float((_select(pair.w_avgs, S) * s ** (pair.p - 1.0) * psi).max())
+        terms.append(np.column_stack([masses / psi, _sawyer_terms(S, pair)]))
+    rows = np.atleast_2d(_sums_inside(S, np.hstack(terms), R)).tolist()
+    reports = []
+    for row, sigma in zip(rows, masses.tolist() if R is None else [pair.sigma_mass(R)]):
+        reports += [CheckReport.make(f"prop32_k{k}", lhs, sigma, bound=2.0 * S.packing,
+                                     hard=True) for k, lhs in zip(ks, row)]
+        if spec is not None:
+            reports += [CheckReport.make("prop33", row[-2], sigma, bound=psi_bound, hard=True),
+                        CheckReport.make("sawyer_sum", row[-1], sup * sigma, bound=psi_bound,
+                                         hard=True)]
+    return reports
+
+
 def prop32_check(S: SparseFamily, pair: WeightPair, R: CubeId, k: int) -> CheckReport:
     """Level-set Carleson sum against sigma(R) with the proof-tracked
     hard bound 2 * Lambda."""
-    s = _select(pair.sigma_avgs, S)
-    masses = _select(pair.sigma_masses, S)
-    lhs = float(masses[_inside(S, R) & _in_level(s, k)].sum())
-    return CheckReport.make(f"prop32_k{k}", lhs, pair.sigma_mass(R),
-                            bound=2.0 * S.packing, hard=True)
+    return lemma_reports(S, pair, [k], R=R)[0]
 
 
 def prop33_check(S: SparseFamily, pair: WeightPair, spec: BumpSpec,
                  R: CubeId) -> CheckReport:
     """sum over Q subset R of sigma(Q)/psi(sigma_Q) against sigma(R), hard
     bound 2 * Lambda * S_psi."""
-    report = ensure_admissible(spec)
-    s = _select(pair.sigma_avgs, S)
-    inside = _inside(S, R)
-    lhs = float((_select(pair.sigma_masses, S)[inside] / spec.psi(s[inside])).sum())
-    return CheckReport.make("prop33", lhs, pair.sigma_mass(R),
-                            bound=2.0 * S.packing * report.s_psi, hard=True)
+    return lemma_reports(S, pair, [], spec, R)[0]
+
+
+def sawyer_sum_bound(pair: WeightPair, S: SparseFamily, spec: BumpSpec,
+                     R: CubeId) -> CheckReport:
+    """sum over Q subset R of sigma_Q^p w(Q) against
+    (sup w_Q sigma_Q^{p-1} psi(sigma_Q)) * 2 Lambda S_psi * sigma(R);
+    hard via the exact term-by-term identity."""
+    return lemma_reports(S, pair, [], spec, R)[1]
 
 
 def lambda_condition_constant(S: SparseFamily, pair: WeightPair,
                               lambda_table: dict, R: CubeId) -> float:
     """Smallest C with sum over Q subset R of lambda_Q^{-1} sigma(Q)
-    <= C * sigma(R), for the given R."""
+    <= C * sigma(R), for the given R.  Every lambda_Q over S must be >= 1."""
     cubes = S.sorted_cubes()
     lam = np.array([lambda_table[q] for q in cubes], dtype=float)
-    inside = _inside(S, R)
-    bad = np.flatnonzero(inside & (lam < 1.0 - 1e-12))
+    bad = np.flatnonzero(lam < 1.0 - 1e-12)
     if bad.size:
         raise DomainError(f"lambda_Q must be >= 1, got {lam[bad[0]]} at {cubes[bad[0]]}")
-    total = float((_select(pair.sigma_masses, S)[inside] / lam[inside]).sum())
-    return total / pair.sigma_mass(R)
+    return float(_sums_inside(S, _select(pair.sigma_masses, S) / lam, R)) / pair.sigma_mass(R)
 
 
 def prop31_bound(pair: WeightPair, S: SparseFamily, lambda_table: dict,
@@ -365,20 +397,6 @@ def prop31_bound(pair: WeightPair, S: SparseFamily, lambda_table: dict,
     return CheckReport.make("prop31", tc, float(terms.max()), bound=cap)
 
 
-def sawyer_sum_bound(pair: WeightPair, S: SparseFamily, spec: BumpSpec,
-                     R: CubeId) -> CheckReport:
-    """sum over Q subset R of sigma_Q^p w(Q) against
-    (sup w_Q sigma_Q^{p-1} psi(sigma_Q)) * 2 Lambda S_psi * sigma(R);
-    hard via the exact term-by-term identity."""
-    report = ensure_admissible(spec)
-    p = pair.p
-    w, s = _cube_averages(pair, S)
-    lhs = float((s ** p * _select(pair.w_masses, S))[_inside(S, R)].sum())
-    sup = float((w * s ** (p - 1.0) * spec.psi(s)).max())
-    return CheckReport.make("sawyer_sum", lhs, sup * pair.sigma_mass(R),
-                            bound=2.0 * S.packing * report.s_psi, hard=True)
-
-
 def eset_split_check(pair: WeightPair, S: SparseFamily, R: CubeId):
     """The closing-split observation: restrict the local sum to cubes with
     w_Q sigma_Q^{p-1} >= 1 and compare against A_p times the Sawyer sum.
@@ -388,15 +406,13 @@ def eset_split_check(pair: WeightPair, S: SparseFamily, R: CubeId):
         [m & (pair.w_avg_level(level) * pair.sigma_avg_level(level) ** (p - 1.0) >= 1.0)
          for level, m in enumerate(S.masks)], S.eta)
     lhs = lp_norm(local_sum(E, pair, R), pair.w_leaves, p) ** p
-    s = _select(pair.sigma_avgs, S)
-    sawyer = float((s ** p * _select(pair.w_masses, S))[_inside(S, R)].sum())
+    sawyer = float(_sums_inside(S, _sawyer_terms(S, pair), R))
     split = CheckReport.make("eset_split", lhs,
                              ap_constant(pair, S) * sawyer if sawyer > 0 else 1.0)
     if not E.cubes:
         return split, CheckReport("eset_member", 0.0, 1.0, 1.0, 0.0, True, True)
     # hard intermediate: sigma(Q) <= sigma_Q^p w(Q) for every Q in E
-    s = _select(pair.sigma_avgs, E)
-    worst = (_select(pair.sigma_masses, E) / (s ** p * _select(pair.w_masses, E))).max()
+    worst = (_select(pair.sigma_masses, E) / _sawyer_terms(E, pair)).max()
     return split, CheckReport.make("eset_member", float(worst), 1.0, bound=1.0, hard=True)
 
 

@@ -27,6 +27,14 @@ def cli_env():
     return env
 
 
+def level_arrays(values, depth):
+    """Per-level arrays holding a CubeId-keyed dict's values, zero elsewhere."""
+    levels = [np.zeros(1 << level) for level in range(depth + 1)]
+    for cube, value in values.items():
+        levels[cube.level][cube.index] = value
+    return levels
+
+
 def make_instance(depth, w, sigma, p, strategy="stopping_time", eta=0.5, seed=0):
     geometry = TreeGeometry(depth)
     pair = WeightPair(geometry, np.asarray(w, float), np.asarray(sigma, float), p)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cli_env, make_instance, random_corpus
+from conftest import cli_env, level_arrays, make_instance, random_corpus
 from sparsebump import (CubeId, TreeGeometry, WeightPair,
                         carleson_embedding_ratio, testing_constant)
 from sparsebump.bumps import (BumpSpec, YoungSpec, ap_constant, check_bump,
@@ -42,8 +42,7 @@ def test_criterion_1_reference_instance_regression(instance_a, capsys):
     tc, argmax = testing_constant(pair, fam)
     ap = ap_constant(pair, "all")
     lam = entropy_lambda(pair.sigma_leaves, ROOT, pair.geometry)
-    a = {q: pair.sigma_avg(q) for q in fam.cubes}
-    lhs, rhs = cov_sides(fam.cubes, a, pair.w_leaves, 2.0, pair.geometry)
+    lhs, rhs = cov_sides(fam, pair.sigma_avgs, pair.w_leaves, 2.0, pair.geometry)
     hyt = hytonen_ratio(fam, pair, ROOT).ratio
     elapsed = time.perf_counter() - start
     ok = (abs(tc - math.sqrt(23.0625 / 1.75)) <= 1e-9 * tc
@@ -93,15 +92,15 @@ def test_criterion_3_cov_bracket(capsys):
         fam = inst.pair  # alias for brevity below
         a = {q: float(np.abs(rng.standard_normal()) + 0.01)
              for q in inst.family.cubes}
-        rep = cov_bracket_report(inst.family.cubes, a, inst.pair.w_leaves, 2.0,
-                                 inst.pair.geometry)
+        rep = cov_bracket_report(inst.family, level_arrays(a, inst.pair.geometry.depth),
+                                 inst.pair.w_leaves, 2.0, inst.pair.geometry)
         violations += not rep.passed
     ratios = []
     for inst in random_corpus(200, seed=203, ps=(1.5, 3.0), depths=(2, 3, 4, 5)):
         a = {q: float(np.abs(rng.standard_normal()) + 0.01)
              for q in inst.family.cubes}
-        lhs, rhs = cov_sides(inst.family.cubes, a, inst.pair.w_leaves,
-                             inst.pair.p, inst.pair.geometry)
+        lhs, rhs = cov_sides(inst.family, level_arrays(a, inst.pair.geometry.depth),
+                             inst.pair.w_leaves, inst.pair.p, inst.pair.geometry)
         ratios.append(lhs / rhs)
     ok = violations == 0
     announce(capsys, 3, ok,
@@ -136,7 +135,7 @@ def test_criterion_4_homogeneity_laws(capsys):
         scaled = WeightPair(g, pair.w_leaves, 100.0 * pair.sigma_leaves, p)
         _, li1 = orlicz_li_constant(pair, young, spec, fam)
         _, li2 = orlicz_li_constant(scaled, young, spec, fam)
-        ok &= all(abs(li2[q] - li1[q]) <= 1e-10 * abs(li1[q]) for q in li1)
+        ok &= bool(np.all(np.abs(li2 - li1) <= 1e-10 * np.abs(li1)))
         e1 = entropy_lambda_table(pair, fam)
         e2 = entropy_lambda_table(scaled, fam)
         ok &= all(abs(e2[q] - e1[q]) <= 1e-10 * abs(e1[q]) for q in e1)

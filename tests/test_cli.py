@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from conftest import cli_env
-from sparsebump.cli import main
+from conftest import cli_env, random_corpus
+from sparsebump import testing
+from sparsebump.bumps import BumpSpec, nu_lambda_table
+from sparsebump.cli import _lemma_reports, main
 from sparsebump.dyadic import instance_from_dict
 
 
@@ -109,6 +111,29 @@ class TestCheck:
     def test_unknown_suite_is_usage_error(self):
         assert run_cli("check", "--suite", "bogus") == 2
 
+    def test_lemma_rows_match_the_per_R_checkers(self):
+        # the all-R pass behind `check` against the public checker of the
+        # same name and R, for depths 2-8 and all four strategies
+        spec = BumpSpec()
+        for inst in random_corpus(28, seed=23):
+            pair, S = inst.pair, inst.family
+            want = []
+            for R in S.sorted_cubes():
+                want += [testing.prop32_check(S, pair, R, k)
+                         for k in testing.realized_levels(S, pair)]
+                want += [testing.prop33_check(S, pair, spec, R),
+                         testing.sawyer_sum_bound(pair, S, spec, R)]
+            want += testing.eset_split_check(pair, S, S.sorted_cubes()[0])
+            want.append(testing.prop31_bound(pair, S, nu_lambda_table(pair, spec, S), spec))
+            want += testing.theorem_main_ratio(pair, S, spec)
+            got = _lemma_reports(pair, S, spec)
+            assert [r.name for r in got] == [r.name for r in want]
+            for g, w in zip(got, want):
+                assert (g.passed, g.hard, g.bound) == (w.passed, w.hard, w.bound), g.name
+                for field in ("lhs", "rhs", "ratio"):
+                    assert getattr(g, field) == pytest.approx(getattr(w, field), rel=1e-12,
+                                                              abs=0.0), (g.name, field)
+
 
 class TestSearch:
     def test_sweep_artifact(self, tmp_path):
@@ -178,6 +203,30 @@ class TestReport:
 
     def test_no_inputs_is_usage_error(self):
         assert run_cli("report") == 2
+
+
+class TestParserReuse:
+    def test_defaults_survive_an_earlier_call(self, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert run_cli("search", "--objective", "main_theorem", "--depths", "3",
+                       "--steps", "5", "--out", str(first)) == 0
+        assert run_cli("search", "--objective", "main_theorem", "--steps", "5",
+                       "--out", str(second)) == 0
+        assert '"depths": [3]' in read(first).splitlines()[0]
+        assert '"depths": [4]' in read(second).splitlines()[0]
+
+    def test_gen_default_after_dist_params_matches_a_fresh_process(self, tmp_path):
+        outs = [tmp_path / f"{name}.json" for name in ("before", "params", "after", "fresh")]
+        assert run_cli("gen", "--depth", "3", "--out", str(outs[0])) == 0
+        assert run_cli("gen", "--depth", "3", "--dist-params", "0", "2",
+                       "--out", str(outs[1])) == 0
+        assert run_cli("gen", "--depth", "3", "--out", str(outs[2])) == 0
+        proc = subprocess.run([sys.executable, "-m", "sparsebump.cli", "gen", "--depth", "3",
+                               "--out", str(outs[3])], env=cli_env())
+        assert proc.returncode == 0
+        before, params, after, fresh = (out.read_bytes() for out in outs)
+        assert before == after == fresh
+        assert params != fresh
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import make_instance, random_corpus
+from conftest import level_arrays, make_instance, random_corpus
 from sparsebump import (CubeId, LeafFunction, SparseFamily, TreeGeometry,
                         WeightPair, apply_sparse, carleson_embedding_ratio,
                         cov_sides, eset_split_check, hytonen_ratio,
@@ -176,9 +176,7 @@ class TestCov:
         return fam, a
 
     def test_instance_a_sides(self, instance_a):
-        a = {q: instance_a.pair.sigma_avg(q)
-             for q in instance_a.family.cubes}
-        lhs, rhs = cov_sides(instance_a.family.cubes, a,
+        lhs, rhs = cov_sides(instance_a.family, instance_a.pair.sigma_avgs,
                              instance_a.pair.w_leaves, 2.0,
                              instance_a.pair.geometry)
         assert lhs ** 2 == pytest.approx(23.0625, rel=1e-12)
@@ -189,8 +187,8 @@ class TestCov:
         rng = np.random.default_rng(12)
         for inst in random_corpus(50, seed=12, ps=(2.0,), depths=(2, 3, 4, 5)):
             fam, a = self._setup(inst, rng)
-            lhs, rhs = cov_sides(fam, a, inst.pair.w_leaves, 2.0,
-                                 inst.pair.geometry)
+            lhs, rhs = cov_sides(inst.family, level_arrays(a, inst.pair.geometry.depth),
+                                 inst.pair.w_leaves, 2.0, inst.pair.geometry)
             tail = sum(a[q] ** 2 * inst.pair.w_mass(q) for q in fam)
             assert lhs ** 2 == pytest.approx(2.0 * rhs ** 2 - tail, rel=1e-9)
 
@@ -198,13 +196,13 @@ class TestCov:
         rng = np.random.default_rng(13)
         for inst in random_corpus(50, seed=13, ps=(2.0,), depths=(2, 3, 4, 5)):
             fam, a = self._setup(inst, rng)
-            rep = cov_bracket_report(fam, a, inst.pair.w_leaves, 2.0,
-                                     inst.pair.geometry)
+            rep = cov_bracket_report(inst.family, level_arrays(a, inst.pair.geometry.depth),
+                                     inst.pair.w_leaves, 2.0, inst.pair.geometry)
             assert rep.passed, rep
 
     def test_other_p_reported_not_asserted(self, instance_a):
         a = {q: 1.0 for q in instance_a.family.cubes}
-        lhs, rhs = cov_sides(instance_a.family.cubes, a,
+        lhs, rhs = cov_sides(instance_a.family, level_arrays(a, 2),
                              instance_a.pair.w_leaves, 3.0,
                              instance_a.pair.geometry)
         assert lhs > 0.0 and rhs > 0.0
@@ -315,8 +313,8 @@ class TestCheckersAgainstOracles:
              max(w_avg[q] ** (1.0 / p) * s_avg[q] ** (1.0 / pd) * lam1[q] ** (1.0 / p)
                  * float(oracles.mp_phi(lam1[q])) ** (1.0 / pd) for q in cubes))
         a = {q: s_avg[q] for q in cubes}
-        got = cov_sides(fam.cubes, {CubeId(*q): a[q] for q in cubes}, pair.w_leaves, p,
-                        pair.geometry)
+        got = cov_sides(fam, level_arrays({CubeId(*q): a[q] for q in cubes}, depth),
+                        pair.w_leaves, p, pair.geometry)
         for g, want in zip(got, oracles.brute_cov_sides(cubes, a, w, p, depth)):
             near(g, want)
 
