@@ -285,36 +285,40 @@ def ensure_young(young: YoungSpec) -> None:
                                  + "; ".join(report.reasons))
 
 
+def _conjugate(young: YoungSpec, s: np.ndarray) -> np.ndarray:
+    """Abar at every point of s > 0: a closed form for power A, else one
+    ternary search on log t over all points at once (s*t - A(t) is
+    concave in t for convex A, and every bracket shrinks by 2/3 a step)."""
+    if young.family == "power":
+        q = young.q
+        return (q - 1.0) * (s / q) ** (q / (q - 1.0))
+    lo = np.full(s.shape, -60.0 * math.log(2.0))
+    hi = -lo
+
+    def obj(u):
+        t = np.exp(u)
+        return s * t - np.asarray(young.A(t))
+
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        left = obj(m1) < obj(m2)
+        lo, hi = np.where(left, m1, lo), np.where(left, hi, m2)
+        if np.all(hi - lo < 1e-13):
+            break
+    val = np.maximum(obj(0.5 * (lo + hi)), 0.0)
+    if not np.isfinite(val).all():
+        raise NumericError("conjugate supremum overflowed")
+    return val
+
+
 def young_conjugate(young: YoungSpec, s: float) -> float:
     """Legendre conjugate Abar(s) = sup_t (s*t - A(t))."""
     if s < 0:
         raise DomainError("conjugate argument must be nonnegative")
     if s == 0.0:
         return 0.0
-    if young.family == "power":
-        q = young.q
-        qd = q / (q - 1.0)
-        return float((q - 1.0) * (s / q) ** qd)
-    # ternary search on log t; s*t - A(t) is concave in t for convex A
-    lo, hi = -60.0 * math.log(2.0), 60.0 * math.log(2.0)
-
-    def obj(u):
-        t = math.exp(u)
-        return s * t - float(young.A(t))
-
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if obj(m1) < obj(m2):
-            lo = m1
-        else:
-            hi = m2
-        if hi - lo < 1e-13:
-            break
-    val = max(obj(0.5 * (lo + hi)), 0.0)
-    if not math.isfinite(val):
-        raise NumericError("conjugate supremum overflowed")
-    return val
+    return float(_conjugate(young, np.array([s], dtype=float))[0])
 
 
 class ConjugateTable:
@@ -323,24 +327,23 @@ class ConjugateTable:
     slow inside search loops."""
 
     def __init__(self, young: YoungSpec, points: int = 512):
-        self.young = young
         self.log_s = np.linspace(-60.0 * math.log(2.0), 60.0 * math.log(2.0), points)
-        vals = np.array([young_conjugate(young, math.exp(u)) for u in self.log_s])
-        vals = np.maximum.accumulate(vals)
+        vals = np.maximum.accumulate(_conjugate(young, np.exp(self.log_s)))
         self.log_v = np.log(np.maximum(vals, 1e-300))
+        self.slopes = np.diff(self.log_v) / np.diff(self.log_s)
 
     def __call__(self, s):
+        """np.interp on the log-log grid, clamped below it and extended by
+        the top slope above it; the grid is uniform, so the node below u is
+        found by one division, moved by one where rounding crossed a node."""
         s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        pos = s > 0
         u = np.log(np.maximum(s, 1e-300))
-        lv = np.interp(u, self.log_s, self.log_v)
-        # linear extrapolation in log-log space beyond the grid
-        hi = u > self.log_s[-1]
-        if np.any(hi):
-            slope = (self.log_v[-1] - self.log_v[-2]) / (self.log_s[-1] - self.log_s[-2])
-            lv = np.where(hi, self.log_v[-1] + slope * (u - self.log_s[-1]), lv)
-        out[pos] = np.exp(lv[pos])
+        ls, lv = self.log_s, self.log_v
+        last = len(ls) - 2
+        j = np.clip(((u - ls[0]) / (ls[1] - ls[0])).astype(np.intp), 0, last)
+        j = j - (u < ls[j]) + (u >= ls[j + 1])  # last + 1 at and above the top node
+        val = self.slopes[np.minimum(j, last)] * (u - ls[j]) + lv[j]
+        out = np.where(s > 0, np.exp(np.where(u < ls[0], lv[0], val)), 0.0)
         return float(out) if out.ndim == 0 else out
 
 
@@ -349,6 +352,7 @@ def _conjugate_table(young: YoungSpec) -> ConjugateTable:
     return ConjugateTable(young)
 
 
+@lru_cache(maxsize=32)
 def bp_integral(young: YoungSpec, p: float) -> float:
     """int_1^inf A(t)/t^p dt/t over dyadic blocks up to 2^40 plus a tail
     estimate; returns +inf when the block sums fail the decay check."""
@@ -395,46 +399,23 @@ def bp_tail_estimate(blocks) -> float:
 def luxemburg_norm(f, cube: CubeId, young: YoungSpec, depth: int,
                    A_fn=None, rel_tol: float = 1e-12) -> float:
     """Normalized Luxemburg gauge on one cube: the lambda with
-    (1/|Q|) int_Q A(f/lambda) = 1, by bracketing plus bisection.  A_fn
-    overrides young.A (used for the tabulated conjugate)."""
-    f = np.asarray(f, dtype=float)
-    if not np.isfinite(f).all():
-        raise DomainError("non-finite leaf values")
-    A = A_fn if A_fn is not None else young.A
-    sub = f[cube.leaf_slice(depth)]
-    if np.all(sub == 0.0):
-        return 0.0
-
-    def mean(lam):
-        return float(np.mean(np.asarray(A(sub / lam))))
-
-    hi = float(np.max(np.abs(sub)))
-    lo = hi
-    # grow/shrink the bracket so that mean A(f/hi) <= 1 <= mean A(f/lo)
-    for _ in range(200):
-        if mean(hi) <= 1.0:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        if mean(lo) >= 1.0:
-            break
-        lo *= 0.5
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if mean(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * lo:
-            break
-    return 0.5 * (lo + hi)
+    (1/|Q|) int_Q A(f/lambda) = 1; luxemburg_norms_level on the cube's
+    leaves."""
+    sub = np.asarray(f, dtype=float)[cube.leaf_slice(depth)]
+    return float(luxemburg_norms_level(sub, 0, young, depth - cube.level, A_fn, rel_tol)[0])
 
 
 def luxemburg_norms_level(f, level: int, young: YoungSpec, depth: int,
                           A_fn=None, rel_tol: float = 1e-12) -> np.ndarray:
-    """Luxemburg norms of f on every cube of one level, vectorized
-    bisection across cubes.  A_fn overrides young.A (used for the
-    tabulated conjugate)."""
+    """Luxemburg norms of f on every cube of one level, all cubes at once.
+
+    The bracket mean A(f/lo) >= 1 >= mean A(f/hi), grown or shrunk by 2
+    from max|f|, is closed by Illinois (modified regula falsi) steps on
+    g(t) = log mean A(f e^-t), t = log lambda; g is linear for power A.
+    No step lands within 0.4*log1p(rel_tol) of an end, so a step on the
+    root is followed by one across it; a non-finite g at an end, or a
+    bracket not halved in two steps, gets a bisection step.  Returns
+    (lo + hi)/2 once hi - lo <= rel_tol*lo.  A_fn overrides young.A."""
     f = np.asarray(f, dtype=float)
     if not np.isfinite(f).all():
         raise DomainError("non-finite leaf values")
@@ -445,31 +426,46 @@ def luxemburg_norms_level(f, level: int, young: YoungSpec, depth: int,
     hi = np.where(zero, 1.0, hi)
     lo = hi.copy()
 
-    def means(lam):
-        return np.mean(np.asarray(A(mat / lam[:, None])), axis=1)
+    def means(lam, rows):
+        return np.mean(np.asarray(A(mat[rows] / lam[:, None])), axis=1)
 
-    for _ in range(200):
-        m = means(hi)
-        grow = m > 1.0
-        if not np.any(grow):
+    m_hi = means(hi, slice(None))
+    m_lo = m_hi.copy()
+    for _ in range(200):  # step by 2 until the bracket holds; the end passed is the other end
+        up, down = np.flatnonzero(m_hi > 1.0), np.flatnonzero((m_lo < 1.0) & ~zero)
+        if not up.size + down.size:
             break
-        hi = np.where(grow, hi * 2.0, hi)
-    for _ in range(200):
-        m = means(lo)
-        shrink = m < 1.0
-        if not np.any(shrink):
-            break
-        lo = np.where(shrink, lo * 0.5, lo)
-    for _ in range(200):
-        mid = np.sqrt(lo * hi)
-        m = means(mid)
-        lo = np.where(m > 1.0, mid, lo)
-        hi = np.where(m > 1.0, hi, mid)
-        if np.all(hi - lo <= rel_tol * lo):
-            break
-    out = 0.5 * (lo + hi)
-    out[zero] = 0.0
-    return out
+        lo[up], m_lo[up], hi[down], m_hi[down] = hi[up], m_hi[up], lo[down], m_lo[down]
+        hi[up], lo[down] = 2.0 * hi[up], 0.5 * lo[down]
+        m = means(np.concatenate([hi[up], lo[down]]), np.concatenate([up, down]))
+        m_hi[up], m_lo[down] = m[:up.size], m[up.size:]
+    pad = 0.4 * math.log1p(rel_tol)
+    moved = np.zeros(len(lo))  # +1: lo moved last, -1: hi moved last, 0: neither yet
+    width1, width2 = np.full(len(lo), np.inf), np.full(len(lo), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_lo, g_hi = np.log(m_lo), np.log(m_hi)
+        for _ in range(200):
+            todo = np.flatnonzero(hi - lo > rel_tol * lo)
+            if not todo.size:
+                break
+            ta, tb, ga, gb = np.log(lo[todo]), np.log(hi[todo]), g_lo[todo], g_hi[todo]
+            width = tb - ta
+            t = tb - gb * width / (gb - ga)
+            bisect = ~np.isfinite(ga + gb + t) | (width > 0.5 * width2[todo])
+            t = np.where(bisect, 0.5 * (ta + tb), np.clip(t, ta + pad, tb - pad))
+            width2[todo], width1[todo] = width1[todo], width
+            lam = np.exp(t)
+            m = means(lam, todo)
+            up = m > 1.0  # the root lies above lam: lam is the new lo
+            lo_at, hi_at = todo[up], todo[~up]
+            # Illinois: an end kept again (or first) has its g halved
+            g_hi[lo_at[moved[lo_at] >= 0]] *= 0.5
+            g_lo[hi_at[moved[hi_at] <= 0]] *= 0.5
+            lo[lo_at], g_lo[lo_at], moved[lo_at] = lam[up], np.log(m[up]), 1.0
+            hi[hi_at], g_hi[hi_at], moved[hi_at] = lam[~up], np.log(m[~up]), -1.0
+        else:
+            raise NumericError("Luxemburg gauge did not converge in 200 steps")
+    return np.where(zero, 0.0, 0.5 * (lo + hi))
 
 
 # -- cube selection -------------------------------------------------------

@@ -128,10 +128,9 @@ def cmd_constants(args) -> int:
 # -- check ------------------------------------------------------------------
 
 
-def _scaling_reports(pair, S) -> list:
+def _scaling_reports(pair, S, base_tc) -> list:
     """Exact homogeneity laws as CheckReports with bound 1."""
     reports = []
-    base_tc, _ = testing_mod.testing_constant(pair, S)
     base_ap = bumps.ap_constant(pair, "all")
     geometry = pair.geometry
     for c in (1e-6, 1e6):
@@ -155,11 +154,12 @@ def _scaling_reports(pair, S) -> list:
     return reports
 
 
-def _lemma_reports(pair, S, spec) -> list:
+def _lemma_reports(pair, S, spec, tc) -> list:
     reports = testing_mod.lemma_reports(S, pair, testing_mod.realized_levels(S, pair), spec)
     reports += testing_mod.eset_split_check(pair, S, S.sorted_cubes()[0])
-    reports.append(testing_mod.prop31_bound(pair, S, bumps.nu_lambda_table(pair, spec, S), spec))
-    return reports + list(testing_mod.theorem_main_ratio(pair, S, spec))
+    reports.append(testing_mod.prop31_bound(pair, S, bumps.nu_lambda_table(pair, spec, S),
+                                            spec, tc))
+    return reports + list(testing_mod.theorem_main_ratio(pair, S, spec, tc))
 
 
 def _cov_reports(pair, S) -> list:
@@ -171,13 +171,15 @@ def _cov_reports(pair, S) -> list:
 
 def _check_one(inst: Instance, spec, suite: str) -> list:
     pair, S = inst.pair, inst.family
+    # the lemma and scaling rows share one testing constant
+    tc = None if suite == "cov" else testing_mod.testing_constant(pair, S)[0]
     reports = []
     if suite in ("lemmas", "all"):
-        reports += _lemma_reports(pair, S, spec)
+        reports += _lemma_reports(pair, S, spec, tc)
     if suite in ("cov", "all"):
         reports += _cov_reports(pair, S)
     if suite in ("scaling", "all"):
-        reports += _scaling_reports(pair, S)
+        reports += _scaling_reports(pair, S, tc)
     return reports
 
 

@@ -384,16 +384,16 @@ def lambda_condition_constant(S: SparseFamily, pair: WeightPair,
 
 
 def prop31_bound(pair: WeightPair, S: SparseFamily, lambda_table: dict,
-                 spec: BumpSpec, cap: float = 64.0) -> CheckReport:
-    """Testing constant against the lambda-bump sup; the proof constant is
-    implicit, so the pass flag compares against a configurable cap."""
+                 spec: BumpSpec, tc: float, cap: float = 64.0) -> CheckReport:
+    """The testing constant tc = testing_constant(pair, S)[0] against the
+    lambda-bump sup; the proof constant is implicit, so the pass flag
+    compares against a configurable cap."""
     ensure_admissible(spec)
     p, pd = pair.p, pair.p_dual
     w, s = _cube_averages(pair, S)
     lam = np.maximum([lambda_table[q] for q in S.sorted_cubes()], 1.0)
     terms = (w ** (1.0 / p) * s ** (1.0 / pd) * lam ** (1.0 / p)
              * spec.phi(lam) ** (1.0 / pd))
-    tc, _ = testing_constant(pair, S)
     return CheckReport.make("prop31", tc, float(terms.max()), bound=cap)
 
 
@@ -416,12 +416,12 @@ def eset_split_check(pair: WeightPair, S: SparseFamily, R: CubeId):
     return split, CheckReport.make("eset_member", float(worst), 1.0, bound=1.0, hard=True)
 
 
-def theorem_main_ratio(pair: WeightPair, S: SparseFamily, spec: BumpSpec):
+def theorem_main_ratio(pair: WeightPair, S: SparseFamily, spec: BumpSpec, tc1: float):
     """The two testing-side ratios behind the main two-weight bound:
-    r1 = [w,sigma]_p / [w,sigma]_{nu_p}^{1/p} and the dual r2.  Report
-    only; the theorem's constant is implicit."""
+    r1 = [w,sigma]_p / [w,sigma]_{nu_p}^{1/p}, with tc1 =
+    testing_constant(pair, S)[0], and the dual r2.  Report only; the
+    theorem's constant is implicit."""
     ensure_admissible(spec)
-    tc1, _ = testing_constant(pair, S)
     nu1 = nu_constant(pair, spec, S)
     dual = pair.swapped()
     tc2, _ = testing_constant(dual, S)

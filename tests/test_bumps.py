@@ -18,7 +18,7 @@ from sparsebump.bumps import (AdmissibilityError, BumpSpec, ConjugateTable,
                               YoungSpec, check_young, ensure_admissible,
                               entropy_lambda_table, luxemburg_norms_level,
                               nu_lambda_table, sepcon_constant)
-from sparsebump.dyadic import DomainError
+from sparsebump.dyadic import DomainError, NumericError
 
 GRID = [1e-6, 1e-3, 0.3, 0.9, 1.0, 1.7, 4.0, 1e3, 1e6]
 
@@ -165,6 +165,38 @@ class TestYoung:
             if ref > 1e-10:
                 assert got == pytest.approx(ref, rel=2e-2)
 
+    def test_conjugate_table_matches_pointwise_search(self):
+        # the table's one search over every grid point against
+        # young_conjugate at each point on its own
+        young = YoungSpec("power_over_log", 2.0, 1.0)
+        table = ConjugateTable(young)
+        ref = np.maximum.accumulate([young_conjugate(young, float(s))
+                                     for s in np.exp(table.log_s)])
+        assert np.exp(table.log_v) == pytest.approx(ref, rel=1e-13)
+
+    def test_conjugate_table_lookup_matches_interp(self):
+        # direct segment lookup against np.interp (clamped below the grid)
+        # plus the linear log-log extension above it
+        table = ConjugateTable(YoungSpec("power_over_log", 2.0, 1.0))
+        ls, lv = table.log_s, table.log_v
+        # arguments within 4 ulps of each node put log(s) on most nodes exactly
+        near = [np.exp(ls)]
+        for toward in (np.inf, 0.0):
+            x = near[0]
+            for _ in range(4):
+                x = np.nextafter(x, toward)
+                near.append(x)
+        rng = np.random.default_rng(16)
+        s = np.concatenate([np.exp(rng.uniform(ls[0] - 10.0, ls[-1] + 10.0, 4096)), *near])
+        u = np.log(s)
+        assert np.isin(ls, u).sum() > 500
+        slope = (lv[-1] - lv[-2]) / (ls[-1] - ls[-2])
+        ref = np.exp(np.where(u > ls[-1], lv[-1] + slope * (u - ls[-1]),
+                              np.interp(u, ls, lv)))
+        assert np.any(u < ls[0]) and np.any(u > ls[-1])
+        assert table(s) == pytest.approx(ref, rel=1e-15, abs=0.0)
+        assert table(0.0) == 0.0
+
 
 class TestLuxemburg:
     def test_norm_of_one_is_one(self):
@@ -224,6 +256,81 @@ class TestLuxemburg:
             for j in range(1 << level):
                 ref = luxemburg_norm(f, CubeId(level, j), young, 5)
                 assert row[j] == pytest.approx(ref, rel=1e-10)
+
+    GAUGES = [(YoungSpec("power", 1.5, 0.0), False), (YoungSpec("power", 2.0, 0.0), False),
+              (YoungSpec("power", 3.0, 0.0), False),
+              (YoungSpec("power_over_log", 2.0, 1.0), False),
+              (YoungSpec("power_over_log", 2.0, 1.0), True)]
+
+    @staticmethod
+    def _A(young, conjugate):
+        from sparsebump.bumps import _conjugate_table
+        return _conjugate_table(young) if conjugate else young.A
+
+    @staticmethod
+    def _assert_certified(f, level, lam, A):
+        # mean A(f/lambda) crosses 1 inside [lambda(1-2e-12), lambda(1+2e-12)]
+        rows = np.asarray(f, dtype=float).reshape(1 << level, -1)
+        for factor, above in ((1.0 - 2e-12, True), (1.0 + 2e-12, False)):
+            means = np.mean(np.asarray(A(rows / (lam * factor)[:, None])), axis=1)
+            assert np.all(means >= 1.0) if above else np.all(means <= 1.0)
+
+    @pytest.mark.parametrize("young,conjugate", GAUGES)
+    def test_certificate_on_every_cube(self, young, conjugate):
+        A = self._A(young, conjugate)
+        rng = np.random.default_rng(12)
+        for depth in range(11):
+            f = np.exp(rng.normal(0.0, 1.5, 1 << depth))
+            for level in range(depth + 1):
+                lam = luxemburg_norms_level(f, level, young, depth,
+                                            A_fn=A if conjugate else None)
+                self._assert_certified(f, level, lam, A)
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_power_closed_form_at_depth_10(self, q):
+        young = YoungSpec("power", q, 0.0)
+        f = np.exp(np.random.default_rng(13).normal(0.0, 1.5, 1 << 10))
+        for level in range(11):
+            ref = np.mean(f.reshape(1 << level, -1) ** q, axis=1) ** (1.0 / q)
+            got = luxemburg_norms_level(f, level, young, 10)
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_evaluation_count(self):
+        # the bisection took about 44 evaluations of mean A per level call;
+        # without the Illinois halving some calls here take 22
+        young = YoungSpec("power_over_log", 2.0, 1.0)
+        sigma = np.exp(np.random.default_rng(14).normal(0.0, 1.5, 1 << 12))
+        counts = []
+        for p in (1.5, 2.0, 3.0):
+            for f, A in ((sigma ** (1.0 / p), young.A),
+                         (sigma ** (1.0 - 1.0 / p), self._A(young, True))):
+                def counted(x, A=A):
+                    counts[-1] += 1
+                    return A(x)
+                for level in range(13):
+                    counts.append(0)
+                    luxemburg_norms_level(f, level, young, 12, A_fn=counted)
+        assert np.mean(counts) <= 16.0 and max(counts) <= 16
+
+    def test_iteration_cap_raises(self):
+        # rel_tol = 0 can never be met: the cap raises, not a silent bracket
+        f = np.exp(np.random.default_rng(16).standard_normal(8))
+        with pytest.raises(NumericError):
+            luxemburg_norms_level(f, 0, YoungSpec("power_over_log", 2.0, 1.0), 3, rel_tol=0.0)
+
+    @pytest.mark.parametrize("young,conjugate", GAUGES)
+    def test_extreme_inputs(self, young, conjugate):
+        A = self._A(young, conjugate)
+        spike = np.full(1 << 8, 1e-12)
+        spike[[3, 77, 200]] = 1.0
+        wide = np.geomspace(1e-150, 1e150, 1 << 8)
+        np.random.default_rng(15).shuffle(wide)
+        for f in (spike, wide):
+            for level in range(9):
+                lam = luxemburg_norms_level(f, level, young, 8,
+                                            A_fn=A if conjugate else None)
+                assert np.all(np.isfinite(lam)) and np.all(lam > 0.0)
+                self._assert_certified(f, level, lam, A)
 
 
 class TestApNuConstants:

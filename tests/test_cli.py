@@ -111,6 +111,18 @@ class TestCheck:
     def test_unknown_suite_is_usage_error(self):
         assert run_cli("check", "--suite", "bogus") == 2
 
+    def test_one_testing_constant_per_pair(self, tmp_path, instance_a, monkeypatch):
+        # the pair, its dual and the four scaled pairs of the homogeneity
+        # rows, each once
+        path = tmp_path / "inst.json"
+        path.write_text(instance_a.dumps())
+        calls, real = [], testing.testing_constant
+        monkeypatch.setattr(testing, "testing_constant",
+                            lambda pair, S: calls.append(pair) or real(pair, S))
+        assert run_cli("check", "--in", str(path), "--suite", "all",
+                       "--out", str(tmp_path / "check.csv")) == 0
+        assert len(calls) == 6
+
     def test_lemma_rows_match_the_per_R_checkers(self):
         # the all-R pass behind `check` against the public checker of the
         # same name and R, for depths 2-8 and all four strategies
@@ -124,9 +136,10 @@ class TestCheck:
                 want += [testing.prop33_check(S, pair, spec, R),
                          testing.sawyer_sum_bound(pair, S, spec, R)]
             want += testing.eset_split_check(pair, S, S.sorted_cubes()[0])
-            want.append(testing.prop31_bound(pair, S, nu_lambda_table(pair, spec, S), spec))
-            want += testing.theorem_main_ratio(pair, S, spec)
-            got = _lemma_reports(pair, S, spec)
+            tc = testing.testing_constant(pair, S)[0]
+            want.append(testing.prop31_bound(pair, S, nu_lambda_table(pair, spec, S), spec, tc))
+            want += testing.theorem_main_ratio(pair, S, spec, tc)
+            got = _lemma_reports(pair, S, spec, tc)
             assert [r.name for r in got] == [r.name for r in want]
             for g, w in zip(got, want):
                 assert (g.passed, g.hard, g.bound) == (w.passed, w.hard, w.bound), g.name

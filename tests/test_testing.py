@@ -309,7 +309,7 @@ class TestCheckersAgainstOracles:
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
         lam1 = {q: max(lam[q], 1.0) for q in cubes}
-        near(prop31_bound(pair, fam, table, spec).rhs,
+        near(prop31_bound(pair, fam, table, spec, testing_constant(pair, fam)[0]).rhs,
              max(w_avg[q] ** (1.0 / p) * s_avg[q] ** (1.0 / pd) * lam1[q] ** (1.0 / p)
                  * float(oracles.mp_phi(lam1[q])) ** (1.0 / pd) for q in cubes))
         a = {q: s_avg[q] for q in cubes}
@@ -393,12 +393,13 @@ class TestTrackedConstants:
 
     def test_prop31_report(self, instance_a):
         table = nu_lambda_table(instance_a.pair, self.SPEC, instance_a.family)
-        rep = prop31_bound(instance_a.pair, instance_a.family, table, self.SPEC)
+        tc, _ = testing_constant(instance_a.pair, instance_a.family)
+        rep = prop31_bound(instance_a.pair, instance_a.family, table, self.SPEC, tc)
         assert rep.lhs > 0.0 and rep.rhs > 0.0
 
     def test_theorem_ratio_components(self, instance_a):
-        r1, r2 = theorem_main_ratio(instance_a.pair, instance_a.family, self.SPEC)
         tc, _ = testing_constant(instance_a.pair, instance_a.family)
+        r1, r2 = theorem_main_ratio(instance_a.pair, instance_a.family, self.SPEC, tc)
         from sparsebump.bumps import nu_constant
         nu = nu_constant(instance_a.pair, self.SPEC, instance_a.family)
         assert r1.ratio == pytest.approx(tc / nu ** 0.5, rel=1e-12)
