@@ -10,7 +10,7 @@ Run from the repository root:
 
 from pathlib import Path
 
-from sparsebump.search import Objective, SearchConfig, depth_sweep
+from sparsebump.search import Objective, SearchConfig, sweep_results
 
 OUT = Path(__file__).resolve().parent.parent / "results" / "theorem_sweep.csv"
 
@@ -18,9 +18,9 @@ OUT = Path(__file__).resolve().parent.parent / "results" / "theorem_sweep.csv"
 def main():
     lines = ["p,depth,best_ratio,evaluations,seconds"]
     for p in (1.5, 2.0, 3.0):
-        rows = depth_sweep(Objective("main_theorem", p=p),
-                           SearchConfig(depth=4, steps=10_000, seed=606),
-                           depths=(4, 5, 6, 7, 8))
+        rows = sweep_results(Objective("main_theorem", p=p),
+                             SearchConfig(depth=4, steps=10_000, seed=606),
+                             depths=(4, 5, 6, 7, 8))[0]
         for depth, ratio, evals, seconds in rows:
             lines.append(f"{p:g},{depth},{ratio:.17g},{evals},{seconds:.17g}")
     OUT.write_text("\n".join(lines) + "\n")

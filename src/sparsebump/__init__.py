@@ -9,14 +9,14 @@ from .bumps import (AdmissibilityError, BumpSpec, YoungSpec, ap_constant,
                     entropy_lambda, luxemburg_norm, maximal_bound_constant,
                     nu_constant, orlicz_lacey_constant, orlicz_li_constant,
                     young_conjugate)
-from .testing import (CheckReport, LeafFunction, apply_sparse,
+from .testing import (CheckReport, apply_sparse,
                       carleson_embedding_ratio, cov_sides, eset_split_check,
                       hytonen_ratio, lambda_condition_constant, lemma_reports,
                       levelset_family, local_sum, lp_norm, maximal_norm_lower,
                       operator_norm_lower, operator_norm_p2, prop31_bound, prop32_check,
                       prop33_check, sawyer_sum_bound, testing_constant, theorem_main_ratio)
-from .search import (Objective, SearchConfig, SearchResult, anneal, depth_sweep,
-                     evaluate, random_instance)
+from .search import (Objective, SearchConfig, SearchResult, anneal, evaluate,
+                     random_instance, sweep_results)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

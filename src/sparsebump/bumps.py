@@ -402,10 +402,10 @@ def luxemburg_norm(f, cube: CubeId, young: YoungSpec, depth: int,
     (1/|Q|) int_Q A(f/lambda) = 1; luxemburg_norms_level on the cube's
     leaves."""
     sub = np.asarray(f, dtype=float)[cube.leaf_slice(depth)]
-    return float(luxemburg_norms_level(sub, 0, young, depth - cube.level, A_fn, rel_tol)[0])
+    return float(luxemburg_norms_level(sub, 0, young, A_fn, rel_tol)[0])
 
 
-def luxemburg_norms_level(f, level: int, young: YoungSpec, depth: int,
+def luxemburg_norms_level(f, level: int, young: YoungSpec,
                           A_fn=None, rel_tol: float = 1e-12) -> np.ndarray:
     """Luxemburg norms of f on every cube of one level, all cubes at once.
 
@@ -471,12 +471,6 @@ def luxemburg_norms_level(f, level: int, young: YoungSpec, depth: int,
 # -- cube selection -------------------------------------------------------
 
 
-def _lambda_table(pair: WeightPair, cubes, lam: np.ndarray) -> dict:
-    """CubeId -> lambda_Q from a family vector over "all" cubes or S."""
-    ids = pair.geometry.cubes() if cubes in ("all", None) else cubes.sorted_cubes()
-    return dict(zip(ids, lam.tolist()))
-
-
 def _cube_averages(pair: WeightPair, cubes):
     """(w averages, sigma averages) over "all" cubes or a SparseFamily."""
     return _select(pair.w_avgs, cubes), _select(pair.sigma_avgs, cubes)
@@ -484,9 +478,8 @@ def _cube_averages(pair: WeightPair, cubes):
 
 def _luxemburg_norms(pair: WeightPair, f, young: YoungSpec, cubes, A_fn=None):
     """Luxemburg norms of f over the cubes of _select, level by level."""
-    depth = pair.geometry.depth
-    return _select([luxemburg_norms_level(f, level, young, depth, A_fn=A_fn)
-                    for level in range(depth + 1)], cubes)
+    return _select([luxemburg_norms_level(f, level, young, A_fn=A_fn)
+                    for level in range(pair.geometry.depth + 1)], cubes)
 
 
 # -- bump constants ---------------------------------------------------------
@@ -505,10 +498,10 @@ def nu_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:
     return float(np.max(w * s ** (pair.p - 1.0) * np.asarray(spec.nu_p(pair.p, s))))
 
 
-def nu_lambda_table(pair: WeightPair, spec: BumpSpec, cubes="all") -> dict:
-    """lambda_Q = psi(sigma_Q); the Theorem-route lambda table."""
-    _, s = _cube_averages(pair, cubes)
-    return _lambda_table(pair, cubes, np.asarray(spec.psi(s)))
+def nu_lambdas(pair: WeightPair, spec: BumpSpec, cubes="all") -> np.ndarray:
+    """lambda_Q = psi(sigma_Q), the Theorem-route lambda, as a family
+    vector in _select order."""
+    return np.asarray(spec.psi(_select(pair.sigma_avgs, cubes)))
 
 
 def _phi_clamped(spec: BumpSpec, x):
@@ -567,43 +560,37 @@ def sepcon_constant(pair: WeightPair, young: YoungSpec, cubes="all") -> float:
 # -- dyadic maximal function and entropy bumps ------------------------------
 
 
-def dyadic_maximal(sigma_leaves, cube: CubeId, geometry) -> np.ndarray:
-    """Leaf values of max over dyadic Q' with leaf in Q' subset of Q of
-    sigma_{Q'}, restricted to Q; one top-down pass."""
-    avgs = _avg_pyramid(np.asarray(sigma_leaves, dtype=float), geometry.depth)
-    # the subtree of Q as its own tree: level k holds Q's 2**k descendants
-    segs = [avgs[level][cube.index << k:(cube.index + 1) << k]
-            for k, level in enumerate(range(cube.level, geometry.depth + 1))]
-    return ancestor_accumulate(segs, np.maximum)[-1]
+def _running_max(avgs, level: int) -> np.ndarray:
+    """Leaf array: the largest of the averages avgs over a leaf's dyadic
+    ancestors at levels >= level; one top-down pass."""
+    return ancestor_accumulate(avgs[level:], np.maximum)[-1]
+
+
+def dyadic_maximal(f_leaves, depth: int, level: int = 0) -> np.ndarray:
+    """The dyadic maximal function down from level, on every cube Q of
+    that level at once: at each leaf of Q, the max over dyadic Q' with the
+    leaf in Q' subset of Q of f_{Q'}.  Level 0 is M_d f."""
+    return _running_max(_avg_pyramid(np.asarray(f_leaves, dtype=float), depth), level)
 
 
 def entropy_lambda(sigma_leaves, cube: CubeId, geometry) -> float:
     """int_Q M(sigma chi_Q) / sigma(Q); always >= 1."""
-    m = dyadic_maximal(sigma_leaves, cube, geometry)
-    depth = geometry.depth
-    integral = float(np.sum(m)) * 2.0 ** (-depth)
+    if not geometry.contains(cube):
+        raise DomainError(f"cube {cube} outside the tree")
     s = np.asarray(sigma_leaves, dtype=float)
-    mass = float(np.sum(s[cube.leaf_slice(depth)])) * 2.0 ** (-depth)
-    return integral / mass
+    leaves = cube.leaf_slice(geometry.depth)
+    # the leaf measure 2**-depth cancels from int_Q M and sigma(Q)
+    return float(np.sum(dyadic_maximal(s, geometry.depth, cube.level)[leaves])
+                 / np.sum(s[leaves]))
 
 
-def _entropy_lambdas(sigma_leaves, depth: int) -> list[np.ndarray]:
-    """entropy_lambda of every cube, per level: one running-max pass down
-    from each starting level, all of that level's cubes at once."""
-    s = np.asarray(sigma_leaves, dtype=float)
-    avgs = _avg_pyramid(s, depth)
-    out = []
-    for level in range(depth + 1):
-        running = ancestor_accumulate(avgs[level:], np.maximum)[-1]
-        # the leaf measure 2**-depth cancels from int_Q M and sigma(Q)
-        out.append(running.reshape(1 << level, -1).sum(axis=1)
-                   / s.reshape(1 << level, -1).sum(axis=1))
-    return out
-
-
-def entropy_lambda_table(pair: WeightPair, cubes="all") -> dict:
-    lam = _select(_entropy_lambdas(pair.sigma_leaves, pair.geometry.depth), cubes)
-    return _lambda_table(pair, cubes, lam)
+def entropy_lambdas(pair: WeightPair, cubes="all") -> np.ndarray:
+    """entropy_lambda of every cube as a family vector in _select order:
+    one running-max pass down from each level, all of its cubes at once."""
+    s = pair.sigma_leaves
+    return _select([_running_max(pair.sigma_avgs, level).reshape(1 << level, -1).sum(axis=1)
+                    / s.reshape(1 << level, -1).sum(axis=1)
+                    for level in range(pair.geometry.depth + 1)], cubes)
 
 
 def entropy_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:
@@ -611,7 +598,7 @@ def entropy_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:
     with the entropy lambda."""
     ensure_admissible(spec)
     w, s = _cube_averages(pair, cubes)
-    lam = _select(_entropy_lambdas(pair.sigma_leaves, pair.geometry.depth), cubes)
+    lam = entropy_lambdas(pair, cubes)
     p = pair.p
     terms = w ** (1.0 / p) * s ** (1.0 / pair.p_dual) * lam ** (1.0 / p) \
         * np.asarray(_phi_clamped(spec, lam))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bumps, dyadic, search as search_mod, testing as testing_mod
 from .bumps import AdmissibilityError, BumpSpec, YoungSpec
-from .dyadic import DomainError, Instance, TreeGeometry, WeightPair
+from .dyadic import DomainError, Instance, WeightPair
 
 EXIT_OK, EXIT_ASSERT, EXIT_USAGE = 0, 1, 2
 
@@ -84,17 +84,11 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _read_instance(path) -> Instance:
-    with open(path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    return dyadic.instance_from_dict(json.loads("".join(lines)))
-
-
 # -- constants --------------------------------------------------------------
 
 
 def cmd_constants(args) -> int:
-    inst = _read_instance(args.infile)
+    inst = dyadic.load_instance(args.infile)
     spec = _load_bump_spec(args.bumps)
     young = _load_young(args.young)
     pair, S = inst.pair, inst.family
@@ -157,8 +151,7 @@ def _scaling_reports(pair, S, base_tc) -> list:
 def _lemma_reports(pair, S, spec, tc) -> list:
     reports = testing_mod.lemma_reports(S, pair, testing_mod.realized_levels(S, pair), spec)
     reports += testing_mod.eset_split_check(pair, S, S.sorted_cubes()[0])
-    reports.append(testing_mod.prop31_bound(pair, S, bumps.nu_lambda_table(pair, spec, S),
-                                            spec, tc))
+    reports.append(testing_mod.prop31_bound(pair, S, bumps.nu_lambdas(pair, spec, S), spec, tc))
     return reports + list(testing_mod.theorem_main_ratio(pair, S, spec, tc))
 
 
@@ -186,12 +179,11 @@ def _check_one(inst: Instance, spec, suite: str) -> list:
 def _random_corpus(trials: int, seed: int):
     """Seeded mixture over depths, strategies, eta, p, distributions."""
     rng = np.random.default_rng(np.uint64(seed))
-    strategies = ["tower", "random_greedy", "all_above_level", "stopping_time"]
     for i in range(trials):
         depth = int(rng.integers(2, 9))
         eta = float(rng.choice([0.25, 0.5]))
         p = float(rng.choice([1.5, 2.0, 3.0]))
-        strategy = strategies[i % len(strategies)]
+        strategy = dyadic.STRATEGIES[i % len(dyadic.STRATEGIES)]
         dist = ["lognormal", "spike", "mixed"][i % 3]
         params = (0.0, 1.5) if dist == "lognormal" else (1.0, 0.25) if dist == "spike" else ()
         cfg = search_mod.SearchConfig(depth=depth, eta=eta, strategy=strategy,
@@ -210,7 +202,7 @@ def cmd_check(args) -> int:
     rows = []
     failed_seeds = []
     if args.infile:
-        instances = [(None, _read_instance(args.infile))]
+        instances = [(None, dyadic.load_instance(args.infile))]
     else:
         instances = _random_corpus(args.trials, args.seed)
     for inst_seed, inst in instances:
@@ -314,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate an instance JSON file")
     g.add_argument("--depth", type=int, required=True)
-    g.add_argument("--strategy", default="tower", choices=[
-        "tower", "random_greedy", "all_above_level", "stopping_time"])
+    g.add_argument("--strategy", default="tower", choices=dyadic.STRATEGIES)
     g.add_argument("--eta", type=float, default=0.5)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--dist", default="lognormal",

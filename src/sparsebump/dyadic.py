@@ -118,7 +118,9 @@ class WeightPair:
 
     Immutable by convention: no method mutates the arrays after
     construction, and the mass and average pyramids are precomputed
-    eagerly.
+    eagerly.  Per-cube values are read off the pyramids: w_masses[l][j]
+    is w of cube (l, j), sigma_avgs[l][j] its sigma average; a cube from
+    outside must be checked against the geometry before it indexes them.
     """
 
     def __init__(self, geometry: TreeGeometry, w_leaves, sigma_leaves, p: float):
@@ -149,32 +151,6 @@ class WeightPair:
     def swapped(self) -> "WeightPair":
         """The dual pair (sigma, w) with the conjugate exponent."""
         return WeightPair(self.geometry, self.sigma_leaves, self.w_leaves, self.p_dual)
-
-    # -- per-cube quantities ------------------------------------------------
-
-    def _check(self, cube: CubeId):
-        if not self.geometry.contains(cube):
-            raise DomainError(f"cube {cube} outside depth-{self.geometry.depth} tree")
-
-    def w_mass(self, cube: CubeId) -> float:
-        self._check(cube)
-        return float(self.w_masses[cube.level][cube.index])
-
-    def sigma_mass(self, cube: CubeId) -> float:
-        self._check(cube)
-        return float(self.sigma_masses[cube.level][cube.index])
-
-    def w_avg(self, cube: CubeId) -> float:
-        return self.w_mass(cube) * 2.0 ** cube.level
-
-    def sigma_avg(self, cube: CubeId) -> float:
-        return self.sigma_mass(cube) * 2.0 ** cube.level
-
-    def w_avg_level(self, level: int) -> np.ndarray:
-        return self.w_avgs[level]
-
-    def sigma_avg_level(self, level: int) -> np.ndarray:
-        return self.sigma_avgs[level]
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,11 +220,11 @@ def packing_constant(cubes, geometry: TreeGeometry) -> float:
     return SparseFamily.build(cubes, 1.0, geometry).packing
 
 
-def verify_sparse(family: SparseFamily, eta: float, geometry: TreeGeometry) -> bool:
+def verify_sparse(family: SparseFamily, eta: float) -> bool:
     """Operative definition of eta-sparseness: packing <= 1/eta."""
     if not (0.0 < eta <= 1.0):
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
-    return packing_constant(family.cubes, geometry) <= 1.0 / eta + 1e-12
+    return family.packing <= 1.0 / eta + 1e-12
 
 
 STRATEGIES = ("tower", "random_greedy", "all_above_level", "stopping_time")
@@ -383,5 +359,7 @@ def instance_from_dict(data: dict) -> Instance:
 
 
 def load_instance(path: str) -> Instance:
+    """The instance in a JSON file; lines starting with "#" (a config
+    header) are skipped."""
     with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+        return instance_from_dict(json.loads("".join(ln for ln in fh if not ln.startswith("#"))))

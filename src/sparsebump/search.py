@@ -232,12 +232,6 @@ def sweep_results(objective: Objective, config: SearchConfig, depths,
     return rows, results
 
 
-def depth_sweep(objective: Objective, config: SearchConfig, depths,
-                timing: bool = False):
-    """The rows of sweep_results."""
-    return sweep_results(objective, config, depths, timing)[0]
-
-
 def sweep_csv(rows) -> str:
     lines = ["depth,best_ratio,evaluations,seconds"]
     for depth, ratio, evals, seconds in rows:

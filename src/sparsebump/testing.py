@@ -20,20 +20,8 @@ import numpy as np
 from .dyadic import (CubeId, DomainError, NumericError, SparseFamily,
                      TreeGeometry, WeightPair, _avg_pyramid, _mass_pyramid, _select,
                      ancestor_accumulate, subtree_sums)
-from .bumps import (BumpSpec, _cube_averages, ap_constant, ensure_admissible,
-                    nu_constant)
-
-
-@dataclass(frozen=True)
-class LeafFunction:
-    geometry: TreeGeometry
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.geometry.n_leaves,):
-            raise DomainError("leaf vector length must match the geometry")
-        object.__setattr__(self, "values", v)
+from .bumps import (BumpSpec, _cube_averages, ap_constant, dyadic_maximal,
+                    ensure_admissible, nu_constant)
 
 
 @dataclass
@@ -65,9 +53,9 @@ CHECK_CSV_HEADER = "name,lhs,rhs,bound,ratio,pass"
 # -- sums, norms, operators -------------------------------------------------
 
 
-def local_sum(S: SparseFamily, pair: WeightPair, R: CubeId) -> LeafFunction:
-    """The step function sum over Q in S with Q subset of R of
-    sigma_Q * chi_Q."""
+def local_sum(S: SparseFamily, pair: WeightPair, R: CubeId) -> np.ndarray:
+    """The leaf array of the step function sum over Q in S with Q subset
+    of R of sigma_Q * chi_Q."""
     geometry = pair.geometry
     if not geometry.contains(R):
         raise DomainError(f"cube {R} outside the tree")
@@ -79,16 +67,18 @@ def local_sum(S: SparseFamily, pair: WeightPair, R: CubeId) -> LeafFunction:
                               pair.sigma_masses[level][sl] * 2.0 ** level, 0.0))
     out = np.zeros(geometry.n_leaves)
     out[R.leaf_slice(geometry.depth)] = ancestor_accumulate(terms)[-1]
-    return LeafFunction(geometry, out)
+    return out
 
 
-def lp_norm(f: LeafFunction, weight_leaves, p: float) -> float:
-    """(sum over leaves of |f|^p * w * 2^-L)^(1/p)."""
+def lp_norm(f, weight_leaves, p: float) -> float:
+    """(sum over leaves of |f|^p * w * 2^-L)^(1/p) for leaf arrays f and w
+    of length 2^L."""
     if not 1.0 < p < math.inf:
         raise DomainError(f"p must lie in (1, inf), got {p}")
-    w = np.asarray(weight_leaves, dtype=float)
-    depth = f.geometry.depth
-    return float(np.sum(np.abs(f.values) ** p * w) * 2.0 ** (-depth)) ** (1.0 / p)
+    f, w = np.asarray(f, dtype=float), np.asarray(weight_leaves, dtype=float)
+    if f.ndim != 1 or f.shape != w.shape:
+        raise DomainError("leaf vector length must match the weight")
+    return float(np.sum(np.abs(f) ** p * w) / f.size) ** (1.0 / p)
 
 
 def testing_constant(pair: WeightPair, S: SparseFamily):
@@ -105,7 +95,7 @@ def testing_constant(pair: WeightPair, S: SparseFamily):
         if not mask.any():
             continue
         width = 1 << (depth - level)
-        g += np.repeat(np.where(mask, pair.sigma_avg_level(level), 0.0), width)
+        g += np.repeat(np.where(mask, pair.sigma_avgs[level], 0.0), width)
         idx = np.flatnonzero(mask)
         rows = g.reshape(-1, width)[idx] ** p * pair.w_leaves.reshape(-1, width)[idx]
         num = (rows.sum(axis=1) * 2.0 ** (-depth)) ** (1.0 / p)
@@ -116,15 +106,11 @@ def testing_constant(pair: WeightPair, S: SparseFamily):
     return best, best_R
 
 
-def _sum_of_means(S: SparseFamily, values: np.ndarray) -> np.ndarray:
-    """Leaf vector of the sum over Q in S of mean_Q(values) * chi_Q."""
-    avgs = _avg_pyramid(values, len(S.masks) - 1)
+def apply_sparse(S: SparseFamily, values) -> np.ndarray:
+    """A_S f = sum over Q in S of f_Q * chi_Q, leaf array in, leaf array
+    out."""
+    avgs = _avg_pyramid(np.asarray(values, dtype=float), len(S.masks) - 1)
     return ancestor_accumulate([np.where(m, a, 0.0) for m, a in zip(S.masks, avgs)])[-1]
-
-
-def apply_sparse(S: SparseFamily, f: LeafFunction) -> LeafFunction:
-    """A_S f = sum over Q in S of f_Q * chi_Q."""
-    return LeafFunction(f.geometry, _sum_of_means(S, f.values))
 
 
 class _SparseOperatorP2:
@@ -139,10 +125,10 @@ class _SparseOperatorP2:
         self.n = pair.geometry.n_leaves
 
     def B(self, h: np.ndarray) -> np.ndarray:
-        return self.sw * _sum_of_means(self.S, self.ss * h)
+        return self.sw * apply_sparse(self.S, self.ss * h)
 
     def Bt(self, g: np.ndarray) -> np.ndarray:
-        return self.ss * _sum_of_means(self.S, self.sw * g)
+        return self.ss * apply_sparse(self.S, self.sw * g)
 
     def dense(self) -> np.ndarray:
         cols = []
@@ -218,7 +204,7 @@ def operator_norm_lower(S: SparseFamily, pair: WeightPair, budget: int,
     """Lower bound for ||A_S(. sigma)||_{L^p(sigma) -> L^p(w)} from trial
     functions: indicators of every R in S, seeded random nonnegative leaf
     vectors, and a dual-normalization fixed-point iteration."""
-    apply = functools.partial(_sum_of_means, S)
+    apply = functools.partial(apply_sparse, S)
     best, best_f = _best_trial(pair, apply, S.sorted_cubes(), budget, seed)
     p = pair.p
     # fixed point: f proportional to (A_S^*(w |A_S(f sigma)|^{p-1}) / sigma)^{1/(p-1)}
@@ -264,7 +250,7 @@ def cov_sides(S: SparseFamily, a, w_leaves, p: float,
     for ||sum over Q in S of a_Q chi_Q||_{L^p(w)}; a holds per-level arrays."""
     w = np.asarray(w_leaves, dtype=float)
     a = [np.where(m, al, 0.0) for m, al in zip(S.masks, a)]
-    lhs = lp_norm(LeafFunction(geometry, ancestor_accumulate(a)[-1]), w, p)
+    lhs = lp_norm(ancestor_accumulate(a)[-1], w, p)
     a, wmass = _select(a, S), _select(_mass_pyramid(w, geometry.depth), S)
     if np.any(wmass <= 0.0):
         raise DomainError("w(Q) must be positive for every family cube")
@@ -310,8 +296,7 @@ def _in_level(s, k):
 
 def levelset_family(S: SparseFamily, pair: WeightPair, k: int) -> set:
     """{Q in S : 2^k < sigma_Q <= 2^{k+1}} (strict lower, weak upper)."""
-    masks = [m & _in_level(pair.sigma_avg_level(level), k)
-             for level, m in enumerate(S.masks)]
+    masks = [m & _in_level(s, k) for m, s in zip(S.masks, pair.sigma_avgs)]
     return set(SparseFamily(masks, S.eta).cubes)
 
 
@@ -340,7 +325,9 @@ def lemma_reports(S: SparseFamily, pair: WeightPair, ks, spec: BumpSpec | None =
         terms.append(np.column_stack([masses / psi, _sawyer_terms(S, pair)]))
     rows = np.atleast_2d(_sums_inside(S, np.hstack(terms), R)).tolist()
     reports = []
-    for row, sigma in zip(rows, masses.tolist() if R is None else [pair.sigma_mass(R)]):
+    # _sums_inside has checked R against the tree
+    for row, sigma in zip(rows, masses.tolist() if R is None
+                          else [float(pair.sigma_masses[R.level][R.index])]):
         reports += [CheckReport.make(f"prop32_k{k}", lhs, sigma, bound=2.0 * S.packing,
                                      hard=True) for k, lhs in zip(ks, row)]
         if spec is not None:
@@ -371,27 +358,30 @@ def sawyer_sum_bound(pair: WeightPair, S: SparseFamily, spec: BumpSpec,
     return lemma_reports(S, pair, [], spec, R)[1]
 
 
-def lambda_condition_constant(S: SparseFamily, pair: WeightPair,
-                              lambda_table: dict, R: CubeId) -> float:
+def lambda_condition_constant(S: SparseFamily, pair: WeightPair, lam,
+                              R: CubeId) -> float:
     """Smallest C with sum over Q subset R of lambda_Q^{-1} sigma(Q)
-    <= C * sigma(R), for the given R.  Every lambda_Q over S must be >= 1."""
-    cubes = S.sorted_cubes()
-    lam = np.array([lambda_table[q] for q in cubes], dtype=float)
+    <= C * sigma(R), for the given R; lam is a family vector of S, and
+    every lambda_Q must be >= 1."""
+    lam = np.asarray(lam, dtype=float)
     bad = np.flatnonzero(lam < 1.0 - 1e-12)
     if bad.size:
-        raise DomainError(f"lambda_Q must be >= 1, got {lam[bad[0]]} at {cubes[bad[0]]}")
-    return float(_sums_inside(S, _select(pair.sigma_masses, S) / lam, R)) / pair.sigma_mass(R)
+        raise DomainError(f"lambda_Q must be >= 1, got {lam[bad[0]]} "
+                          f"at {S.sorted_cubes()[bad[0]]}")
+    # _sums_inside checks R against the tree before R indexes the masses
+    inside = float(_sums_inside(S, _select(pair.sigma_masses, S) / lam, R))
+    return inside / float(pair.sigma_masses[R.level][R.index])
 
 
-def prop31_bound(pair: WeightPair, S: SparseFamily, lambda_table: dict,
-                 spec: BumpSpec, tc: float, cap: float = 64.0) -> CheckReport:
+def prop31_bound(pair: WeightPair, S: SparseFamily, lam, spec: BumpSpec, tc: float,
+                 cap: float = 64.0) -> CheckReport:
     """The testing constant tc = testing_constant(pair, S)[0] against the
-    lambda-bump sup; the proof constant is implicit, so the pass flag
-    compares against a configurable cap."""
+    lambda-bump sup, lam a family vector of S; the proof constant is
+    implicit, so the pass flag compares against a configurable cap."""
     ensure_admissible(spec)
     p, pd = pair.p, pair.p_dual
     w, s = _cube_averages(pair, S)
-    lam = np.maximum([lambda_table[q] for q in S.sorted_cubes()], 1.0)
+    lam = np.maximum(lam, 1.0)
     terms = (w ** (1.0 / p) * s ** (1.0 / pd) * lam ** (1.0 / p)
              * spec.phi(lam) ** (1.0 / pd))
     return CheckReport.make("prop31", tc, float(terms.max()), bound=cap)
@@ -403,8 +393,8 @@ def eset_split_check(pair: WeightPair, S: SparseFamily, R: CubeId):
     Returns (split report, hard membership report)."""
     p = pair.p
     E = SparseFamily(
-        [m & (pair.w_avg_level(level) * pair.sigma_avg_level(level) ** (p - 1.0) >= 1.0)
-         for level, m in enumerate(S.masks)], S.eta)
+        [m & (w * s ** (p - 1.0) >= 1.0)
+         for m, w, s in zip(S.masks, pair.w_avgs, pair.sigma_avgs)], S.eta)
     lhs = lp_norm(local_sum(E, pair, R), pair.w_leaves, p) ** p
     sawyer = float(_sums_inside(S, _sawyer_terms(S, pair), R))
     split = CheckReport.make("eset_split", lhs,
@@ -431,16 +421,10 @@ def theorem_main_ratio(pair: WeightPair, S: SparseFamily, spec: BumpSpec, tc1: f
     return r1, r2
 
 
-def dyadic_maximal_full(f_leaves, geometry: TreeGeometry) -> np.ndarray:
-    """M_d g per leaf: max over all dyadic ancestors of the average of g."""
-    avgs = _avg_pyramid(np.asarray(f_leaves, dtype=float), geometry.depth)
-    return ancestor_accumulate(avgs, np.maximum)[-1]
-
-
 def maximal_norm_lower(pair: WeightPair, budget: int, seed: int = 0) -> float:
     """Trial-based lower bound for the dyadic maximal operator norm
     ||M_d(. sigma)||_{L^p(sigma) -> L^p(w)}: indicators of every cube and
     seeded random nonnegative leaf vectors."""
     geometry = pair.geometry
-    return _best_trial(pair, lambda g: dyadic_maximal_full(g, geometry), geometry.cubes(),
+    return _best_trial(pair, lambda g: dyadic_maximal(g, geometry.depth), geometry.cubes(),
                        budget, seed)[0]

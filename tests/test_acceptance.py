@@ -18,9 +18,9 @@ from conftest import cli_env, level_arrays, make_instance, random_corpus
 from sparsebump import (CubeId, TreeGeometry, WeightPair,
                         carleson_embedding_ratio, testing_constant)
 from sparsebump.bumps import (BumpSpec, YoungSpec, ap_constant, check_bump,
-                              entropy_lambda, entropy_lambda_table,
-                              nu_lambda_table, orlicz_li_constant)
-from sparsebump.search import Objective, SearchConfig, depth_sweep
+                              entropy_lambda, entropy_lambdas, nu_lambdas,
+                              orlicz_li_constant)
+from sparsebump.search import Objective, SearchConfig, sweep_results
 from sparsebump.testing import (cov_bracket_report, cov_sides, hytonen_ratio,
                                 operator_norm_lower, operator_norm_p2,
                                 prop32_check, prop33_check, realized_levels,
@@ -136,12 +136,12 @@ def test_criterion_4_homogeneity_laws(capsys):
         _, li1 = orlicz_li_constant(pair, young, spec, fam)
         _, li2 = orlicz_li_constant(scaled, young, spec, fam)
         ok &= bool(np.all(np.abs(li2 - li1) <= 1e-10 * np.abs(li1)))
-        e1 = entropy_lambda_table(pair, fam)
-        e2 = entropy_lambda_table(scaled, fam)
-        ok &= all(abs(e2[q] - e1[q]) <= 1e-10 * abs(e1[q]) for q in e1)
-        n1 = nu_lambda_table(pair, spec, fam)
-        n2 = nu_lambda_table(scaled, spec, fam)
-        ok &= any(abs(n2[q] - n1[q]) > 1e-6 for q in n1)
+        e1 = entropy_lambdas(pair, fam)
+        e2 = entropy_lambdas(scaled, fam)
+        ok &= bool(np.all(np.abs(e2 - e1) <= 1e-10 * np.abs(e1)))
+        n1 = nu_lambdas(pair, spec, fam)
+        n2 = nu_lambdas(scaled, spec, fam)
+        ok &= bool(np.any(np.abs(n2 - n1) > 1e-6))
     announce(capsys, 4, ok, "exact scaling laws at 1e-10, "
              "nu-bump lambda table verified non-invariant")
 
@@ -181,7 +181,7 @@ def test_criterion_6_depth_sweep_boundedness(tmp_path, capsys):
     for p in (1.5, 2.0, 3.0):
         obj = Objective("main_theorem", p=p)
         cfg = SearchConfig(depth=4, steps=10_000, seed=606)
-        rows = depth_sweep(obj, cfg, depths=(4, 5, 6, 7, 8))
+        rows = sweep_results(obj, cfg, depths=(4, 5, 6, 7, 8))[0]
         for depth, ratio, evals, seconds in rows:
             assert evals >= 10_000
             lines.append(f"{p:g},{depth},{ratio:.17g},{evals},{seconds:.17g}")

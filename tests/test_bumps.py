@@ -16,8 +16,8 @@ from sparsebump import (CubeId, TreeGeometry, WeightPair, ap_constant,
                         young_conjugate)
 from sparsebump.bumps import (AdmissibilityError, BumpSpec, ConjugateTable,
                               YoungSpec, check_young, ensure_admissible,
-                              entropy_lambda_table, luxemburg_norms_level,
-                              nu_lambda_table, sepcon_constant)
+                              entropy_lambdas, luxemburg_norms_level,
+                              nu_lambdas, sepcon_constant)
 from sparsebump.dyadic import DomainError, NumericError
 
 GRID = [1e-6, 1e-3, 0.3, 0.9, 1.0, 1.7, 4.0, 1e3, 1e6]
@@ -252,7 +252,7 @@ class TestLuxemburg:
         rng = np.random.default_rng(9)
         f = np.exp(rng.standard_normal(32))
         for level in range(6):
-            row = luxemburg_norms_level(f, level, young, 5)
+            row = luxemburg_norms_level(f, level, young)
             for j in range(1 << level):
                 ref = luxemburg_norm(f, CubeId(level, j), young, 5)
                 assert row[j] == pytest.approx(ref, rel=1e-10)
@@ -282,7 +282,7 @@ class TestLuxemburg:
         for depth in range(11):
             f = np.exp(rng.normal(0.0, 1.5, 1 << depth))
             for level in range(depth + 1):
-                lam = luxemburg_norms_level(f, level, young, depth,
+                lam = luxemburg_norms_level(f, level, young,
                                             A_fn=A if conjugate else None)
                 self._assert_certified(f, level, lam, A)
 
@@ -292,7 +292,7 @@ class TestLuxemburg:
         f = np.exp(np.random.default_rng(13).normal(0.0, 1.5, 1 << 10))
         for level in range(11):
             ref = np.mean(f.reshape(1 << level, -1) ** q, axis=1) ** (1.0 / q)
-            got = luxemburg_norms_level(f, level, young, 10)
+            got = luxemburg_norms_level(f, level, young)
             assert got == pytest.approx(ref, rel=1e-12)
 
     def test_evaluation_count(self):
@@ -309,14 +309,14 @@ class TestLuxemburg:
                     return A(x)
                 for level in range(13):
                     counts.append(0)
-                    luxemburg_norms_level(f, level, young, 12, A_fn=counted)
+                    luxemburg_norms_level(f, level, young, A_fn=counted)
         assert np.mean(counts) <= 16.0 and max(counts) <= 16
 
     def test_iteration_cap_raises(self):
         # rel_tol = 0 can never be met: the cap raises, not a silent bracket
         f = np.exp(np.random.default_rng(16).standard_normal(8))
         with pytest.raises(NumericError):
-            luxemburg_norms_level(f, 0, YoungSpec("power_over_log", 2.0, 1.0), 3, rel_tol=0.0)
+            luxemburg_norms_level(f, 0, YoungSpec("power_over_log", 2.0, 1.0), rel_tol=0.0)
 
     @pytest.mark.parametrize("young,conjugate", GAUGES)
     def test_extreme_inputs(self, young, conjugate):
@@ -327,7 +327,7 @@ class TestLuxemburg:
         np.random.default_rng(15).shuffle(wide)
         for f in (spike, wide):
             for level in range(9):
-                lam = luxemburg_norms_level(f, level, young, 8,
+                lam = luxemburg_norms_level(f, level, young,
                                             A_fn=A if conjugate else None)
                 assert np.all(np.isfinite(lam)) and np.all(lam > 0.0)
                 self._assert_certified(f, level, lam, A)
@@ -359,7 +359,7 @@ class TestApNuConstants:
     def test_nu_dominates_ap_times_min_bump(self, instance_a):
         spec = BumpSpec()
         pair = instance_a.pair
-        mins = min(float(spec.nu_p(2.0, pair.sigma_avg(CubeId(l, j))))
+        mins = min(float(spec.nu_p(2.0, pair.sigma_avgs[l][j]))
                    for l, j in oracles.all_cubes(2))
         assert nu_constant(pair, spec, "all") >= ap_constant(pair, "all") * mins - 1e-12
 
@@ -379,7 +379,7 @@ class TestMaximalAndEntropy:
         sigma = np.exp(rng.standard_normal(16))
         for cube in g.cubes():
             ref = oracles.brute_dyadic_maximal(sigma, cube.level, cube.index, 4)
-            got = dyadic_maximal(sigma, cube, g)
+            got = dyadic_maximal(sigma, 4, cube.level)[cube.leaf_slice(4)]
             assert np.allclose(got, ref, rtol=1e-12)
 
     def test_instance_a_entropy_lambda_root(self, instance_a):
@@ -389,7 +389,7 @@ class TestMaximalAndEntropy:
 
     def test_entropy_lambda_at_least_one(self):
         for inst in random_corpus(60, seed=13, depths=(2, 3, 4, 5)):
-            for lam in entropy_lambda_table(inst.pair, "all").values():
+            for lam in entropy_lambdas(inst.pair, "all"):
                 assert lam >= 1.0 - 1e-12
 
     def test_entropy_lambda_table_matches_per_cube(self):
@@ -398,8 +398,23 @@ class TestMaximalAndEntropy:
         pairs = [inst.pair for inst in random_corpus(10, seed=17, depths=(0, 2, 3, 5))]
         pairs.append(WeightPair(TreeGeometry(5), np.ones(32), spike, 2.0))
         for pair in pairs:
-            for cube, lam in entropy_lambda_table(pair, "all").items():
+            for cube, lam in zip(pair.geometry.cubes(), entropy_lambdas(pair, "all")):
                 ref = entropy_lambda(pair.sigma_leaves, cube, pair.geometry)
+                assert lam == pytest.approx(ref, rel=1e-13)
+
+    def test_entropy_lambdas_match_brute_force(self):
+        # int_Q M(sigma chi_Q) / sigma(Q) from the brute-force maximal
+        # function and leaf sums, on every cube at depths 0-5
+        spike = np.full(32, 1e-12)
+        spike[3:7] = 8.0
+        pairs = [inst.pair for inst in random_corpus(12, seed=29, depths=(0, 1, 2, 3, 4, 5))]
+        pairs.append(WeightPair(TreeGeometry(5), np.ones(32), spike, 2.0))
+        for pair in pairs:
+            depth, sigma = pair.geometry.depth, list(pair.sigma_leaves)
+            for cube, lam in zip(pair.geometry.cubes(), entropy_lambdas(pair, "all")):
+                m = oracles.brute_dyadic_maximal(sigma, cube.level, cube.index, depth)
+                ref = math.fsum(m) * 2.0 ** -depth \
+                    / oracles.brute_mass(sigma, cube.level, cube.index, depth)
                 assert lam == pytest.approx(ref, rel=1e-13)
 
     def test_entropy_lambda_scale_invariant(self):
@@ -410,6 +425,12 @@ class TestMaximalAndEntropy:
             a = entropy_lambda(sigma, cube, g)
             b = entropy_lambda(100.0 * sigma, cube, g)
             assert a == pytest.approx(b, rel=1e-14)
+
+    def test_entropy_lambda_rejects_cube_outside_tree(self):
+        g = TreeGeometry(4)
+        for cube in (CubeId(1, 5), CubeId(5, 0)):
+            with pytest.raises(DomainError):
+                entropy_lambda(np.ones(16), cube, g)
 
     def test_entropy_flat_pair(self):
         inst = make_instance(3, np.ones(8), np.ones(8), 2.0)
@@ -425,8 +446,8 @@ class TestMaximalAndEntropy:
             p = pair.p
             for l, j in oracles.all_cubes(pair.geometry.depth):
                 c = CubeId(l, j)
-                lower = pair.w_avg(c) ** (1.0 / p) \
-                    * pair.sigma_avg(c) ** (1.0 - 1.0 / p) * spec.phi(1.0)
+                lower = pair.w_avgs[l][j] ** (1.0 / p) \
+                    * pair.sigma_avgs[l][j] ** (1.0 - 1.0 / p) * spec.phi(1.0)
                 assert val >= lower - 1e-9
 
     def test_maximal_bound_instance_a(self, instance_a):
@@ -496,10 +517,9 @@ class TestOrliczConstants:
             froot = pair.sigma_leaves ** (1.0 / p)
             fdual = pair.sigma_leaves ** (1.0 - 1.0 / p)
             for level in (0, depth // 2):
-                na = luxemburg_norms_level(froot, level, self.YOUNG, depth)
-                nb = luxemburg_norms_level(fdual, level, self.YOUNG, depth,
-                                           A_fn=abar)
-                s = pair.sigma_avg_level(level)
+                na = luxemburg_norms_level(froot, level, self.YOUNG)
+                nb = luxemburg_norms_level(fdual, level, self.YOUNG, A_fn=abar)
+                s = pair.sigma_avgs[level]
                 assert np.all(s <= 2.0 * na * nb * (1.0 + 1e-9))
                 count += len(s)
         assert count >= 1000
@@ -516,11 +536,11 @@ class TestOrliczConstants:
     def test_nu_lambda_table_not_scale_invariant(self, instance_a):
         spec = BumpSpec()
         pair = instance_a.pair
-        t1 = nu_lambda_table(pair, spec, "all")
+        t1 = nu_lambdas(pair, spec, "all")
         scaled = WeightPair(pair.geometry, pair.w_leaves,
                             100.0 * pair.sigma_leaves, 2.0)
-        t2 = nu_lambda_table(scaled, spec, "all")
-        assert any(abs(t1[c] - t2[c]) > 1e-6 for c in t1)
+        t2 = nu_lambdas(scaled, spec, "all")
+        assert any(abs(a - b) > 1e-6 for a, b in zip(t1, t2))
 
     def test_sepcon_flat_pair(self):
         inst = make_instance(3, np.ones(8), np.ones(8), 2.0)
@@ -540,14 +560,14 @@ class TestOrliczConstants:
         for inst in random_corpus(8, seed=31, depths=(2, 3, 4, 5), ps=(2.0, 3.0)):
             pair, S = inst.pair, inst.family
             p, pd, depth = pair.p, pair.p_dual, pair.geometry.depth
-            lux = [luxemburg_norms_level(pair.sigma_leaves ** (1.0 / p), l,
-                                         self.YOUNG, depth) for l in range(depth + 1)]
+            lux = [luxemburg_norms_level(pair.sigma_leaves ** (1.0 / p), l, self.YOUNG)
+                   for l in range(depth + 1)]
             lux_bar = [luxemburg_norms_level(pair.sigma_leaves ** (1.0 / pd), l, self.YOUNG,
-                                             depth, A_fn=abar) for l in range(depth + 1)]
+                                             A_fn=abar) for l in range(depth + 1)]
             phi = lambda lam: float(spec.phi(max(lam, 1.0))) ** (1.0 / pd)
             li, lacey, sep = [], [], []
             for c in S.cubes:
-                w, s = pair.w_avg(c), pair.sigma_avg(c)
+                w, s = pair.w_avgs[c.level][c.index], pair.sigma_avgs[c.level][c.index]
                 n, nb = lux[c.level][c.index], lux_bar[c.level][c.index]
                 li.append(w ** (1.0 / p) * (s / n) * phi(s / n ** p))
                 lacey.append(w ** (1.0 / p) * nb * phi(nb ** p / s ** (p - 1.0)))

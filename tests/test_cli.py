@@ -1,14 +1,17 @@
 """Command-line interface: artifacts, headers, exit codes, determinism."""
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import cli_env, random_corpus
 from sparsebump import testing
-from sparsebump.bumps import BumpSpec, nu_lambda_table
+from sparsebump.bumps import BumpSpec, nu_lambdas
 from sparsebump.cli import _lemma_reports, main
 from sparsebump.dyadic import instance_from_dict
 
@@ -137,7 +140,7 @@ class TestCheck:
                          testing.sawyer_sum_bound(pair, S, spec, R)]
             want += testing.eset_split_check(pair, S, S.sorted_cubes()[0])
             tc = testing.testing_constant(pair, S)[0]
-            want.append(testing.prop31_bound(pair, S, nu_lambda_table(pair, spec, S), spec, tc))
+            want.append(testing.prop31_bound(pair, S, nu_lambdas(pair, spec, S), spec, tc))
             want += testing.theorem_main_ratio(pair, S, spec, tc)
             got = _lemma_reports(pair, S, spec, tc)
             assert [r.name for r in got] == [r.name for r in want]
@@ -261,3 +264,22 @@ class TestDeterminism:
                 assert proc.returncode == 0
             outputs.append([read(d / n) for n in ("g.json", "c.csv", "s.csv")])
         assert outputs[0] == outputs[1]
+
+
+class TestTracedNames:
+    def test_every_traced_name_resolves(self):
+        # the benchmark's tracer wraps these functions by name, so each must
+        # stay callable under it; the tracer file is read, never changed
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.TRACED
+        for qualname in tracer.TRACED:
+            module_name, _, attr_path = qualname.partition(".")
+            owner = importlib.import_module(f"sparsebump.{module_name}")
+            *outer, attr = attr_path.split(".")
+            for name in outer:
+                owner = getattr(owner, name)
+            # a method must be defined on its class, where the tracer rebinds it
+            assert callable(vars(owner).get(attr)), qualname

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_corpus
-from sparsebump import (Objective, SearchConfig, anneal, depth_sweep, evaluate,
+from sparsebump import (Objective, SearchConfig, anneal, evaluate, sweep_results,
                         random_instance, testing_constant)
 from sparsebump.bumps import (BumpSpec, YoungSpec, maximal_bound_constant,
                               sepcon_constant)
@@ -117,7 +117,7 @@ class TestSweep:
     def test_rows_and_csv(self):
         obj = Objective("main_theorem", p=2.0)
         cfg = SearchConfig(depth=3, steps=60, seed=0)
-        rows = depth_sweep(obj, cfg, depths=(2, 3))
+        rows = sweep_results(obj, cfg, depths=(2, 3))[0]
         assert [r[0] for r in rows] == [2, 3]
         assert all(r[3] == 0.0 for r in rows)  # byte-stable without timing
         text = sweep_csv(rows)
@@ -128,6 +128,6 @@ class TestSweep:
     def test_sweep_deterministic(self):
         obj = Objective("main_theorem", p=2.0)
         cfg = SearchConfig(depth=3, steps=60, seed=0)
-        a = sweep_csv(depth_sweep(obj, cfg, depths=(2, 3)))
-        b = sweep_csv(depth_sweep(obj, cfg, depths=(2, 3)))
+        a = sweep_csv(sweep_results(obj, cfg, depths=(2, 3))[0])
+        b = sweep_csv(sweep_results(obj, cfg, depths=(2, 3))[0])
         assert a == b

@@ -8,20 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import level_arrays, make_instance, random_corpus
-from sparsebump import (CubeId, LeafFunction, SparseFamily, TreeGeometry,
-                        WeightPair, apply_sparse, carleson_embedding_ratio,
+from sparsebump import (CubeId, SparseFamily, WeightPair, apply_sparse, carleson_embedding_ratio, dyadic_maximal,
                         cov_sides, eset_split_check, hytonen_ratio,
                         lambda_condition_constant, levelset_family, local_sum,
                         lp_norm, maximal_norm_lower, operator_norm_lower,
                         operator_norm_p2, prop31_bound, prop32_check,
                         prop33_check, sawyer_sum_bound, testing_constant,
                         theorem_main_ratio)
-from sparsebump.bumps import BumpSpec, check_bump, nu_lambda_table
+from sparsebump.bumps import BumpSpec, check_bump, nu_lambdas
 from sparsebump.dyadic import DomainError
 from sparsebump.search import _sub_ap_fraction
 from sparsebump.testing import (CheckReport, CHECK_CSV_HEADER,
-                                cov_bracket_report, dyadic_maximal_full,
-                                realized_levels)
+                                cov_bracket_report, realized_levels)
 
 ROOT = CubeId(0, 0)
 
@@ -29,17 +27,17 @@ ROOT = CubeId(0, 0)
 class TestLocalSums:
     def test_instance_a_root(self, instance_a):
         f = local_sum(instance_a.family, instance_a.pair, ROOT)
-        assert np.allclose(f.values, [8.25, 4.25, 1.75, 1.75])
+        assert np.allclose(f, [8.25, 4.25, 1.75, 1.75])
 
     def test_instance_a_half(self, instance_a):
         f = local_sum(instance_a.family, instance_a.pair, CubeId(1, 0))
-        assert np.allclose(f.values, [6.5, 2.5, 0.0, 0.0])
+        assert np.allclose(f, [6.5, 2.5, 0.0, 0.0])
 
     def test_single_cube_family(self):
         inst = make_instance(3, np.ones(8), np.arange(1.0, 9.0), 2.0)
         fam = SparseFamily.build([ROOT], 1.0, inst.pair.geometry)
         f = local_sum(fam, inst.pair, ROOT)
-        assert np.allclose(f.values, inst.pair.sigma_avg(ROOT))
+        assert np.allclose(f, inst.pair.sigma_avgs[0][0])
 
     def test_matches_brute_force(self):
         for inst in random_corpus(30, seed=2, depths=(2, 3, 4, 5)):
@@ -49,14 +47,12 @@ class TestLocalSums:
                                               (R.level, R.index),
                                               inst.pair.geometry.depth)
                 f = local_sum(inst.family, inst.pair, R)
-                assert np.allclose(f.values, ref, rtol=1e-12)
+                assert np.allclose(f, ref, rtol=1e-12)
 
 
 class TestLpNorm:
     def test_flat(self):
-        g = TreeGeometry(3)
-        f = LeafFunction(g, np.ones(8))
-        assert lp_norm(f, np.ones(8), 2.0) == pytest.approx(1.0)
+        assert lp_norm(np.ones(8), np.ones(8), 2.0) == pytest.approx(1.0)
 
     def test_instance_a_value(self, instance_a):
         f = local_sum(instance_a.family, instance_a.pair, ROOT)
@@ -66,22 +62,24 @@ class TestLpNorm:
     @given(st.floats(0.001, 1000.0))
     @settings(max_examples=40, deadline=None)
     def test_absolute_homogeneity(self, c):
-        g = TreeGeometry(3)
         rng = np.random.default_rng(1)
         vals = rng.standard_normal(8)
         w = np.exp(rng.standard_normal(8))
-        a = lp_norm(LeafFunction(g, c * vals), w, 1.5)
-        b = c * lp_norm(LeafFunction(g, vals), w, 1.5)
+        a = lp_norm(c * vals, w, 1.5)
+        b = c * lp_norm(vals, w, 1.5)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
-        g = TreeGeometry(6)
         vals = rng.standard_normal(64)
         w = np.exp(rng.standard_normal(64))
         for p in (1.5, 2.0, 3.0):
             ref = oracles.brute_lp_norm(vals, w, p, 6)
-            assert lp_norm(LeafFunction(g, vals), w, p) == pytest.approx(ref, rel=1e-12)
+            assert lp_norm(vals, w, p) == pytest.approx(ref, rel=1e-12)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DomainError):
+            lp_norm(np.ones(8), np.ones(4), 2.0)
 
 
 class TestTestingConstant:
@@ -123,15 +121,13 @@ class TestTestingConstant:
 
 class TestSparseOperator:
     def test_apply_sparse_linearity(self, instance_a):
-        g = instance_a.pair.geometry
         rng = np.random.default_rng(4)
-        f1 = LeafFunction(g, rng.standard_normal(4))
-        f2 = LeafFunction(g, rng.standard_normal(4))
-        both = apply_sparse(instance_a.family,
-                            LeafFunction(g, f1.values + 2.0 * f2.values))
-        parts = apply_sparse(instance_a.family, f1).values \
-            + 2.0 * apply_sparse(instance_a.family, f2).values
-        assert np.allclose(both.values, parts, rtol=1e-12)
+        f1 = rng.standard_normal(4)
+        f2 = rng.standard_normal(4)
+        both = apply_sparse(instance_a.family, f1 + 2.0 * f2)
+        parts = apply_sparse(instance_a.family, f1) \
+            + 2.0 * apply_sparse(instance_a.family, f2)
+        assert np.allclose(both, parts, rtol=1e-12)
 
     def test_norm_flat_root(self):
         inst = make_instance(3, np.ones(8), np.ones(8), 2.0)
@@ -189,7 +185,7 @@ class TestCov:
             fam, a = self._setup(inst, rng)
             lhs, rhs = cov_sides(inst.family, level_arrays(a, inst.pair.geometry.depth),
                                  inst.pair.w_leaves, 2.0, inst.pair.geometry)
-            tail = sum(a[q] ** 2 * inst.pair.w_mass(q) for q in fam)
+            tail = sum(a[q] ** 2 * inst.pair.w_masses[q.level][q.index] for q in fam)
             assert lhs ** 2 == pytest.approx(2.0 * rhs ** 2 - tail, rel=1e-9)
 
     def test_p2_bracket_hard(self):
@@ -287,8 +283,8 @@ class TestCheckersAgainstOracles:
         psi = {q: float(oracles.mp_psi(s_avg[q])) for q in cubes}
         ap = {q: w_avg[q] * s_avg[q] ** (p - 1.0) for q in cubes}
         E = [q for q in cubes if ap[q] >= 1.0]
-        table = nu_lambda_table(pair, spec, fam)
-        lam = {q: table[CubeId(*q)] for q in cubes}
+        table = nu_lambdas(pair, spec, fam)
+        lam = dict(zip(cubes, table.tolist()))
 
         def level_of(s):
             k = math.floor(math.log2(s))
@@ -379,20 +375,20 @@ class TestTrackedConstants:
             assert member.passed
 
     def test_lambda_condition_matches_prop33(self, instance_a):
-        table = nu_lambda_table(instance_a.pair, self.SPEC, instance_a.family)
+        table = nu_lambdas(instance_a.pair, self.SPEC, instance_a.family)
         c = lambda_condition_constant(instance_a.family, instance_a.pair,
                                       table, ROOT)
         rep = prop33_check(instance_a.family, instance_a.pair, self.SPEC, ROOT)
         assert c == pytest.approx(rep.ratio, rel=1e-12)
 
     def test_lambda_below_one_rejected(self, instance_a):
-        table = {q: 0.5 for q in instance_a.family.cubes}
-        with pytest.raises(DomainError):
+        table = np.full(len(instance_a.family.cubes), 0.5)
+        with pytest.raises(DomainError, match=r"at CubeId\(level=0, index=0\)"):
             lambda_condition_constant(instance_a.family, instance_a.pair,
                                       table, ROOT)
 
     def test_prop31_report(self, instance_a):
-        table = nu_lambda_table(instance_a.pair, self.SPEC, instance_a.family)
+        table = nu_lambdas(instance_a.pair, self.SPEC, instance_a.family)
         tc, _ = testing_constant(instance_a.pair, instance_a.family)
         rep = prop31_bound(instance_a.pair, instance_a.family, table, self.SPEC, tc)
         assert rep.lhs > 0.0 and rep.rhs > 0.0
@@ -411,10 +407,9 @@ class TestTrackedConstants:
 class TestMaximal:
     def test_full_maximal_matches_brute(self):
         rng = np.random.default_rng(18)
-        g = TreeGeometry(4)
         f = np.exp(rng.standard_normal(16))
         ref = oracles.brute_dyadic_maximal(f, 0, 0, 4)
-        assert np.allclose(dyadic_maximal_full(f, g), ref, rtol=1e-12)
+        assert np.allclose(dyadic_maximal(f, 4), ref, rtol=1e-12)
 
     def test_maximal_lower_positive(self, instance_a):
         val = maximal_norm_lower(instance_a.pair, budget=4, seed=0)
