@@ -129,7 +129,7 @@ class WeightPair:
         n = geometry.n_leaves
         if w.shape != (n,) or s.shape != (n,):
             raise DomainError(f"leaf vectors must have length {n}")
-        if not (np.all(w > 0) and np.all(s > 0)):
+        if not ((w > 0).all() and (s > 0).all()):
             raise DomainError("leaf densities must be strictly positive")
         if not (np.isfinite(w).all() and np.isfinite(s).all()):
             raise DomainError("leaf densities must be finite")
@@ -187,6 +187,13 @@ class SparseFamily:
         return list(self._cube_tuple)
 
     @cached_property
+    def flat_mask(self) -> np.ndarray:
+        """The masks concatenated in (level, index) order; read-only."""
+        flat = np.concatenate(self.masks)
+        flat.flags.writeable = False
+        return flat
+
+    @cached_property
     def packing(self) -> float:
         """Carleson packing constant: max over family cubes Q of the total
         measure of the family cubes inside Q, divided by |Q|."""
@@ -199,13 +206,9 @@ class SparseFamily:
 def _select(levels, cubes) -> np.ndarray:
     """The family vector: per-level arrays flattened in (level, index)
     order, the order of TreeGeometry.cubes() and sorted_cubes(), over
-    every cube ("all"), a SparseFamily's cubes, or the cubes of a list of
-    per-level masks."""
+    every cube ("all") or a SparseFamily's cubes."""
     flat = np.concatenate(levels)
-    if cubes in ("all", None):
-        return flat
-    masks = cubes.masks if isinstance(cubes, SparseFamily) else cubes
-    return flat[np.concatenate(masks)]
+    return flat if cubes in ("all", None) else flat[cubes.flat_mask]
 
 
 def _cube_masks(cubes, depth: int) -> list[np.ndarray]:
@@ -231,12 +234,13 @@ STRATEGIES = ("tower", "random_greedy", "all_above_level", "stopping_time")
 
 
 def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int,
-                    sigma_leaves=None) -> SparseFamily:
+                    sigma_avgs=None) -> SparseFamily:
     """Deterministic sparse-family generator.
 
     strategy is one of "tower", "random_greedy", "all_above_level",
     "all_above_level:<m>", "stopping_time".  stopping_time derives its
-    threshold a from eta via eta = 1 - 1/a and needs sigma_leaves.
+    threshold a from eta via eta = 1 - 1/a and needs the per-level sigma
+    averages (a WeightPair's sigma_avgs).
     """
     if not (0.0 < eta <= 1.0):
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
@@ -281,32 +285,28 @@ def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int
         return SparseFamily([np.array(m, dtype=bool) for m in admitted], float(eta))
 
     if name == "stopping_time":
-        if sigma_leaves is None:
-            raise DomainError("stopping_time strategy needs sigma_leaves")
+        if sigma_avgs is None:
+            raise DomainError("stopping_time strategy needs sigma_avgs")
         if eta >= 1.0:
             raise DomainError("stopping_time needs eta < 1 (a = 1/(1-eta) > 1)")
-        a = 1.0 / (1.0 - eta)
-        return stopping_time_family(sigma_leaves, a, geometry)
+        return stopping_time_family(sigma_avgs, 1.0 / (1.0 - eta))
 
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
-def stopping_time_family(sigma_leaves, a: float, geometry: TreeGeometry) -> SparseFamily:
-    """Principal cubes of sigma: starting from the root, select maximal
+def stopping_time_family(sigma_avgs, a: float) -> SparseFamily:
+    """Principal cubes of sigma, given its per-level averages (a
+    WeightPair's sigma_avgs): starting from the root, select maximal
     descendants whose average exceeds a times the current stopping cube's
     average, recursively.  The result is (1 - 1/a)-sparse by construction."""
     if not a > 1.0:
         raise DomainError(f"stopping threshold a must exceed 1, got {a}")
-    avgs = _avg_pyramid(np.asarray(sigma_leaves, dtype=float), geometry.depth)
-
-    def govern(parent_stop, avg):
-        # the average of the stopping cube that governs each cube
-        return np.where(avg > a * parent_stop, avg, parent_stop)
-
-    stops = ancestor_accumulate(avgs, govern)
-    masks = [np.ones(1, dtype=bool)] + [
-        avgs[level] > a * np.repeat(stops[level - 1], 2)
-        for level in range(1, geometry.depth + 1)]
+    # stop[j]: the average of the stopping cube governing cube j of the level
+    stop, masks = sigma_avgs[0], [np.ones(1, dtype=bool)]
+    for avg in sigma_avgs[1:]:
+        parent = stop.repeat(2)
+        masks.append(avg > a * parent)
+        stop = np.where(masks[-1], avg, parent)
     return SparseFamily(masks, 1.0 - 1.0 / a)
 
 
@@ -354,7 +354,7 @@ def instance_from_dict(data: dict) -> Instance:
         family = SparseFamily.build(cubes, float(sparse.get("eta", 1.0)), geometry)
     else:
         family = generate_sparse(geometry, sparse["strategy"], float(sparse["eta"]),
-                                 int(sparse.get("seed", 0)), sigma_leaves=s)
+                                 int(sparse.get("seed", 0)), sigma_avgs=pair.sigma_avgs)
     return Instance(pair, family, sparse, clamped=cw + cs)
 
 

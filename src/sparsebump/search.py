@@ -89,18 +89,27 @@ def _draw_leaves(rng, n: int, dist: str, params) -> np.ndarray:
     raise DomainError(f"unknown leaf distribution {dist!r}")
 
 
-def random_instance(config: SearchConfig, seed: int) -> Instance:
-    """Deterministic random weight pair plus derived sparse family."""
+def _draw_pair(config: SearchConfig, seed: int):
+    """The seeded leaf densities (w, sigma): sigma is drawn first, then w."""
     rng = np.random.default_rng(np.uint64(seed))
-    geometry = TreeGeometry(config.depth)
-    n = geometry.n_leaves
+    n = TreeGeometry(config.depth).n_leaves
     sigma = _draw_leaves(rng, n, config.dist, config.dist_params)
-    w = _draw_leaves(rng, n, "lognormal", (0.0, 1.0))
-    # objective p is attached at evaluation time; store a placeholder
-    pair = WeightPair(geometry, w, sigma, 2.0)
-    family = generate_sparse(geometry, config.strategy, config.eta, seed, sigma_leaves=sigma)
-    sparse_cfg = {"strategy": config.strategy, "eta": config.eta, "seed": seed}
-    return Instance(pair, family, sparse_cfg)
+    return _draw_leaves(rng, n, "lognormal", (0.0, 1.0)), sigma
+
+
+def _instance(config: SearchConfig, w, sigma, p: float, family_seed: int) -> Instance:
+    """The pair (w, sigma) at p with the family config derives from it."""
+    geometry = TreeGeometry(config.depth)
+    pair = WeightPair(geometry, w, sigma, p)
+    family = generate_sparse(geometry, config.strategy, config.eta, family_seed,
+                             sigma_avgs=pair.sigma_avgs)
+    return Instance(pair, family, {"strategy": config.strategy, "eta": config.eta,
+                                   "seed": family_seed})
+
+
+def random_instance(config: SearchConfig, seed: int) -> Instance:
+    """Deterministic random weight pair (p = 2, a placeholder) plus its family."""
+    return _instance(config, *_draw_pair(config, seed), 2.0, seed)
 
 
 def evaluate(objective: Objective, instance: Instance) -> float:
@@ -135,18 +144,6 @@ def evaluate(objective: Objective, instance: Instance) -> float:
     return num / den
 
 
-def _instance_from_state(config: SearchConfig, log_w, log_sigma, p: float,
-                         family_seed: int) -> Instance:
-    geometry = TreeGeometry(config.depth)
-    w = np.exp(log_w)
-    sigma = np.exp(log_sigma)
-    pair = WeightPair(geometry, w, sigma, p)
-    family = generate_sparse(geometry, config.strategy, config.eta, family_seed,
-                             sigma_leaves=sigma)
-    sparse_cfg = {"strategy": config.strategy, "eta": config.eta, "seed": family_seed}
-    return Instance(pair, family, sparse_cfg)
-
-
 def _sub_ap_fraction(instance: Instance, p: float) -> float:
     pair = instance.pair
     if abs(pair.p - p) > 1e-12:
@@ -165,12 +162,12 @@ def anneal(objective: Objective, config: SearchConfig) -> SearchResult:
     refresh_every = max(1, config.steps // 20)
 
     def fresh(seed):
-        inst = random_instance(config, seed)
-        return np.log(inst.pair.w_leaves), np.log(inst.pair.sigma_leaves)
+        w, sigma = _draw_pair(config, seed)
+        return np.log(w), np.log(sigma)
 
     log_w, log_sigma = fresh(config.seed)
     family_seed = config.seed
-    current = _instance_from_state(config, log_w, log_sigma, objective.p, family_seed)
+    current = _instance(config, np.exp(log_w), np.exp(log_sigma), objective.p, family_seed)
     cur_val = evaluate(objective, current)
     best_val, best_inst = cur_val, current
     trace = [best_val]
@@ -179,22 +176,22 @@ def anneal(objective: Objective, config: SearchConfig) -> SearchResult:
     for step in range(1, config.steps):
         if step % restart_every == 0:
             log_w, log_sigma = fresh(config.seed + step)
-            current = _instance_from_state(config, log_w, log_sigma,
-                                           objective.p, family_seed)
+            current = _instance(config, np.exp(log_w), np.exp(log_sigma),
+                                objective.p, family_seed)
             cur_val = evaluate(objective, current)
             evals += 1
         else:
             pw = log_w + 0.5 * rng.standard_normal(n)
             ps = log_sigma + 0.5 * rng.standard_normal(n)
-            cand = _instance_from_state(config, pw, ps, objective.p, family_seed)
+            cand = _instance(config, np.exp(pw), np.exp(ps), objective.p, family_seed)
             val = evaluate(objective, cand)
             evals += 1
             delta = val - cur_val
             if delta >= 0 or rng.random() < math.exp(delta / max(temperature, 1e-12)):
                 log_w, log_sigma, current, cur_val = pw, ps, cand, val
         if step % refresh_every == 0 and config.strategy == "stopping_time":
-            current = _instance_from_state(config, log_w, log_sigma,
-                                           objective.p, family_seed)
+            current = _instance(config, np.exp(log_w), np.exp(log_sigma),
+                                objective.p, family_seed)
             cur_val = evaluate(objective, current)
             evals += 1
         if cur_val > best_val:

@@ -89,21 +89,24 @@ def testing_constant(pair: WeightPair, S: SparseFamily):
     # g is every level-r local sum at once, accumulated from the leaves
     # up so that small local sums are never differences of large ones
     g = np.zeros(pair.geometry.n_leaves)
-    best, best_R = -math.inf, None
+    sums = [np.empty(0)] * (depth + 1)  # per level: sum of g^p w over each R in S
     for level in range(depth, -1, -1):
-        mask = S.masks[level]
-        if not mask.any():
+        idx = S.masks[level].nonzero()[0]
+        if not idx.size:
             continue
-        width = 1 << (depth - level)
-        g += np.repeat(np.where(mask, pair.sigma_avgs[level], 0.0), width)
-        idx = np.flatnonzero(mask)
-        rows = g.reshape(-1, width)[idx] ** p * pair.w_leaves.reshape(-1, width)[idx]
-        num = (rows.sum(axis=1) * 2.0 ** (-depth)) ** (1.0 / p)
-        vals = num / pair.sigma_masses[level][idx] ** (1.0 / p)
-        k = int(np.argmax(vals))  # the first maximum: the smallest index
-        if vals[k] >= best:  # levels run upward, so ties go to the coarser
-            best, best_R = float(vals[k]), CubeId(level, int(idx[k]))
-    return best, best_R
+        # g's rows are this level's cubes: add sigma_Q in place on S's rows
+        rows = g.reshape(1 << level, -1)
+        local = rows[idx] + pair.sigma_avgs[level][idx, None]
+        rows[idx] = local
+        sums[level] = (local ** p * pair.w_leaves.reshape(1 << level, -1)[idx]).sum(axis=1)
+    vals = ((np.concatenate(sums) * 2.0 ** (-depth)) ** (1.0 / p)
+            / _select(pair.sigma_masses, S) ** (1.0 / p))
+    if not vals.size:
+        return -math.inf, None
+    k = int(vals.argmax())  # the first maximum in (level, index) order
+    at = int(S.flat_mask.nonzero()[0][k])  # level l starts at 2^l - 1
+    level = (at + 1).bit_length() - 1
+    return float(vals[k]), CubeId(level, at + 1 - (1 << level))
 
 
 def apply_sparse(S: SparseFamily, values) -> np.ndarray:
@@ -232,9 +235,8 @@ def _sums_inside(S: SparseFamily, terms, R: CubeId | None = None) -> np.ndarray:
     cube of S at once as a family vector: one subtree_sums pass."""
     if R is not None and not TreeGeometry(len(S.masks) - 1).contains(R):
         raise DomainError(f"cube {R} outside the tree")
-    mask = np.concatenate(S.masks)
-    flat = np.zeros(mask.shape + np.shape(terms)[1:])
-    flat[mask] = terms
+    flat = np.zeros(S.flat_mask.shape + np.shape(terms)[1:])
+    flat[S.flat_mask] = terms
     sums = subtree_sums(np.split(flat, [(1 << level) - 1 for level in range(1, len(S.masks))]))
     return _select(sums, S) if R is None else sums[R.level][R.index]
 

@@ -38,8 +38,7 @@ def level_arrays(values, depth):
 def make_instance(depth, w, sigma, p, strategy="stopping_time", eta=0.5, seed=0):
     geometry = TreeGeometry(depth)
     pair = WeightPair(geometry, np.asarray(w, float), np.asarray(sigma, float), p)
-    family = generate_sparse(geometry, strategy, eta, seed,
-                             sigma_leaves=pair.sigma_leaves)
+    family = generate_sparse(geometry, strategy, eta, seed, sigma_avgs=pair.sigma_avgs)
     return Instance(pair, family, {"strategy": strategy, "eta": eta, "seed": seed})
 
 

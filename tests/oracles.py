@@ -203,12 +203,17 @@ def brute_lp_norm(f, w, p, depth):
     return (math.fsum(terms) * 2.0 ** (-depth)) ** (1.0 / p)
 
 
+def brute_testing_ratios(cubes, w, sigma, p, depth):
+    """{R: ||local sum||_{L^p(w)} / sigma(R)^{1/p}} over R in the family."""
+    return {R: brute_lp_norm(brute_local_sum(cubes, sigma, R, depth), w, p, depth)
+            / brute_mass(sigma, R[0], R[1], depth) ** (1.0 / p) for R in cubes}
+
+
 def brute_testing(cubes, w, sigma, p, depth):
-    """max over R in the family of ||local sum||_{L^p(w)} / sigma(R)^{1/p}."""
+    """max over R in the family of the testing ratio, with the smallest
+    (level, index) among the maximizers."""
     best, arg = -1.0, None
-    for R in sorted(cubes):
-        f = brute_local_sum(cubes, sigma, R, depth)
-        ratio = brute_lp_norm(f, w, p, depth) / brute_mass(sigma, R[0], R[1], depth) ** (1.0 / p)
+    for R, ratio in sorted(brute_testing_ratios(cubes, w, sigma, p, depth).items()):
         if ratio > best:
             best, arg = ratio, R
     return best, arg

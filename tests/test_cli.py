@@ -283,3 +283,28 @@ class TestTracedNames:
                 owner = getattr(owner, name)
             # a method must be defined on its class, where the tracer rebinds it
             assert callable(vars(owner).get(attr)), qualname
+
+
+class TestArtifactDiff:
+    def test_exit_codes_and_report(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "artifact_diff.py"
+        rows = ["# config line", "name,lhs,rhs,bound,ratio,pass",
+                "prop33,0.5,1,4,0.5,true", "sawyer_sum,0.25,1,4,0.25,true"]
+
+        def diff(new_rows):
+            for side, lines in (("old", rows), ("new", new_rows)):
+                (tmp_path / side).mkdir(exist_ok=True)
+                (tmp_path / side / "check.csv").write_text("\n".join(lines) + "\n")
+            return subprocess.run([sys.executable, str(script), str(tmp_path / "old"),
+                                   str(tmp_path / "new")], capture_output=True,
+                                  text=True, env=cli_env())
+
+        same = diff(rows)
+        assert same.returncode == 0, same.stdout
+        assert "no flips, no missing rows" in same.stdout
+        flipped = diff(rows[:3] + ["sawyer_sum,0.25,1,4,0.25,false"])
+        assert flipped.returncode == 1
+        assert "flip check.csv: sawyer_sum#1 pass true -> false" in flipped.stdout
+        deleted = diff(rows[:3])
+        assert deleted.returncode == 1
+        assert "missing row check.csv: sawyer_sum#1" in deleted.stdout

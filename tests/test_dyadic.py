@@ -15,6 +15,11 @@ from sparsebump import (CubeId, DomainError, Instance, SparseFamily,
                         stopping_time_family, verify_sparse)
 
 
+def sigma_avgs(sigma, geometry):
+    """The per-level sigma averages a WeightPair holds."""
+    return WeightPair(geometry, np.ones(geometry.n_leaves), sigma, 2.0).sigma_avgs
+
+
 class TestGeometry:
     def test_counts(self):
         g = TreeGeometry(5)
@@ -148,7 +153,7 @@ class TestGenerators:
             strategy = STRATEGIES[checked % len(STRATEGIES)]
             g = TreeGeometry(depth)
             sigma = np.exp(rng.standard_normal(g.n_leaves))
-            fam = generate_sparse(g, strategy, eta, checked, sigma_leaves=sigma)
+            fam = generate_sparse(g, strategy, eta, checked, sigma_avgs=sigma_avgs(sigma, g))
             assert verify_sparse(fam, eta)
             assert fam.packing <= 1.0 / eta + 1e-12
             assert fam.sorted_cubes() == sorted(fam.cubes)
@@ -180,8 +185,8 @@ class TestGenerators:
     def test_determinism(self):
         g = TreeGeometry(6)
         sigma = np.exp(np.random.default_rng(1).standard_normal(64))
-        a = generate_sparse(g, "random_greedy", 0.5, 9, sigma_leaves=sigma)
-        b = generate_sparse(g, "random_greedy", 0.5, 9, sigma_leaves=sigma)
+        a = generate_sparse(g, "random_greedy", 0.5, 9, sigma_avgs=sigma_avgs(sigma, g))
+        b = generate_sparse(g, "random_greedy", 0.5, 9, sigma_avgs=sigma_avgs(sigma, g))
         assert a.cubes == b.cubes
 
     def test_tower_is_a_root_chain(self):
@@ -200,7 +205,7 @@ class TestGenerators:
             g = TreeGeometry(depth)
             sigma = np.exp(2.0 * rng.standard_normal(g.n_leaves))
             a = 2.0
-            fam = stopping_time_family(sigma, a, g)
+            fam = stopping_time_family(sigma_avgs(sigma, g), a)
             assert fam.packing <= 1.0 / (1.0 - 1.0 / a) + 1e-12
 
     @pytest.mark.parametrize("law", ["lognormal", "spike", "constant"])
@@ -219,9 +224,18 @@ class TestGenerators:
                 sigma[start:start + width] = n / width
             else:
                 sigma = np.full(n, 3.0)
-            fam = stopping_time_family(sigma, a, TreeGeometry(depth))
+            fam = stopping_time_family(sigma_avgs(sigma, TreeGeometry(depth)), a)
             got = sorted((c.level, c.index) for c in fam.cubes)
             assert got == oracles.brute_stopping_time(sigma, a, depth)
+
+    def test_stopping_threshold_is_strict(self):
+        # sigma = (3, 1) has root average 2 and 1.5 * 2 = 3 exactly, so the
+        # left child sits on the threshold and is not selected
+        g = TreeGeometry(1)
+        for sigma, want in (([3.0, 1.0], [(0, 0)]), ([3.5, 1.0], [(0, 0), (1, 0)])):
+            fam = stopping_time_family(sigma_avgs(np.array(sigma), g), 1.5)
+            assert sorted((c.level, c.index) for c in fam.cubes) == want
+            assert want == oracles.brute_stopping_time(sigma, 1.5, 1)
 
     def test_unknown_strategy(self):
         with pytest.raises(DomainError):

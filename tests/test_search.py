@@ -60,6 +60,20 @@ class TestRandomInstance:
         assert np.array_equal(a.pair.w_leaves, b.pair.w_leaves)
         assert a.family.cubes == b.family.cubes
 
+    def test_draw_order_sigma_then_w(self):
+        rng = np.random.default_rng(np.uint64(7))
+        sigma = np.exp(0.0 + 1.0 * rng.standard_normal(16))
+        w = np.exp(0.0 + 1.0 * rng.standard_normal(16))
+        inst = random_instance(SearchConfig(depth=4, seed=7), 7)
+        assert np.array_equal(inst.pair.sigma_leaves, sigma)
+        assert np.array_equal(inst.pair.w_leaves, w)
+
+    def test_anneal_starts_from_the_random_instance(self):
+        obj = Objective("main_theorem", p=3.0)
+        cfg = SearchConfig(depth=5, seed=4, steps=1)
+        start = evaluate(obj, random_instance(cfg, cfg.seed))
+        assert anneal(obj, cfg).best_ratio == pytest.approx(start, rel=1e-12)
+
     def test_spike_distribution_shape(self):
         cfg = SearchConfig(depth=3, dist="spike", dist_params=(1.0, 0.25), seed=0)
         inst = random_instance(cfg, 0)

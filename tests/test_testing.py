@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import level_arrays, make_instance, random_corpus
-from sparsebump import (CubeId, SparseFamily, WeightPair, apply_sparse, carleson_embedding_ratio, dyadic_maximal,
+from sparsebump import (CubeId, SparseFamily, TreeGeometry, WeightPair, apply_sparse, carleson_embedding_ratio, dyadic_maximal,
                         cov_sides, eset_split_check, hytonen_ratio,
                         lambda_condition_constant, levelset_family, local_sum,
                         lp_norm, maximal_norm_lower, operator_norm_lower,
@@ -90,20 +90,49 @@ class TestTestingConstant:
         assert val == pytest.approx(1.0, rel=1e-12)
         assert argmax == ROOT
 
+    def test_empty_family(self, instance_a):
+        empty = SparseFamily([np.zeros(1 << level, dtype=bool) for level in range(3)], 1.0)
+        assert testing_constant(instance_a.pair, empty) == (-math.inf, None)
+
     def test_instance_a(self, instance_a):
         val, argmax = testing_constant(instance_a.pair, instance_a.family)
         assert val == pytest.approx(math.sqrt(23.0625 / 1.75), rel=1e-12)
         assert argmax == ROOT
 
     def test_matches_brute_force(self):
+        separated = 0
         for inst in random_corpus(100, seed=3, depths=(2, 3, 4, 5)):
             cubes = [(c.level, c.index) for c in inst.family.cubes]
-            ref, ref_arg = oracles.brute_testing(cubes, inst.pair.w_leaves,
-                                                 inst.pair.sigma_leaves,
-                                                 inst.pair.p,
-                                                 inst.pair.geometry.depth)
+            args = (cubes, inst.pair.w_leaves, inst.pair.sigma_leaves, inst.pair.p,
+                    inst.pair.geometry.depth)
+            ref, ref_arg = oracles.brute_testing(*args)
             val, argmax = testing_constant(inst.pair, inst.family)
             assert val == pytest.approx(ref, rel=1e-12)
+            # the maximizer is determined wherever rounding cannot reorder R's
+            runner_up = max((r for R, r in oracles.brute_testing_ratios(*args).items()
+                             if R != ref_arg), default=0.0)
+            if ref > runner_up * (1.0 + 1e-9):
+                assert (argmax.level, argmax.index) == ref_arg
+                separated += 1
+        assert separated >= 90
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("family, expected", [
+        ([(1, 0), (2, 2), (3, 7)], (1, 0)),  # the coarsest cube
+        ([(2, 3), (2, 1)], (2, 1)),  # within a level, the leftmost
+    ])
+    def test_exact_ties_go_to_smallest_level_index(self, p, family, expected):
+        # constant weights on a disjoint family: every R has the same ratio
+        # (3 * 0.7^{p-1})^{1/p}, bit for bit
+        g = TreeGeometry(4)
+        pair = WeightPair(g, np.full(16, 3.0), np.full(16, 0.7), p)
+        cubes = [CubeId(*c) for c in family]
+        singles = {testing_constant(pair, SparseFamily.build([c], 0.5, g))[0] for c in cubes}
+        assert len(singles) == 1
+        val, argmax = testing_constant(pair, SparseFamily.build(cubes, 0.5, g))
+        assert val in singles
+        assert val == pytest.approx((3.0 * 0.7 ** (p - 1.0)) ** (1.0 / p), rel=1e-12)
+        assert argmax == CubeId(*expected)
 
     def test_exact_scaling_laws(self, instance_a):
         pair = instance_a.pair
