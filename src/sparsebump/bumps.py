@@ -224,28 +224,31 @@ def ensure_admissible(spec: BumpSpec) -> AdmissibilityReport:
 
 @dataclass(frozen=True)
 class YoungSpec:
-    """Young function A, normalized so A(1) = 1 where the family allows.
+    """Young function A, normalized so A(1) = 1.
 
-    family: "power" (A(t) = t^q), "power_over_log"
-    (A(t) = t^q * (log(e+1)/log(e+t))^{1+eps}), or "custom" with a
-    vectorized callable.
+    family: "power" (A(t) = t^q) or "power_over_log"
+    (A(t) = t^q * (log(e+1)/log(e+t))^{1+eps}).
     """
 
     family: str = "power"
     q: float = 2.0
     eps: float = 1.0
-    fn: object = None
 
-    def A(self, t):
+    def __post_init__(self):
+        if self.family not in ("power", "power_over_log"):
+            raise DomainError(f"unknown Young family {self.family!r}")
+
+    def A_and_elasticity(self, t):
+        """(A(t), e(t)) as arrays, e = d log A / d log t the elasticity."""
         t = np.asarray(t, dtype=float)
         if self.family == "power":
-            out = t ** self.q
-        elif self.family == "power_over_log":
-            out = t ** self.q * (math.log(_E + 1.0) / np.log(_E + t)) ** (1.0 + self.eps)
-        elif self.family == "custom":
-            out = np.asarray(self.fn(t), dtype=float)
-        else:
-            raise DomainError(f"unknown Young family {self.family!r}")
+            return t ** self.q, np.full(t.shape, self.q)
+        log_t = np.log(_E + t)
+        return (t ** self.q * (math.log(_E + 1.0) / log_t) ** (1.0 + self.eps),
+                self.q - (1.0 + self.eps) * t / ((_E + t) * log_t))
+
+    def A(self, t):
+        out = self.A_and_elasticity(t)[0]
         return float(out) if out.ndim == 0 else out
 
     def to_json_dict(self) -> dict:
@@ -253,7 +256,7 @@ class YoungSpec:
 
     @staticmethod
     def from_json_dict(data: dict) -> "YoungSpec":
-        return YoungSpec(family=data["family"], q=float(data.get("q", 2.0)),
+        return YoungSpec(family=data.get("family"), q=float(data.get("q", 2.0)),
                          eps=float(data.get("eps", 1.0)))
 
 
@@ -330,21 +333,27 @@ class ConjugateTable:
         self.log_s = np.linspace(-60.0 * math.log(2.0), 60.0 * math.log(2.0), points)
         vals = np.maximum.accumulate(_conjugate(young, np.exp(self.log_s)))
         self.log_v = np.log(np.maximum(vals, 1e-300))
-        self.slopes = np.diff(self.log_v) / np.diff(self.log_s)
+        # lookup segment k spans [_edges[k], _edges[k+1]), a line through (_node[k], _value[k])
+        # of slope _slope[k]: k = 0 lies below the grid (slope 0), k = points above its top node
+        slopes = np.diff(self.log_v) / np.diff(self.log_s)
+        self._edges = np.concatenate([[-np.inf], self.log_s, [np.inf]])
+        self._node, self._value = (np.concatenate([a[:1], a]) for a in (self.log_s, self.log_v))
+        self._slope = np.concatenate([[0.0], slopes, slopes[-1:]])
 
-    def __call__(self, s):
-        """np.interp on the log-log grid, clamped below it and extended by
-        the top slope above it; the grid is uniform, so the node below u is
-        found by one division, moved by one where rounding crossed a node."""
+    def A_and_elasticity(self, s):
+        """(Abar(s), e(s)): np.interp on the log-log grid, clamped below it
+        and extended by the top slope above it; e is the segment's slope.
+        The grid is uniform, so the segment of u is found by one division,
+        moved by one where rounding crossed a node."""
         s = np.asarray(s, dtype=float)
         u = np.log(np.maximum(s, 1e-300))
-        ls, lv = self.log_s, self.log_v
-        last = len(ls) - 2
-        j = np.clip(((u - ls[0]) / (ls[1] - ls[0])).astype(np.intp), 0, last)
-        j = j - (u < ls[j]) + (u >= ls[j + 1])  # last + 1 at and above the top node
-        val = self.slopes[np.minimum(j, last)] * (u - ls[j]) + lv[j]
-        out = np.where(s > 0, np.exp(np.where(u < ls[0], lv[0], val)), 0.0)
-        return float(out) if out.ndim == 0 else out
+        ls = self.log_s
+        k = (u - (ls[0] - (ls[1] - ls[0]))) / (ls[1] - ls[0])
+        k = np.fmin(np.fmax(k, 0.0), len(ls)).astype(np.intp)
+        k = k - (u < self._edges[k]) + (u >= self._edges[k + 1])
+        slope = self._slope[k]
+        val = slope * (u - self._node[k]) + self._value[k]
+        return np.where(s > 0, np.exp(val), 0.0), slope
 
 
 @lru_cache(maxsize=32)
@@ -396,76 +405,61 @@ def bp_tail_estimate(blocks) -> float:
 # -- Luxemburg norms --------------------------------------------------------
 
 
-def luxemburg_norm(f, cube: CubeId, young: YoungSpec, depth: int,
-                   A_fn=None, rel_tol: float = 1e-12) -> float:
-    """Normalized Luxemburg gauge on one cube: the lambda with
-    (1/|Q|) int_Q A(f/lambda) = 1; luxemburg_norms_level on the cube's
-    leaves."""
+def luxemburg_norm(f, cube: CubeId, young, depth: int, rel_tol: float = 1e-12) -> float:
+    """The normalized Luxemburg gauge of f on one cube (luxemburg_norms_level)."""
     sub = np.asarray(f, dtype=float)[cube.leaf_slice(depth)]
-    return float(luxemburg_norms_level(sub, 0, young, A_fn, rel_tol)[0])
+    return float(luxemburg_norms_level(sub, 0, young, rel_tol)[0])
 
 
-def luxemburg_norms_level(f, level: int, young: YoungSpec,
-                          A_fn=None, rel_tol: float = 1e-12) -> np.ndarray:
+def luxemburg_norms_level(f, level: int, young, rel_tol: float = 1e-12) -> np.ndarray:
     """Luxemburg norms of f on every cube of one level, all cubes at once.
 
-    The bracket mean A(f/lo) >= 1 >= mean A(f/hi), grown or shrunk by 2
-    from max|f|, is closed by Illinois (modified regula falsi) steps on
-    g(t) = log mean A(f e^-t), t = log lambda; g is linear for power A.
-    No step lands within 0.4*log1p(rel_tol) of an end, so a step on the
-    root is followed by one across it; a non-finite g at an end, or a
-    bracket not halved in two steps, gets a bisection step.  Returns
-    (lo + hi)/2 once hi - lo <= rel_tol*lo.  A_fn overrides young.A."""
-    f = np.asarray(f, dtype=float)
-    if not np.isfinite(f).all():
+    young is a YoungSpec or a ConjugateTable, whose A_and_elasticity gives
+    A and e = d log A / d log x in one call.  Safeguarded Newton steps on
+    g(t) = log mean A(f e^-t), t = log lambda, of slope -mean(A e)/mean(A),
+    start at lambda = max|f| and keep the bracket mean A(f/lo) >= 1 >=
+    mean A(f/hi): a step that is not finite or leaves it becomes a bisection
+    in t, or a factor of 2 while one end is unknown.  (g is linear for power
+    A.)  Once a step is below 1e-6, lambda * (1 + rel_tol)^-/+0.4 are
+    evaluated in one call, which closes the bracket to hi - lo <= rel_tol*lo.
+    Returns (lo + hi)/2."""
+    mat = np.asarray(f, dtype=float).reshape(1 << level, -1)
+    if not np.isfinite(mat).all():
         raise DomainError("non-finite leaf values")
-    A = A_fn if A_fn is not None else young.A
-    mat = f.reshape(1 << level, -1)
-    hi = np.max(np.abs(mat), axis=1)
-    zero = hi == 0.0
-    hi = np.where(zero, 1.0, hi)
-    lo = hi.copy()
-
-    def means(lam, rows):
-        return np.mean(np.asarray(A(mat[rows] / lam[:, None])), axis=1)
-
-    m_hi = means(hi, slice(None))
-    m_lo = m_hi.copy()
-    for _ in range(200):  # step by 2 until the bracket holds; the end passed is the other end
-        up, down = np.flatnonzero(m_hi > 1.0), np.flatnonzero((m_lo < 1.0) & ~zero)
-        if not up.size + down.size:
-            break
-        lo[up], m_lo[up], hi[down], m_hi[down] = hi[up], m_hi[up], lo[down], m_lo[down]
-        hi[up], lo[down] = 2.0 * hi[up], 0.5 * lo[down]
-        m = means(np.concatenate([hi[up], lo[down]]), np.concatenate([up, down]))
-        m_hi[up], m_lo[down] = m[:up.size], m[up.size:]
-    pad = 0.4 * math.log1p(rel_tol)
-    moved = np.zeros(len(lo))  # +1: lo moved last, -1: hi moved last, 0: neither yet
-    width1, width2 = np.full(len(lo), np.inf), np.full(len(lo), np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g_lo, g_hi = np.log(m_lo), np.log(m_hi)
+    n, width = mat.shape
+    lam = np.max(np.abs(mat), axis=1)  # the next point of each row
+    lo, hi = np.zeros(n), np.where(lam == 0.0, 0.0, np.inf)  # zero rows are closed at 0
+    closing = np.zeros(n, dtype=bool)  # the next call evaluates lam / grow and lam * grow
+    grow = (1.0 + rel_tol) ** 0.4
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(200):
             todo = np.flatnonzero(hi - lo > rel_tol * lo)
             if not todo.size:
-                break
-            ta, tb, ga, gb = np.log(lo[todo]), np.log(hi[todo]), g_lo[todo], g_hi[todo]
-            width = tb - ta
-            t = tb - gb * width / (gb - ga)
-            bisect = ~np.isfinite(ga + gb + t) | (width > 0.5 * width2[todo])
-            t = np.where(bisect, 0.5 * (ta + tb), np.clip(t, ta + pad, tb - pad))
-            width2[todo], width1[todo] = width1[todo], width
-            lam = np.exp(t)
-            m = means(lam, todo)
-            up = m > 1.0  # the root lies above lam: lam is the new lo
-            lo_at, hi_at = todo[up], todo[~up]
-            # Illinois: an end kept again (or first) has its g halved
-            g_hi[lo_at[moved[lo_at] >= 0]] *= 0.5
-            g_lo[hi_at[moved[hi_at] <= 0]] *= 0.5
-            lo[lo_at], g_lo[lo_at], moved[lo_at] = lam[up], np.log(m[up]), 1.0
-            hi[hi_at], g_hi[hi_at], moved[hi_at] = lam[~up], np.log(m[~up]), -1.0
-        else:
-            raise NumericError("Luxemburg gauge did not converge in 200 steps")
-    return np.where(zero, 0.0, 0.5 * (lo + hi))
+                return 0.5 * (lo + hi)
+            k, pair = todo.size, todo[closing[todo]]
+            rows = np.concatenate([todo, pair])
+            pts = np.concatenate([lam[todo] / np.where(closing[todo], grow, 1.0),
+                                  lam[pair] * grow])
+            A, e = young.A_and_elasticity(
+                (mat if rows.size == n == k else mat[rows]) / pts[:, None])
+            m = A.sum(axis=1) / width
+            np.maximum.at(lo, rows[m >= 1.0], pts[m >= 1.0])
+            np.minimum.at(hi, rows[m <= 1.0], pts[m <= 1.0])
+            # Newton from each row's first point
+            x = pts[:k]
+            step = np.log(m[:k]) * m[:k] * width / (A[:k] * e[:k]).sum(axis=1)
+            nxt = x * np.exp(step)
+            a, b = lo[todo], hi[todo]
+            near = np.abs(step) < 1e-6
+            bad = ~(near | ((nxt > a) & (nxt < b)))
+            if bad.any():  # bisect in t, or halve or double while one end is unknown
+                nxt[bad] = np.where(a == 0.0, 0.5 * b,
+                                    np.where(b == np.inf, 2.0 * a, a * np.sqrt(b / a)))[bad]
+                near[bad] = np.abs(np.log(nxt[bad] / x[bad])) < 1e-6
+            # a factor grow inside the known ends, so a closing pair stays in the bracket
+            closing[todo] = near
+            lam[todo] = np.minimum(np.maximum(nxt, a * grow), b / grow)
+    raise NumericError("Luxemburg gauge did not converge in 200 steps")
 
 
 # -- cube selection -------------------------------------------------------
@@ -476,9 +470,11 @@ def _cube_averages(pair: WeightPair, cubes):
     return _select(pair.w_avgs, cubes), _select(pair.sigma_avgs, cubes)
 
 
-def _luxemburg_norms(pair: WeightPair, f, young: YoungSpec, cubes, A_fn=None):
-    """Luxemburg norms of f over the cubes of _select, level by level."""
-    return _select([luxemburg_norms_level(f, level, young, A_fn=A_fn)
+def _luxemburg_norms(pair: WeightPair, power: float, young, cubes):
+    """Luxemburg norms of sigma^power over the cubes of _select, level by
+    level; young is a YoungSpec or a ConjugateTable."""
+    f = pair.sigma_leaves ** power
+    return _select([luxemburg_norms_level(f, level, young)
                     for level in range(pair.geometry.depth + 1)], cubes)
 
 
@@ -522,7 +518,7 @@ def orlicz_li_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
         raise AdmissibilityError("Young function is not in B_p")
     p = pair.p
     w, s = _cube_averages(pair, cubes)
-    nvec = _luxemburg_norms(pair, pair.sigma_leaves ** (1.0 / p), young, cubes)
+    nvec = _luxemburg_norms(pair, 1.0 / p, young, cubes)
     lam = s / nvec ** p
     terms = w ** (1.0 / p) * (s / nvec) * _phi_clamped(spec, lam) ** (1.0 / pair.p_dual)
     return float(np.max(terms)), lam
@@ -540,8 +536,7 @@ def orlicz_lacey_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
         raise AdmissibilityError("Young function is not in B_p")
     p = pair.p
     w, s = _cube_averages(pair, cubes)
-    nvec = _luxemburg_norms(pair, pair.sigma_leaves ** (1.0 / pair.p_dual), young, cubes,
-                            A_fn=_conjugate_table(young))
+    nvec = _luxemburg_norms(pair, 1.0 / pair.p_dual, _conjugate_table(young), cubes)
     lam = nvec ** p / s ** (p - 1.0)
     terms = w ** (1.0 / p) * nvec * _phi_clamped(spec, lam) ** (1.0 / pair.p_dual)
     return float(np.max(terms)), lam
@@ -552,8 +547,7 @@ def sepcon_constant(pair: WeightPair, young: YoungSpec, cubes="all") -> float:
     sup_Q w_Q^{1/p} * ||sigma^{1/p'}||_{Abar,Q}."""
     p = pair.p
     w, _ = _cube_averages(pair, cubes)
-    nvec = _luxemburg_norms(pair, pair.sigma_leaves ** (1.0 / pair.p_dual), young, cubes,
-                            A_fn=_conjugate_table(young))
+    nvec = _luxemburg_norms(pair, 1.0 / pair.p_dual, _conjugate_table(young), cubes)
     return float(np.max(w ** (1.0 / p) * nvec))
 
 

@@ -72,8 +72,7 @@ def cmd_gen(args) -> int:
               "eta": args.eta, "seed": args.seed, "dist": args.dist, "p": args.p}
     cfg = search_mod.SearchConfig(depth=args.depth, eta=args.eta,
                                   strategy=args.strategy, dist=args.dist,
-                                  dist_params=tuple(args.dist_params),
-                                  seed=args.seed)
+                                  dist_params=args.dist_params, seed=args.seed)
     inst = search_mod.random_instance(cfg, args.seed)
     data = inst.to_json_dict()
     data["p"] = args.p
@@ -237,8 +236,7 @@ def cmd_search(args) -> int:
         return EXIT_USAGE
     cfg = search_mod.SearchConfig(depth=args.depths[0], eta=args.eta,
                                   strategy=args.strategy, dist=args.dist,
-                                  dist_params=tuple(args.dist_params),
-                                  steps=args.steps, seed=args.seed)
+                                  dist_params=args.dist_params, steps=args.steps, seed=args.seed)
     config = {"cmd": "search", "objective": args.objective, "p": args.p,
               "depths": args.depths, "steps": args.steps, "seed": args.seed,
               "eta": args.eta, "strategy": args.strategy, "dist": args.dist}
@@ -310,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--eta", type=float, default=0.5)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--dist", default="lognormal",
-                   choices=["lognormal", "spike", "mixed"])
-    g.add_argument("--dist-params", type=float, nargs="*", default=[0.0, 1.0])
+                   choices=list(search_mod.DIST_PARAMS))
+    g.add_argument("--dist-params", type=float, nargs="*", default=None)
     g.add_argument("--p", type=float, default=2.0)
     g.add_argument("--out", default="-")
     g.set_defaults(func=cmd_gen)
@@ -343,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eta", type=float, default=0.5)
     s.add_argument("--strategy", default="stopping_time")
     s.add_argument("--dist", default="mixed",
-                   choices=["lognormal", "spike", "mixed"])
-    s.add_argument("--dist-params", type=float, nargs="*", default=[])
+                   choices=list(search_mod.DIST_PARAMS))
+    s.add_argument("--dist-params", type=float, nargs="*", default=None)
     s.add_argument("--bumps", default=None)
     s.add_argument("--young", default=None)
     s.add_argument("--timing", action="store_true")

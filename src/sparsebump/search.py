@@ -25,6 +25,9 @@ from .testing import maximal_norm_lower, testing_constant
 OBJECTIVE_KINDS = ("main_theorem", "conjecture_nc", "conjecture_sepcon",
                    "maximal_bound", "prop31_orlicz", "prop31_entropy")
 
+# default dist params: lognormal (mu, s), spike (mass, support fraction); mixed draws its own
+DIST_PARAMS = {"lognormal": (0.0, 1.0), "spike": (1.0, 0.25), "mixed": ()}
+
 
 @dataclass(frozen=True)
 class Objective:
@@ -44,7 +47,7 @@ class SearchConfig:
     eta: float = 0.5
     strategy: str = "stopping_time"
     dist: str = "lognormal"
-    dist_params: tuple = (0.0, 1.0)
+    dist_params: tuple | None = None  # None: DIST_PARAMS[dist]
     steps: int = 1000
     t0: float = 0.5
     gamma: float = 0.999
@@ -55,6 +58,12 @@ class SearchConfig:
             raise DomainError("steps must be >= 1")
         if not 0.0 < self.gamma < 1.0:
             raise DomainError("gamma must lie in (0, 1)")
+        default = DIST_PARAMS.get(self.dist)
+        params = default if self.dist_params is None else tuple(self.dist_params)
+        if default is None or len(params) != len(default):
+            raise DomainError(f"leaf law {self.dist!r} with dist params {params}: the laws "
+                              f"and their default params are {DIST_PARAMS}")
+        object.__setattr__(self, "dist_params", params)
 
 
 @dataclass
@@ -81,12 +90,11 @@ def _draw_leaves(rng, n: int, dist: str, params) -> np.ndarray:
         out = np.full(n, DENSITY_FLOOR)
         out[:support] = mass_frac * n / support
         return out
-    if dist == "mixed":
-        if rng.random() < 0.5:
-            return _draw_leaves(rng, n, "lognormal", (0.0, 1.5))
-        support_frac = max(1.0 / n, float(rng.random()))
-        return _draw_leaves(rng, n, "spike", (1.0, support_frac))
-    raise DomainError(f"unknown leaf distribution {dist!r}")
+    # mixed (SearchConfig has checked dist)
+    if rng.random() < 0.5:
+        return _draw_leaves(rng, n, "lognormal", (0.0, 1.5))
+    support_frac = max(1.0 / n, float(rng.random()))
+    return _draw_leaves(rng, n, "spike", (1.0, support_frac))
 
 
 def _draw_pair(config: SearchConfig, seed: int):

@@ -141,8 +141,36 @@ class TestYoung:
         assert lhs <= rhs * (1.0 + 1e-8) + 1e-9
 
     def test_convexity_check_rejects_concave(self):
-        bad = YoungSpec("custom", fn=lambda t: np.sqrt(t))
+        bad = YoungSpec("power", 0.5, 0.0)
         assert not check_young(bad).ok
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(DomainError):
+            YoungSpec("custom")
+
+    ELASTICITY_GAUGES = [YoungSpec("power", 1.5, 0.0), YoungSpec("power", 3.0, 0.0),
+                         YoungSpec("power_over_log", 2.0, 1.0),
+                         YoungSpec("power_over_log", 3.0, 0.5)]
+
+    @pytest.mark.parametrize("young", ELASTICITY_GAUGES)
+    def test_elasticity_matches_central_difference(self, young):
+        # e = d log A / d log t against (log A(t e^h) - log A(t e^-h)) / 2h
+        u, h = np.linspace(-30.0, 30.0, 241), 1e-4
+        _, e = young.A_and_elasticity(np.exp(u))
+        diff = (np.log(young.A(np.exp(u + h))) - np.log(young.A(np.exp(u - h)))) / (2 * h)
+        assert e == pytest.approx(diff, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("young", ELASTICITY_GAUGES[2:])
+    def test_conjugate_table_elasticity_matches_central_difference(self, young):
+        # segment midpoints, away from the nodes, plus points below and above the grid
+        table = ConjugateTable(young)
+        ls, h = table.log_s, 1e-4
+        u = np.concatenate([0.5 * (ls[:-1] + ls[1:]), [ls[0] - 5.0, ls[-1] + 5.0]])
+        _, e = table.A_and_elasticity(np.exp(u))
+        log_a = [np.log(table.A_and_elasticity(np.exp(u + d))[0]) for d in (h, -h)]
+        diff = (log_a[0] - log_a[1]) / (2 * h)
+        assert e == pytest.approx(diff, rel=1e-6, abs=1e-6)
+        assert e[-2] == 0.0 and table.A_and_elasticity(0.0)[1] == 0.0
 
     def test_power_over_log_q2_accepted(self):
         assert check_young(YoungSpec("power_over_log", 2.0, 1.0)).ok
@@ -161,7 +189,7 @@ class TestYoung:
         rng = np.random.default_rng(0)
         for s in np.exp(rng.uniform(math.log(1e-5), math.log(1e5), 100)):
             ref = young_conjugate(young, float(s))
-            got = float(np.asarray(table(np.array([s])))[0])
+            got = float(table.A_and_elasticity(np.array([s]))[0][0])
             if ref > 1e-10:
                 assert got == pytest.approx(ref, rel=2e-2)
 
@@ -194,8 +222,8 @@ class TestYoung:
         ref = np.exp(np.where(u > ls[-1], lv[-1] + slope * (u - ls[-1]),
                               np.interp(u, ls, lv)))
         assert np.any(u < ls[0]) and np.any(u > ls[-1])
-        assert table(s) == pytest.approx(ref, rel=1e-15, abs=0.0)
-        assert table(0.0) == 0.0
+        assert table.A_and_elasticity(s)[0] == pytest.approx(ref, rel=1e-15, abs=0.0)
+        assert table.A_and_elasticity(0.0)[0] == 0.0
 
 
 class TestLuxemburg:
@@ -263,9 +291,23 @@ class TestLuxemburg:
               (YoungSpec("power_over_log", 2.0, 1.0), True)]
 
     @staticmethod
-    def _A(young, conjugate):
+    def _gauge(young, conjugate):
         from sparsebump.bumps import _conjugate_table
-        return _conjugate_table(young) if conjugate else young.A
+        return _conjugate_table(young) if conjugate else young
+
+    @classmethod
+    def _A(cls, young, conjugate):
+        return lambda x: cls._gauge(young, conjugate).A_and_elasticity(x)[0]
+
+    class _Counted:
+        """A gauge that counts its A_and_elasticity calls."""
+
+        def __init__(self, gauge):
+            self.gauge, self.calls = gauge, 0
+
+        def A_and_elasticity(self, x):
+            self.calls += 1
+            return self.gauge.A_and_elasticity(x)
 
     @staticmethod
     def _assert_certified(f, level, lam, A):
@@ -282,8 +324,7 @@ class TestLuxemburg:
         for depth in range(11):
             f = np.exp(rng.normal(0.0, 1.5, 1 << depth))
             for level in range(depth + 1):
-                lam = luxemburg_norms_level(f, level, young,
-                                            A_fn=A if conjugate else None)
+                lam = luxemburg_norms_level(f, level, self._gauge(young, conjugate))
                 self._assert_certified(f, level, lam, A)
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
@@ -296,21 +337,28 @@ class TestLuxemburg:
             assert got == pytest.approx(ref, rel=1e-12)
 
     def test_evaluation_count(self):
-        # the bisection took about 44 evaluations of mean A per level call;
-        # without the Illinois halving some calls here take 22
+        # the bisection took about 44 evaluations of mean A per level call and
+        # the Illinois steps up to 16; Newton steps read a mean of 5.23 here
         young = YoungSpec("power_over_log", 2.0, 1.0)
         sigma = np.exp(np.random.default_rng(14).normal(0.0, 1.5, 1 << 12))
         counts = []
         for p in (1.5, 2.0, 3.0):
-            for f, A in ((sigma ** (1.0 / p), young.A),
-                         (sigma ** (1.0 - 1.0 / p), self._A(young, True))):
-                def counted(x, A=A):
-                    counts[-1] += 1
-                    return A(x)
+            for f, conjugate in ((sigma ** (1.0 / p), False), (sigma ** (1.0 - 1.0 / p), True)):
                 for level in range(13):
-                    counts.append(0)
-                    luxemburg_norms_level(f, level, young, A_fn=counted)
-        assert np.mean(counts) <= 16.0 and max(counts) <= 16
+                    gauge = self._Counted(self._gauge(young, conjugate))
+                    luxemburg_norms_level(f, level, gauge)
+                    counts.append(gauge.calls)
+        assert np.mean(counts) <= 5.5 and max(counts) <= 6
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_power_gauge_call_count(self, q):
+        # g is linear in t for power A: one step to the root, one to see the
+        # step vanish, one pair to certify it
+        sigma = np.exp(np.random.default_rng(17).normal(0.0, 1.5, 1 << 12))
+        for level in range(13):
+            gauge = self._Counted(YoungSpec("power", q, 0.0))
+            luxemburg_norms_level(sigma, level, gauge)
+            assert gauge.calls <= 3
 
     def test_iteration_cap_raises(self):
         # rel_tol = 0 can never be met: the cap raises, not a silent bracket
@@ -327,8 +375,7 @@ class TestLuxemburg:
         np.random.default_rng(15).shuffle(wide)
         for f in (spike, wide):
             for level in range(9):
-                lam = luxemburg_norms_level(f, level, young,
-                                            A_fn=A if conjugate else None)
+                lam = luxemburg_norms_level(f, level, self._gauge(young, conjugate))
                 assert np.all(np.isfinite(lam)) and np.all(lam > 0.0)
                 self._assert_certified(f, level, lam, A)
 
@@ -518,7 +565,7 @@ class TestOrliczConstants:
             fdual = pair.sigma_leaves ** (1.0 - 1.0 / p)
             for level in (0, depth // 2):
                 na = luxemburg_norms_level(froot, level, self.YOUNG)
-                nb = luxemburg_norms_level(fdual, level, self.YOUNG, A_fn=abar)
+                nb = luxemburg_norms_level(fdual, level, abar)
                 s = pair.sigma_avgs[level]
                 assert np.all(s <= 2.0 * na * nb * (1.0 + 1e-9))
                 count += len(s)
@@ -549,8 +596,7 @@ class TestOrliczConstants:
         assert val > 0.0
         froot = np.ones(8)
         from sparsebump.bumps import _conjugate_table, luxemburg_norm
-        ref = luxemburg_norm(froot, CubeId(0, 0), self.YOUNG, 3,
-                             A_fn=_conjugate_table(self.YOUNG))
+        ref = luxemburg_norm(froot, CubeId(0, 0), _conjugate_table(self.YOUNG), 3)
         assert val == pytest.approx(ref, rel=1e-10)
 
     def test_family_constants_restrict_the_all_table(self):
@@ -562,8 +608,8 @@ class TestOrliczConstants:
             p, pd, depth = pair.p, pair.p_dual, pair.geometry.depth
             lux = [luxemburg_norms_level(pair.sigma_leaves ** (1.0 / p), l, self.YOUNG)
                    for l in range(depth + 1)]
-            lux_bar = [luxemburg_norms_level(pair.sigma_leaves ** (1.0 / pd), l, self.YOUNG,
-                                             A_fn=abar) for l in range(depth + 1)]
+            lux_bar = [luxemburg_norms_level(pair.sigma_leaves ** (1.0 / pd), l, abar)
+                       for l in range(depth + 1)]
             phi = lambda lam: float(spec.phi(max(lam, 1.0))) ** (1.0 / pd)
             li, lacey, sep = [], [], []
             for c in S.cubes:

@@ -221,6 +221,32 @@ class TestReport:
         assert run_cli("report") == 2
 
 
+class TestUsageErrors:
+    """Bad flags exit 2 with a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--depth", "3", "--dist", "spike", "--dist-params", "1"],
+        ["search", "--objective", "main_theorem", "--depths", "2", "--steps", "5",
+         "--dist", "lognormal", "--dist-params", "0", "1", "2"],
+        ["search", "--objective", "conjecture_sepcon", "--depths", "2", "--steps", "5",
+         "--young", "custom.json"],
+    ])
+    def test_exits_2_with_one_line(self, tmp_path, argv):
+        (tmp_path / "custom.json").write_text('{"family": "custom"}')
+        proc = subprocess.run([sys.executable, "-m", "sparsebump.cli", *argv,
+                               "--out", str(tmp_path / "out")],
+                              cwd=tmp_path, env=cli_env(), capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("cmd,dist", [("gen", "spike"), ("search", "lognormal"),
+                                          ("search", "spike")])
+    def test_dist_params_default_per_distribution(self, tmp_path, cmd, dist):
+        argv = ["--depth", "3"] if cmd == "gen" else \
+            ["--objective", "main_theorem", "--depths", "3", "--steps", "5"]
+        assert run_cli(cmd, *argv, "--dist", dist, "--out", str(tmp_path / "out")) == 0
+
+
 class TestParserReuse:
     def test_defaults_survive_an_earlier_call(self, tmp_path):
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
