@@ -65,6 +65,11 @@ class BumpSpec:
     psi_fn: object = None
     phi_fn: object = None
 
+    def __post_init__(self):  # from_json_dict passes no callable, so JSON cannot say "custom"
+        for family, fn in ((self.psi_family, self.psi_fn), (self.phi_family, self.phi_fn)):
+            if not (family in ("log_power", "log_loglog") or family == "custom" and callable(fn)):
+                raise DomainError(f"unknown bump family {family!r}, or custom without a callable")
+
     def psi(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0):
@@ -339,6 +344,7 @@ class ConjugateTable:
         self._edges = np.concatenate([[-np.inf], self.log_s, [np.inf]])
         self._node, self._value = (np.concatenate([a[:1], a]) for a in (self.log_s, self.log_v))
         self._slope = np.concatenate([[0.0], slopes, slopes[-1:]])
+        self.q = young.q / (young.q - 1.0)  # Abar's growth exponent, exact for power A
 
     def A_and_elasticity(self, s):
         """(Abar(s), e(s)): np.interp on the log-log grid, clamped below it
@@ -411,27 +417,37 @@ def luxemburg_norm(f, cube: CubeId, young, depth: int, rel_tol: float = 1e-12) -
     return float(luxemburg_norms_level(sub, 0, young, rel_tol)[0])
 
 
-def luxemburg_norms_level(f, level: int, young, rel_tol: float = 1e-12) -> np.ndarray:
+def luxemburg_norms_level(f, level: int, young, rel_tol: float = 1e-12,
+                          below=None) -> np.ndarray:
     """Luxemburg norms of f on every cube of one level, all cubes at once.
 
     young is a YoungSpec or a ConjugateTable, whose A_and_elasticity gives
     A and e = d log A / d log x in one call.  Safeguarded Newton steps on
     g(t) = log mean A(f e^-t), t = log lambda, of slope -mean(A e)/mean(A),
-    start at lambda = max|f| and keep the bracket mean A(f/lo) >= 1 >=
-    mean A(f/hi): a step that is not finite or leaves it becomes a bisection
-    in t, or a factor of 2 while one end is unknown.  (g is linear for power
-    A.)  Once a step is below 1e-6, lambda * (1 + rel_tol)^-/+0.4 are
-    evaluated in one call, which closes the bracket to hi - lo <= rel_tol*lo.
-    Returns (lo + hi)/2."""
+    keep the bracket mean A(f/lo) >= 1 >= mean A(f/hi): a step that is not
+    finite or leaves it becomes a bisection in t, or a factor of 2 while one
+    end is unknown.  (g is linear for power A.)  Once a step is below 1e-6,
+    lambda * (1 + rel_tol)^-/+0.4 are evaluated in one call, which closes the
+    bracket to hi - lo <= rel_tol*lo.  Returns (lo + hi)/2.
+
+    Alone, a row starts at lambda = max|f|.  Given the norms one level down,
+    it starts inside [min child / (1 + rel_tol), max child * (1 + rel_tol)]
+    (a parent's mean A is its children's average, each falling in lambda),
+    at their power mean of exponent young.q: exact for power A."""
     mat = np.asarray(f, dtype=float).reshape(1 << level, -1)
     if not np.isfinite(mat).all():
         raise DomainError("non-finite leaf values")
     n, width = mat.shape
-    lam = np.max(np.abs(mat), axis=1)  # the next point of each row
-    lo, hi = np.zeros(n), np.where(lam == 0.0, 0.0, np.inf)  # zero rows are closed at 0
     closing = np.zeros(n, dtype=bool)  # the next call evaluates lam / grow and lam * grow
     grow = (1.0 + rel_tol) ** 0.4
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if below is None:
+            lam = np.max(np.abs(mat), axis=1)  # the next point of each row
+            lo, hi = np.zeros(n), np.where(lam == 0.0, 0.0, np.inf)  # zero rows are closed at 0
+        else:  # zero children close the parent at 0; b scales the mean against overflow
+            a, b = np.minimum(below[0::2], below[1::2]), np.maximum(below[0::2], below[1::2])
+            lo, hi = a / (1.0 + rel_tol), b * (1.0 + rel_tol)
+            lam = b * (0.5 + 0.5 * (a / b) ** young.q) ** (1.0 / young.q)
         for _ in range(200):
             todo = np.flatnonzero(hi - lo > rel_tol * lo)
             if not todo.size:
@@ -473,9 +489,10 @@ def _cube_averages(pair: WeightPair, cubes):
 def _luxemburg_norms(pair: WeightPair, power: float, young, cubes):
     """Luxemburg norms of sigma^power over the cubes of _select, level by
     level; young is a YoungSpec or a ConjugateTable."""
-    f = pair.sigma_leaves ** power
-    return _select([luxemburg_norms_level(f, level, young)
-                    for level in range(pair.geometry.depth + 1)], cubes)
+    f, levels = pair.sigma_leaves ** power, [None]
+    for level in range(pair.geometry.depth, -1, -1):  # leaves up, each inside the one below
+        levels.append(luxemburg_norms_level(f, level, young, below=levels[-1]))
+    return _select(levels[:0:-1], cubes)
 
 
 # -- bump constants ---------------------------------------------------------

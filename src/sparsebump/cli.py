@@ -42,24 +42,26 @@ def _write(path, text: str):
             fh.write(text)
 
 
-# the loaders certify what they load: main reports an AdmissibilityError
-# on stderr and exits EXIT_USAGE
+def _load_spec(path, from_json_dict):
+    """A spec from a JSON file; a malformed file is a DomainError.  The two
+    loaders below certify what they load, and main reports either error on
+    stderr and exits EXIT_USAGE."""
+    with open(path) as fh:
+        try:
+            return from_json_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DomainError(f"malformed spec file {path}: {exc!r}") from exc
+
+
 def _load_bump_spec(path) -> BumpSpec:
-    if path is None:
-        spec = BumpSpec()
-    else:
-        with open(path) as fh:
-            spec = BumpSpec.from_json_dict(json.load(fh))
+    spec = BumpSpec() if path is None else _load_spec(path, BumpSpec.from_json_dict)
     bumps.ensure_admissible(spec)
     return spec
 
 
 def _load_young(path) -> YoungSpec:
-    if path is None:
-        young = YoungSpec("power_over_log", 2.0, 1.0)
-    else:
-        with open(path) as fh:
-            young = YoungSpec.from_json_dict(json.load(fh))
+    young = YoungSpec("power_over_log", 2.0, 1.0) if path is None \
+        else _load_spec(path, YoungSpec.from_json_dict)
     bumps.ensure_young(young)
     return young
 

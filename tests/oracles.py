@@ -46,6 +46,12 @@ def brute_mass(leaves, level, index, depth):
     return brute_average(leaves, level, index, depth) * 2.0 ** (-level)
 
 
+def refine(leaves, levels):
+    """The same leaf function on a tree `levels` deeper: every leaf split
+    into 2**levels leaves of its own density."""
+    return np.repeat(np.asarray(leaves, dtype=float), 1 << levels)
+
+
 def brute_packing(cubes, depth):
     """O(n^2) Carleson packing constant over (level, index) pairs."""
     best = 0.0

@@ -84,6 +84,18 @@ class TestAdmissibility:
         assert not rep.ok
         assert any("tail" in r or "diverg" in r for r in rep.reasons)
 
+    def test_family_names_checked(self):
+        # "custom" needs its callable, and has no JSON form
+        for kwargs in ({"psi_family": "nonsense"}, {"phi_family": "log"},
+                       {"psi_family": "custom"}, {"phi_family": "custom", "phi_fn": 1.0}):
+            with pytest.raises(DomainError):
+                BumpSpec(**kwargs)
+        data = BumpSpec().to_json_dict()
+        assert BumpSpec.from_json_dict(data) == BumpSpec()
+        data["psi"]["family"] = "custom"
+        with pytest.raises(DomainError):
+            BumpSpec.from_json_dict(data)
+
     def test_eps0_loglog_rejected(self):
         rep = check_bump(BumpSpec(psi_family="log_loglog", psi_eps=0.0))
         assert not rep.ok
@@ -300,14 +312,25 @@ class TestLuxemburg:
         return lambda x: cls._gauge(young, conjugate).A_and_elasticity(x)[0]
 
     class _Counted:
-        """A gauge that counts its A_and_elasticity calls."""
+        """A gauge that counts its A_and_elasticity calls, and records the
+        row width of each, which names the level it serves."""
 
         def __init__(self, gauge):
-            self.gauge, self.calls = gauge, 0
+            self.gauge, self.calls, self.widths, self.q = gauge, 0, [], gauge.q
 
         def A_and_elasticity(self, x):
             self.calls += 1
+            self.widths.append(np.shape(x)[-1])
             return self.gauge.A_and_elasticity(x)
+
+    @staticmethod
+    def _pyramid(f, gauge):
+        """Every level's norms from one leaves-up _luxemburg_norms pass."""
+        from sparsebump.bumps import _luxemburg_norms
+        depth = int(np.log2(len(f)))
+        pair = WeightPair(TreeGeometry(depth), np.ones(len(f)), f, 2.0)
+        flat = _luxemburg_norms(pair, 1.0, gauge, "all")
+        return np.split(flat, np.cumsum([1 << level for level in range(depth)]))
 
     @staticmethod
     def _assert_certified(f, level, lam, A):
@@ -326,6 +349,33 @@ class TestLuxemburg:
             for level in range(depth + 1):
                 lam = luxemburg_norms_level(f, level, self._gauge(young, conjugate))
                 self._assert_certified(f, level, lam, A)
+
+    @pytest.mark.parametrize("young,conjugate", GAUGES)
+    def test_certificate_on_the_pyramid_path(self, young, conjugate):
+        # every level of the leaves-up pass is certified, and agrees with
+        # the same level started alone from max|f|
+        A, gauge = self._A(young, conjugate), self._gauge(young, conjugate)
+        rng = np.random.default_rng(12)
+        spike = np.full(1 << 8, 1e-12)
+        spike[[3, 77, 200]] = 1.0
+        wide = np.geomspace(1e-150, 1e150, 1 << 8)
+        rng.shuffle(wide)
+        inputs = [np.exp(rng.normal(0.0, 1.5, 1 << depth)) for depth in range(13)]
+        for f in inputs + [spike, wide]:
+            for level, lam in enumerate(self._pyramid(f, gauge)):
+                self._assert_certified(f, level, lam, A)
+                alone = luxemburg_norms_level(f, level, gauge)
+                np.testing.assert_allclose(lam, alone, rtol=2e-12, atol=0.0)
+
+    def test_zero_children_close_at_zero(self):
+        young = YoungSpec("power_over_log", 2.0, 1.0)
+        f = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 3.0, 1.0])
+        below = luxemburg_norms_level(f, 3, young)
+        for level in (2, 1, 0):
+            below = luxemburg_norms_level(f, level, young, below=below)
+            np.testing.assert_allclose(below, luxemburg_norms_level(f, level, young),
+                                       rtol=2e-12, atol=0.0)
+            assert below[0] == 0.0 if level > 0 else below[0] > 0.0
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_power_closed_form_at_depth_10(self, q):
@@ -349,6 +399,30 @@ class TestLuxemburg:
                     luxemburg_norms_level(f, level, gauge)
                     counts.append(gauge.calls)
         assert np.mean(counts) <= 5.5 and max(counts) <= 6
+
+    def test_evaluation_count_on_the_pyramid_path(self):
+        # the same corpus as test_evaluation_count, each gauge in one
+        # leaves-up pass: a mean of 3.77 calls per level, 5 at most
+        young = YoungSpec("power_over_log", 2.0, 1.0)
+        sigma = np.exp(np.random.default_rng(14).normal(0.0, 1.5, 1 << 12))
+        counts = []
+        for p in (1.5, 2.0, 3.0):
+            for f, conjugate in ((sigma ** (1.0 / p), False), (sigma ** (1.0 - 1.0 / p), True)):
+                gauge = self._Counted(self._gauge(young, conjugate))
+                self._pyramid(f, gauge)
+                counts += [gauge.widths.count(1 << (12 - level)) for level in range(13)]
+        assert np.mean(counts) <= 3.8 and max(counts) <= 5
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_power_pyramid_call_count(self, q):
+        # lambda^q of a parent is the mean of its children's: the start is
+        # the root, so one call sees the step vanish and one pair certifies
+        sigma = np.exp(np.random.default_rng(17).normal(0.0, 1.5, 1 << 12))
+        gauge = self._Counted(YoungSpec("power", q, 0.0))
+        self._pyramid(sigma, gauge)
+        assert gauge.widths.count(1) == 1  # A(1) = 1 closes the leaves at once
+        for level in range(12):
+            assert gauge.widths.count(1 << (12 - level)) <= 2
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_power_gauge_call_count(self, q):
@@ -624,6 +698,32 @@ class TestOrliczConstants:
                 assert np.array_equal(table, table_all[np.concatenate(S.masks)])
                 assert value == pytest.approx(max(terms), rel=1e-12)
             assert sepcon_constant(pair, self.YOUNG, S) == pytest.approx(max(sep), rel=1e-12)
+
+    def test_refinement_to_depth_12(self):
+        # splitting every leaf of a depth-6 instance into 64 equal leaves
+        # changes no gauge: levels 0-6 agree, and below level 6 every cube
+        # is constant, so its gauge is its depth-6 ancestor's
+        from sparsebump.bumps import _conjugate_table, _luxemburg_norms
+        spec = BumpSpec()
+        for inst in random_corpus(6, seed=41, depths=(6,), ps=(2.0, 3.0)):
+            pair = inst.pair
+            fine = WeightPair(TreeGeometry(12), oracles.refine(pair.w_leaves, 6),
+                              oracles.refine(pair.sigma_leaves, 6), pair.p)
+            for fn in (orlicz_li_constant, orlicz_lacey_constant):
+                assert fn(fine, self.YOUNG, spec)[0] == pytest.approx(
+                    fn(pair, self.YOUNG, spec)[0], rel=1e-12, abs=0.0)
+            assert sepcon_constant(fine, self.YOUNG) == pytest.approx(
+                sepcon_constant(pair, self.YOUNG), rel=1e-12, abs=0.0)
+            for power, gauge in ((1.0 / pair.p, self.YOUNG),
+                                 (1.0 / pair.p_dual, _conjugate_table(self.YOUNG))):
+                coarse = _luxemburg_norms(pair, power, gauge, "all")
+                levels = np.split(_luxemburg_norms(fine, power, gauge, "all"),
+                                  np.cumsum([1 << level for level in range(12)]))
+                np.testing.assert_allclose(np.concatenate(levels[:7]), coarse,
+                                           rtol=2e-12, atol=0.0)
+                for level in range(7, 13):
+                    ancestor = np.repeat(levels[6], 1 << (level - 6))
+                    np.testing.assert_allclose(levels[level], ancestor, rtol=2e-12, atol=0.0)
 
     def test_li_requires_bp(self, instance_a):
         spec = BumpSpec()

@@ -230,9 +230,24 @@ class TestUsageErrors:
          "--dist", "lognormal", "--dist-params", "0", "1", "2"],
         ["search", "--objective", "conjecture_sepcon", "--depths", "2", "--steps", "5",
          "--young", "custom.json"],
+        *(["search", "--objective", "conjecture_sepcon", "--depths", "2", "--steps", "5",
+           flag, name] for flag, name in (("--young", "q_text.json"),
+                                          ("--young", "truncated.json"),
+                                          ("--bumps", "psi_custom.json"),
+                                          ("--bumps", "psi_no_eps.json"),
+                                          ("--bumps", "psi_nonsense.json"))),
     ])
     def test_exits_2_with_one_line(self, tmp_path, argv):
-        (tmp_path / "custom.json").write_text('{"family": "custom"}')
+        phi = '"phi": {"family": "log_loglog", "eps": 1.0}'
+        for name, text in (("custom.json", '{"family": "custom"}'),
+                           ("q_text.json", '{"family": "power", "q": "two"}'),
+                           ("truncated.json", '{"family": "pow'),
+                           ("psi_custom.json", '{"psi": {"family": "custom", "eps": 1.0}, '
+                                               + phi + '}'),
+                           ("psi_no_eps.json", '{"psi": {"family": "log_power"}, ' + phi + '}'),
+                           ("psi_nonsense.json", '{"psi": {"family": "nonsense", "eps": 1.0}, '
+                                                 + phi + '}')):
+            (tmp_path / name).write_text(text)
         proc = subprocess.run([sys.executable, "-m", "sparsebump.cli", *argv,
                                "--out", str(tmp_path / "out")],
                               cwd=tmp_path, env=cli_env(), capture_output=True, text=True)
@@ -328,6 +343,9 @@ class TestArtifactDiff:
         same = diff(rows)
         assert same.returncode == 0, same.stdout
         assert "no flips, no missing rows" in same.stdout
+        moved = diff(rows[:2] + ["prop33,0.75,1,4,0.75,true", rows[3]])
+        assert moved.returncode == 0, moved.stdout
+        assert "  prop33: 0.333\n  every other row name (1): 0\n" in moved.stdout
         flipped = diff(rows[:3] + ["sawyer_sum,0.25,1,4,0.25,false"])
         assert flipped.returncode == 1
         assert "flip check.csv: sawyer_sum#1 pass true -> false" in flipped.stdout
