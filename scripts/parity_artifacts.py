@@ -1,0 +1,71 @@
+"""Write the parity set of CLI artifacts for the source tree this script
+sits in, so that two commits can be compared file by file:
+
+    python scripts/parity_artifacts.py OUT_DIR
+
+Every artifact is made by `sparsebump.cli.main` in this process, from
+this tree's `src/`:
+- `gen` for the four strategies x depths 3/6/9/12 x p 1.5/2/3 x the
+  lognormal/spike/mixed laws, at eta 0.25 and seed 0;
+- `constants --cubes all` and `--cubes sparse` on each instance;
+- `check --suite all --in` on each instance of depth <= 9;
+- `check --trials 150` at seeds 0 and 5;
+- `search --result-out` for main_theorem, conjecture_nc and
+  prop31_entropy at p 1.5/2/3, `--depths 3 5 --steps 150 --seed 3`.
+
+`exit_codes.txt` lists each run's exit code.  Compare two sets with
+`diff -r` and `python scripts/artifact_diff.py OLD_DIR NEW_DIR`.
+"""
+
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from sparsebump import cli  # noqa: E402
+from sparsebump.dyadic import STRATEGIES  # noqa: E402
+
+
+def runs():
+    """The argv of every run, instances before their users; every path is
+    relative to OUT_DIR, so no artifact names the directory."""
+    for strategy in STRATEGIES:
+        for depth in (3, 6, 9, 12):
+            for p in (1.5, 2.0, 3.0):
+                for dist in ("lognormal", "spike", "mixed"):
+                    name = f"{strategy}_d{depth}_p{p:g}_{dist}"
+                    inst = f"gen_{name}.json"
+                    yield ["gen", "--depth", str(depth), "--strategy", strategy, "--eta", "0.25",
+                           "--p", str(p), "--dist", dist, "--out", inst]
+                    for cubes in ("all", "sparse"):
+                        yield ["constants", "--in", inst, "--cubes", cubes,
+                               "--out", f"constants_{cubes}_{name}.csv"]
+                    if depth <= 9:
+                        yield ["check", "--suite", "all", "--in", inst,
+                               "--out", f"check_{name}.csv"]
+    for seed in (0, 5):
+        yield ["check", "--trials", "150", "--seed", str(seed),
+               "--out", f"check_trials_seed{seed}.csv"]
+    for objective in ("main_theorem", "conjecture_nc", "prop31_entropy"):
+        for p in ("1.5", "2", "3"):
+            name = f"{objective}_p{p}"
+            yield ["search", "--objective", objective, "--p", p, "--depths", "3", "5",
+                   "--steps", "150", "--seed", "3", "--out", f"search_{name}.csv",
+                   "--result-out", f"search_{name}.json"]
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("usage: python scripts/parity_artifacts.py OUT_DIR", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    codes = [f"{cli.main(args)} {' '.join(args)}" for args in runs()]
+    Path("exit_codes.txt").write_text("\n".join(codes) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -2,13 +2,11 @@
 
 from .dyadic import (CubeId, DomainError, Instance, NumericError, SparseFamily,
                      TreeGeometry, WeightPair, generate_sparse, instance_from_dict,
-                     load_instance, packing_constant, stopping_time_family,
-                     verify_sparse)
+                     load_instance, packing_constant, stopping_time_family)
 from .bumps import (AdmissibilityError, BumpSpec, YoungSpec, ap_constant,
                     bp_integral, check_bump, dyadic_maximal, entropy_constant,
-                    entropy_lambda, luxemburg_norm, maximal_bound_constant,
-                    nu_constant, orlicz_lacey_constant, orlicz_li_constant,
-                    young_conjugate)
+                    entropy_lambda, maximal_bound_constant, nu_constant,
+                    orlicz_lacey_constant, orlicz_li_constant)
 from .testing import (CheckReport, apply_sparse,
                       carleson_embedding_ratio, cov_sides, eset_split_check,
                       hytonen_ratio, lambda_condition_constant, lemma_reports,

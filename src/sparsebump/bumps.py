@@ -11,7 +11,7 @@ psi(t) <= C * exp(sqrt(t)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,6 +48,14 @@ def _psi_upper(t, eps, family):
     if family == "log_power":
         return np.log(_E + t) ** (1.0 + eps)
     return np.log(_E + t) * _loglog(_EE + t) ** (1.0 + eps)
+
+
+def _known_keys(data: dict, keys) -> dict:
+    """data, once each of its keys is one of keys: a misspelt key is an error, not a default."""
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise DomainError(f"unknown spec keys {unknown}, expected some of {list(keys)}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -114,8 +122,10 @@ class BumpSpec:
 
     @staticmethod
     def from_json_dict(data: dict) -> "BumpSpec":
-        return BumpSpec(psi_family=data["psi"]["family"], psi_eps=float(data["psi"]["eps"]),
-                        phi_family=data["phi"]["family"], phi_eps=float(data["phi"]["eps"]))
+        _known_keys(data, ("psi", "phi"))
+        psi, phi = (_known_keys(data[side], ("family", "eps")) for side in ("psi", "phi"))
+        return BumpSpec(psi_family=psi["family"], psi_eps=float(psi["eps"]),
+                        phi_family=phi["family"], phi_eps=float(phi["eps"]))
 
 
 @dataclass
@@ -145,17 +155,21 @@ def _tail_converges(u):
 
 
 def _tail_extrapolate(u):
-    """Geometric/power extrapolation beyond the directly summed range."""
+    """The tail beyond the directly summed range: geometric when the last
+    two ratios agree, else a power law fit between K/2 and K."""
     K = len(u)
     if K < 8 or u[-1] <= 0:
         return 0.0
+    r1, r2 = (u[-1] / u[-2], u[-2] / u[-3]) if u[-2] > 0 and u[-3] > 0 else (0.0, 0.0)
+    if 0 < r1 < 0.97 and abs(r1 - r2) < 0.02:
+        return float(u[-1] * r1 / (1.0 - r1))
     ratio = u[K - 1] / u[K // 2 - 1]
     if ratio <= 0 or ratio >= 1:
         return 0.0
     alpha = -math.log(ratio) / math.log(2.0)
     if alpha <= 1.0:
         return 0.0
-    return u[-1] * K / (alpha - 1.0)
+    return float(u[-1] * K / (alpha - 1.0))
 
 
 def check_bump(spec: BumpSpec) -> AdmissibilityReport:
@@ -261,17 +275,14 @@ class YoungSpec:
 
     @staticmethod
     def from_json_dict(data: dict) -> "YoungSpec":
+        _known_keys(data, ("family", "q", "eps"))
         return YoungSpec(family=data.get("family"), q=float(data.get("q", 2.0)),
                          eps=float(data.get("eps", 1.0)))
 
 
-@dataclass
-class YoungReport:
-    ok: bool
-    reasons: list
-
-
-def check_young(young: YoungSpec) -> YoungReport:
+def ensure_young(young: YoungSpec) -> None:
+    """Raise AdmissibilityError unless A(0) = 0 and A is increasing and
+    convex on a geometric grid."""
     reasons = []
     ts = np.concatenate(([0.0], np.geomspace(2.0 ** -40, 2.0 ** 40, 2001)))
     vals = np.asarray(young.A(ts))
@@ -283,14 +294,8 @@ def check_young(young: YoungSpec) -> YoungReport:
     rel = np.diff(slopes) / np.maximum(slopes[1:], 1e-300)
     if np.min(rel) < -1e-9:
         reasons.append("A not convex on the geometric grid")
-    return YoungReport(ok=not reasons, reasons=reasons)
-
-
-def ensure_young(young: YoungSpec) -> None:
-    report = check_young(young)
-    if not report.ok:
-        raise AdmissibilityError("inadmissible Young function: "
-                                 + "; ".join(report.reasons))
+    if reasons:
+        raise AdmissibilityError("inadmissible Young function: " + "; ".join(reasons))
 
 
 def _conjugate(young: YoungSpec, s: np.ndarray) -> np.ndarray:
@@ -318,15 +323,6 @@ def _conjugate(young: YoungSpec, s: np.ndarray) -> np.ndarray:
     if not np.isfinite(val).all():
         raise NumericError("conjugate supremum overflowed")
     return val
-
-
-def young_conjugate(young: YoungSpec, s: float) -> float:
-    """Legendre conjugate Abar(s) = sup_t (s*t - A(t))."""
-    if s < 0:
-        raise DomainError("conjugate argument must be nonnegative")
-    if s == 0.0:
-        return 0.0
-    return float(_conjugate(young, np.array([s], dtype=float))[0])
 
 
 class ConjugateTable:
@@ -382,39 +378,12 @@ def bp_integral(young: YoungSpec, p: float) -> float:
         integrand = np.asarray(young.A(t)) / t ** p  # dt/t absorbed by u-substitution
         blocks.append(float(0.5 * (b - a) * np.sum(weights * integrand)))
     blocks = np.array(blocks)
-    jj = np.arange(1, 41, dtype=float)
-    v = jj * blocks
-    if v[9] > 0 and v[39] / v[9] > 0.7:
+    if not _tail_converges(blocks):
         return math.inf
-    total = float(np.sum(blocks))
-    total += bp_tail_estimate(blocks)
-    return total
-
-
-def bp_tail_estimate(blocks) -> float:
-    """Tail beyond the last dyadic block: geometric extrapolation when the
-    block ratio is stable, else a power-law fit in the block index."""
-    blocks = np.asarray(blocks, dtype=float)
-    if blocks[-1] <= 0:
-        return 0.0
-    r1 = blocks[-1] / blocks[-2] if blocks[-2] > 0 else 0.0
-    r2 = blocks[-2] / blocks[-3] if blocks[-3] > 0 else 0.0
-    if 0 < r1 < 0.97 and abs(r1 - r2) < 0.02:
-        return float(blocks[-1] * r1 / (1.0 - r1))
-    if blocks[19] > blocks[-1]:
-        alpha = math.log(blocks[19] / blocks[-1]) / math.log(2.0)
-        if alpha > 1.0:
-            return float(blocks[-1] * len(blocks) / (alpha - 1.0))
-    return 0.0
+    return float(np.sum(blocks)) + _tail_extrapolate(blocks)
 
 
 # -- Luxemburg norms --------------------------------------------------------
-
-
-def luxemburg_norm(f, cube: CubeId, young, depth: int, rel_tol: float = 1e-12) -> float:
-    """The normalized Luxemburg gauge of f on one cube (luxemburg_norms_level)."""
-    sub = np.asarray(f, dtype=float)[cube.leaf_slice(depth)]
-    return float(luxemburg_norms_level(sub, 0, young, rel_tol)[0])
 
 
 def luxemburg_norms_level(f, level: int, young, rel_tol: float = 1e-12,

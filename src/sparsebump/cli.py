@@ -186,9 +186,8 @@ def _random_corpus(trials: int, seed: int):
         p = float(rng.choice([1.5, 2.0, 3.0]))
         strategy = dyadic.STRATEGIES[i % len(dyadic.STRATEGIES)]
         dist = ["lognormal", "spike", "mixed"][i % 3]
-        params = (0.0, 1.5) if dist == "lognormal" else (1.0, 0.25) if dist == "spike" else ()
-        cfg = search_mod.SearchConfig(depth=depth, eta=eta, strategy=strategy,
-                                      dist=dist, dist_params=params,
+        cfg = search_mod.SearchConfig(depth=depth, eta=eta, strategy=strategy, dist=dist,
+                                      dist_params=(0.0, 1.5) if dist == "lognormal" else None,
                                       seed=seed + i)
         inst = search_mod.random_instance(cfg, seed + i)
         data = inst.to_json_dict()

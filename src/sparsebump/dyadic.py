@@ -223,13 +223,6 @@ def packing_constant(cubes, geometry: TreeGeometry) -> float:
     return SparseFamily.build(cubes, 1.0, geometry).packing
 
 
-def verify_sparse(family: SparseFamily, eta: float) -> bool:
-    """Operative definition of eta-sparseness: packing <= 1/eta."""
-    if not (0.0 < eta <= 1.0):
-        raise DomainError(f"eta must lie in (0, 1], got {eta}")
-    return family.packing <= 1.0 / eta + 1e-12
-
-
 STRATEGIES = ("tower", "random_greedy", "all_above_level", "stopping_time")
 
 

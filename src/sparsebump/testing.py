@@ -116,54 +116,22 @@ def apply_sparse(S: SparseFamily, values) -> np.ndarray:
     return ancestor_accumulate([np.where(m, a, 0.0) for m, a in zip(S.masks, avgs)])[-1]
 
 
-class _SparseOperatorP2:
-    """f -> A_S(f sigma) as a map between the weighted L^2 leaf spaces,
-    conjugated to the unweighted matrix B = W^{1/2} A_S S^{1/2} (the leaf
-    measures cancel) whose largest singular value is the operator norm."""
-
-    def __init__(self, S: SparseFamily, pair: WeightPair):
-        self.S = S
-        self.sw = np.sqrt(pair.w_leaves)
-        self.ss = np.sqrt(pair.sigma_leaves)
-        self.n = pair.geometry.n_leaves
-
-    def B(self, h: np.ndarray) -> np.ndarray:
-        return self.sw * apply_sparse(self.S, self.ss * h)
-
-    def Bt(self, g: np.ndarray) -> np.ndarray:
-        return self.ss * apply_sparse(self.S, self.sw * g)
-
-    def dense(self) -> np.ndarray:
-        cols = []
-        eye = np.eye(self.n)
-        for i in range(self.n):
-            cols.append(self.B(eye[:, i]))
-        return np.array(cols).T
-
-
-def operator_norm_p2(S: SparseFamily, pair: WeightPair, rel_tol: float = 1e-10,
-                     max_iter: int = 100_000) -> float:
-    """Exact norm of A_S(. sigma): L^2(sigma) -> L^2(w) via power
-    iteration on the self-adjoint composition."""
+def operator_norm_p2(S: SparseFamily, pair: WeightPair) -> float:
+    """Exact norm of A_S(. sigma): L^2(sigma) -> L^2(w) by _boyd steps, at
+    p = 2 power iteration on B^T B, B = W^{1/2} A_S Sigma^{1/2}, in f sqrt(sigma)."""
     if abs(pair.p - 2.0) > 1e-12:
         raise DomainError("operator_norm_p2 requires p = 2")
     if pair.geometry.depth > 14:
         raise DomainError("operator_norm_p2 limited to depth <= 14")
-    op = _SparseOperatorP2(S, pair)
-    h = np.ones(op.n)
+    h = np.ones(pair.geometry.n_leaves)
     h[:: 2] += 1e-3  # break symmetry deterministically
-    h /= np.linalg.norm(h)
-    prev = -1.0
-    for _ in range(max_iter):
-        g = op.B(h)
-        est = np.linalg.norm(g)
-        h2 = op.Bt(g)
-        nh2 = np.linalg.norm(h2)
-        if nh2 == 0.0:
+    f, prev = h / np.sqrt(pair.sigma_leaves), -1.0
+    for _ in range(100_000):
+        est, f = _boyd(S, pair, f)
+        if f is None:
             return 0.0
-        h = h2 / nh2
-        if abs(est - prev) <= rel_tol * max(est, 1e-300):
-            return float(est)
+        if abs(est - prev) <= 1e-10 * max(est, 1e-300):
+            return est
         prev = est
     raise NumericError("power iteration did not converge")
 
@@ -202,25 +170,30 @@ def _best_trial(pair: WeightPair, apply, cubes, budget: int, seed: int):
     return best, best_f
 
 
+def _boyd(S: SparseFamily, pair: WeightPair, f: np.ndarray):
+    """The trial ratio at f and Boyd's power map for the l^p norm of
+    A_S(. sigma) (Boyd, Linear Algebra Appl. 9, 1974): f -> A_S(w
+    |A_S(f sigma)|^{p-1})^{1/(p-1)} scaled to max 1, or None when that
+    max is 0 or not finite."""
+    img = apply_sparse(S, f * pair.sigma_leaves)
+    nxt = apply_sparse(S, pair.w_leaves * np.abs(img) ** (pair.p - 1.0)) ** (1.0 / (pair.p - 1.0))
+    m = float(np.max(nxt))
+    ratio = _trial_ratio(pair, lambda _: img, f)  # img is already A_S(f sigma)
+    return ratio, (nxt / m if 0.0 < m < math.inf else None)
+
+
 def operator_norm_lower(S: SparseFamily, pair: WeightPair, budget: int,
                         seed: int = 0) -> float:
     """Lower bound for ||A_S(. sigma)||_{L^p(sigma) -> L^p(w)} from trial
-    functions: indicators of every R in S, seeded random nonnegative leaf
-    vectors, and a dual-normalization fixed-point iteration."""
-    apply = functools.partial(apply_sparse, S)
-    best, best_f = _best_trial(pair, apply, S.sorted_cubes(), budget, seed)
-    p = pair.p
-    # fixed point: f proportional to (A_S^*(w |A_S(f sigma)|^{p-1}) / sigma)^{1/(p-1)}
-    f = best_f if best_f is not None else np.ones(pair.geometry.n_leaves)
+    functions: indicators of every R in S and seeded random nonnegative
+    leaf vectors, then up to min(budget, 30) _boyd steps from the best."""
+    best, f = _best_trial(pair, functools.partial(apply_sparse, S), S.sorted_cubes(),
+                          budget, seed)
     for _ in range(min(budget, 30)):
-        u = apply(f * pair.sigma_leaves)
-        v = apply(np.maximum(u, 0.0) ** (p - 1.0) * pair.w_leaves)
-        nxt = (v / pair.sigma_leaves) ** (1.0 / (p - 1.0))
-        m = np.max(nxt)
-        if not np.isfinite(m) or m == 0.0:
+        if f is None:
             break
-        f = nxt / m
-        best = max(best, _trial_ratio(pair, apply, f))
+        ratio, f = _boyd(S, pair, f)
+        best = max(best, ratio)
     return best
 
 

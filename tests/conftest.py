@@ -9,8 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import sparsebump
 from sparsebump import (Instance, TreeGeometry, WeightPair, generate_sparse)
-
-STRATEGIES = ("tower", "random_greedy", "all_above_level", "stopping_time")
+from sparsebump.dyadic import STRATEGIES
 
 
 def cli_env():

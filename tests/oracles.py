@@ -268,3 +268,37 @@ def random_pair(rng, depth):
     w = np.exp(rng.standard_normal(n))
     sigma = np.exp(1.5 * rng.standard_normal(n))
     return w, sigma
+
+
+# -- dense operator and its l^p norm bracket --------------------------------
+
+def dense_operator(depth, masks, w, sigma, p):
+    """The matrix M_xy = w_x^{1/p} K(x, y) sigma_y^{1/p'} 2^-L, K(x, y) the
+    sum of 1/|Q| over the family cubes Q holding leaves x and y: its l^p
+    norm is that of A_S(. sigma) from L^p(sigma) to L^p(w)."""
+    n = 1 << depth
+    K = np.zeros((n, n))
+    for level, mask in enumerate(masks):
+        for j in range(1 << level):
+            if mask[j]:
+                a, b = leaf_range(level, j, depth)
+                K[a:b, a:b] += 2.0 ** level
+    w, sigma = np.asarray(w, dtype=float), np.asarray(sigma, dtype=float)
+    return w[:, None] ** (1.0 / p) * K * sigma[None, :] ** (1.0 - 1.0 / p) / n
+
+
+def bracket(M, p, max_steps=1_000_000):
+    """(lo, hi) around the l^p operator norm of a positive matrix M: Boyd's
+    map F(x) = (M^T (M x)^{p-1})^{1/(p-1)} from x = 1, lo the ratio
+    ||M x||_p / ||x||_p and hi the Collatz-Wielandt end
+    max_j (F(x)_j / x_j)^{(p-1)/p}, until hi <= lo (1 + 1e-12)."""
+    x = np.ones(M.shape[1])
+    for _ in range(max_steps):
+        y = M @ x
+        lo = np.sum(y ** p) ** (1.0 / p) / np.sum(x ** p) ** (1.0 / p)
+        fx = (M.T @ y ** (p - 1.0)) ** (1.0 / (p - 1.0))
+        hi = np.max(fx / x) ** ((p - 1.0) / p)
+        if hi <= lo * (1.0 + 1e-12):
+            return lo, hi
+        x = fx / np.max(fx)
+    raise AssertionError("Boyd bracket did not close")

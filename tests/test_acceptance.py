@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from conftest import cli_env, level_arrays, make_instance, random_corpus
 from sparsebump import (CubeId, TreeGeometry, WeightPair,
                         carleson_embedding_ratio, testing_constant)
@@ -24,7 +25,7 @@ from sparsebump.search import Objective, SearchConfig, sweep_results
 from sparsebump.testing import (cov_bracket_report, cov_sides, hytonen_ratio,
                                 operator_norm_lower, operator_norm_p2,
                                 prop32_check, prop33_check, realized_levels,
-                                sawyer_sum_bound, _SparseOperatorP2)
+                                sawyer_sum_bound)
 
 ROOT = CubeId(0, 0)
 
@@ -159,8 +160,9 @@ def test_criterion_5_operator_norm_consistency(capsys):
     for inst in random_corpus(100, seed=303, ps=(2.0,), depths=(2, 3, 4, 5, 6)):
         pair, fam = inst.pair, inst.family
         norm = operator_norm_p2(fam, pair)
-        dense = float(np.linalg.svd(_SparseOperatorP2(fam, pair).dense(),
-                                    compute_uv=False)[0])
+        dense = float(np.linalg.svd(oracles.dense_operator(
+            pair.geometry.depth, fam.masks, pair.w_leaves, pair.sigma_leaves, 2.0),
+            compute_uv=False)[0])
         worst_dense = max(worst_dense, abs(norm - dense) / dense)
         lower = operator_norm_lower(fam, pair, budget=6, seed=0)
         lower_ok &= lower <= norm + 1e-9

@@ -10,17 +10,26 @@ import oracles
 from conftest import make_instance, random_corpus
 from sparsebump import (CubeId, TreeGeometry, WeightPair, ap_constant,
                         bp_integral, check_bump, dyadic_maximal,
-                        entropy_constant, entropy_lambda, luxemburg_norm,
+                        entropy_constant, entropy_lambda,
                         maximal_bound_constant, nu_constant,
-                        orlicz_lacey_constant, orlicz_li_constant,
-                        young_conjugate)
+                        orlicz_lacey_constant, orlicz_li_constant)
 from sparsebump.bumps import (AdmissibilityError, BumpSpec, ConjugateTable,
-                              YoungSpec, check_young, ensure_admissible,
+                              YoungSpec, _conjugate, ensure_admissible, ensure_young,
                               entropy_lambdas, luxemburg_norms_level,
                               nu_lambdas, sepcon_constant)
 from sparsebump.dyadic import DomainError, NumericError
 
 GRID = [1e-6, 1e-3, 0.3, 0.9, 1.0, 1.7, 4.0, 1e3, 1e6]
+
+
+def conjugate_at(young, s):
+    """Abar(s) at one point s > 0: the conjugate search on a one-point array."""
+    return float(_conjugate(young, np.array([s], dtype=float))[0])
+
+
+def cube_gauge(f, cube, young, depth):
+    """The Luxemburg gauge of f on one cube: its leaves as a one-cube level."""
+    return float(luxemburg_norms_level(f[cube.leaf_slice(depth)], 0, young)[0])
 
 
 class TestPsiPhi:
@@ -133,8 +142,8 @@ class TestYoung:
         young = YoungSpec("power", 2.0, 0.0)
         for s in (0.25, 1.0, 3.0, 40.0):
             # conjugate of t^2 is s^2/4
-            assert young_conjugate(young, s) == pytest.approx(s * s / 4.0, rel=1e-9)
-            assert young_conjugate(young, s) == pytest.approx(
+            assert conjugate_at(young, s) == pytest.approx(s * s / 4.0, rel=1e-9)
+            assert conjugate_at(young, s) == pytest.approx(
                 oracles.brute_conjugate(lambda t: t ** 2, s), rel=1e-6)
 
     def test_conjugate_against_search_oracle(self):
@@ -142,23 +151,39 @@ class TestYoung:
         A = young.A
         for s in (0.1, 1.0, 7.0, 300.0):
             ref = oracles.brute_conjugate(lambda t: float(A(float(t))), s)
-            assert young_conjugate(young, s) == pytest.approx(ref, rel=1e-5, abs=1e-9)
+            assert conjugate_at(young, s) == pytest.approx(ref, rel=1e-5, abs=1e-9)
 
     @given(st.floats(0.01, 50.0), st.floats(0.01, 50.0))
     @settings(max_examples=80, deadline=None)
     def test_fenchel_young_inequality(self, s, t):
         young = YoungSpec("power_over_log", 2.0, 1.0)
         lhs = s * t
-        rhs = float(young.A(t)) + young_conjugate(young, s)
+        rhs = float(young.A(t)) + conjugate_at(young, s)
         assert lhs <= rhs * (1.0 + 1e-8) + 1e-9
 
     def test_convexity_check_rejects_concave(self):
         bad = YoungSpec("power", 0.5, 0.0)
-        assert not check_young(bad).ok
+        with pytest.raises(AdmissibilityError):
+            ensure_young(bad)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(DomainError):
             YoungSpec("custom")
+
+    def test_json_keys(self):
+        # missing q and eps keep their defaults; a key not in the spec is an error
+        assert YoungSpec.from_json_dict({"family": "power_over_log"}) == \
+            YoungSpec("power_over_log", 2.0, 1.0)
+        for data in ({"family": "power", "Q": 3}, {"family": "power", "q": 2, "p": 2}):
+            with pytest.raises(DomainError, match="unknown spec keys"):
+                YoungSpec.from_json_dict(data)
+        data = BumpSpec().to_json_dict()
+        for outer, key in ((data, "chi"), (data["psi"], "epsilon"), (data["phi"], "q")):
+            outer[key] = 1.0
+            with pytest.raises(DomainError, match="unknown spec keys"):
+                BumpSpec.from_json_dict(data)
+            del outer[key]
+        assert BumpSpec.from_json_dict(data) == BumpSpec()
 
     ELASTICITY_GAUGES = [YoungSpec("power", 1.5, 0.0), YoungSpec("power", 3.0, 0.0),
                          YoungSpec("power_over_log", 2.0, 1.0),
@@ -185,7 +210,7 @@ class TestYoung:
         assert e[-2] == 0.0 and table.A_and_elasticity(0.0)[1] == 0.0
 
     def test_power_over_log_q2_accepted(self):
-        assert check_young(YoungSpec("power_over_log", 2.0, 1.0)).ok
+        ensure_young(YoungSpec("power_over_log", 2.0, 1.0))
 
     def test_bp_integral_power_closed_form(self):
         # A(t) = t^q gives integral 1/(p - q) for q < p
@@ -200,17 +225,17 @@ class TestYoung:
         table = ConjugateTable(young)
         rng = np.random.default_rng(0)
         for s in np.exp(rng.uniform(math.log(1e-5), math.log(1e5), 100)):
-            ref = young_conjugate(young, float(s))
+            ref = conjugate_at(young, float(s))
             got = float(table.A_and_elasticity(np.array([s]))[0][0])
             if ref > 1e-10:
                 assert got == pytest.approx(ref, rel=2e-2)
 
     def test_conjugate_table_matches_pointwise_search(self):
         # the table's one search over every grid point against
-        # young_conjugate at each point on its own
+        # the search at each point on its own
         young = YoungSpec("power_over_log", 2.0, 1.0)
         table = ConjugateTable(young)
-        ref = np.maximum.accumulate([young_conjugate(young, float(s))
+        ref = np.maximum.accumulate([conjugate_at(young, float(s))
                                      for s in np.exp(table.log_s)])
         assert np.exp(table.log_v) == pytest.approx(ref, rel=1e-13)
 
@@ -244,7 +269,7 @@ class TestLuxemburg:
         young = YoungSpec("power_over_log", 2.0, 1.0)
         g = TreeGeometry(3)
         f = np.ones(8)
-        assert luxemburg_norm(f, CubeId(0, 0), young, 3) == pytest.approx(1.0, rel=1e-10)
+        assert cube_gauge(f, CubeId(0, 0), young, 3) == pytest.approx(1.0, rel=1e-10)
 
     def test_power_family_closed_form(self):
         young = YoungSpec("power", 2.0, 0.0)
@@ -253,7 +278,7 @@ class TestLuxemburg:
         for cube in TreeGeometry(4).cubes():
             sub = f[cube.leaf_slice(4)]
             ref = float(np.mean(sub ** 2)) ** 0.5
-            assert luxemburg_norm(f, cube, young, 4) == pytest.approx(ref, rel=1e-10)
+            assert cube_gauge(f, cube, young, 4) == pytest.approx(ref, rel=1e-10)
 
     @given(st.floats(0.01, 100.0), st.integers(0, 2 ** 31))
     @settings(max_examples=60, deadline=None)
@@ -262,8 +287,8 @@ class TestLuxemburg:
         rng = np.random.default_rng(seed)
         f = np.exp(rng.standard_normal(8))
         root = CubeId(0, 0)
-        a = luxemburg_norm(c * f, root, young, 3)
-        b = c * luxemburg_norm(f, root, young, 3)
+        a = cube_gauge(c * f, root, young, 3)
+        b = c * cube_gauge(f, root, young, 3)
         assert a == pytest.approx(b, rel=1e-10)
 
     @given(st.integers(0, 2 ** 31))
@@ -274,8 +299,8 @@ class TestLuxemburg:
         f = np.exp(rng.standard_normal(8))
         g = f + np.abs(rng.standard_normal(8))
         root = CubeId(0, 0)
-        assert luxemburg_norm(f, root, young, 3) <= \
-            luxemburg_norm(g, root, young, 3) + 1e-12
+        assert cube_gauge(f, root, young, 3) <= \
+            cube_gauge(g, root, young, 3) + 1e-12
 
     def test_matches_multiprecision_bisection(self):
         young = YoungSpec("power_over_log", 2.0, 1.0)
@@ -285,7 +310,7 @@ class TestLuxemburg:
         for cube in TreeGeometry(3).cubes():
             ref = oracles.brute_luxemburg(f, cube.level, cube.index, 3,
                                           lambda x: float(A(float(x))))
-            assert luxemburg_norm(f, cube, young, 3) == pytest.approx(ref, rel=1e-10)
+            assert cube_gauge(f, cube, young, 3) == pytest.approx(ref, rel=1e-10)
 
     def test_level_vectorization_agrees(self):
         young = YoungSpec("power_over_log", 2.0, 1.0)
@@ -294,7 +319,7 @@ class TestLuxemburg:
         for level in range(6):
             row = luxemburg_norms_level(f, level, young)
             for j in range(1 << level):
-                ref = luxemburg_norm(f, CubeId(level, j), young, 5)
+                ref = cube_gauge(f, CubeId(level, j), young, 5)
                 assert row[j] == pytest.approx(ref, rel=1e-10)
 
     GAUGES = [(YoungSpec("power", 1.5, 0.0), False), (YoungSpec("power", 2.0, 0.0), False),
@@ -669,8 +694,8 @@ class TestOrliczConstants:
         val = sepcon_constant(inst.pair, self.YOUNG, "all")
         assert val > 0.0
         froot = np.ones(8)
-        from sparsebump.bumps import _conjugate_table, luxemburg_norm
-        ref = luxemburg_norm(froot, CubeId(0, 0), _conjugate_table(self.YOUNG), 3)
+        from sparsebump.bumps import _conjugate_table
+        ref = cube_gauge(froot, CubeId(0, 0), _conjugate_table(self.YOUNG), 3)
         assert val == pytest.approx(ref, rel=1e-10)
 
     def test_family_constants_restrict_the_all_table(self):

@@ -235,7 +235,10 @@ class TestUsageErrors:
                                           ("--young", "truncated.json"),
                                           ("--bumps", "psi_custom.json"),
                                           ("--bumps", "psi_no_eps.json"),
-                                          ("--bumps", "psi_nonsense.json"))),
+                                          ("--bumps", "psi_nonsense.json"),
+                                          ("--young", "young_extra.json"),
+                                          ("--bumps", "bumps_extra.json"),
+                                          ("--bumps", "phi_extra.json"))),
     ])
     def test_exits_2_with_one_line(self, tmp_path, argv):
         phi = '"phi": {"family": "log_loglog", "eps": 1.0}'
@@ -246,7 +249,14 @@ class TestUsageErrors:
                                                + phi + '}'),
                            ("psi_no_eps.json", '{"psi": {"family": "log_power"}, ' + phi + '}'),
                            ("psi_nonsense.json", '{"psi": {"family": "nonsense", "eps": 1.0}, '
-                                                 + phi + '}')):
+                                                 + phi + '}'),
+                           # unknown keys: "Q" would otherwise run with q = 2
+                           ("young_extra.json", '{"family": "power", "Q": 3}'),
+                           ("bumps_extra.json", '{"psi": {"family": "log_power", "eps": 1.0}, '
+                                                + phi + ', "eta": 0.5}'),
+                           ("phi_extra.json", '{"psi": {"family": "log_power", "eps": 1.0}, '
+                                              '"phi": {"family": "log_loglog", "eps": 1.0, '
+                                              '"esp": 2.0}}')):
             (tmp_path / name).write_text(text)
         proc = subprocess.run([sys.executable, "-m", "sparsebump.cli", *argv,
                                "--out", str(tmp_path / "out")],

@@ -12,7 +12,7 @@ from conftest import STRATEGIES, make_instance
 from sparsebump import (CubeId, DomainError, Instance, SparseFamily,
                         TreeGeometry, WeightPair, generate_sparse,
                         instance_from_dict, load_instance, packing_constant,
-                        stopping_time_family, verify_sparse)
+                        stopping_time_family)
 
 
 def sigma_avgs(sigma, geometry):
@@ -154,7 +154,6 @@ class TestGenerators:
             g = TreeGeometry(depth)
             sigma = np.exp(rng.standard_normal(g.n_leaves))
             fam = generate_sparse(g, strategy, eta, checked, sigma_avgs=sigma_avgs(sigma, g))
-            assert verify_sparse(fam, eta)
             assert fam.packing <= 1.0 / eta + 1e-12
             assert fam.sorted_cubes() == sorted(fam.cubes)
             assert fam.packing == packing_constant(fam.cubes, g)

@@ -164,14 +164,25 @@ class TestSparseOperator:
         assert operator_norm_p2(fam, inst.pair) == pytest.approx(1.0, rel=1e-9)
 
     def test_power_iteration_matches_dense(self):
-        from sparsebump.testing import _SparseOperatorP2
         for inst in random_corpus(30, seed=9, depths=(2, 3, 4, 5, 6),
                                   ps=(2.0,)):
             iterative = operator_norm_p2(inst.family, inst.pair)
-            dense = np.linalg.svd(
-                _SparseOperatorP2(inst.family, inst.pair).dense(),
-                compute_uv=False)[0]
+            dense = np.linalg.svd(oracles.dense_operator(
+                inst.pair.geometry.depth, inst.family.masks, inst.pair.w_leaves,
+                inst.pair.sigma_leaves, 2.0), compute_uv=False)[0]
             assert iterative == pytest.approx(dense, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_norms_inside_the_dense_bracket(self, p):
+        # Boyd steps from the best trial reach the l^p norm of the dense
+        # matrix, bracketed by Boyd's map and its Collatz-Wielandt end
+        for inst in random_corpus(70, seed=17, depths=(2, 3, 4, 5, 6), ps=(p,)):
+            pair, S = inst.pair, inst.family
+            lo, hi = oracles.bracket(oracles.dense_operator(
+                pair.geometry.depth, S.masks, pair.w_leaves, pair.sigma_leaves, p), p)
+            assert lo * (1.0 - 1e-8) <= operator_norm_lower(S, pair, 64) <= hi * (1.0 + 1e-12)
+            if p == 2.0:
+                assert lo * (1.0 - 1e-9) <= operator_norm_p2(S, pair) <= hi * (1.0 + 1e-9)
 
     def test_lower_bound_below_norm(self):
         for inst in random_corpus(30, seed=10, depths=(2, 3, 4), ps=(2.0,)):
