@@ -139,19 +139,11 @@ class AdmissibilityReport:
 
 def _tail_converges(u):
     """Decide summability of a positive decreasing tail sequence u[k],
-    k = 1..K, sampled at dyadic arguments.  Two tiers: k*u_k must decay
-    (separates the harmonic boundary), and dyadic block sums must shrink."""
-    K = len(u)
-    if K < 16:
-        return True  # nothing to certify on a short tail
-    kk = np.arange(1, K + 1, dtype=float)
-    v = kk * np.asarray(u)
-    i_hi, i_lo = K - 1, K // 4 - 1
-    if v[i_lo] <= 0:
-        return True
-    if v[i_hi] / v[i_lo] > 0.7:
-        return False
-    return True
+    k = 1..K, sampled at dyadic arguments: k*u_k must fall by more than a
+    factor 0.7 from K/4 to K (this separates the harmonic boundary)."""
+    v = np.arange(1, len(u) + 1, dtype=float) * np.asarray(u)
+    lo, hi = v[len(u) // 4 - 1], v[-1]
+    return lo <= 0 or not hi / lo > 0.7
 
 
 def _tail_extrapolate(u):
@@ -175,18 +167,16 @@ def _tail_extrapolate(u):
 def check_bump(spec: BumpSpec) -> AdmissibilityReport:
     reasons = []
     grid_k = np.arange(1, 41, dtype=float)
-    # monotonicity: decreasing on (0,1), increasing on (1,inf)
-    t_small = 2.0 ** (-grid_k)  # decreasing t: 1/2, 1/4, ...
-    psi_small = np.asarray(spec.psi(t_small))
-    if np.any(np.diff(psi_small) < -1e-12 * np.abs(psi_small[:-1])):
-        reasons.append("psi not decreasing on (0,1)")
-    t_big = 2.0 ** grid_k
+    # monotonicity: decreasing on (0,1), increasing on (1,inf); each
+    # sequence runs toward t = 0 or t = inf (t_small: 1/2, 1/4, ...)
+    t_small, t_big = 2.0 ** (-grid_k), 2.0 ** grid_k
     psi_big = np.asarray(spec.psi(t_big))
-    if np.any(np.diff(psi_big) < -1e-12 * np.abs(psi_big[:-1])):
-        reasons.append("psi not increasing on (1,inf)")
-    phi_big = np.asarray(spec.phi(t_big))
-    if np.any(np.diff(phi_big) < -1e-12 * np.abs(phi_big[:-1])):
-        reasons.append("phi not increasing on (1,inf)")
+    for vals, what in ((spec.psi(t_small), "psi not decreasing on (0,1)"),
+                       (psi_big, "psi not increasing on (1,inf)"),
+                       (spec.phi(t_big), "phi not increasing on (1,inf)")):
+        vals = np.asarray(vals)
+        if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
+            reasons.append(what)
 
     # star[k] = inf of psi over the block (2^k, 2^{k+1}]; for the
     # straddling block k = -1 the one-sided limit at t -> 1- is included

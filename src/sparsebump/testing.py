@@ -110,10 +110,10 @@ def testing_constant(pair: WeightPair, S: SparseFamily):
 
 
 def apply_sparse(S: SparseFamily, values) -> np.ndarray:
-    """A_S f = sum over Q in S of f_Q * chi_Q, leaf array in, leaf array
-    out."""
+    """A_S f = sum over Q in S of f_Q * chi_Q for finite f, leaf array in,
+    leaf array out."""
     avgs = _avg_pyramid(np.asarray(values, dtype=float), len(S.masks) - 1)
-    return ancestor_accumulate([np.where(m, a, 0.0) for m, a in zip(S.masks, avgs)])[-1]
+    return ancestor_accumulate([a * m for m, a in zip(S.masks, avgs)])[-1]
 
 
 def operator_norm_p2(S: SparseFamily, pair: WeightPair) -> float:
@@ -171,15 +171,19 @@ def _best_trial(pair: WeightPair, apply, cubes, budget: int, seed: int):
 
 
 def _boyd(S: SparseFamily, pair: WeightPair, f: np.ndarray):
-    """The trial ratio at f and Boyd's power map for the l^p norm of
-    A_S(. sigma) (Boyd, Linear Algebra Appl. 9, 1974): f -> A_S(w
-    |A_S(f sigma)|^{p-1})^{1/(p-1)} scaled to max 1, or None when that
-    max is 0 or not finite."""
+    """The trial ratio at f >= 0, f != 0, and Boyd's power map for the l^p
+    norm of A_S(. sigma) (Boyd, Linear Algebra Appl. 9, 1974): f -> A_S(w
+    A_S(f sigma)^{p-1})^{1/(p-1)} scaled to max 1, or None when that is 0.
+    Raises NumericError when the ratio or the map overflows."""
+    p = pair.p
     img = apply_sparse(S, f * pair.sigma_leaves)
-    nxt = apply_sparse(S, pair.w_leaves * np.abs(img) ** (pair.p - 1.0)) ** (1.0 / (pair.p - 1.0))
-    m = float(np.max(nxt))
-    ratio = _trial_ratio(pair, lambda _: img, f)  # img is already A_S(f sigma)
-    return ratio, (nxt / m if 0.0 < m < math.inf else None)
+    u = img ** (p - 1.0) * pair.w_leaves  # u . img = ||img||^p in L^p(w), up to 2^-L
+    ratio = float(np.dot(u, img) / np.dot(f ** p, pair.sigma_leaves)) ** (1.0 / p)
+    nxt = apply_sparse(S, u) ** (1.0 / (p - 1.0))
+    m = float(nxt.max())
+    if not math.isfinite(ratio + m):
+        raise NumericError("Boyd step overflowed")
+    return ratio, (nxt / m if m > 0.0 else None)
 
 
 def operator_norm_lower(S: SparseFamily, pair: WeightPair, budget: int,
@@ -192,7 +196,10 @@ def operator_norm_lower(S: SparseFamily, pair: WeightPair, budget: int,
     for _ in range(min(budget, 30)):
         if f is None:
             break
-        ratio, f = _boyd(S, pair, f)
+        try:
+            ratio, f = _boyd(S, pair, f)
+        except NumericError:  # overflowing weights: keep the trials' bound
+            break
         best = max(best, ratio)
     return best
 

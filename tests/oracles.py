@@ -287,13 +287,14 @@ def dense_operator(depth, masks, w, sigma, p):
     return w[:, None] ** (1.0 / p) * K * sigma[None, :] ** (1.0 - 1.0 / p) / n
 
 
-def bracket(M, p, max_steps=1_000_000):
+def bracket(M, p):
     """(lo, hi) around the l^p operator norm of a positive matrix M: Boyd's
     map F(x) = (M^T (M x)^{p-1})^{1/(p-1)} from x = 1, lo the ratio
     ||M x||_p / ||x||_p and hi the Collatz-Wielandt end
-    max_j (F(x)_j / x_j)^{(p-1)/p}, until hi <= lo (1 + 1e-12)."""
+    max_j (F(x)_j / x_j)^{(p-1)/p}, until hi <= lo (1 + 1e-12), within
+    10^6 steps."""
     x = np.ones(M.shape[1])
-    for _ in range(max_steps):
+    for _ in range(1_000_000):
         y = M @ x
         lo = np.sum(y ** p) ** (1.0 / p) / np.sum(x ** p) ** (1.0 / p)
         fx = (M.T @ y ** (p - 1.0)) ** (1.0 / (p - 1.0))

@@ -16,7 +16,7 @@ from sparsebump import (CubeId, SparseFamily, TreeGeometry, WeightPair, apply_sp
                         prop33_check, sawyer_sum_bound, testing_constant,
                         theorem_main_ratio)
 from sparsebump.bumps import BumpSpec, check_bump, nu_lambdas
-from sparsebump.dyadic import DomainError
+from sparsebump.dyadic import DomainError, NumericError
 from sparsebump.search import _sub_ap_fraction
 from sparsebump.testing import (CheckReport, CHECK_CSV_HEADER,
                                 cov_bracket_report, realized_levels)
@@ -183,6 +183,13 @@ class TestSparseOperator:
             assert lo * (1.0 - 1e-8) <= operator_norm_lower(S, pair, 64) <= hi * (1.0 + 1e-12)
             if p == 2.0:
                 assert lo * (1.0 - 1e-9) <= operator_norm_p2(S, pair) <= hi * (1.0 + 1e-9)
+
+    def test_overflow_raises(self):
+        # w A_S(f sigma) near 1e375 overflows: NumericError, never the 0.0
+        # that only a zero image may return
+        inst = make_instance(3, np.full(8, 1e250), np.full(8, 1e250), 2.0)
+        with pytest.raises(NumericError):
+            operator_norm_p2(inst.family, inst.pair)
 
     def test_lower_bound_below_norm(self):
         for inst in random_corpus(30, seed=10, depths=(2, 3, 4), ps=(2.0,)):
