@@ -3,9 +3,8 @@ constants built from them.
 
 A bump spec carries a V-shaped function psi (decreasing on (0,1),
 increasing on (1,inf)) and an increasing function phi on [1,inf).
-Admissibility certifies monotonicity on a geometric grid, finiteness of
-the dyadic tail sums S_psi and S_phi, and the growth guard
-psi(t) <= C * exp(sqrt(t)).
+Admissibility certifies monotonicity on a geometric grid and finiteness
+of the dyadic tail sums S_psi and S_phi.
 """
 
 from __future__ import annotations
@@ -134,7 +133,6 @@ class AdmissibilityReport:
     reasons: list
     s_psi: float
     s_phi: float
-    growth_c: float
 
 
 def _tail_converges(u):
@@ -170,9 +168,8 @@ def check_bump(spec: BumpSpec) -> AdmissibilityReport:
     # monotonicity: decreasing on (0,1), increasing on (1,inf); each
     # sequence runs toward t = 0 or t = inf (t_small: 1/2, 1/4, ...)
     t_small, t_big = 2.0 ** (-grid_k), 2.0 ** grid_k
-    psi_big = np.asarray(spec.psi(t_big))
     for vals, what in ((spec.psi(t_small), "psi not decreasing on (0,1)"),
-                       (psi_big, "psi not increasing on (1,inf)"),
+                       (spec.psi(t_big), "psi not increasing on (1,inf)"),
                        (spec.phi(t_big), "phi not increasing on (1,inf)")):
         vals = np.asarray(vals)
         if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
@@ -204,13 +201,7 @@ def check_bump(spec: BumpSpec) -> AdmissibilityReport:
     if not _tail_converges(uphi):
         reasons.append("S_phi diverges (dyadic tail fails decay check)")
     s_phi = float(np.sum(uphi) + _tail_extrapolate(uphi))
-
-    # growth guard psi(t) <= C exp(sqrt(t)) on [1, 2^40], computed in logs
-    log_excess = np.log(psi_big) - np.sqrt(t_big)
-    growth_c = float(np.exp(max(np.max(log_excess), math.log(spec.psi(1.0)) - 1.0)))
-
-    return AdmissibilityReport(ok=not reasons, reasons=reasons, s_psi=s_psi,
-                               s_phi=s_phi, growth_c=growth_c)
+    return AdmissibilityReport(ok=not reasons, reasons=reasons, s_psi=s_psi, s_phi=s_phi)
 
 
 _admissibility_cache: dict = {}
@@ -320,12 +311,12 @@ class ConjugateTable:
     interpolation; evaluating the ternary search per leaf per cube is too
     slow inside search loops."""
 
-    def __init__(self, young: YoungSpec, points: int = 512):
-        self.log_s = np.linspace(-60.0 * math.log(2.0), 60.0 * math.log(2.0), points)
+    def __init__(self, young: YoungSpec):
+        self.log_s = np.linspace(-60.0 * math.log(2.0), 60.0 * math.log(2.0), 512)
         vals = np.maximum.accumulate(_conjugate(young, np.exp(self.log_s)))
         self.log_v = np.log(np.maximum(vals, 1e-300))
         # lookup segment k spans [_edges[k], _edges[k+1]), a line through (_node[k], _value[k])
-        # of slope _slope[k]: k = 0 lies below the grid (slope 0), k = points above its top node
+        # of slope _slope[k]: k = 0 lies below the grid (slope 0), k = 512 above its top node
         slopes = np.diff(self.log_v) / np.diff(self.log_s)
         self._edges = np.concatenate([[-np.inf], self.log_s, [np.inf]])
         self._node, self._value = (np.concatenate([a[:1], a]) for a in (self.log_s, self.log_v))
@@ -376,6 +367,18 @@ def bp_integral(young: YoungSpec, p: float) -> float:
 # -- Luxemburg norms --------------------------------------------------------
 
 
+def _row_sums(a):
+    """a.sum(axis=1), rows of width 2 or 4 added column by column: numpy
+    reduces such narrow rows one at a time, several times slower, in the
+    same left-to-right order."""
+    if a.shape[1] not in (2, 4):
+        return a.sum(axis=1)
+    out = a[:, 0] + a[:, 1]
+    for j in range(2, a.shape[1]):
+        out += a[:, j]
+    return out
+
+
 def luxemburg_norms_level(f, level: int, young, rel_tol: float = 1e-12,
                           below=None) -> np.ndarray:
     """Luxemburg norms of f on every cube of one level, all cubes at once.
@@ -417,12 +420,12 @@ def luxemburg_norms_level(f, level: int, young, rel_tol: float = 1e-12,
                                   lam[pair] * grow])
             A, e = young.A_and_elasticity(
                 (mat if rows.size == n == k else mat[rows]) / pts[:, None])
-            m = A.sum(axis=1) / width
+            m = _row_sums(A) / width
             np.maximum.at(lo, rows[m >= 1.0], pts[m >= 1.0])
             np.minimum.at(hi, rows[m <= 1.0], pts[m <= 1.0])
             # Newton from each row's first point
             x = pts[:k]
-            step = np.log(m[:k]) * m[:k] * width / (A[:k] * e[:k]).sum(axis=1)
+            step = np.log(m[:k]) * m[:k] * width / _row_sums(A[:k] * e[:k])
             nxt = x * np.exp(step)
             a, b = lo[todo], hi[todo]
             near = np.abs(step) < 1e-6
@@ -530,17 +533,12 @@ def sepcon_constant(pair: WeightPair, young: YoungSpec, cubes="all") -> float:
 # -- dyadic maximal function and entropy bumps ------------------------------
 
 
-def _running_max(avgs, level: int) -> np.ndarray:
-    """Leaf array: the largest of the averages avgs over a leaf's dyadic
-    ancestors at levels >= level; one top-down pass."""
-    return ancestor_accumulate(avgs[level:], np.maximum)[-1]
-
-
 def dyadic_maximal(f_leaves, depth: int, level: int = 0) -> np.ndarray:
     """The dyadic maximal function down from level, on every cube Q of
     that level at once: at each leaf of Q, the max over dyadic Q' with the
     leaf in Q' subset of Q of f_{Q'}.  Level 0 is M_d f."""
-    return _running_max(_avg_pyramid(np.asarray(f_leaves, dtype=float), depth), level)
+    avgs = _avg_pyramid(np.asarray(f_leaves, dtype=float), depth)
+    return ancestor_accumulate(avgs[level:], np.maximum)[-1]
 
 
 def entropy_lambda(sigma_leaves, cube: CubeId, geometry) -> float:
@@ -555,12 +553,16 @@ def entropy_lambda(sigma_leaves, cube: CubeId, geometry) -> float:
 
 
 def entropy_lambdas(pair: WeightPair, cubes="all") -> np.ndarray:
-    """entropy_lambda of every cube as a family vector in _select order:
-    one running-max pass down from each level, all of its cubes at once."""
-    s = pair.sigma_leaves
-    return _select([_running_max(pair.sigma_avgs, level).reshape(1 << level, -1).sum(axis=1)
-                    / s.reshape(1 << level, -1).sum(axis=1)
-                    for level in range(pair.geometry.depth + 1)], cubes)
+    """entropy_lambda of every cube as a family vector in _select order,
+    from one pass up from the leaves: after level l, run is the dyadic
+    maximal function down from level l at every leaf."""
+    s, depth = pair.sigma_leaves, pair.geometry.depth
+    run, levels = pair.sigma_avgs[depth], [None] * (depth + 1)
+    for level in range(depth, -1, -1):
+        run = np.maximum(np.repeat(pair.sigma_avgs[level], 1 << (depth - level)), run)
+        levels[level] = (run.reshape(1 << level, -1).sum(axis=1)
+                         / s.reshape(1 << level, -1).sum(axis=1))
+    return _select(levels, cubes)
 
 
 def entropy_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:

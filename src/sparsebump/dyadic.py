@@ -160,10 +160,9 @@ class SparseFamily:
     derive from the masks on first use.  Equality is identity."""
 
     masks: list = field(repr=False)
-    eta: float
 
     @staticmethod
-    def build(cubes, eta: float, geometry: TreeGeometry) -> "SparseFamily":
+    def build(cubes, geometry: TreeGeometry) -> "SparseFamily":
         """The validated family of an explicit cube list."""
         cubes = frozenset(cubes)
         if not cubes:
@@ -171,7 +170,7 @@ class SparseFamily:
         for c in cubes:
             if not geometry.contains(c):
                 raise DomainError(f"cube {c} outside depth-{geometry.depth} tree")
-        return SparseFamily(_cube_masks(cubes, geometry.depth), float(eta))
+        return SparseFamily(_cube_masks(cubes, geometry.depth))
 
     @cached_property
     def _cube_tuple(self) -> tuple:
@@ -220,7 +219,7 @@ def _cube_masks(cubes, depth: int) -> list[np.ndarray]:
 
 def packing_constant(cubes, geometry: TreeGeometry) -> float:
     """Carleson packing constant of a nonempty cube list in the tree."""
-    return SparseFamily.build(cubes, 1.0, geometry).packing
+    return SparseFamily.build(cubes, geometry).packing
 
 
 STRATEGIES = ("tower", "random_greedy", "all_above_level", "stopping_time")
@@ -248,7 +247,7 @@ def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int
             if total > cap + 1e-12:
                 break
             masks[level][0] = True
-        return SparseFamily(masks, float(eta))
+        return SparseFamily(masks)
 
     if name == "all_above_level":
         m = int(arg) if arg else min(depth, int(np.floor(cap + 1e-12)) - 1)
@@ -256,7 +255,7 @@ def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int
         if m + 1 > cap + 1e-12:
             raise DomainError(
                 f"all_above_level {m} has packing {m + 1} > 1/eta = {cap}")
-        return SparseFamily([np.full(1 << l, l <= m) for l in range(depth + 1)], float(eta))
+        return SparseFamily([np.full(1 << l, l <= m) for l in range(depth + 1)])
 
     if name == "random_greedy":
         rng = np.random.default_rng(np.uint64(seed))
@@ -275,7 +274,7 @@ def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int
                 admitted[level][j] = True
                 for a in range(level + 1):
                     subtree[a][j >> (level - a)] += m_c
-        return SparseFamily([np.array(m, dtype=bool) for m in admitted], float(eta))
+        return SparseFamily([np.array(m, dtype=bool) for m in admitted])
 
     if name == "stopping_time":
         if sigma_avgs is None:
@@ -300,7 +299,7 @@ def stopping_time_family(sigma_avgs, a: float) -> SparseFamily:
         parent = stop.repeat(2)
         masks.append(avg > a * parent)
         stop = np.where(masks[-1], avg, parent)
-    return SparseFamily(masks, 1.0 - 1.0 / a)
+    return SparseFamily(masks)
 
 
 # -- instance (de)serialization --------------------------------------------
@@ -344,7 +343,7 @@ def instance_from_dict(data: dict) -> Instance:
     sparse = data["sparse"]
     if "cubes" in sparse:
         cubes = [CubeId(int(l), int(j)) for l, j in sparse["cubes"]]
-        family = SparseFamily.build(cubes, float(sparse.get("eta", 1.0)), geometry)
+        family = SparseFamily.build(cubes, geometry)
     else:
         family = generate_sparse(geometry, sparse["strategy"], float(sparse["eta"]),
                                  int(sparse.get("seed", 0)), sigma_avgs=pair.sigma_avgs)

@@ -28,6 +28,9 @@ OBJECTIVE_KINDS = ("main_theorem", "conjecture_nc", "conjecture_sepcon",
 # default dist params: lognormal (mu, s), spike (mass, support fraction); mixed draws its own
 DIST_PARAMS = {"lognormal": (0.0, 1.0), "spike": (1.0, 0.25), "mixed": ()}
 
+# annealing schedule: start temperature, cooled by this factor every step
+T0, GAMMA = 0.5, 0.999
+
 
 @dataclass(frozen=True)
 class Objective:
@@ -49,15 +52,11 @@ class SearchConfig:
     dist: str = "lognormal"
     dist_params: tuple | None = None  # None: DIST_PARAMS[dist]
     steps: int = 1000
-    t0: float = 0.5
-    gamma: float = 0.999
     seed: int = 0
 
     def __post_init__(self):
         if self.steps < 1:
             raise DomainError("steps must be >= 1")
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError("gamma must lie in (0, 1)")
         default = DIST_PARAMS.get(self.dist)
         params = default if self.dist_params is None else tuple(self.dist_params)
         if default is None or len(params) != len(default):
@@ -115,9 +114,9 @@ def _instance(config: SearchConfig, w, sigma, p: float, family_seed: int) -> Ins
                                    "seed": family_seed})
 
 
-def random_instance(config: SearchConfig, seed: int) -> Instance:
-    """Deterministic random weight pair (p = 2, a placeholder) plus its family."""
-    return _instance(config, *_draw_pair(config, seed), 2.0, seed)
+def random_instance(config: SearchConfig, seed: int, p: float = 2.0) -> Instance:
+    """Deterministic random weight pair at p plus its family."""
+    return _instance(config, *_draw_pair(config, seed), p, seed)
 
 
 def evaluate(objective: Objective, instance: Instance) -> float:
@@ -179,7 +178,7 @@ def anneal(objective: Objective, config: SearchConfig) -> SearchResult:
     cur_val = evaluate(objective, current)
     best_val, best_inst = cur_val, current
     trace = [best_val]
-    temperature = config.t0
+    temperature = T0
     evals = 1
     for step in range(1, config.steps):
         if step % restart_every == 0:
@@ -205,7 +204,7 @@ def anneal(objective: Objective, config: SearchConfig) -> SearchResult:
         if cur_val > best_val:
             best_val, best_inst = cur_val, current
         trace.append(best_val)
-        temperature *= config.gamma
+        temperature *= GAMMA
 
     # re-verify the best instance by recomputation from its serialized form
     from .dyadic import instance_from_dict

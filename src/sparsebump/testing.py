@@ -276,12 +276,6 @@ def _in_level(s, k):
     return (2.0 ** k < s) & (s <= 2.0 ** (k + 1))
 
 
-def levelset_family(S: SparseFamily, pair: WeightPair, k: int) -> set:
-    """{Q in S : 2^k < sigma_Q <= 2^{k+1}} (strict lower, weak upper)."""
-    masks = [m & _in_level(s, k) for m, s in zip(S.masks, pair.sigma_avgs)]
-    return set(SparseFamily(masks, S.eta).cubes)
-
-
 def realized_levels(S: SparseFamily, pair: WeightPair) -> list[int]:
     """The k with nonempty level set, under the strict/weak convention."""
     s = _select(pair.sigma_avgs, S)
@@ -340,33 +334,21 @@ def sawyer_sum_bound(pair: WeightPair, S: SparseFamily, spec: BumpSpec,
     return lemma_reports(S, pair, [], spec, R)[1]
 
 
-def lambda_condition_constant(S: SparseFamily, pair: WeightPair, lam,
-                              R: CubeId) -> float:
-    """Smallest C with sum over Q subset R of lambda_Q^{-1} sigma(Q)
-    <= C * sigma(R), for the given R; lam is a family vector of S, and
-    every lambda_Q must be >= 1."""
-    lam = np.asarray(lam, dtype=float)
-    bad = np.flatnonzero(lam < 1.0 - 1e-12)
-    if bad.size:
-        raise DomainError(f"lambda_Q must be >= 1, got {lam[bad[0]]} "
-                          f"at {S.sorted_cubes()[bad[0]]}")
-    # _sums_inside checks R against the tree before R indexes the masses
-    inside = float(_sums_inside(S, _select(pair.sigma_masses, S) / lam, R))
-    return inside / float(pair.sigma_masses[R.level][R.index])
+# the pass cap of prop31_bound: the proof's constant is implicit
+PROP31_CAP = 64.0
 
 
-def prop31_bound(pair: WeightPair, S: SparseFamily, lam, spec: BumpSpec, tc: float,
-                 cap: float = 64.0) -> CheckReport:
+def prop31_bound(pair: WeightPair, S: SparseFamily, lam, spec: BumpSpec, tc: float) -> CheckReport:
     """The testing constant tc = testing_constant(pair, S)[0] against the
     lambda-bump sup, lam a family vector of S; the proof constant is
-    implicit, so the pass flag compares against a configurable cap."""
+    implicit, so the pass flag compares against PROP31_CAP."""
     ensure_admissible(spec)
     p, pd = pair.p, pair.p_dual
     w, s = _cube_averages(pair, S)
     lam = np.maximum(lam, 1.0)
     terms = (w ** (1.0 / p) * s ** (1.0 / pd) * lam ** (1.0 / p)
              * spec.phi(lam) ** (1.0 / pd))
-    return CheckReport.make("prop31", tc, float(terms.max()), bound=cap)
+    return CheckReport.make("prop31", tc, float(terms.max()), bound=PROP31_CAP)
 
 
 def eset_split_check(pair: WeightPair, S: SparseFamily, R: CubeId):
@@ -376,7 +358,7 @@ def eset_split_check(pair: WeightPair, S: SparseFamily, R: CubeId):
     p = pair.p
     E = SparseFamily(
         [m & (w * s ** (p - 1.0) >= 1.0)
-         for m, w, s in zip(S.masks, pair.w_avgs, pair.sigma_avgs)], S.eta)
+         for m, w, s in zip(S.masks, pair.w_avgs, pair.sigma_avgs)])
     lhs = lp_norm(local_sum(E, pair, R), pair.w_leaves, p) ** p
     sawyer = float(_sums_inside(S, _sawyer_terms(S, pair), R))
     split = CheckReport.make("eset_split", lhs,

@@ -132,10 +132,6 @@ class TestAdmissibility:
                      for k in range(-40, 40))
         assert rep.s_psi >= direct - 1e-12
 
-    def test_growth_constant_recorded(self):
-        rep = check_bump(BumpSpec())
-        assert rep.growth_c > 0.0
-
 
 class TestYoung:
     def test_power_conjugate_closed_form(self):

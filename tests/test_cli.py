@@ -48,6 +48,13 @@ class TestGen:
             run_cli("gen", "--depth", "4", "--seed", "3", "--out", str(out))
         assert read(a) == read(b)
 
+    def test_p_outside_domain_exits_2_and_writes_nothing(self, tmp_path):
+        # the instance is built at --p, so a p that constants --in would
+        # reject is rejected here too
+        out = tmp_path / "inst.json"
+        assert run_cli("gen", "--depth", "2", "--p", "1.0", "--out", str(out)) == 2
+        assert not out.exists()
+
 
 class TestConstants:
     @pytest.fixture()

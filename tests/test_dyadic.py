@@ -282,4 +282,4 @@ class TestInstanceIO:
 
     def test_empty_family_rejected(self):
         with pytest.raises(DomainError):
-            SparseFamily.build([], 0.5, TreeGeometry(2))
+            SparseFamily.build([], TreeGeometry(2))

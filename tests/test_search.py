@@ -10,7 +10,7 @@ from sparsebump import (Objective, SearchConfig, anneal, evaluate, sweep_results
                         random_instance, testing_constant)
 from sparsebump.bumps import (BumpSpec, YoungSpec, maximal_bound_constant,
                               sepcon_constant)
-from sparsebump.dyadic import DomainError, instance_from_dict
+from sparsebump.dyadic import STRATEGIES, DomainError, instance_from_dict
 from sparsebump.search import sweep_csv
 from sparsebump.testing import maximal_norm_lower
 
@@ -84,8 +84,23 @@ class TestRandomInstance:
     def test_bad_config_rejected(self):
         with pytest.raises(DomainError):
             SearchConfig(depth=3, steps=0)
-        with pytest.raises(DomainError):
-            SearchConfig(depth=3, gamma=1.5)
+
+    def test_p_survives_the_json_round_trip(self):
+        # gen and check --trials build their instance at p directly; reloading
+        # it from its JSON must give the same leaves, family and p bit for bit
+        for depth in range(2, 9):
+            for strategy in STRATEGIES:
+                for dist, p in (("lognormal", 1.5), ("spike", 2.0), ("mixed", 3.0)):
+                    cfg = SearchConfig(depth=depth, eta=0.25, strategy=strategy, dist=dist,
+                                       seed=depth)
+                    inst = random_instance(cfg, depth, p)
+                    back = instance_from_dict(inst.to_json_dict())
+                    assert inst.pair.p == back.pair.p == p
+                    assert back.clamped == 0
+                    for a, b in ((inst.pair.w_leaves, back.pair.w_leaves),
+                                 (inst.pair.sigma_leaves, back.pair.sigma_leaves),
+                                 *zip(inst.family.masks, back.family.masks)):
+                        assert np.array_equal(a, b), (depth, strategy, dist)
 
 
 class TestAnneal:

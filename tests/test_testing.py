@@ -9,16 +9,15 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import level_arrays, make_instance, random_corpus
 from sparsebump import (CubeId, SparseFamily, TreeGeometry, WeightPair, apply_sparse, carleson_embedding_ratio, dyadic_maximal,
-                        cov_sides, eset_split_check, hytonen_ratio,
-                        lambda_condition_constant, levelset_family, local_sum,
+                        cov_sides, eset_split_check, hytonen_ratio, local_sum,
                         lp_norm, maximal_norm_lower, operator_norm_lower,
                         operator_norm_p2, prop31_bound, prop32_check,
                         prop33_check, sawyer_sum_bound, testing_constant,
                         theorem_main_ratio)
 from sparsebump.bumps import BumpSpec, check_bump, nu_lambdas
-from sparsebump.dyadic import DomainError, NumericError
+from sparsebump.dyadic import DomainError, NumericError, _select
 from sparsebump.search import _sub_ap_fraction
-from sparsebump.testing import (CheckReport, CHECK_CSV_HEADER,
+from sparsebump.testing import (CheckReport, CHECK_CSV_HEADER, _in_level, _sums_inside,
                                 cov_bracket_report, realized_levels)
 
 ROOT = CubeId(0, 0)
@@ -35,7 +34,7 @@ class TestLocalSums:
 
     def test_single_cube_family(self):
         inst = make_instance(3, np.ones(8), np.arange(1.0, 9.0), 2.0)
-        fam = SparseFamily.build([ROOT], 1.0, inst.pair.geometry)
+        fam = SparseFamily.build([ROOT], inst.pair.geometry)
         f = local_sum(fam, inst.pair, ROOT)
         assert np.allclose(f, inst.pair.sigma_avgs[0][0])
 
@@ -85,13 +84,13 @@ class TestLpNorm:
 class TestTestingConstant:
     def test_flat_single_cube(self):
         inst = make_instance(3, np.ones(8), np.ones(8), 2.0)
-        fam = SparseFamily.build([ROOT], 1.0, inst.pair.geometry)
+        fam = SparseFamily.build([ROOT], inst.pair.geometry)
         val, argmax = testing_constant(inst.pair, fam)
         assert val == pytest.approx(1.0, rel=1e-12)
         assert argmax == ROOT
 
     def test_empty_family(self, instance_a):
-        empty = SparseFamily([np.zeros(1 << level, dtype=bool) for level in range(3)], 1.0)
+        empty = SparseFamily([np.zeros(1 << level, dtype=bool) for level in range(3)])
         assert testing_constant(instance_a.pair, empty) == (-math.inf, None)
 
     def test_instance_a(self, instance_a):
@@ -127,9 +126,9 @@ class TestTestingConstant:
         g = TreeGeometry(4)
         pair = WeightPair(g, np.full(16, 3.0), np.full(16, 0.7), p)
         cubes = [CubeId(*c) for c in family]
-        singles = {testing_constant(pair, SparseFamily.build([c], 0.5, g))[0] for c in cubes}
+        singles = {testing_constant(pair, SparseFamily.build([c], g))[0] for c in cubes}
         assert len(singles) == 1
-        val, argmax = testing_constant(pair, SparseFamily.build(cubes, 0.5, g))
+        val, argmax = testing_constant(pair, SparseFamily.build(cubes, g))
         assert val in singles
         assert val == pytest.approx((3.0 * 0.7 ** (p - 1.0)) ** (1.0 / p), rel=1e-12)
         assert argmax == CubeId(*expected)
@@ -160,7 +159,7 @@ class TestSparseOperator:
 
     def test_norm_flat_root(self):
         inst = make_instance(3, np.ones(8), np.ones(8), 2.0)
-        fam = SparseFamily.build([ROOT], 1.0, inst.pair.geometry)
+        fam = SparseFamily.build([ROOT], inst.pair.geometry)
         assert operator_norm_p2(fam, inst.pair) == pytest.approx(1.0, rel=1e-9)
 
     def test_power_iteration_matches_dense(self):
@@ -254,7 +253,7 @@ class TestCov:
 class TestEmbeddings:
     def test_carleson_single_cube_ratio_one(self):
         inst = make_instance(3, np.ones(8), np.ones(8), 2.0)
-        fam = SparseFamily.build([ROOT], 1.0, inst.pair.geometry)
+        fam = SparseFamily.build([ROOT], inst.pair.geometry)
         rep = carleson_embedding_ratio(fam, inst.pair.w_leaves, 0.5, ROOT,
                                        inst.pair.geometry)
         assert rep.ratio == pytest.approx(1.0, rel=1e-12)
@@ -277,13 +276,12 @@ class TestEmbeddings:
 class TestLevelSets:
     def test_partition(self):
         for inst in random_corpus(40, seed=15, depths=(2, 3, 4, 5)):
-            seen = set()
+            s = _select(inst.pair.sigma_avgs, inst.family)
+            seen = np.zeros(s.shape, dtype=int)  # level sets holding each cube of S
             for k in realized_levels(inst.family, inst.pair):
-                fam_k = levelset_family(inst.family, inst.pair, k)
-                assert fam_k, k
-                assert not (fam_k & seen)
-                seen |= fam_k
-            assert seen == set(inst.family.cubes)
+                assert _in_level(s, k).any(), k
+                seen += _in_level(s, k)
+            assert (seen == 1).all()
 
     def test_boundary_convention(self):
         # sigma_Q = 1 must land in k = -1 under the strict/weak convention
@@ -301,9 +299,10 @@ class TestLevelSets:
                 fam, pair = inst.family, inst.pair
                 assert len(fam.cubes) == 15
                 assert realized_levels(fam, pair) == [level], (k, value)
-                assert levelset_family(fam, pair, level) == set(fam.cubes)
+                s = _select(pair.sigma_avgs, fam)
+                assert _in_level(s, level).all()
                 for other in (level - 1, level + 1):
-                    assert levelset_family(fam, pair, other) == set()
+                    assert not _in_level(s, other).any()
                     assert prop32_check(fam, pair, ROOT, other).lhs == 0.0
                 assert prop32_check(fam, pair, ROOT, level).lhs == \
                     pytest.approx(4.0 * value, rel=1e-15)
@@ -344,8 +343,8 @@ class TestCheckersAgainstOracles:
         levels = sorted({level_of(s_avg[q]) for q in cubes})
         assert realized_levels(fam, pair) == levels
         for k in levels:
-            assert levelset_family(fam, pair, k) == \
-                {CubeId(*q) for q in cubes if level_of(s_avg[q]) == k}
+            assert _in_level(_select(pair.sigma_avgs, fam), k).tolist() == \
+                [level_of(s_avg[q]) == k for q in cubes]
         assert _sub_ap_fraction(inst, p) == sum(ap[q] < 1.0 for q in cubes) / len(cubes)
 
         def near(got, want):
@@ -362,7 +361,9 @@ class TestCheckersAgainstOracles:
             near(g, want)
 
         sawyer_sup = max(ap[q] * psi[q] for q in cubes)
-        for R in fam.sorted_cubes():
+        # the lambda condition's sums for every R: sigma(Q) / lambda_Q inside R
+        lam_inside = _sums_inside(fam, _select(pair.sigma_masses, fam) / table)
+        for R, lam_sum in zip(fam.sorted_cubes(), lam_inside.tolist()):
             r = (R.level, R.index)
 
             def inside(term):
@@ -372,7 +373,7 @@ class TestCheckersAgainstOracles:
                 near(prop32_check(fam, pair, R, k).lhs,
                      inside(lambda q: s_mass[q] if level_of(s_avg[q]) == k else 0.0))
             near(prop33_check(fam, pair, spec, R).lhs, inside(lambda q: s_mass[q] / psi[q]))
-            near(lambda_condition_constant(fam, pair, table, R),
+            near(lam_sum / pair.sigma_masses[R.level][R.index],
                  inside(lambda q: s_mass[q] / lam[q]) / s_mass[r])
             sawyer = inside(lambda q: s_avg[q] ** p * w_mass[q])
             rep = sawyer_sum_bound(pair, fam, spec, R)
@@ -422,17 +423,12 @@ class TestTrackedConstants:
             assert member.passed
 
     def test_lambda_condition_matches_prop33(self, instance_a):
-        table = nu_lambdas(instance_a.pair, self.SPEC, instance_a.family)
-        c = lambda_condition_constant(instance_a.family, instance_a.pair,
-                                      table, ROOT)
-        rep = prop33_check(instance_a.family, instance_a.pair, self.SPEC, ROOT)
+        fam, pair = instance_a.family, instance_a.pair
+        table = nu_lambdas(pair, self.SPEC, fam)
+        c = _sums_inside(fam, _select(pair.sigma_masses, fam) / table, ROOT) \
+            / pair.sigma_masses[0][0]
+        rep = prop33_check(fam, pair, self.SPEC, ROOT)
         assert c == pytest.approx(rep.ratio, rel=1e-12)
-
-    def test_lambda_below_one_rejected(self, instance_a):
-        table = np.full(len(instance_a.family.cubes), 0.5)
-        with pytest.raises(DomainError, match=r"at CubeId\(level=0, index=0\)"):
-            lambda_condition_constant(instance_a.family, instance_a.pair,
-                                      table, ROOT)
 
     def test_prop31_report(self, instance_a):
         table = nu_lambdas(instance_a.pair, self.SPEC, instance_a.family)
