@@ -367,18 +367,6 @@ def bp_integral(young: YoungSpec, p: float) -> float:
 # -- Luxemburg norms --------------------------------------------------------
 
 
-def _row_sums(a):
-    """a.sum(axis=1), rows of width 2 or 4 added column by column: numpy
-    reduces such narrow rows one at a time, several times slower, in the
-    same left-to-right order."""
-    if a.shape[1] not in (2, 4):
-        return a.sum(axis=1)
-    out = a[:, 0] + a[:, 1]
-    for j in range(2, a.shape[1]):
-        out += a[:, j]
-    return out
-
-
 def luxemburg_norms_level(f, level: int, young, rel_tol: float = 1e-12,
                           below=None) -> np.ndarray:
     """Luxemburg norms of f on every cube of one level, all cubes at once.
@@ -420,12 +408,12 @@ def luxemburg_norms_level(f, level: int, young, rel_tol: float = 1e-12,
                                   lam[pair] * grow])
             A, e = young.A_and_elasticity(
                 (mat if rows.size == n == k else mat[rows]) / pts[:, None])
-            m = _row_sums(A) / width
+            m = A.sum(axis=1) / width
             np.maximum.at(lo, rows[m >= 1.0], pts[m >= 1.0])
             np.minimum.at(hi, rows[m <= 1.0], pts[m <= 1.0])
             # Newton from each row's first point
             x = pts[:k]
-            step = np.log(m[:k]) * m[:k] * width / _row_sums(A[:k] * e[:k])
+            step = np.log(m[:k]) * m[:k] * width / (A[:k] * e[:k]).sum(axis=1)
             nxt = x * np.exp(step)
             a, b = lo[todo], hi[todo]
             near = np.abs(step) < 1e-6

@@ -209,7 +209,6 @@ def anneal(objective: Objective, config: SearchConfig) -> SearchResult:
     # re-verify the best instance by recomputation from its serialized form
     from .dyadic import instance_from_dict
     stored = best_inst.to_json_dict()
-    stored["p"] = objective.p
     replay = evaluate(objective, instance_from_dict(stored))
     if not math.isclose(replay, best_val, rel_tol=1e-9):
         raise NumericError(

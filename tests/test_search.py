@@ -87,20 +87,24 @@ class TestRandomInstance:
 
     def test_p_survives_the_json_round_trip(self):
         # gen and check --trials build their instance at p directly; reloading
-        # it from its JSON must give the same leaves, family and p bit for bit
+        # it from its JSON must give the same leaves, family and p bit for bit,
+        # over the etas and lognormal parameters that check --trials draws
+        laws = (("lognormal", None, 1.5), ("lognormal", (0.0, 1.5), 2.0),
+                ("spike", None, 2.0), ("mixed", None, 3.0))
         for depth in range(2, 9):
             for strategy in STRATEGIES:
-                for dist, p in (("lognormal", 1.5), ("spike", 2.0), ("mixed", 3.0)):
-                    cfg = SearchConfig(depth=depth, eta=0.25, strategy=strategy, dist=dist,
-                                       seed=depth)
-                    inst = random_instance(cfg, depth, p)
-                    back = instance_from_dict(inst.to_json_dict())
-                    assert inst.pair.p == back.pair.p == p
-                    assert back.clamped == 0
-                    for a, b in ((inst.pair.w_leaves, back.pair.w_leaves),
-                                 (inst.pair.sigma_leaves, back.pair.sigma_leaves),
-                                 *zip(inst.family.masks, back.family.masks)):
-                        assert np.array_equal(a, b), (depth, strategy, dist)
+                for eta in (0.25, 0.5):
+                    for dist, params, p in laws:
+                        cfg = SearchConfig(depth=depth, eta=eta, strategy=strategy, dist=dist,
+                                           dist_params=params, seed=depth)
+                        inst = random_instance(cfg, depth, p)
+                        back = instance_from_dict(inst.to_json_dict())
+                        assert inst.pair.p == back.pair.p == p
+                        assert back.clamped == 0
+                        for a, b in ((inst.pair.w_leaves, back.pair.w_leaves),
+                                     (inst.pair.sigma_leaves, back.pair.sigma_leaves),
+                                     *zip(inst.family.masks, back.family.masks)):
+                            assert np.array_equal(a, b), (depth, strategy, eta, dist, params)
 
 
 class TestAnneal:
