@@ -79,7 +79,7 @@ class BumpSpec:
 
     def psi(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0):
+        if (t <= 0.0).any():
             raise DomainError("psi requires t > 0")
         if self.psi_family == "custom":
             out = np.asarray(self.psi_fn(t), dtype=float)
@@ -91,7 +91,7 @@ class BumpSpec:
 
     def phi(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < 1.0):
+        if (t < 1.0).any():
             raise DomainError("phi requires t >= 1")
         if self.phi_family == "custom":
             out = np.asarray(self.phi_fn(t), dtype=float)
@@ -108,7 +108,7 @@ class BumpSpec:
         t = np.asarray(t, dtype=float)
         ps = np.asarray(self.psi(t), dtype=float)
         lower = t < 1.0
-        if np.any(lower):
+        if lower.any():
             out = np.where(lower, ps * np.asarray(self.phi(np.where(lower, ps, 1.0)),
                                                   dtype=float) ** (p - 1.0), ps)
         else:
@@ -433,7 +433,7 @@ def luxemburg_norms_level(f, level: int, young, rel_tol: float = 1e-12,
 
 def _cube_averages(pair: WeightPair, cubes):
     """(w averages, sigma averages) over "all" cubes or a SparseFamily."""
-    return _select(pair.w_avgs, cubes), _select(pair.sigma_avgs, cubes)
+    return _select(pair.w_avg_flat, cubes), _select(pair.sigma_avg_flat, cubes)
 
 
 def _luxemburg_norms(pair: WeightPair, power: float, young, cubes):
@@ -458,13 +458,13 @@ def nu_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:
     """sup_Q w_Q * sigma_Q^{p-1} * nu_p(sigma_Q)."""
     ensure_admissible(spec)
     w, s = _cube_averages(pair, cubes)
-    return float(np.max(w * s ** (pair.p - 1.0) * np.asarray(spec.nu_p(pair.p, s))))
+    return float((w * s ** (pair.p - 1.0) * spec.nu_p(pair.p, s)).max())
 
 
 def nu_lambdas(pair: WeightPair, spec: BumpSpec, cubes="all") -> np.ndarray:
     """lambda_Q = psi(sigma_Q), the Theorem-route lambda, as a family
     vector in _select order."""
-    return np.asarray(spec.psi(_select(pair.sigma_avgs, cubes)))
+    return np.asarray(spec.psi(_select(pair.sigma_avg_flat, cubes)))
 
 
 def _phi_clamped(spec: BumpSpec, x):

@@ -191,6 +191,8 @@ def _random_corpus(trials: int, seed: int):
 
 
 def cmd_check(args) -> int:
+    if min(args.trials, args.seed) < 0:
+        raise DomainError(f"trials and seed must be >= 0, got {args.trials} and {args.seed}")
     spec = _load_bump_spec(args.bumps)
     config = {"cmd": "check", "suite": args.suite, "trials": args.trials,
               "seed": args.seed, "in": args.infile, "bumps": spec.to_json_dict()}

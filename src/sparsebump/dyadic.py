@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,16 +80,13 @@ class CubeId:
         return slice(self.index * width, (self.index + 1) * width)
 
 
-def subtree_sums(levels):
-    """Bottom-up sum over subcubes: out[l] = levels[l] + (out[l+1][0::2]
-    + out[l+1][1::2]), so out[l][j] totals levels over the subtree of
-    cube (l, j).  Each level holds twice the entries of the one above (a
-    scalar entry broadcasts)."""
-    out = list(levels)
-    for level in range(len(out) - 2, -1, -1):
-        below = out[level + 1]
-        out[level] = levels[level] + (below[0::2] + below[1::2])
-    return out
+def subtree_sums(flat: np.ndarray, depth: int) -> np.ndarray:
+    """Bottom-up sum over subcubes in place on a flat (level, index) buffer,
+    trailing axes as columns: flat[k] += (flat[2k + 1] + flat[2k + 2]), leaves up."""
+    for level in range(depth - 1, -1, -1):  # level + 1 spans [hi, 2 * hi + 1)
+        lo, hi = (1 << level) - 1, (2 << level) - 1
+        flat[lo:hi] += flat[hi:2 * hi + 1:2] + flat[hi + 1:2 * hi + 1:2]
+    return flat
 
 
 def ancestor_accumulate(levels, op=np.add):
@@ -103,25 +100,51 @@ def ancestor_accumulate(levels, op=np.add):
     return out
 
 
-def _mass_pyramid(leaves: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Per-level cube masses; pyramid[l][j] = integral over cube (l, j)."""
-    return subtree_sums([0.0] * depth + [leaves * 2.0 ** (-depth)])
+@lru_cache(maxsize=32)
+def _tree_index(depth: int):
+    """(scale, up), read-only: scale[k] = 2**l at flat (level, index)
+    position k on level l; up[l, x] = the position of leaf x's level-l ancestor."""
+    levels = np.arange(depth + 1)
+    up = ((1 << levels) - 1)[:, None] + (np.arange(1 << depth) >> (depth - levels)[:, None])
+    scale = np.repeat(2.0 ** levels, 1 << levels)
+    up.flags.writeable = scale.flags.writeable = False
+    return scale, up
+
+
+def _level_views(flat: np.ndarray) -> list[np.ndarray]:
+    """The per-level views of a flat (level, index) buffer."""
+    return [flat[(1 << level) - 1:(2 << level) - 1] for level in range(len(flat).bit_length())]
+
+
+def _pyramid(leaves: np.ndarray, depth: int) -> np.ndarray:
+    """Per-cube masses of the leaf values in one flat (level, index)
+    buffer: subtree_sums of the leaf masses, one np.add a level."""
+    flat = np.empty((2 << depth) - 1)
+    np.multiply(leaves, 2.0 ** (-depth), out=flat[(1 << depth) - 1:])
+    for level in range(depth - 1, -1, -1):
+        lo, hi = (1 << level) - 1, (2 << level) - 1
+        np.add(flat[hi:2 * hi + 1:2], flat[hi + 1:2 * hi + 1:2], out=flat[lo:hi])
+    return flat
 
 
 def _avg_pyramid(leaves, depth: int) -> list[np.ndarray]:
     """Per-level cube averages of the leaf values."""
-    return [m * 2.0 ** level for level, m in enumerate(_mass_pyramid(leaves, depth))]
+    return _level_views(_pyramid(leaves, depth) * _tree_index(depth)[0])
 
 
 class WeightPair:
     """A couple of strictly positive leaf densities plus an exponent.
 
-    Immutable by convention: no method mutates the arrays after
-    construction, and the mass and average pyramids are precomputed
-    eagerly.  Per-cube values are read off the pyramids: w_masses[l][j]
-    is w of cube (l, j), sigma_avgs[l][j] its sigma average; a cube from
-    outside must be checked against the geometry before it indexes them.
+    Immutable by convention.  The pyramids are flat (level, index) buffers
+    (w_mass_flat, ..., sigma_avg_flat) with per-level views made on first
+    read: w_masses[l][j] is w of cube (l, j), sigma_avgs[l][j] its sigma
+    average; check a cube from outside against the geometry first.
     """
+
+    w_masses = cached_property(lambda self: _level_views(self.w_mass_flat))
+    sigma_masses = cached_property(lambda self: _level_views(self.sigma_mass_flat))
+    w_avgs = cached_property(lambda self: _level_views(self.w_avg_flat))
+    sigma_avgs = cached_property(lambda self: _level_views(self.sigma_avg_flat))
 
     def __init__(self, geometry: TreeGeometry, w_leaves, sigma_leaves, p: float):
         w = np.asarray(w_leaves, dtype=float)
@@ -129,20 +152,16 @@ class WeightPair:
         n = geometry.n_leaves
         if w.shape != (n,) or s.shape != (n,):
             raise DomainError(f"leaf vectors must have length {n}")
-        if not ((w > 0).all() and (s > 0).all()):
+        if not (w.min() > 0 and s.min() > 0):
             raise DomainError("leaf densities must be strictly positive")
-        if not (np.isfinite(w).all() and np.isfinite(s).all()):
+        if not (w.max() < np.inf and s.max() < np.inf):
             raise DomainError("leaf densities must be finite")
         if not (1.0 < p < np.inf):
             raise DomainError(f"p must lie in (1, inf), got {p}")
-        self.geometry = geometry
-        self.w_leaves = w
-        self.sigma_leaves = s
-        self.p = float(p)
-        self.w_masses = _mass_pyramid(w, geometry.depth)
-        self.sigma_masses = _mass_pyramid(s, geometry.depth)
-        self.w_avgs = [m * 2.0 ** level for level, m in enumerate(self.w_masses)]
-        self.sigma_avgs = [m * 2.0 ** level for level, m in enumerate(self.sigma_masses)]
+        self.geometry, self.w_leaves, self.sigma_leaves, self.p = geometry, w, s, float(p)
+        self.w_mass_flat, self.sigma_mass_flat = (_pyramid(v, geometry.depth) for v in (w, s))
+        self.w_avg_flat, self.sigma_avg_flat = (m * _tree_index(geometry.depth)[0]
+                                                for m in (self.w_mass_flat, self.sigma_mass_flat))
 
     @property
     def p_dual(self) -> float:
@@ -193,20 +212,30 @@ class SparseFamily:
         return flat
 
     @cached_property
+    def coverage(self) -> tuple:
+        """(inside, leaf, owner), read-only: inside[l, x] says whether leaf x's
+        level-l ancestor up[l, x] is in S; leaf, owner: x, up[l, x] per True."""
+        up = _tree_index(len(self.masks) - 1)[1]
+        inside = self.flat_mask[up]
+        leaf, owner = np.flatnonzero(inside) & (inside.shape[1] - 1), up[inside]
+        inside.flags.writeable = leaf.flags.writeable = owner.flags.writeable = False
+        return inside, leaf, owner
+
+    @cached_property
     def packing(self) -> float:
         """Carleson packing constant: max over family cubes Q of the total
         measure of the family cubes inside Q, divided by |Q|."""
-        # acc[l][j] = total measure of family cubes inside cube (l, j)
-        acc = subtree_sums([m * 2.0 ** (-level) for level, m in enumerate(self.masks)])
-        return float(max(np.max(a[m], initial=0.0) * 2.0 ** level
-                         for level, (a, m) in enumerate(zip(acc, self.masks))))
+        # acc[k] = total measure of family cubes inside cube k
+        scale = _tree_index(len(self.masks) - 1)[0]
+        acc = subtree_sums(self.flat_mask / scale, len(self.masks) - 1)
+        return float((acc * scale)[self.flat_mask].max(initial=0.0))
 
 
 def _select(levels, cubes) -> np.ndarray:
-    """The family vector: per-level arrays flattened in (level, index)
-    order, the order of TreeGeometry.cubes() and sorted_cubes(), over
-    every cube ("all") or a SparseFamily's cubes."""
-    flat = np.concatenate(levels)
+    """The family vector: per-level arrays, or their flat buffer, in
+    (level, index) order, the order of TreeGeometry.cubes() and
+    sorted_cubes(), over every cube ("all") or a SparseFamily's cubes."""
+    flat = levels if isinstance(levels, np.ndarray) else np.concatenate(levels)
     return flat if cubes in ("all", None) else flat[cubes.flat_mask]
 
 
@@ -296,9 +325,9 @@ def stopping_time_family(sigma_avgs, a: float) -> SparseFamily:
     # stop[j]: the average of the stopping cube governing cube j of the level
     stop, masks = sigma_avgs[0], [np.ones(1, dtype=bool)]
     for avg in sigma_avgs[1:]:
-        parent = stop.repeat(2)
-        masks.append(avg > a * parent)
-        stop = np.where(masks[-1], avg, parent)
+        stop = stop.repeat(2)
+        masks.append(avg > a * stop)
+        np.copyto(stop, avg, where=masks[-1])
     return SparseFamily(masks)
 
 

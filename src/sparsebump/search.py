@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -55,8 +55,10 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise DomainError("steps must be >= 1")
+        # depth before seed: a sweep derives each depth's seed from it
+        for name, low in (("steps", 1), ("depth", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise DomainError(f"{name} must be >= {low}, got {getattr(self, name)}")
         default = DIST_PARAMS.get(self.dist)
         params = default if self.dist_params is None else tuple(self.dist_params)
         if default is None or len(params) != len(default):
@@ -74,9 +76,7 @@ class SearchResult:
     sub_ap_fraction: float  # fraction of family cubes with w_Q sigma_Q^{p-1} < 1
 
     def to_json_dict(self) -> dict:
-        return {"best_ratio": self.best_ratio, "best_instance": self.best_instance,
-                "trace": self.trace, "evaluations": self.evaluations,
-                "sub_ap_fraction": self.sub_ap_fraction}
+        return asdict(self)
 
 
 def _draw_leaves(rng, n: int, dist: str, params) -> np.ndarray:
@@ -152,10 +152,7 @@ def evaluate(objective: Objective, instance: Instance) -> float:
 
 
 def _sub_ap_fraction(instance: Instance, p: float) -> float:
-    pair = instance.pair
-    if abs(pair.p - p) > 1e-12:
-        pair = WeightPair(pair.geometry, pair.w_leaves, pair.sigma_leaves, p)
-    w, s = _cube_averages(pair, instance.family)
+    w, s = _cube_averages(instance.pair, instance.family)  # averages do not depend on p
     return float(np.mean(w * s ** (p - 1.0) < 1.0))
 
 

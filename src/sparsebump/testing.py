@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import (CubeId, DomainError, NumericError, SparseFamily,
-                     TreeGeometry, WeightPair, _avg_pyramid, _mass_pyramid, _select,
+                     TreeGeometry, WeightPair, _avg_pyramid, _pyramid, _select,
                      ancestor_accumulate, subtree_sums)
 from .bumps import (BumpSpec, _cube_averages, ap_constant, dyadic_maximal,
                     ensure_admissible, nu_constant)
@@ -60,11 +60,9 @@ def local_sum(S: SparseFamily, pair: WeightPair, R: CubeId) -> np.ndarray:
     if not geometry.contains(R):
         raise DomainError(f"cube {R} outside the tree")
     # the subtree of R as its own tree: level k holds R's 2**k descendants
-    terms = []
-    for k, level in enumerate(range(R.level, geometry.depth + 1)):
-        sl = slice(R.index << k, (R.index + 1) << k)
-        terms.append(np.where(S.masks[level][sl],
-                              pair.sigma_masses[level][sl] * 2.0 ** level, 0.0))
+    sls = [slice(R.index << k, (R.index + 1) << k) for k in range(geometry.depth + 1 - R.level)]
+    terms = [np.where(S.masks[R.level + k][sl], pair.sigma_avgs[R.level + k][sl], 0.0)
+             for k, sl in enumerate(sls)]
     out = np.zeros(geometry.n_leaves)
     out[R.leaf_slice(geometry.depth)] = ancestor_accumulate(terms)[-1]
     return out
@@ -86,21 +84,15 @@ def testing_constant(pair: WeightPair, S: SparseFamily):
     sigma(R)^{1/p}.  Returns (value, maximizing R); ties break toward the
     smallest (level, index)."""
     depth, p = pair.geometry.depth, pair.p
-    # g is every level-r local sum at once, accumulated from the leaves
-    # up so that small local sums are never differences of large ones
-    g = np.zeros(pair.geometry.n_leaves)
-    sums = [np.empty(0)] * (depth + 1)  # per level: sum of g^p w over each R in S
-    for level in range(depth, -1, -1):
-        idx = S.masks[level].nonzero()[0]
-        if not idx.size:
-            continue
-        # g's rows are this level's cubes: add sigma_Q in place on S's rows
-        rows = g.reshape(1 << level, -1)
-        local = rows[idx] + pair.sigma_avgs[level][idx, None]
-        rows[idx] = local
-        sums[level] = (local ** p * pair.w_leaves.reshape(1 << level, -1)[idx]).sum(axis=1)
-    vals = ((np.concatenate(sums) * 2.0 ** (-depth)) ** (1.0 / p)
-            / _select(pair.sigma_masses, S) ** (1.0 / p))
+    inside, leaf, owner = S.coverage
+    # g[r, x]: level-r local sum at leaf x, added leaves-up (no differences of large sums)
+    g = np.zeros(inside.shape)
+    g[inside] = pair.sigma_avg_flat[owner]
+    for r in range(depth - 1, -1, -1):
+        g[r] += g[r + 1]
+    sums = np.bincount(owner, g[inside] ** p * pair.w_leaves[leaf], minlength=S.flat_mask.size)
+    vals = ((sums[S.flat_mask] * 2.0 ** (-depth)) ** (1.0 / p)
+            / _select(pair.sigma_mass_flat, S) ** (1.0 / p))
     if not vals.size:
         return -math.inf, None
     k = int(vals.argmax())  # the first maximum in (level, index) order
@@ -217,13 +209,13 @@ def _sums_inside(S: SparseFamily, terms, R: CubeId | None = None) -> np.ndarray:
         raise DomainError(f"cube {R} outside the tree")
     flat = np.zeros(S.flat_mask.shape + np.shape(terms)[1:])
     flat[S.flat_mask] = terms
-    sums = subtree_sums(np.split(flat, [(1 << level) - 1 for level in range(1, len(S.masks))]))
-    return _select(sums, S) if R is None else sums[R.level][R.index]
+    sums = subtree_sums(flat, len(S.masks) - 1)
+    return sums[S.flat_mask] if R is None else sums[(1 << R.level) - 1 + R.index]
 
 
 def _sawyer_terms(S: SparseFamily, pair: WeightPair) -> np.ndarray:
     """sigma_Q^p w(Q) over S."""
-    return _select(pair.sigma_avgs, S) ** pair.p * _select(pair.w_masses, S)
+    return _select(pair.sigma_avg_flat, S) ** pair.p * _select(pair.w_mass_flat, S)
 
 
 def cov_sides(S: SparseFamily, a, w_leaves, p: float,
@@ -233,7 +225,7 @@ def cov_sides(S: SparseFamily, a, w_leaves, p: float,
     w = np.asarray(w_leaves, dtype=float)
     a = [np.where(m, al, 0.0) for m, al in zip(S.masks, a)]
     lhs = lp_norm(ancestor_accumulate(a)[-1], w, p)
-    a, wmass = _select(a, S), _select(_mass_pyramid(w, geometry.depth), S)
+    a, wmass = _select(a, S), _select(_pyramid(w, geometry.depth), S)
     if np.any(wmass <= 0.0):
         raise DomainError("w(Q) must be positive for every family cube")
     # inner_Q = sum of a_P w(P) over the family cubes P inside Q
@@ -267,7 +259,7 @@ def hytonen_ratio(S: SparseFamily, pair: WeightPair, R: CubeId) -> CheckReport:
     """int_R (local sum)^p w against (sup w_Q sigma_Q^{p-1}) * sum sigma(Q);
     report only."""
     lhs = lp_norm(local_sum(S, pair, R), pair.w_leaves, pair.p) ** pair.p
-    total = float(_sums_inside(S, _select(pair.sigma_masses, S), R))
+    total = float(_sums_inside(S, _select(pair.sigma_mass_flat, S), R))
     return CheckReport.make("hytonen", lhs, ap_constant(pair, S) * total)
 
 
@@ -278,7 +270,7 @@ def _in_level(s, k):
 
 def realized_levels(S: SparseFamily, pair: WeightPair) -> list[int]:
     """The k with nonempty level set, under the strict/weak convention."""
-    s = _select(pair.sigma_avgs, S)
+    s = _select(pair.sigma_avg_flat, S)
     k = np.floor(np.log2(s)).astype(int)
     # log2 can round across a power of two: one step each way restores
     # 2^k < s, then s <= 2^{k+1}
@@ -292,12 +284,12 @@ def lemma_reports(S: SparseFamily, pair: WeightPair, ks, spec: BumpSpec | None =
     """prop32_check at each k of ks and, given a spec, prop33_check and
     sawyer_sum_bound, in that order, at R or (R None) at every R in S in
     sorted_cubes() order: one subtree pass and one psi call in all."""
-    s, masses = _select(pair.sigma_avgs, S), _select(pair.sigma_masses, S)
+    s, masses = _select(pair.sigma_avg_flat, S), _select(pair.sigma_mass_flat, S)
     terms = [np.where(_in_level(s[:, None], np.array(ks, dtype=int)), masses[:, None], 0.0)]
     if spec is not None:
         psi_bound = 2.0 * S.packing * ensure_admissible(spec).s_psi
         psi = spec.psi(s)
-        sup = float((_select(pair.w_avgs, S) * s ** (pair.p - 1.0) * psi).max())
+        sup = float((_select(pair.w_avg_flat, S) * s ** (pair.p - 1.0) * psi).max())
         terms.append(np.column_stack([masses / psi, _sawyer_terms(S, pair)]))
     rows = np.atleast_2d(_sums_inside(S, np.hstack(terms), R)).tolist()
     reports = []
@@ -366,7 +358,7 @@ def eset_split_check(pair: WeightPair, S: SparseFamily, R: CubeId):
     if not E.cubes:
         return split, CheckReport("eset_member", 0.0, 1.0, 1.0, 0.0, True, True)
     # hard intermediate: sigma(Q) <= sigma_Q^p w(Q) for every Q in E
-    worst = (_select(pair.sigma_masses, E) / _sawyer_terms(E, pair)).max()
+    worst = (_select(pair.sigma_mass_flat, E) / _sawyer_terms(E, pair)).max()
     return split, CheckReport.make("eset_member", float(worst), 1.0, bound=1.0, hard=True)
 
 

@@ -271,6 +271,22 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv, name", [
+        (["gen", "--depth", "3", "--seed", "-1"], "seed"),
+        (["gen", "--depth", "-1"], "depth"),
+        (["check", "--trials", "2", "--seed", "-5"], "seed"),
+        (["check", "--trials", "-3"], "trials"),
+        (["search", "--objective", "main_theorem", "--depths", "-1"], "depth"),
+        (["search", "--objective", "main_theorem", "--depths", "2", "--steps", "5",
+          "--seed", "-1"], "seed"),
+    ])
+    def test_negative_seed_depth_or_trials_exit_2(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and name in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cmd,dist", [("gen", "spike"), ("search", "lognormal"),
                                           ("search", "spike")])
     def test_dist_params_default_per_distribution(self, tmp_path, cmd, dist):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from sparsebump import (CubeId, DomainError, Instance, SparseFamily,
                         TreeGeometry, WeightPair, generate_sparse,
                         instance_from_dict, load_instance, packing_constant,
                         stopping_time_family)
+from sparsebump.dyadic import _select, subtree_sums
+from sparsebump.testing import testing_constant
 
 
 def sigma_avgs(sigma, geometry):
@@ -82,6 +85,51 @@ class TestMassPyramid:
             assert mass == pytest.approx(total, rel=1e-12)
             assert pair.sigma_avgs[cube.level][cube.index] * cube.measure == pytest.approx(
                 mass, rel=1e-12)
+
+    @pytest.mark.parametrize("depth", [0, 1, 5, 9])
+    def test_flat_buffers_and_their_level_views(self, depth):
+        # each pyramid is one flat (level, index) buffer equal bit for bit to
+        # subtree_sums of the leaf masses; the per-level lists are views into
+        # it, and the averages are the masses times 2**level, bit for bit
+        rng = np.random.default_rng(depth)
+        g = TreeGeometry(depth)
+        w, sigma = oracles.random_pair(rng, depth)
+        pair = WeightPair(g, w, sigma, 2.0)
+        for leaves, flat, levels, avg_flat, avgs in (
+                (w, pair.w_mass_flat, pair.w_masses, pair.w_avg_flat, pair.w_avgs),
+                (sigma, pair.sigma_mass_flat, pair.sigma_masses, pair.sigma_avg_flat,
+                 pair.sigma_avgs)):
+            ref = np.zeros((2 << depth) - 1)
+            ref[(1 << depth) - 1:] = leaves * 2.0 ** (-depth)
+            ref = subtree_sums(ref, depth)
+            assert np.array_equal(flat, ref)
+            assert np.array_equal(_select(levels, "all"), flat)
+            assert np.array_equal(_select(avgs, "all"), avg_flat)
+            assert len(levels) == len(avgs) == depth + 1
+            for level in range(depth + 1):
+                assert levels[level].base is flat and avgs[level].base is avg_flat
+                assert np.array_equal(levels[level], ref[(1 << level) - 1:(2 << level) - 1])
+                assert np.array_equal(avgs[level], levels[level] * 2.0 ** level)
+
+    def test_coverage_is_built_once_per_family(self, monkeypatch):
+        # constants reads the testing constant of the pair and of its dual,
+        # check six of them: all reuse one (level, leaf) membership table
+        built = []
+        coverage = SparseFamily.__dict__["coverage"]
+        counting = cached_property(lambda S: built.append(S) or coverage.func(S))
+        counting.__set_name__(SparseFamily, "coverage")
+        monkeypatch.setattr(SparseFamily, "coverage", counting)
+        inst = make_instance(6, *oracles.random_pair(np.random.default_rng(3), 6), 3.0)
+        pair, S = inst.pair, inst.family
+        for p in (pair, pair.swapped(), pair, pair.swapped()):
+            testing_constant(p, S)
+        assert built == [S]
+        inside, leaf, owner = S.coverage
+        up = (1 << np.arange(7))[:, None] - 1 + (np.arange(64) >> (6 - np.arange(7))[:, None])
+        assert np.array_equal(inside, S.flat_mask[up])
+        assert np.array_equal(leaf, np.nonzero(inside)[1])
+        assert np.array_equal(owner, up[inside])
+        assert not inside.flags.writeable
 
     def test_swapped_pair_is_dual(self):
         rng = np.random.default_rng(11)

@@ -85,6 +85,14 @@ class TestRandomInstance:
         with pytest.raises(DomainError):
             SearchConfig(depth=3, steps=0)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"depth": -1}, "depth"), ({"seed": -1}, "seed"),
+        # a sweep derives each depth's seed from the depth: depth is named first
+        ({"depth": -1, "seed": -7919}, "depth")])
+    def test_negative_depth_or_seed_rejected(self, kwargs, name):
+        with pytest.raises(DomainError, match=f"^{name} must be >= 0"):
+            SearchConfig(**kwargs)
+
     def test_p_survives_the_json_round_trip(self):
         # gen and check --trials build their instance at p directly; reloading
         # it from its JSON must give the same leaves, family and p bit for bit,
@@ -137,6 +145,16 @@ class TestAnneal:
         first = evaluate(self.OBJ, random_instance(cfg, 2))
         res = anneal(self.OBJ, cfg)
         assert res.best_ratio >= first - 1e-12
+
+    def test_depth8_anneals_pinned(self):
+        # best ratio and evaluation count of four depth-8 anneals: a change to
+        # the proposal stream, the acceptance rule or the count shows here
+        pinned = {0: (0.7614628596146339, 119), 1: (0.7614628596146521, 119),
+                  2: (0.8998961299448232, 119), 3: (0.761462859614659, 119)}
+        for seed, (ratio, evaluations) in pinned.items():
+            res = anneal(self.OBJ, SearchConfig(depth=8, dist="mixed", steps=100, seed=seed))
+            assert res.evaluations == evaluations
+            assert res.best_ratio == pytest.approx(ratio, rel=1e-9, abs=0.0)
 
     def test_inadmissible_spec_rejected(self):
         obj = Objective("main_theorem", p=2.0,

@@ -133,6 +133,23 @@ class TestTestingConstant:
         assert val == pytest.approx((3.0 * 0.7 ** (p - 1.0)) ** (1.0 / p), rel=1e-12)
         assert argmax == CubeId(*expected)
 
+    def test_refinement_to_depth_12(self):
+        # splitting every leaf of a depth-6 instance into 64 equal leaves
+        # keeps every local sum and sigma(R) of the same cubes, so the
+        # testing constants of the pair and of its dual and their maximizing
+        # cubes stay; each cube's sum now runs over 64 times the leaves
+        fine = TreeGeometry(12)
+        for inst in random_corpus(12, seed=43, depths=(6,)):
+            pair, S = inst.pair, inst.family
+            fine_pair = WeightPair(fine, oracles.refine(pair.w_leaves, 6),
+                                   oracles.refine(pair.sigma_leaves, 6), pair.p)
+            fine_S = SparseFamily.build(S.cubes, fine)
+            for coarse, refined in ((pair, fine_pair), (pair.swapped(), fine_pair.swapped())):
+                val, argmax = testing_constant(coarse, S)
+                fine_val, fine_argmax = testing_constant(refined, fine_S)
+                assert fine_argmax == argmax
+                assert fine_val == pytest.approx(val, rel=1e-12, abs=0.0)
+
     def test_exact_scaling_laws(self, instance_a):
         pair = instance_a.pair
         fam = instance_a.family
