@@ -439,10 +439,12 @@ def _cube_averages(pair: WeightPair, cubes):
 def _luxemburg_norms(pair: WeightPair, power: float, young, cubes):
     """Luxemburg norms of sigma^power over the cubes of _select, level by
     level; young is a YoungSpec or a ConjugateTable."""
-    f, levels = pair.sigma_leaves ** power, [None]
+    f, below = pair.sigma_leaves ** power, None
+    norms = np.empty_like(pair.sigma_avg_flat)
     for level in range(pair.geometry.depth, -1, -1):  # leaves up, each inside the one below
-        levels.append(luxemburg_norms_level(f, level, young, below=levels[-1]))
-    return _select(levels[:0:-1], cubes)
+        below = norms[(1 << level) - 1:(2 << level) - 1] = luxemburg_norms_level(
+            f, level, young, below=below)
+    return _select(norms, cubes)
 
 
 # -- bump constants ---------------------------------------------------------
@@ -525,8 +527,11 @@ def dyadic_maximal(f_leaves, depth: int, level: int = 0) -> np.ndarray:
     """The dyadic maximal function down from level, on every cube Q of
     that level at once: at each leaf of Q, the max over dyadic Q' with the
     leaf in Q' subset of Q of f_{Q'}.  Level 0 is M_d f."""
-    avgs = _avg_pyramid(np.asarray(f_leaves, dtype=float), depth)
-    return ancestor_accumulate(avgs[level:], np.maximum)[-1]
+    if not 0 <= level <= depth:
+        raise DomainError(f"level must lie in [0, {depth}], got {level}")
+    avgs = _avg_pyramid(f_leaves, depth)
+    avgs[:(1 << level) - 1] = -np.inf  # the cubes above level do not count
+    return ancestor_accumulate(avgs, depth, np.maximum)[(1 << depth) - 1:]
 
 
 def entropy_lambda(sigma_leaves, cube: CubeId, geometry) -> float:
@@ -544,13 +549,14 @@ def entropy_lambdas(pair: WeightPair, cubes="all") -> np.ndarray:
     """entropy_lambda of every cube as a family vector in _select order,
     from one pass up from the leaves: after level l, run is the dyadic
     maximal function down from level l at every leaf."""
-    s, depth = pair.sigma_leaves, pair.geometry.depth
-    run, levels = pair.sigma_avgs[depth], [None] * (depth + 1)
+    s, depth, avgs = pair.sigma_leaves, pair.geometry.depth, pair.sigma_avg_flat
+    run, lams = avgs[(1 << depth) - 1:], np.empty_like(avgs)
     for level in range(depth, -1, -1):
-        run = np.maximum(np.repeat(pair.sigma_avgs[level], 1 << (depth - level)), run)
-        levels[level] = (run.reshape(1 << level, -1).sum(axis=1)
-                         / s.reshape(1 << level, -1).sum(axis=1))
-    return _select(levels, cubes)
+        lo, hi = (1 << level) - 1, (2 << level) - 1
+        run = np.maximum(np.repeat(avgs[lo:hi], 1 << (depth - level)), run)
+        lams[lo:hi] = (run.reshape(1 << level, -1).sum(axis=1)
+                       / s.reshape(1 << level, -1).sum(axis=1))
+    return _select(lams, cubes)
 
 
 def entropy_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:

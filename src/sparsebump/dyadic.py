@@ -2,10 +2,10 @@
 
 Everything lives on the unit interval [0, 1).  A tree of depth L has
 2**L leaves; the cube (level, index) is [index * 2**-level,
-(index + 1) * 2**-level).  Weights are strictly positive leaf densities;
-all cube averages and masses derive from per-level mass pyramids built
-by pairwise summation, so parent masses are exactly the sum of child
-masses.
+(index + 1) * 2**-level).  Every per-cube quantity is one flat (level,
+index) buffer: cube (l, j) at 2**l - 1 + j, position k with children
+2k + 1 and 2k + 2.  Weights are strictly positive leaf densities; masses
+are summed pairwise, so a parent's is exactly the sum of its children's.
 """
 
 from __future__ import annotations
@@ -59,20 +59,15 @@ class CubeId:
         return 2.0 ** (-self.level)
 
     @property
-    def children(self):
-        return (CubeId(self.level + 1, 2 * self.index),
-                CubeId(self.level + 1, 2 * self.index + 1))
+    def flat_index(self) -> int:
+        """The cube's position in a flat (level, index) buffer."""
+        return (1 << self.level) - 1 + self.index
 
-    @property
-    def parent(self) -> "CubeId":
-        if self.level == 0:
-            raise DomainError("root has no parent")
-        return CubeId(self.level - 1, self.index // 2)
-
-    def contains_cube(self, other: "CubeId") -> bool:
-        """True iff other is a (weak) dyadic subcube of self."""
-        shift = other.level - self.level
-        return shift >= 0 and (other.index >> shift) == self.index
+    @staticmethod
+    def from_flat(k: int) -> "CubeId":
+        """The cube at position k of a flat (level, index) buffer."""
+        level = (k + 1).bit_length() - 1
+        return CubeId(level, k + 1 - (1 << level))
 
     def leaf_slice(self, depth: int) -> slice:
         """Slice of the depth-`depth` leaf array covered by this cube."""
@@ -89,15 +84,16 @@ def subtree_sums(flat: np.ndarray, depth: int) -> np.ndarray:
     return flat
 
 
-def ancestor_accumulate(levels, op=np.add):
-    """Top-down accumulation along ancestors: out[l] = op(out[l-1]
-    repeated onto the two children, levels[l]).  op is an elementwise
-    binary function such as np.add or np.maximum; each level holds twice
-    the entries of the one above."""
-    out = list(levels)
-    for level in range(1, len(out)):
-        out[level] = op(np.repeat(out[level - 1], 2), levels[level])
-    return out
+def ancestor_accumulate(flat: np.ndarray, depth: int, op=np.add) -> np.ndarray:
+    """Top-down accumulation along ancestors in place on a flat (level,
+    index) buffer, the twin of subtree_sums: op(flat[c], flat[k], out=flat[c])
+    for the children c = 2k + 1, 2k + 2 of every k, root down.  op is an
+    elementwise binary ufunc such as np.add or np.maximum."""
+    for level in range(depth):  # level + 1 spans [hi, 2 * hi + 1)
+        lo, hi = (1 << level) - 1, (2 << level) - 1
+        for child in (flat[hi:2 * hi + 1:2], flat[hi + 1:2 * hi + 1:2]):
+            op(child, flat[lo:hi], out=child)
+    return flat
 
 
 @lru_cache(maxsize=32)
@@ -127,23 +123,23 @@ def _pyramid(leaves: np.ndarray, depth: int) -> np.ndarray:
     return flat
 
 
-def _avg_pyramid(leaves, depth: int) -> list[np.ndarray]:
-    """Per-level cube averages of the leaf values."""
-    return _level_views(_pyramid(leaves, depth) * _tree_index(depth)[0])
+def _avg_pyramid(leaves, depth: int) -> np.ndarray:
+    """The flat (level, index) cube averages of a leaf vector of length 2**depth."""
+    leaves = np.asarray(leaves, dtype=float)
+    if leaves.shape != (1 << depth,):
+        raise DomainError(f"leaf vector must have length {1 << depth}")
+    return _pyramid(leaves, depth) * _tree_index(depth)[0]
 
 
 class WeightPair:
     """A couple of strictly positive leaf densities plus an exponent.
 
-    Immutable by convention.  The pyramids are flat (level, index) buffers
-    (w_mass_flat, ..., sigma_avg_flat) with per-level views made on first
-    read: w_masses[l][j] is w of cube (l, j), sigma_avgs[l][j] its sigma
-    average; check a cube from outside against the geometry first.
+    Immutable by convention.  The pyramids are flat (level, index) buffers:
+    w_mass_flat[R.flat_index] is w(R), sigma_avg_flat[R.flat_index] R's sigma
+    average (check a cube from outside against the geometry first); their
+    per-level views sigma_avgs, made on first read, suit cov_sides.
     """
 
-    w_masses = cached_property(lambda self: _level_views(self.w_mass_flat))
-    sigma_masses = cached_property(lambda self: _level_views(self.sigma_mass_flat))
-    w_avgs = cached_property(lambda self: _level_views(self.w_avg_flat))
     sigma_avgs = cached_property(lambda self: _level_views(self.sigma_avg_flat))
 
     def __init__(self, geometry: TreeGeometry, w_leaves, sigma_leaves, p: float):
@@ -174,11 +170,17 @@ class WeightPair:
 
 @dataclass(frozen=True, eq=False)
 class SparseFamily:
-    """A family of cubes, held as its level masks: masks[l][j] is True iff
-    cube (l, j) belongs to it.  The cube views and the packing constant
-    derive from the masks on first use.  Equality is identity."""
+    """A family of cubes, held as one read-only flat (level, index) mask.
+    The cube views, the per-level mask views (masks[l][j] for cube (l, j))
+    and the packing constant derive from it on first use.  Equality is
+    identity."""
 
-    masks: list = field(repr=False)
+    flat_mask: np.ndarray = field(repr=False)
+    masks = cached_property(lambda self: _level_views(self.flat_mask))
+    depth = property(lambda self: self.flat_mask.size.bit_length() - 1)
+
+    def __post_init__(self):
+        self.flat_mask.flags.writeable = False
 
     @staticmethod
     def build(cubes, geometry: TreeGeometry) -> "SparseFamily":
@@ -189,13 +191,14 @@ class SparseFamily:
         for c in cubes:
             if not geometry.contains(c):
                 raise DomainError(f"cube {c} outside depth-{geometry.depth} tree")
-        return SparseFamily(_cube_masks(cubes, geometry.depth))
+        flat = np.zeros((2 << geometry.depth) - 1, dtype=bool)
+        flat[[c.flat_index for c in cubes]] = True
+        return SparseFamily(flat)
 
     @cached_property
     def _cube_tuple(self) -> tuple:
         # (level, index) order: the order of _select's family vectors
-        return tuple(CubeId(level, j) for level, m in enumerate(self.masks)
-                     for j in np.flatnonzero(m).tolist())
+        return tuple(map(CubeId.from_flat, np.flatnonzero(self.flat_mask).tolist()))
 
     @cached_property
     def cubes(self) -> frozenset:
@@ -205,17 +208,10 @@ class SparseFamily:
         return list(self._cube_tuple)
 
     @cached_property
-    def flat_mask(self) -> np.ndarray:
-        """The masks concatenated in (level, index) order; read-only."""
-        flat = np.concatenate(self.masks)
-        flat.flags.writeable = False
-        return flat
-
-    @cached_property
     def coverage(self) -> tuple:
         """(inside, leaf, owner), read-only: inside[l, x] says whether leaf x's
         level-l ancestor up[l, x] is in S; leaf, owner: x, up[l, x] per True."""
-        up = _tree_index(len(self.masks) - 1)[1]
+        up = _tree_index(self.depth)[1]
         inside = self.flat_mask[up]
         leaf, owner = np.flatnonzero(inside) & (inside.shape[1] - 1), up[inside]
         inside.flags.writeable = leaf.flags.writeable = owner.flags.writeable = False
@@ -226,24 +222,16 @@ class SparseFamily:
         """Carleson packing constant: max over family cubes Q of the total
         measure of the family cubes inside Q, divided by |Q|."""
         # acc[k] = total measure of family cubes inside cube k
-        scale = _tree_index(len(self.masks) - 1)[0]
-        acc = subtree_sums(self.flat_mask / scale, len(self.masks) - 1)
+        scale = _tree_index(self.depth)[0]
+        acc = subtree_sums(self.flat_mask / scale, self.depth)
         return float((acc * scale)[self.flat_mask].max(initial=0.0))
 
 
-def _select(levels, cubes) -> np.ndarray:
-    """The family vector: per-level arrays, or their flat buffer, in
-    (level, index) order, the order of TreeGeometry.cubes() and
-    sorted_cubes(), over every cube ("all") or a SparseFamily's cubes."""
-    flat = levels if isinstance(levels, np.ndarray) else np.concatenate(levels)
+def _select(flat: np.ndarray, cubes) -> np.ndarray:
+    """The family vector of a flat (level, index) buffer, in (level, index)
+    order, the order of TreeGeometry.cubes() and sorted_cubes(), over every
+    cube ("all") or a SparseFamily's cubes."""
     return flat if cubes in ("all", None) else flat[cubes.flat_mask]
-
-
-def _cube_masks(cubes, depth: int) -> list[np.ndarray]:
-    masks = [np.zeros(1 << level, dtype=bool) for level in range(depth + 1)]
-    for c in cubes:
-        masks[c.level][c.index] = True
-    return masks
 
 
 def packing_constant(cubes, geometry: TreeGeometry) -> float:
@@ -255,28 +243,28 @@ STRATEGIES = ("tower", "random_greedy", "all_above_level", "stopping_time")
 
 
 def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int,
-                    sigma_avgs=None) -> SparseFamily:
+                    sigma_avg_flat=None) -> SparseFamily:
     """Deterministic sparse-family generator.
 
     strategy is one of "tower", "random_greedy", "all_above_level",
     "all_above_level:<m>", "stopping_time".  stopping_time derives its
-    threshold a from eta via eta = 1 - 1/a and needs the per-level sigma
-    averages (a WeightPair's sigma_avgs).
+    threshold a from eta via eta = 1 - 1/a and needs the flat sigma
+    averages (a WeightPair's sigma_avg_flat).
     """
     if not (0.0 < eta <= 1.0):
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
     cap = 1.0 / eta
-    depth = geometry.depth
+    depth, size = geometry.depth, (2 << geometry.depth) - 1
 
     name, _, arg = strategy.partition(":")
     if name == "tower":
-        masks, total = _cube_masks((), depth), 0.0
+        flat, total = np.zeros(size, dtype=bool), 0.0
         for level in range(depth + 1):
             total += 2.0 ** (-level)
             if total > cap + 1e-12:
                 break
-            masks[level][0] = True
-        return SparseFamily(masks)
+            flat[(1 << level) - 1] = True
+        return SparseFamily(flat)
 
     if name == "all_above_level":
         m = int(arg) if arg else min(depth, int(np.floor(cap + 1e-12)) - 1)
@@ -284,51 +272,53 @@ def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int
         if m + 1 > cap + 1e-12:
             raise DomainError(
                 f"all_above_level {m} has packing {m + 1} > 1/eta = {cap}")
-        return SparseFamily([np.full(1 << l, l <= m) for l in range(depth + 1)])
+        return SparseFamily(np.arange(size) < (2 << m) - 1)  # levels 0..m
 
     if name == "random_greedy":
         rng = np.random.default_rng(np.uint64(seed))
-        # subtree[l][j]: measure of admitted family cubes inside cube (l, j).
-        # A candidate's own subtree is still empty when it is drawn, and the
-        # root has no ancestors, so only admitted ancestors can reject.
-        subtree = [[0.0] * (1 << level) for level in range(depth + 1)]
-        admitted = [[False] * (1 << level) for level in range(depth + 1)]
+        # subtree[k]: measure of admitted family cubes inside the cube at flat
+        # position k.  A candidate's own subtree is still empty when it is drawn,
+        # and the root has no ancestors, so only admitted ancestors can reject.
+        subtree, admitted = [0.0] * size, [False] * size
         for level in range(depth + 1):
             m_c = 2.0 ** (-level)
             for j in rng.permutation(1 << level).tolist():
-                if any(admitted[a][j >> (level - a)]
-                       and subtree[a][j >> (level - a)] + m_c > cap * 2.0 ** (-a) + 1e-15
+                if any(admitted[k := (1 << a) - 1 + (j >> (level - a))]
+                       and subtree[k] + m_c > cap * 2.0 ** (-a) + 1e-15
                        for a in range(level)):
                     continue
-                admitted[level][j] = True
+                admitted[(1 << level) - 1 + j] = True
                 for a in range(level + 1):
-                    subtree[a][j >> (level - a)] += m_c
-        return SparseFamily([np.array(m, dtype=bool) for m in admitted])
+                    subtree[(1 << a) - 1 + (j >> (level - a))] += m_c
+        return SparseFamily(np.array(admitted))
 
     if name == "stopping_time":
-        if sigma_avgs is None:
-            raise DomainError("stopping_time strategy needs sigma_avgs")
+        if sigma_avg_flat is None:
+            raise DomainError("stopping_time strategy needs sigma_avg_flat")
         if eta >= 1.0:
             raise DomainError("stopping_time needs eta < 1 (a = 1/(1-eta) > 1)")
-        return stopping_time_family(sigma_avgs, 1.0 / (1.0 - eta))
+        return stopping_time_family(sigma_avg_flat, 1.0 / (1.0 - eta))
 
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
-def stopping_time_family(sigma_avgs, a: float) -> SparseFamily:
-    """Principal cubes of sigma, given its per-level averages (a
-    WeightPair's sigma_avgs): starting from the root, select maximal
-    descendants whose average exceeds a times the current stopping cube's
-    average, recursively.  The result is (1 - 1/a)-sparse by construction."""
+def stopping_time_family(sigma_avg_flat, a: float) -> SparseFamily:
+    """Principal cubes of sigma, given its flat averages (a WeightPair's
+    sigma_avg_flat): starting from the root, select maximal descendants
+    whose average exceeds a times the current stopping cube's average,
+    recursively.  The result is (1 - 1/a)-sparse by construction."""
     if not a > 1.0:
         raise DomainError(f"stopping threshold a must exceed 1, got {a}")
+    mask = np.zeros(len(sigma_avg_flat), dtype=bool)
+    mask[0] = True
     # stop[j]: the average of the stopping cube governing cube j of the level
-    stop, masks = sigma_avgs[0], [np.ones(1, dtype=bool)]
-    for avg in sigma_avgs[1:]:
-        stop = stop.repeat(2)
-        masks.append(avg > a * stop)
-        np.copyto(stop, avg, where=masks[-1])
-    return SparseFamily(masks)
+    stop = sigma_avg_flat[:1]
+    for level in range(1, len(sigma_avg_flat).bit_length()):
+        lo, hi = (1 << level) - 1, (2 << level) - 1
+        avg, m, stop = sigma_avg_flat[lo:hi], mask[lo:hi], stop.repeat(2)
+        np.greater(avg, a * stop, out=m)
+        np.copyto(stop, avg, where=m)
+    return SparseFamily(mask)
 
 
 # -- instance (de)serialization --------------------------------------------
@@ -375,7 +365,7 @@ def instance_from_dict(data: dict) -> Instance:
         family = SparseFamily.build(cubes, geometry)
     else:
         family = generate_sparse(geometry, sparse["strategy"], float(sparse["eta"]),
-                                 int(sparse.get("seed", 0)), sigma_avgs=pair.sigma_avgs)
+                                 int(sparse.get("seed", 0)), sigma_avg_flat=pair.sigma_avg_flat)
     return Instance(pair, family, sparse, clamped=cw + cs)
 
 

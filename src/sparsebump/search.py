@@ -109,7 +109,7 @@ def _instance(config: SearchConfig, w, sigma, p: float, family_seed: int) -> Ins
     geometry = TreeGeometry(config.depth)
     pair = WeightPair(geometry, w, sigma, p)
     family = generate_sparse(geometry, config.strategy, config.eta, family_seed,
-                             sigma_avgs=pair.sigma_avgs)
+                             sigma_avg_flat=pair.sigma_avg_flat)
     return Instance(pair, family, {"strategy": config.strategy, "eta": config.eta,
                                    "seed": family_seed})
 

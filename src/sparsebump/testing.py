@@ -19,7 +19,7 @@ import numpy as np
 
 from .dyadic import (CubeId, DomainError, NumericError, SparseFamily,
                      TreeGeometry, WeightPair, _avg_pyramid, _pyramid, _select,
-                     ancestor_accumulate, subtree_sums)
+                     _tree_index, ancestor_accumulate, subtree_sums)
 from .bumps import (BumpSpec, _cube_averages, ap_constant, dyadic_maximal,
                     ensure_admissible, nu_constant)
 
@@ -59,12 +59,12 @@ def local_sum(S: SparseFamily, pair: WeightPair, R: CubeId) -> np.ndarray:
     geometry = pair.geometry
     if not geometry.contains(R):
         raise DomainError(f"cube {R} outside the tree")
-    # the subtree of R as its own tree: level k holds R's 2**k descendants
-    sls = [slice(R.index << k, (R.index + 1) << k) for k in range(geometry.depth + 1 - R.level)]
-    terms = [np.where(S.masks[R.level + k][sl], pair.sigma_avgs[R.level + k][sl], 0.0)
-             for k, sl in enumerate(sls)]
-    out = np.zeros(geometry.n_leaves)
-    out[R.leaf_slice(geometry.depth)] = ancestor_accumulate(terms)[-1]
+    # no cube above R's level counts; the leaves outside R are cut below
+    flat = np.where(S.flat_mask, pair.sigma_avg_flat, 0.0)
+    flat[:(1 << R.level) - 1] = 0.0
+    leaves = ancestor_accumulate(flat, geometry.depth)[(1 << geometry.depth) - 1:]
+    out, sl = np.zeros(geometry.n_leaves), R.leaf_slice(geometry.depth)
+    out[sl] = leaves[sl]
     return out
 
 
@@ -96,16 +96,14 @@ def testing_constant(pair: WeightPair, S: SparseFamily):
     if not vals.size:
         return -math.inf, None
     k = int(vals.argmax())  # the first maximum in (level, index) order
-    at = int(S.flat_mask.nonzero()[0][k])  # level l starts at 2^l - 1
-    level = (at + 1).bit_length() - 1
-    return float(vals[k]), CubeId(level, at + 1 - (1 << level))
+    return float(vals[k]), CubeId.from_flat(int(S.flat_mask.nonzero()[0][k]))
 
 
 def apply_sparse(S: SparseFamily, values) -> np.ndarray:
     """A_S f = sum over Q in S of f_Q * chi_Q for finite f, leaf array in,
     leaf array out."""
-    avgs = _avg_pyramid(np.asarray(values, dtype=float), len(S.masks) - 1)
-    return ancestor_accumulate([a * m for m, a in zip(S.masks, avgs)])[-1]
+    flat = _avg_pyramid(values, S.depth) * S.flat_mask
+    return ancestor_accumulate(flat, S.depth)[(1 << S.depth) - 1:]
 
 
 def operator_norm_p2(S: SparseFamily, pair: WeightPair) -> float:
@@ -205,12 +203,12 @@ def _sums_inside(S: SparseFamily, terms, R: CubeId | None = None) -> np.ndarray:
     """The sum of terms (a family vector of S; trailing axes are separate
     columns) over the cubes of S inside R, or, with R None, inside every
     cube of S at once as a family vector: one subtree_sums pass."""
-    if R is not None and not TreeGeometry(len(S.masks) - 1).contains(R):
+    if R is not None and not TreeGeometry(S.depth).contains(R):
         raise DomainError(f"cube {R} outside the tree")
     flat = np.zeros(S.flat_mask.shape + np.shape(terms)[1:])
     flat[S.flat_mask] = terms
-    sums = subtree_sums(flat, len(S.masks) - 1)
-    return sums[S.flat_mask] if R is None else sums[(1 << R.level) - 1 + R.index]
+    sums = subtree_sums(flat, S.depth)
+    return sums[S.flat_mask] if R is None else sums[R.flat_index]
 
 
 def _sawyer_terms(S: SparseFamily, pair: WeightPair) -> np.ndarray:
@@ -221,11 +219,15 @@ def _sawyer_terms(S: SparseFamily, pair: WeightPair) -> np.ndarray:
 def cov_sides(S: SparseFamily, a, w_leaves, p: float,
               geometry: TreeGeometry) -> tuple[float, float]:
     """Both sides (lhs, rhs), each exact, of the discrete Carleson expansion
-    for ||sum over Q in S of a_Q chi_Q||_{L^p(w)}; a holds per-level arrays."""
+    for ||sum over Q in S of a_Q chi_Q||_{L^p(w)}; a holds per-level arrays,
+    such as a WeightPair's sigma_avgs."""
     w = np.asarray(w_leaves, dtype=float)
-    a = [np.where(m, al, 0.0) for m, al in zip(S.masks, a)]
-    lhs = lp_norm(ancestor_accumulate(a)[-1], w, p)
-    a, wmass = _select(a, S), _select(_pyramid(w, geometry.depth), S)
+    if [np.shape(al) for al in a] != [(1 << level,) for level in range(S.depth + 1)]:
+        raise DomainError(f"a must hold one array per level 0..{S.depth} of the family's tree")
+    flat = np.where(S.flat_mask, np.concatenate(a), 0.0)
+    a = _select(flat, S)
+    lhs = lp_norm(ancestor_accumulate(flat, geometry.depth)[(1 << geometry.depth) - 1:], w, p)
+    wmass = _select(_pyramid(w, geometry.depth), S)
     if np.any(wmass <= 0.0):
         raise DomainError("w(Q) must be positive for every family cube")
     # inner_Q = sum of a_P w(P) over the family cubes P inside Q
@@ -249,9 +251,11 @@ def carleson_embedding_ratio(S: SparseFamily, w_leaves, s: float, R: CubeId,
     constant depends on (s, eta), so report only."""
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
-    avgs = _avg_pyramid(np.asarray(w_leaves, dtype=float), geometry.depth)
-    terms = _select([a ** s * 2.0 ** (-level) for level, a in enumerate(avgs)], S)
-    rhs = float(avgs[R.level][R.index]) ** s * R.measure
+    if not geometry.contains(R):
+        raise DomainError(f"cube {R} outside the tree")
+    avgs = _avg_pyramid(w_leaves, geometry.depth)
+    terms = _select(avgs ** s / _tree_index(geometry.depth)[0], S)  # (w_Q)^s |Q|
+    rhs = float(avgs[R.flat_index]) ** s * R.measure
     return CheckReport.make("carleson_embedding", float(_sums_inside(S, terms, R)), rhs)
 
 
@@ -295,7 +299,7 @@ def lemma_reports(S: SparseFamily, pair: WeightPair, ks, spec: BumpSpec | None =
     reports = []
     # _sums_inside has checked R against the tree
     for row, sigma in zip(rows, masses.tolist() if R is None
-                          else [float(pair.sigma_masses[R.level][R.index])]):
+                          else [float(pair.sigma_mass_flat[R.flat_index])]):
         reports += [CheckReport.make(f"prop32_k{k}", lhs, sigma, bound=2.0 * S.packing,
                                      hard=True) for k, lhs in zip(ks, row)]
         if spec is not None:
@@ -348,9 +352,7 @@ def eset_split_check(pair: WeightPair, S: SparseFamily, R: CubeId):
     w_Q sigma_Q^{p-1} >= 1 and compare against A_p times the Sawyer sum.
     Returns (split report, hard membership report)."""
     p = pair.p
-    E = SparseFamily(
-        [m & (w * s ** (p - 1.0) >= 1.0)
-         for m, w, s in zip(S.masks, pair.w_avgs, pair.sigma_avgs)])
+    E = SparseFamily(S.flat_mask & (pair.w_avg_flat * pair.sigma_avg_flat ** (p - 1.0) >= 1.0))
     lhs = lp_norm(local_sum(E, pair, R), pair.w_leaves, p) ** p
     sawyer = float(_sums_inside(S, _sawyer_terms(S, pair), R))
     split = CheckReport.make("eset_split", lhs,

@@ -37,7 +37,8 @@ def level_arrays(values, depth):
 def make_instance(depth, w, sigma, p, strategy="stopping_time", eta=0.5, seed=0):
     geometry = TreeGeometry(depth)
     pair = WeightPair(geometry, np.asarray(w, float), np.asarray(sigma, float), p)
-    family = generate_sparse(geometry, strategy, eta, seed, sigma_avgs=pair.sigma_avgs)
+    family = generate_sparse(geometry, strategy, eta, seed,
+                             sigma_avg_flat=pair.sigma_avg_flat)
     return Instance(pair, family, {"strategy": strategy, "eta": eta, "seed": seed})
 
 

@@ -262,6 +262,16 @@ def brute_dyadic_maximal(sigma, level, index, depth):
     return out
 
 
+def brute_ancestor_fold(values, depth, leaf, fold):
+    """fold (a two-argument function such as max) down leaf's root chain,
+    root first: values holds one entry per cube, the cube (l, j) at
+    position 2**l - 1 + j."""
+    acc = float(values[0])
+    for l in range(1, depth + 1):
+        acc = fold(acc, float(values[(1 << l) - 1 + (leaf >> (depth - l))]))
+    return acc
+
+
 def random_pair(rng, depth):
     """Positive random leaf vectors for corpus tests."""
     n = 1 << depth

@@ -524,6 +524,13 @@ class TestMaximalAndEntropy:
             got = dyadic_maximal(sigma, 4, cube.level)[cube.leaf_slice(4)]
             assert np.allclose(got, ref, rtol=1e-12)
 
+    def test_dyadic_maximal_rejects_bad_level_or_length(self):
+        # a level outside [0, depth], or a leaf vector of another length or shape
+        for f, level in ((np.ones(16), -1), (np.ones(16), 5), (np.ones(8), 0),
+                         (np.ones(17), 2), (np.ones((4, 4)), 0)):
+            with pytest.raises(DomainError):
+                dyadic_maximal(f, 4, level)
+
     def test_instance_a_entropy_lambda_root(self, instance_a):
         g = instance_a.pair.geometry
         lam = entropy_lambda(instance_a.pair.sigma_leaves, CubeId(0, 0), g)
@@ -588,8 +595,8 @@ class TestMaximalAndEntropy:
             p = pair.p
             for l, j in oracles.all_cubes(pair.geometry.depth):
                 c = CubeId(l, j)
-                lower = pair.w_avgs[l][j] ** (1.0 / p) \
-                    * pair.sigma_avgs[l][j] ** (1.0 - 1.0 / p) * spec.phi(1.0)
+                lower = pair.w_avg_flat[c.flat_index] ** (1.0 / p) \
+                    * pair.sigma_avg_flat[c.flat_index] ** (1.0 - 1.0 / p) * spec.phi(1.0)
                 assert val >= lower - 1e-9
 
     def test_maximal_bound_instance_a(self, instance_a):
@@ -708,7 +715,7 @@ class TestOrliczConstants:
             phi = lambda lam: float(spec.phi(max(lam, 1.0))) ** (1.0 / pd)
             li, lacey, sep = [], [], []
             for c in S.cubes:
-                w, s = pair.w_avgs[c.level][c.index], pair.sigma_avgs[c.level][c.index]
+                w, s = pair.w_avg_flat[c.flat_index], pair.sigma_avg_flat[c.flat_index]
                 n, nb = lux[c.level][c.index], lux_bar[c.level][c.index]
                 li.append(w ** (1.0 / p) * (s / n) * phi(s / n ** p))
                 lacey.append(w ** (1.0 / p) * nb * phi(nb ** p / s ** (p - 1.0)))
@@ -716,7 +723,7 @@ class TestOrliczConstants:
             for fn, terms in ((orlicz_li_constant, li), (orlicz_lacey_constant, lacey)):
                 _, table_all = fn(pair, self.YOUNG, spec, "all")
                 value, table = fn(pair, self.YOUNG, spec, S)
-                assert np.array_equal(table, table_all[np.concatenate(S.masks)])
+                assert np.array_equal(table, table_all[S.flat_mask])
                 assert value == pytest.approx(max(terms), rel=1e-12)
             assert sepcon_constant(pair, self.YOUNG, S) == pytest.approx(max(sep), rel=1e-12)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -11,16 +12,16 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import STRATEGIES, make_instance
 from sparsebump import (CubeId, DomainError, Instance, SparseFamily,
-                        TreeGeometry, WeightPair, generate_sparse,
-                        instance_from_dict, load_instance, packing_constant,
-                        stopping_time_family)
-from sparsebump.dyadic import _select, subtree_sums
+                        TreeGeometry, WeightPair, carleson_embedding_ratio,
+                        generate_sparse, instance_from_dict, load_instance,
+                        packing_constant, stopping_time_family)
+from sparsebump.dyadic import ancestor_accumulate, subtree_sums
 from sparsebump.testing import testing_constant
 
 
-def sigma_avgs(sigma, geometry):
-    """The per-level sigma averages a WeightPair holds."""
-    return WeightPair(geometry, np.ones(geometry.n_leaves), sigma, 2.0).sigma_avgs
+def sigma_avg_flat(sigma, geometry):
+    """The flat sigma averages a WeightPair holds."""
+    return WeightPair(geometry, np.ones(geometry.n_leaves), sigma, 2.0).sigma_avg_flat
 
 
 class TestGeometry:
@@ -38,20 +39,6 @@ class TestGeometry:
         with pytest.raises(DomainError):
             TreeGeometry(-1)
 
-    def test_parent_children_roundtrip(self):
-        for cube in TreeGeometry(4).cubes():
-            if cube.level > 0:
-                assert cube in cube.parent.children
-            for child in cube.children:
-                assert child.parent == cube
-
-    def test_containment_matches_interval_logic(self):
-        g = TreeGeometry(4)
-        for a in g.cubes():
-            for b in g.cubes():
-                expected = oracles.contains((a.level, a.index), (b.level, b.index))
-                assert a.contains_cube(b) == expected
-
     def test_leaf_slice(self):
         c = CubeId(2, 3)
         assert c.leaf_slice(5) == slice(24, 32)
@@ -68,9 +55,9 @@ class TestMassPyramid:
         pair = WeightPair(g, w, sigma, 2.0)
         for cube in g.cubes():
             ref = oracles.brute_average(w, cube.level, cube.index, depth)
-            assert pair.w_avgs[cube.level][cube.index] == pytest.approx(ref, rel=1e-12)
+            assert pair.w_avg_flat[cube.flat_index] == pytest.approx(ref, rel=1e-12)
             ref = oracles.brute_average(sigma, cube.level, cube.index, depth)
-            assert pair.sigma_avgs[cube.level][cube.index] == pytest.approx(ref, rel=1e-12)
+            assert pair.sigma_avg_flat[cube.flat_index] == pytest.approx(ref, rel=1e-12)
 
     def test_mass_additivity(self):
         rng = np.random.default_rng(7)
@@ -80,36 +67,58 @@ class TestMassPyramid:
         for cube in g.cubes():
             if cube.level == g.depth:
                 continue
-            mass = pair.sigma_masses[cube.level][cube.index]
-            total = sum(pair.sigma_masses[c.level][c.index] for c in cube.children)
+            k = cube.flat_index  # its children sit at 2k + 1 and 2k + 2
+            mass = pair.sigma_mass_flat[k]
+            total = pair.sigma_mass_flat[2 * k + 1] + pair.sigma_mass_flat[2 * k + 2]
             assert mass == pytest.approx(total, rel=1e-12)
-            assert pair.sigma_avgs[cube.level][cube.index] * cube.measure == pytest.approx(
-                mass, rel=1e-12)
+            assert pair.sigma_avg_flat[k] * cube.measure == pytest.approx(mass, rel=1e-12)
 
     @pytest.mark.parametrize("depth", [0, 1, 5, 9])
     def test_flat_buffers_and_their_level_views(self, depth):
         # each pyramid is one flat (level, index) buffer equal bit for bit to
-        # subtree_sums of the leaf masses; the per-level lists are views into
-        # it, and the averages are the masses times 2**level, bit for bit
+        # subtree_sums of the leaf masses, and the averages are the masses
+        # times 2**level, bit for bit; sigma_avgs are views into its buffer
         rng = np.random.default_rng(depth)
         g = TreeGeometry(depth)
         w, sigma = oracles.random_pair(rng, depth)
         pair = WeightPair(g, w, sigma, 2.0)
-        for leaves, flat, levels, avg_flat, avgs in (
-                (w, pair.w_mass_flat, pair.w_masses, pair.w_avg_flat, pair.w_avgs),
-                (sigma, pair.sigma_mass_flat, pair.sigma_masses, pair.sigma_avg_flat,
-                 pair.sigma_avgs)):
-            ref = np.zeros((2 << depth) - 1)
+        size = (2 << depth) - 1
+        for leaves, flat, avg_flat in ((w, pair.w_mass_flat, pair.w_avg_flat),
+                                       (sigma, pair.sigma_mass_flat, pair.sigma_avg_flat)):
+            ref = np.zeros(size)
             ref[(1 << depth) - 1:] = leaves * 2.0 ** (-depth)
             ref = subtree_sums(ref, depth)
             assert np.array_equal(flat, ref)
-            assert np.array_equal(_select(levels, "all"), flat)
-            assert np.array_equal(_select(avgs, "all"), avg_flat)
-            assert len(levels) == len(avgs) == depth + 1
             for level in range(depth + 1):
-                assert levels[level].base is flat and avgs[level].base is avg_flat
-                assert np.array_equal(levels[level], ref[(1 << level) - 1:(2 << level) - 1])
-                assert np.array_equal(avgs[level], levels[level] * 2.0 ** level)
+                sl = slice((1 << level) - 1, (2 << level) - 1)
+                assert np.array_equal(avg_flat[sl], ref[sl] * 2.0 ** level)
+        assert len(pair.sigma_avgs) == depth + 1
+        for level, view in enumerate(pair.sigma_avgs):
+            assert view.base is pair.sigma_avg_flat
+            assert np.array_equal(view, pair.sigma_avg_flat[(1 << level) - 1:(2 << level) - 1])
+        # every generator and build give one read-only bool flat mask, and
+        # the per-level masks are views into it
+        families = [generate_sparse(g, strategy, 0.25, depth, sigma_avg_flat=pair.sigma_avg_flat)
+                    for strategy in STRATEGIES]
+        families.append(SparseFamily.build([CubeId(depth, 0), CubeId(0, 0)], g))
+        for S in families:
+            assert S.flat_mask.dtype == bool and S.flat_mask.shape == (size,)
+            assert not S.flat_mask.flags.writeable and S.depth == depth
+            assert len(S.masks) == depth + 1
+            for level, m in enumerate(S.masks):
+                assert m.base is S.flat_mask and m.shape == (1 << level,)
+        assert [c.flat_index for c in families[-1].sorted_cubes()] == sorted({0, (1 << depth) - 1})
+
+    @pytest.mark.parametrize("depth", [0, 1, 4, 8, 12])
+    def test_ancestor_accumulate_matches_brute_folds(self, depth):
+        # the in-place top-down pass leaves, at every leaf, the sum and the
+        # max of the values on its root chain, bit for bit
+        values = np.random.default_rng(depth).standard_normal((2 << depth) - 1)
+        for op, fold in ((np.add, operator.add), (np.maximum, max)):
+            got = ancestor_accumulate(values.copy(), depth, op)[(1 << depth) - 1:]
+            ref = [oracles.brute_ancestor_fold(values, depth, x, fold)
+                   for x in range(1 << depth)]
+            assert np.array_equal(got, ref)
 
     def test_coverage_is_built_once_per_family(self, monkeypatch):
         # constants reads the testing constant of the pair and of its dual,
@@ -189,6 +198,11 @@ class TestPacking:
         for cubes in ([CubeId(1, 0), CubeId(2, -4)], [CubeId(3, 0)]):
             with pytest.raises(DomainError):
                 packing_constant(cubes, g)
+        # a cube R outside the tree is rejected before any of its sums is read
+        S = SparseFamily.build([CubeId(0, 0)], g)
+        for R in (CubeId(5, 0), CubeId(1, 7)):
+            with pytest.raises(DomainError):
+                carleson_embedding_ratio(S, np.ones(4), 0.5, R, g)
 
 
 class TestGenerators:
@@ -201,7 +215,8 @@ class TestGenerators:
             strategy = STRATEGIES[checked % len(STRATEGIES)]
             g = TreeGeometry(depth)
             sigma = np.exp(rng.standard_normal(g.n_leaves))
-            fam = generate_sparse(g, strategy, eta, checked, sigma_avgs=sigma_avgs(sigma, g))
+            fam = generate_sparse(g, strategy, eta, checked,
+                                  sigma_avg_flat=sigma_avg_flat(sigma, g))
             assert fam.packing <= 1.0 / eta + 1e-12
             assert fam.sorted_cubes() == sorted(fam.cubes)
             assert fam.packing == packing_constant(fam.cubes, g)
@@ -232,8 +247,8 @@ class TestGenerators:
     def test_determinism(self):
         g = TreeGeometry(6)
         sigma = np.exp(np.random.default_rng(1).standard_normal(64))
-        a = generate_sparse(g, "random_greedy", 0.5, 9, sigma_avgs=sigma_avgs(sigma, g))
-        b = generate_sparse(g, "random_greedy", 0.5, 9, sigma_avgs=sigma_avgs(sigma, g))
+        a = generate_sparse(g, "random_greedy", 0.5, 9, sigma_avg_flat=sigma_avg_flat(sigma, g))
+        b = generate_sparse(g, "random_greedy", 0.5, 9, sigma_avg_flat=sigma_avg_flat(sigma, g))
         assert a.cubes == b.cubes
 
     def test_tower_is_a_root_chain(self):
@@ -243,7 +258,7 @@ class TestGenerators:
         assert levels == list(range(len(fam.cubes)))
         chain = fam.sorted_cubes()
         for outer, inner in zip(chain, chain[1:]):
-            assert outer.contains_cube(inner)
+            assert oracles.contains((outer.level, outer.index), (inner.level, inner.index))
 
     def test_stopping_time_family_is_sparse(self):
         rng = np.random.default_rng(17)
@@ -252,7 +267,7 @@ class TestGenerators:
             g = TreeGeometry(depth)
             sigma = np.exp(2.0 * rng.standard_normal(g.n_leaves))
             a = 2.0
-            fam = stopping_time_family(sigma_avgs(sigma, g), a)
+            fam = stopping_time_family(sigma_avg_flat(sigma, g), a)
             assert fam.packing <= 1.0 / (1.0 - 1.0 / a) + 1e-12
 
     @pytest.mark.parametrize("law", ["lognormal", "spike", "constant"])
@@ -271,7 +286,7 @@ class TestGenerators:
                 sigma[start:start + width] = n / width
             else:
                 sigma = np.full(n, 3.0)
-            fam = stopping_time_family(sigma_avgs(sigma, TreeGeometry(depth)), a)
+            fam = stopping_time_family(sigma_avg_flat(sigma, TreeGeometry(depth)), a)
             got = sorted((c.level, c.index) for c in fam.cubes)
             assert got == oracles.brute_stopping_time(sigma, a, depth)
 
@@ -280,7 +295,7 @@ class TestGenerators:
         # left child sits on the threshold and is not selected
         g = TreeGeometry(1)
         for sigma, want in (([3.0, 1.0], [(0, 0)]), ([3.5, 1.0], [(0, 0), (1, 0)])):
-            fam = stopping_time_family(sigma_avgs(np.array(sigma), g), 1.5)
+            fam = stopping_time_family(sigma_avg_flat(np.array(sigma), g), 1.5)
             assert sorted((c.level, c.index) for c in fam.cubes) == want
             assert want == oracles.brute_stopping_time(sigma, 1.5, 1)
 

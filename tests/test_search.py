@@ -111,7 +111,7 @@ class TestRandomInstance:
                         assert back.clamped == 0
                         for a, b in ((inst.pair.w_leaves, back.pair.w_leaves),
                                      (inst.pair.sigma_leaves, back.pair.sigma_leaves),
-                                     *zip(inst.family.masks, back.family.masks)):
+                                     (inst.family.flat_mask, back.family.flat_mask)):
                             assert np.array_equal(a, b), (depth, strategy, eta, dist, params)
 
 

@@ -90,7 +90,7 @@ class TestTestingConstant:
         assert argmax == ROOT
 
     def test_empty_family(self, instance_a):
-        empty = SparseFamily([np.zeros(1 << level, dtype=bool) for level in range(3)])
+        empty = SparseFamily(np.zeros(7, dtype=bool))
         assert testing_constant(instance_a.pair, empty) == (-math.inf, None)
 
     def test_instance_a(self, instance_a):
@@ -174,6 +174,11 @@ class TestSparseOperator:
             + 2.0 * apply_sparse(instance_a.family, f2)
         assert np.allclose(both, parts, rtol=1e-12)
 
+    def test_apply_sparse_rejects_wrong_length(self, instance_a):
+        for n in (1, 3, 8):
+            with pytest.raises(DomainError):
+                apply_sparse(instance_a.family, np.ones(n))
+
     def test_norm_flat_root(self):
         inst = make_instance(3, np.ones(8), np.ones(8), 2.0)
         fam = SparseFamily.build([ROOT], inst.pair.geometry)
@@ -248,7 +253,7 @@ class TestCov:
             fam, a = self._setup(inst, rng)
             lhs, rhs = cov_sides(inst.family, level_arrays(a, inst.pair.geometry.depth),
                                  inst.pair.w_leaves, 2.0, inst.pair.geometry)
-            tail = sum(a[q] ** 2 * inst.pair.w_masses[q.level][q.index] for q in fam)
+            tail = sum(a[q] ** 2 * inst.pair.w_mass_flat[q.flat_index] for q in fam)
             assert lhs ** 2 == pytest.approx(2.0 * rhs ** 2 - tail, rel=1e-9)
 
     def test_p2_bracket_hard(self):
@@ -258,6 +263,14 @@ class TestCov:
             rep = cov_bracket_report(inst.family, level_arrays(a, inst.pair.geometry.depth),
                                      inst.pair.w_leaves, 2.0, inst.pair.geometry)
             assert rep.passed, rep
+
+    def test_a_of_another_depth_rejected(self, instance_a):
+        # one level short, one level extra, and a level of the wrong length
+        levels = instance_a.pair.sigma_avgs
+        for a in (levels[:2], levels + [np.ones(8)], [levels[0], np.ones(3), levels[2]]):
+            with pytest.raises(DomainError):
+                cov_sides(instance_a.family, a, instance_a.pair.w_leaves, 2.0,
+                          instance_a.pair.geometry)
 
     def test_other_p_reported_not_asserted(self, instance_a):
         a = {q: 1.0 for q in instance_a.family.cubes}
@@ -293,7 +306,7 @@ class TestEmbeddings:
 class TestLevelSets:
     def test_partition(self):
         for inst in random_corpus(40, seed=15, depths=(2, 3, 4, 5)):
-            s = _select(inst.pair.sigma_avgs, inst.family)
+            s = _select(inst.pair.sigma_avg_flat, inst.family)
             seen = np.zeros(s.shape, dtype=int)  # level sets holding each cube of S
             for k in realized_levels(inst.family, inst.pair):
                 assert _in_level(s, k).any(), k
@@ -316,7 +329,7 @@ class TestLevelSets:
                 fam, pair = inst.family, inst.pair
                 assert len(fam.cubes) == 15
                 assert realized_levels(fam, pair) == [level], (k, value)
-                s = _select(pair.sigma_avgs, fam)
+                s = _select(pair.sigma_avg_flat, fam)
                 assert _in_level(s, level).all()
                 for other in (level - 1, level + 1):
                     assert not _in_level(s, other).any()
@@ -360,7 +373,7 @@ class TestCheckersAgainstOracles:
         levels = sorted({level_of(s_avg[q]) for q in cubes})
         assert realized_levels(fam, pair) == levels
         for k in levels:
-            assert _in_level(_select(pair.sigma_avgs, fam), k).tolist() == \
+            assert _in_level(_select(pair.sigma_avg_flat, fam), k).tolist() == \
                 [level_of(s_avg[q]) == k for q in cubes]
         assert _sub_ap_fraction(inst, p) == sum(ap[q] < 1.0 for q in cubes) / len(cubes)
 
@@ -379,7 +392,7 @@ class TestCheckersAgainstOracles:
 
         sawyer_sup = max(ap[q] * psi[q] for q in cubes)
         # the lambda condition's sums for every R: sigma(Q) / lambda_Q inside R
-        lam_inside = _sums_inside(fam, _select(pair.sigma_masses, fam) / table)
+        lam_inside = _sums_inside(fam, _select(pair.sigma_mass_flat, fam) / table)
         for R, lam_sum in zip(fam.sorted_cubes(), lam_inside.tolist()):
             r = (R.level, R.index)
 
@@ -390,7 +403,7 @@ class TestCheckersAgainstOracles:
                 near(prop32_check(fam, pair, R, k).lhs,
                      inside(lambda q: s_mass[q] if level_of(s_avg[q]) == k else 0.0))
             near(prop33_check(fam, pair, spec, R).lhs, inside(lambda q: s_mass[q] / psi[q]))
-            near(lam_sum / pair.sigma_masses[R.level][R.index],
+            near(lam_sum / pair.sigma_mass_flat[R.flat_index],
                  inside(lambda q: s_mass[q] / lam[q]) / s_mass[r])
             sawyer = inside(lambda q: s_avg[q] ** p * w_mass[q])
             rep = sawyer_sum_bound(pair, fam, spec, R)
@@ -442,8 +455,8 @@ class TestTrackedConstants:
     def test_lambda_condition_matches_prop33(self, instance_a):
         fam, pair = instance_a.family, instance_a.pair
         table = nu_lambdas(pair, self.SPEC, fam)
-        c = _sums_inside(fam, _select(pair.sigma_masses, fam) / table, ROOT) \
-            / pair.sigma_masses[0][0]
+        c = _sums_inside(fam, _select(pair.sigma_mass_flat, fam) / table, ROOT) \
+            / pair.sigma_mass_flat[0]
         rep = prop33_check(fam, pair, self.SPEC, ROOT)
         assert c == pytest.approx(rep.ratio, rel=1e-12)
 
