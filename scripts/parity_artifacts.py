@@ -9,6 +9,10 @@ this tree's `src/`:
   lognormal/spike/mixed laws, at eta 0.25 and seed 0;
 - `constants --cubes all` and `--cubes sparse` on each instance;
 - `check --suite all --in` on each instance of depth <= 9;
+- `constants --young` at the B_p boundary of p 1.5/2/3, on the depth-6
+  stopping_time lognormal instance: `power` q = p - 0.01, and
+  `power_over_log` at q = p with eps 0.1 (both in B_p) and at
+  q = p + 0.05 with eps 1 (not in B_p);
 - `check --trials 150` at seeds 0 and 5;
 - `search --result-out` for main_theorem, conjecture_nc and
   prop31_entropy at p 1.5/2/3, `--depths 3 5 --steps 150 --seed 3`.
@@ -17,6 +21,7 @@ this tree's `src/`:
 `diff -r` and `python scripts/artifact_diff.py OLD_DIR NEW_DIR`.
 """
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -25,6 +30,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sparsebump import cli  # noqa: E402
 from sparsebump.dyadic import STRATEGIES  # noqa: E402
+
+
+def bp_boundary():
+    """(instance, run name, Young JSON) of every B_p-boundary run."""
+    for p in (1.5, 2.0, 3.0):
+        for tag, family, q, eps in (("power_below", "power", p - 0.01, 1.0),
+                                    ("log_at", "power_over_log", p, 0.1),
+                                    ("log_above", "power_over_log", p + 0.05, 1.0)):
+            yield (f"gen_stopping_time_d6_p{p:g}_lognormal.json", f"{tag}_p{p:g}",
+                   {"family": family, "q": q, "eps": eps})
 
 
 def runs():
@@ -44,6 +59,9 @@ def runs():
                     if depth <= 9:
                         yield ["check", "--suite", "all", "--in", inst,
                                "--out", f"check_{name}.csv"]
+    for inst, name, _ in bp_boundary():
+        yield ["constants", "--in", inst, "--young", f"young_{name}.json",
+               "--out", f"constants_bp_{name}.csv"]
     for seed in (0, 5):
         yield ["check", "--trials", "150", "--seed", str(seed),
                "--out", f"check_trials_seed{seed}.csv"]
@@ -62,6 +80,8 @@ def main(argv) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
+    for _, name, data in bp_boundary():
+        Path(f"young_{name}.json").write_text(json.dumps(data, sort_keys=True) + "\n")
     codes = [f"{cli.main(args)} {' '.join(args)}" for args in runs()]
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n")
     return 0

@@ -3,8 +3,8 @@ constants built from them.
 
 A bump spec carries a V-shaped function psi (decreasing on (0,1),
 increasing on (1,inf)) and an increasing function phi on [1,inf).
-Admissibility certifies monotonicity on a geometric grid and finiteness
-of the dyadic tail sums S_psi and S_phi.
+Admissibility certifies monotonicity on a geometric grid and the decay
+of the dyadic tail sums S_psi and S_phi; only S_psi's value is kept.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ def _psi_lower(t, eps):
     return np.log(_E + inv) * _loglog(_EE + inv) ** (1.0 + eps)
 
 
-def _psi_upper(t, eps, family):
+def _upper(t, eps, family):
+    # psi above 1, and phi: log(e + t)^{1+eps} or log(e + t) * loglog^{1+eps}(e^e + t)
     if family == "log_power":
         return np.log(_E + t) ** (1.0 + eps)
     return np.log(_E + t) * _loglog(_EE + t) ** (1.0 + eps)
@@ -86,7 +87,7 @@ class BumpSpec:
         else:
             out = np.where(t < 1.0,
                            _psi_lower(np.maximum(t, 1e-300), self.psi_eps),
-                           _psi_upper(np.maximum(t, 1.0), self.psi_eps, self.psi_family))
+                           _upper(np.maximum(t, 1.0), self.psi_eps, self.psi_family))
         return float(out) if out.ndim == 0 else out
 
     def phi(self, t):
@@ -95,10 +96,8 @@ class BumpSpec:
             raise DomainError("phi requires t >= 1")
         if self.phi_family == "custom":
             out = np.asarray(self.phi_fn(t), dtype=float)
-        elif self.phi_family == "log_power":
-            out = np.log(_E + t) ** (1.0 + self.phi_eps)
         else:
-            out = np.log(_E + t) * _loglog(_EE + t) ** (1.0 + self.phi_eps)
+            out = _upper(t, self.phi_eps, self.phi_family)
         return float(out) if out.ndim == 0 else out
 
     def nu_p(self, p, t):
@@ -132,7 +131,6 @@ class AdmissibilityReport:
     ok: bool
     reasons: list
     s_psi: float
-    s_phi: float
 
 
 def _tail_converges(u):
@@ -197,11 +195,9 @@ def check_bump(spec: BumpSpec) -> AdmissibilityReport:
     s_psi = float(np.sum(inv) + _tail_extrapolate(tail_neg) + _tail_extrapolate(tail_pos))
 
     kphi = np.arange(0, TAIL_DIRECT_K + 1, dtype=float)
-    uphi = 1.0 / np.asarray(spec.phi(2.0 ** kphi))
-    if not _tail_converges(uphi):
+    if not _tail_converges(1.0 / np.asarray(spec.phi(2.0 ** kphi))):
         reasons.append("S_phi diverges (dyadic tail fails decay check)")
-    s_phi = float(np.sum(uphi) + _tail_extrapolate(uphi))
-    return AdmissibilityReport(ok=not reasons, reasons=reasons, s_psi=s_psi, s_phi=s_phi)
+    return AdmissibilityReport(ok=not reasons, reasons=reasons, s_psi=s_psi)
 
 
 _admissibility_cache: dict = {}
@@ -250,6 +246,11 @@ class YoungSpec:
     def A(self, t):
         out = self.A_and_elasticity(t)[0]
         return float(out) if out.ndim == 0 else out
+
+    def in_bp(self, p: float) -> bool:
+        """Whether int_1^inf A(t)/t^p dt/t is finite (Perez's class B_p):
+        exactly when q < p, or q = p with eps > 0 for power_over_log."""
+        return self.q < p or (self.q == p and self.family == "power_over_log" and self.eps > 0)
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "q": self.q, "eps": self.eps}
@@ -342,26 +343,6 @@ class ConjugateTable:
 @lru_cache(maxsize=32)
 def _conjugate_table(young: YoungSpec) -> ConjugateTable:
     return ConjugateTable(young)
-
-
-@lru_cache(maxsize=32)
-def bp_integral(young: YoungSpec, p: float) -> float:
-    """int_1^inf A(t)/t^p dt/t over dyadic blocks up to 2^40 plus a tail
-    estimate; returns +inf when the block sums fail the decay check."""
-    if not p > 1.0:
-        raise DomainError(f"p must exceed 1, got {p}")
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    blocks = []
-    for j in range(40):
-        a, b = j * math.log(2.0), (j + 1) * math.log(2.0)
-        u = 0.5 * (b - a) * nodes + 0.5 * (a + b)  # u = log t
-        t = np.exp(u)
-        integrand = np.asarray(young.A(t)) / t ** p  # dt/t absorbed by u-substitution
-        blocks.append(float(0.5 * (b - a) * np.sum(weights * integrand)))
-    blocks = np.array(blocks)
-    if not _tail_converges(blocks):
-        return math.inf
-    return float(np.sum(blocks)) + _tail_extrapolate(blocks)
 
 
 # -- Luxemburg norms --------------------------------------------------------
@@ -483,7 +464,7 @@ def orlicz_li_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
     Returns (value, lambda) with lambda_Q = sigma_Q / ||.||^p as a family
     vector in _select order."""
     ensure_admissible(spec)
-    if not math.isfinite(bp_integral(young, pair.p)):
+    if not young.in_bp(pair.p):
         raise AdmissibilityError("Young function is not in B_p")
     p = pair.p
     w, s = _cube_averages(pair, cubes)
@@ -501,7 +482,7 @@ def orlicz_lacey_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
     Returns (value, lambda) with lambda_Q = ||.||^p / sigma_Q^{p-1} as a
     family vector in _select order."""
     ensure_admissible(spec)
-    if not math.isfinite(bp_integral(young, pair.p)):
+    if not young.in_bp(pair.p):
         raise AdmissibilityError("Young function is not in B_p")
     p = pair.p
     w, s = _cube_averages(pair, cubes)

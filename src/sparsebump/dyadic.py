@@ -180,7 +180,11 @@ class SparseFamily:
     depth = property(lambda self: self.flat_mask.size.bit_length() - 1)
 
     def __post_init__(self):
-        self.flat_mask.flags.writeable = False
+        m = self.flat_mask
+        if not (isinstance(m, np.ndarray) and m.dtype == bool and m.ndim == 1
+                and m.size > 0 and m.size & (m.size + 1) == 0):
+            raise DomainError("a family's flat mask is a 1-D bool array of size 2**(L+1) - 1")
+        m.flags.writeable = False
 
     @staticmethod
     def build(cubes, geometry: TreeGeometry) -> "SparseFamily":
@@ -227,11 +231,20 @@ class SparseFamily:
         return float((acc * scale)[self.flat_mask].max(initial=0.0))
 
 
+def _same_tree(S: SparseFamily, depth: int) -> None:
+    """Raise DomainError unless the family S lives on the depth-`depth` tree."""
+    if S.depth != depth:
+        raise DomainError(f"a depth-{S.depth} family on a depth-{depth} tree")
+
+
 def _select(flat: np.ndarray, cubes) -> np.ndarray:
     """The family vector of a flat (level, index) buffer, in (level, index)
     order, the order of TreeGeometry.cubes() and sorted_cubes(), over every
-    cube ("all") or a SparseFamily's cubes."""
-    return flat if cubes in ("all", None) else flat[cubes.flat_mask]
+    cube ("all") or a SparseFamily's cubes of the buffer's tree."""
+    if cubes in ("all", None):
+        return flat
+    _same_tree(cubes, len(flat).bit_length() - 1)
+    return flat[cubes.flat_mask]
 
 
 def packing_constant(cubes, geometry: TreeGeometry) -> float:

@@ -10,7 +10,6 @@ Everything is deterministic given (objective, config).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -215,19 +214,15 @@ def anneal(objective: Objective, config: SearchConfig) -> SearchResult:
                         sub_ap_fraction=_sub_ap_fraction(best_inst, objective.p))
 
 
-def sweep_results(objective: Objective, config: SearchConfig, depths,
-                  timing: bool = False):
+def sweep_results(objective: Objective, config: SearchConfig, depths):
     """anneal per depth with derived seeds; (rows, results) with one row
     (depth, best_ratio, evaluations, seconds) and one SearchResult per
-    depth.  seconds is 0.0 unless timing is requested, keeping the CSV
-    byte-reproducible."""
+    depth.  seconds is always 0.0, so the CSV is byte-reproducible."""
     rows, results = [], []
     for depth in depths:
-        start = time.perf_counter()
         result = anneal(objective, replace(config, depth=depth,
                                            seed=config.seed + 7919 * depth))
-        seconds = time.perf_counter() - start if timing else 0.0
-        rows.append((depth, result.best_ratio, result.evaluations, seconds))
+        rows.append((depth, result.best_ratio, result.evaluations, 0.0))
         results.append(result)
     return rows, results
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import (CubeId, DomainError, NumericError, SparseFamily,
-                     TreeGeometry, WeightPair, _avg_pyramid, _pyramid, _select,
-                     _tree_index, ancestor_accumulate, subtree_sums)
+                     TreeGeometry, WeightPair, _avg_pyramid, _pyramid, _same_tree,
+                     _select, _tree_index, ancestor_accumulate, subtree_sums)
 from .bumps import (BumpSpec, _cube_averages, ap_constant, dyadic_maximal,
                     ensure_admissible, nu_constant)
 
@@ -35,9 +35,12 @@ class CheckReport:
     hard: bool = False  # not serialized; drives the CLI exit code
 
     @staticmethod
-    def make(name, lhs, rhs, bound=None, hard=False) -> "CheckReport":
+    def make(name, lhs, rhs, bound=None, hard=False, lower=None) -> "CheckReport":
+        """The report of lhs / rhs, which passes at most bound (1e-9
+        relative slack) and, given lower, at least lower."""
         ratio = lhs / rhs if rhs > 0 else math.inf
-        passed = bound is not None and ratio <= bound * (1.0 + 1e-9)
+        passed = (bound is not None and ratio <= bound * (1.0 + 1e-9)
+                  and (lower is None or ratio >= lower))
         return CheckReport(name, float(lhs), float(rhs), bound, float(ratio),
                            passed, hard)
 
@@ -57,6 +60,7 @@ def local_sum(S: SparseFamily, pair: WeightPair, R: CubeId) -> np.ndarray:
     """The leaf array of the step function sum over Q in S with Q subset
     of R of sigma_Q * chi_Q."""
     geometry = pair.geometry
+    _same_tree(S, geometry.depth)
     if not geometry.contains(R):
         raise DomainError(f"cube {R} outside the tree")
     # no cube above R's level counts; the leaves outside R are cut below
@@ -84,6 +88,7 @@ def testing_constant(pair: WeightPair, S: SparseFamily):
     sigma(R)^{1/p}.  Returns (value, maximizing R); ties break toward the
     smallest (level, index)."""
     depth, p = pair.geometry.depth, pair.p
+    _same_tree(S, depth)
     inside, leaf, owner = S.coverage
     # g[r, x]: level-r local sum at leaf x, added leaves-up (no differences of large sums)
     g = np.zeros(inside.shape)
@@ -221,6 +226,7 @@ def cov_sides(S: SparseFamily, a, w_leaves, p: float,
     """Both sides (lhs, rhs), each exact, of the discrete Carleson expansion
     for ||sum over Q in S of a_Q chi_Q||_{L^p(w)}; a holds per-level arrays,
     such as a WeightPair's sigma_avgs."""
+    _same_tree(S, geometry.depth)
     w = np.asarray(w_leaves, dtype=float)
     if [np.shape(al) for al in a] != [(1 << level,) for level in range(S.depth + 1)]:
         raise DomainError(f"a must hold one array per level 0..{S.depth} of the family's tree")
@@ -239,10 +245,8 @@ def cov_sides(S: SparseFamily, a, w_leaves, p: float,
 def cov_bracket_report(S: SparseFamily, a, w_leaves, p, geometry) -> CheckReport:
     """p = 2 exact bracket rhs <= lhs <= sqrt(2) * rhs; hard assert."""
     lhs, rhs = cov_sides(S, a, w_leaves, p, geometry)
-    rep = CheckReport.make("cov_bracket", lhs, rhs, bound=math.sqrt(2.0), hard=True)
-    if rep.ratio < 1.0 - 1e-9:
-        rep.passed = False
-    return rep
+    return CheckReport.make("cov_bracket", lhs, rhs, bound=math.sqrt(2.0), hard=True,
+                            lower=1.0 - 1e-9)
 
 
 def carleson_embedding_ratio(S: SparseFamily, w_leaves, s: float, R: CubeId,
@@ -352,6 +356,7 @@ def eset_split_check(pair: WeightPair, S: SparseFamily, R: CubeId):
     w_Q sigma_Q^{p-1} >= 1 and compare against A_p times the Sawyer sum.
     Returns (split report, hard membership report)."""
     p = pair.p
+    _same_tree(S, pair.geometry.depth)
     E = SparseFamily(S.flat_mask & (pair.w_avg_flat * pair.sigma_avg_flat ** (p - 1.0) >= 1.0))
     lhs = lp_norm(local_sum(E, pair, R), pair.w_leaves, p) ** p
     sawyer = float(_sums_inside(S, _sawyer_terms(S, pair), R))

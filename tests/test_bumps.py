@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import make_instance, random_corpus
 from sparsebump import (CubeId, TreeGeometry, WeightPair, ap_constant,
-                        bp_integral, check_bump, dyadic_maximal,
+                        check_bump, dyadic_maximal,
                         entropy_constant, entropy_lambda,
                         maximal_bound_constant, nu_constant,
                         orlicz_lacey_constant, orlicz_li_constant)
@@ -83,7 +83,6 @@ class TestAdmissibility:
         rep = check_bump(BumpSpec(psi_family=psi, phi_family=phi))
         assert rep.ok, rep.reasons
         assert 0.0 < rep.s_psi < math.inf
-        assert 0.0 < rep.s_phi < math.inf
 
     def test_pure_log_rejected(self):
         # 1/psi(2^-k) ~ 1/k: the small-t dyadic tail is harmonic
@@ -208,13 +207,29 @@ class TestYoung:
     def test_power_over_log_q2_accepted(self):
         ensure_young(YoungSpec("power_over_log", 2.0, 1.0))
 
-    def test_bp_integral_power_closed_form(self):
-        # A(t) = t^q gives integral 1/(p - q) for q < p
-        val = bp_integral(YoungSpec("power", 1.9, 0.0), 2.0)
-        assert val == pytest.approx(10.0, rel=1e-10)
-
-    def test_bp_integral_divergence_flagged(self):
-        assert math.isinf(bp_integral(YoungSpec("power", 2.0, 0.0), 2.0))
+    @pytest.mark.parametrize("family, q, eps, p, member", [
+        # A(t) = t^q gives the integral 1/(p - q) for q < p, and diverges at q = p
+        ("power", 1.9, 0.0, 2.0, True),
+        ("power", 2.0, 0.0, 2.0, False),
+        # close to q = p, where the integral converges or diverges slowly
+        ("power_over_log", 1.5, 0.1, 1.5, True),
+        ("power_over_log", 1.9, 0.1, 1.9, True),
+        ("power_over_log", 1.95, 1.0, 1.9, False),
+        ("power", 1.95, 1.0, 2.0, True),
+        ("power", 1.99, 1.0, 2.0, True),
+        ("power_over_log", 2.0, 0.1, 2.0, True),
+        ("power", 1.95, 1.0, 2.01, True),
+        ("power", 1.99, 1.0, 2.01, True),
+        ("power", 2.0, 1.0, 2.01, True),
+        # the analytic boundary: int_1^inf dt / (t log^{1+eps} t) is finite iff eps > 0
+        ("power", 3.0, 1.0, 3.0, False),
+        ("power_over_log", 2.0, 0.0, 2.0, False),
+        ("power_over_log", 2.0, 1.0, 2.0, True),
+        ("power", 2.01, 1.0, 2.0, False),
+        ("power_over_log", 2.05, 1.0, 2.0, False),
+    ])
+    def test_bp_membership_exact(self, family, q, eps, p, member):
+        assert YoungSpec(family, q, eps).in_bp(p) is member
 
     def test_conjugate_table_accuracy(self):
         young = YoungSpec("power_over_log", 2.0, 1.0)

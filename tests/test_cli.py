@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,21 @@ class TestConstants:
         assert run_cli("constants", "--in", str(instance_file), "--young", str(young),
                        "--out", str(tmp_path / "c.csv")) == 2
         assert "not convex" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p, young, member", [
+        ("1.9", {"family": "power_over_log", "q": 1.95, "eps": 1.0}, False),
+        ("2", {"family": "power", "q": 1.99}, True)])
+    def test_orlicz_rows_follow_bp_membership(self, tmp_path, p, young, member):
+        # NaN Orlicz rows exactly when the Young function is not in B_p
+        inst, spec, out = (tmp_path / name for name in ("inst.json", "young.json", "c.csv"))
+        assert run_cli("gen", "--depth", "3", "--p", p, "--out", str(inst)) == 0
+        spec.write_text(json.dumps(young))
+        assert run_cli("constants", "--in", str(inst), "--young", str(spec),
+                       "--out", str(out)) == 0
+        rows = dict(ln.split(",") for ln in read(out).splitlines()[3:])
+        for name in ("orlicz_li", "orlicz_lacey"):
+            assert math.isfinite(float(rows[name])) is member
+        assert math.isfinite(float(rows["entropy"]))
 
 
 class TestCheck:

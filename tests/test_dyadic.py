@@ -204,6 +204,13 @@ class TestPacking:
             with pytest.raises(DomainError):
                 carleson_embedding_ratio(S, np.ones(4), 0.5, R, g)
 
+    @pytest.mark.parametrize("mask", [np.ones(6, bool), np.ones(7), np.ones((3, 7), bool),
+                                      np.ones(0, bool), [True] * 7])
+    def test_mask_must_be_a_flat_bool_tree_buffer(self, mask):
+        # wrong size, wrong dtype, 2-D, empty, and not an array
+        with pytest.raises(DomainError):
+            SparseFamily(mask)
+
 
 class TestGenerators:
     def test_generated_families_respect_eta(self):

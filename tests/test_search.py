@@ -170,7 +170,7 @@ class TestSweep:
         cfg = SearchConfig(depth=3, steps=60, seed=0)
         rows = sweep_results(obj, cfg, depths=(2, 3))[0]
         assert [r[0] for r in rows] == [2, 3]
-        assert all(r[3] == 0.0 for r in rows)  # byte-stable without timing
+        assert all(r[3] == 0.0 for r in rows)  # the seconds column is always 0
         text = sweep_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == "depth,best_ratio,evaluations,seconds"

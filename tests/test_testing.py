@@ -13,12 +13,12 @@ from sparsebump import (CubeId, SparseFamily, TreeGeometry, WeightPair, apply_sp
                         lp_norm, maximal_norm_lower, operator_norm_lower,
                         operator_norm_p2, prop31_bound, prop32_check,
                         prop33_check, sawyer_sum_bound, testing_constant,
-                        theorem_main_ratio)
+                        theorem_main_ratio, generate_sparse, nu_constant)
 from sparsebump.bumps import BumpSpec, check_bump, nu_lambdas
 from sparsebump.dyadic import DomainError, NumericError, _select
 from sparsebump.search import _sub_ap_fraction
 from sparsebump.testing import (CheckReport, CHECK_CSV_HEADER, _in_level, _sums_inside,
-                                cov_bracket_report, realized_levels)
+                                cov_bracket_report, lemma_reports, realized_levels)
 
 ROOT = CubeId(0, 0)
 
@@ -503,3 +503,29 @@ class TestCheckReport:
         # report-only checks carry no pass verdict semantics beyond ratio
         rep = CheckReport.make("x", 2.0, 1.0)
         assert rep.ratio == pytest.approx(2.0)
+        # a two-sided bound: lower is inclusive, and a report-only check never passes
+        assert CheckReport.make("x", 0.9, 1.0, bound=1.0, lower=0.9).passed
+        assert not CheckReport.make("x", 0.8, 1.0, bound=1.0, lower=0.9).passed
+        assert not CheckReport.make("x", 2.0, 1.0, bound=1.0, lower=0.9).passed
+        assert not CheckReport.make("x", 0.95, 1.0, lower=0.9).passed
+
+
+class TestDepthMismatch:
+    @pytest.mark.parametrize("family_depth, pair_depth", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("call", [
+        lambda S, pair: testing_constant(pair, S),
+        lambda S, pair: lemma_reports(S, pair, [0], BumpSpec()),
+        lambda S, pair: nu_constant(pair, BumpSpec(), S),
+        lambda S, pair: local_sum(S, pair, ROOT),
+        # a fits the family, so only the geometry is of another depth
+        lambda S, pair: cov_sides(S, [np.ones(1 << level) for level in range(S.depth + 1)],
+                                  pair.w_leaves, pair.p, pair.geometry),
+        lambda S, pair: eset_split_check(pair, S, ROOT),
+    ], ids=["testing_constant", "lemma_reports", "nu_constant", "local_sum", "cov_sides",
+            "eset_split_check"])
+    def test_family_of_another_depth_rejected(self, call, family_depth, pair_depth):
+        S = generate_sparse(TreeGeometry(family_depth), "all_above_level", 0.25, 0)
+        pair = make_instance(pair_depth, np.ones(1 << pair_depth),
+                             np.arange(1.0, (1 << pair_depth) + 1.0), 2.0).pair
+        with pytest.raises(DomainError):
+            call(S, pair)
