@@ -25,6 +25,8 @@ _EE = math.exp(math.e)
 # need it to cover every realizable sigma_Q block
 TAIL_DIRECT_K = 512
 
+GAUGE_REL_TOL = 1e-12  # each Luxemburg gauge closes its bracket to hi - lo <= this * lo
+
 
 class AdmissibilityError(ValueError):
     """A bump or Young spec failed a certification check."""
@@ -229,6 +231,7 @@ class YoungSpec:
     family: str = "power"
     q: float = 2.0
     eps: float = 1.0
+    inv_one = 1.0  # A^-1(1), by the normalization; a class constant, not a field
 
     def __post_init__(self):
         if self.family not in ("power", "power_over_log"):
@@ -263,9 +266,9 @@ class YoungSpec:
 
 
 def ensure_young(young: YoungSpec) -> None:
-    """Raise AdmissibilityError unless A(0) = 0 and A is increasing and
-    convex on a geometric grid."""
-    reasons = []
+    """Raise AdmissibilityError unless q > 1 (Abar grows like s^{q/(q-1)}),
+    A(0) = 0 and A is increasing and convex on a geometric grid."""
+    reasons = [] if young.q > 1.0 else [f"q = {young.q} is not above 1"]
     ts = np.concatenate(([0.0], np.geomspace(2.0 ** -40, 2.0 ** 40, 2001)))
     vals = np.asarray(young.A(ts))
     if abs(vals[0]) > 1e-12:
@@ -323,6 +326,8 @@ class ConjugateTable:
         self._node, self._value = (np.concatenate([a[:1], a]) for a in (self.log_s, self.log_v))
         self._slope = np.concatenate([[0.0], slopes, slopes[-1:]])
         self.q = young.q / (young.q - 1.0)  # Abar's growth exponent, exact for power A
+        k = np.searchsorted(self.log_v, 0.0)  # Abar^-1(1) is where segment k crosses log_v = 0
+        self.inv_one = math.exp(self._node[k] - self._value[k] / self._slope[k])
 
     def A_and_elasticity(self, s):
         """(Abar(s), e(s)): np.interp on the log-log grid, clamped below it
@@ -348,39 +353,31 @@ def _conjugate_table(young: YoungSpec) -> ConjugateTable:
 # -- Luxemburg norms --------------------------------------------------------
 
 
-def luxemburg_norms_level(f, level: int, young, rel_tol: float = 1e-12,
-                          below=None) -> np.ndarray:
-    """Luxemburg norms of f on every cube of one level, all cubes at once.
+def luxemburg_norms_level(f, level: int, young, below) -> np.ndarray:
+    """Luxemburg norms of f on every cube of one level, all cubes at once,
+    from below, the norms one level down; young is a YoungSpec or a
+    ConjugateTable, whose A_and_elasticity gives A and e = d log A / d log x.
 
-    young is a YoungSpec or a ConjugateTable, whose A_and_elasticity gives
-    A and e = d log A / d log x in one call.  Safeguarded Newton steps on
-    g(t) = log mean A(f e^-t), t = log lambda, of slope -mean(A e)/mean(A),
-    keep the bracket mean A(f/lo) >= 1 >= mean A(f/hi): a step that is not
-    finite or leaves it becomes a bisection in t, or a factor of 2 while one
-    end is unknown.  (g is linear for power A.)  Once a step is below 1e-6,
-    lambda * (1 + rel_tol)^-/+0.4 are evaluated in one call, which closes the
-    bracket to hi - lo <= rel_tol*lo.  Returns (lo + hi)/2.
-
-    Alone, a row starts at lambda = max|f|.  Given the norms one level down,
-    it starts inside [min child / (1 + rel_tol), max child * (1 + rel_tol)]
-    (a parent's mean A is its children's average, each falling in lambda),
-    at their power mean of exponent young.q: exact for power A."""
+    A parent's mean A(f/lambda) is its children's average, each falling in
+    lambda, so with tol = GAUGE_REL_TOL a row starts inside [min child /
+    (1 + tol), max child * (1 + tol)] (zero children close it at 0), at their
+    power mean of exponent young.q: exact for power A.  Safeguarded Newton
+    steps on g(t) = log mean A(f e^-t), t = log lambda, of slope
+    -mean(A e)/mean(A), keep the bracket mean A(f/lo) >= 1 >= mean A(f/hi):
+    a step that is not finite or leaves it becomes a bisection in t (a
+    halving while lo = 0).  Once a step is below 1e-6, lambda * (1 + tol)^-/+0.4
+    are evaluated in one call, closing the bracket to hi - lo <= tol*lo.
+    Returns (lo + hi)/2."""
     mat = np.asarray(f, dtype=float).reshape(1 << level, -1)
-    if not np.isfinite(mat).all():
-        raise DomainError("non-finite leaf values")
     n, width = mat.shape
     closing = np.zeros(n, dtype=bool)  # the next call evaluates lam / grow and lam * grow
-    grow = (1.0 + rel_tol) ** 0.4
+    grow = (1.0 + GAUGE_REL_TOL) ** 0.4
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if below is None:
-            lam = np.max(np.abs(mat), axis=1)  # the next point of each row
-            lo, hi = np.zeros(n), np.where(lam == 0.0, 0.0, np.inf)  # zero rows are closed at 0
-        else:  # zero children close the parent at 0; b scales the mean against overflow
-            a, b = np.minimum(below[0::2], below[1::2]), np.maximum(below[0::2], below[1::2])
-            lo, hi = a / (1.0 + rel_tol), b * (1.0 + rel_tol)
-            lam = b * (0.5 + 0.5 * (a / b) ** young.q) ** (1.0 / young.q)
+        a, b = np.minimum(below[0::2], below[1::2]), np.maximum(below[0::2], below[1::2])
+        lo, hi = a / (1.0 + GAUGE_REL_TOL), b * (1.0 + GAUGE_REL_TOL)
+        lam = b * (0.5 + 0.5 * (a / b) ** young.q) ** (1.0 / young.q)  # scaled by b: no overflow
         for _ in range(200):
-            todo = np.flatnonzero(hi - lo > rel_tol * lo)
+            todo = np.flatnonzero(hi - lo > GAUGE_REL_TOL * lo)
             if not todo.size:
                 return 0.5 * (lo + hi)
             k, pair = todo.size, todo[closing[todo]]
@@ -399,14 +396,28 @@ def luxemburg_norms_level(f, level: int, young, rel_tol: float = 1e-12,
             a, b = lo[todo], hi[todo]
             near = np.abs(step) < 1e-6
             bad = ~(near | ((nxt > a) & (nxt < b)))
-            if bad.any():  # bisect in t, or halve or double while one end is unknown
-                nxt[bad] = np.where(a == 0.0, 0.5 * b,
-                                    np.where(b == np.inf, 2.0 * a, a * np.sqrt(b / a)))[bad]
+            if bad.any():  # bisect in t, or halve while lo = 0
+                nxt[bad] = np.where(a == 0.0, 0.5 * b, a * np.sqrt(b / a))[bad]
                 near[bad] = np.abs(np.log(nxt[bad] / x[bad])) < 1e-6
             # a factor grow inside the known ends, so a closing pair stays in the bracket
             closing[todo] = near
             lam[todo] = np.minimum(np.maximum(nxt, a * grow), b / grow)
     raise NumericError("Luxemburg gauge did not converge in 200 steps")
+
+
+def _luxemburg_norms(f, young) -> np.ndarray:
+    """Luxemburg norms of the leaf vector f on every cube as one flat
+    (level, index) buffer, from the leaves up: a leaf's is |f| / A^-1(1) =
+    |f| / young.inv_one, and each level above starts from the one below."""
+    f = np.asarray(f, dtype=float)
+    if not np.isfinite(f).all():
+        raise DomainError("non-finite leaf values")
+    norms = np.empty(2 * f.size - 1)
+    below = norms[f.size - 1:] = np.abs(f) / young.inv_one
+    for level in range(f.size.bit_length() - 2, -1, -1):
+        below = norms[(1 << level) - 1:(2 << level) - 1] = luxemburg_norms_level(
+            f, level, young, below)
+    return norms
 
 
 # -- cube selection -------------------------------------------------------
@@ -415,17 +426,6 @@ def luxemburg_norms_level(f, level: int, young, rel_tol: float = 1e-12,
 def _cube_averages(pair: WeightPair, cubes):
     """(w averages, sigma averages) over "all" cubes or a SparseFamily."""
     return _select(pair.w_avg_flat, cubes), _select(pair.sigma_avg_flat, cubes)
-
-
-def _luxemburg_norms(pair: WeightPair, power: float, young, cubes):
-    """Luxemburg norms of sigma^power over the cubes of _select, level by
-    level; young is a YoungSpec or a ConjugateTable."""
-    f, below = pair.sigma_leaves ** power, None
-    norms = np.empty_like(pair.sigma_avg_flat)
-    for level in range(pair.geometry.depth, -1, -1):  # leaves up, each inside the one below
-        below = norms[(1 << level) - 1:(2 << level) - 1] = luxemburg_norms_level(
-            f, level, young, below=below)
-    return _select(norms, cubes)
 
 
 # -- bump constants ---------------------------------------------------------
@@ -468,7 +468,7 @@ def orlicz_li_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
         raise AdmissibilityError("Young function is not in B_p")
     p = pair.p
     w, s = _cube_averages(pair, cubes)
-    nvec = _luxemburg_norms(pair, 1.0 / p, young, cubes)
+    nvec = _select(_luxemburg_norms(pair.sigma_leaves ** (1.0 / p), young), cubes)
     lam = s / nvec ** p
     terms = w ** (1.0 / p) * (s / nvec) * _phi_clamped(spec, lam) ** (1.0 / pair.p_dual)
     return float(np.max(terms)), lam
@@ -486,7 +486,8 @@ def orlicz_lacey_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
         raise AdmissibilityError("Young function is not in B_p")
     p = pair.p
     w, s = _cube_averages(pair, cubes)
-    nvec = _luxemburg_norms(pair, 1.0 / pair.p_dual, _conjugate_table(young), cubes)
+    nvec = _select(_luxemburg_norms(pair.sigma_leaves ** (1.0 / pair.p_dual),
+                                    _conjugate_table(young)), cubes)
     lam = nvec ** p / s ** (p - 1.0)
     terms = w ** (1.0 / p) * nvec * _phi_clamped(spec, lam) ** (1.0 / pair.p_dual)
     return float(np.max(terms)), lam
@@ -497,7 +498,8 @@ def sepcon_constant(pair: WeightPair, young: YoungSpec, cubes="all") -> float:
     sup_Q w_Q^{1/p} * ||sigma^{1/p'}||_{Abar,Q}."""
     p = pair.p
     w, _ = _cube_averages(pair, cubes)
-    nvec = _luxemburg_norms(pair, 1.0 / pair.p_dual, _conjugate_table(young), cubes)
+    nvec = _select(_luxemburg_norms(pair.sigma_leaves ** (1.0 / pair.p_dual),
+                                    _conjugate_table(young)), cubes)
     return float(np.max(w ** (1.0 / p) * nvec))
 
 

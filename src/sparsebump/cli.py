@@ -223,12 +223,7 @@ def cmd_check(args) -> int:
 def cmd_search(args) -> int:
     spec = _load_bump_spec(args.bumps)
     young = _load_young(args.young)
-    try:
-        objective = search_mod.Objective(kind=args.objective, p=args.p, spec=spec,
-                                         young=young)
-    except DomainError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    objective = search_mod.Objective(kind=args.objective, p=args.p, spec=spec, young=young)
     cfg = search_mod.SearchConfig(depth=args.depths[0], eta=args.eta,
                                   strategy=args.strategy, dist=args.dist,
                                   dist_params=args.dist_params, steps=args.steps, seed=args.seed)

@@ -13,9 +13,10 @@ from sparsebump import (CubeId, TreeGeometry, WeightPair, ap_constant,
                         entropy_constant, entropy_lambda,
                         maximal_bound_constant, nu_constant,
                         orlicz_lacey_constant, orlicz_li_constant)
+from sparsebump import bumps
 from sparsebump.bumps import (AdmissibilityError, BumpSpec, ConjugateTable,
-                              YoungSpec, _conjugate, ensure_admissible, ensure_young,
-                              entropy_lambdas, luxemburg_norms_level,
+                              YoungSpec, _conjugate, _conjugate_table, _luxemburg_norms,
+                              ensure_admissible, ensure_young, entropy_lambdas,
                               nu_lambdas, sepcon_constant)
 from sparsebump.dyadic import DomainError, NumericError
 
@@ -27,9 +28,15 @@ def conjugate_at(young, s):
     return float(_conjugate(young, np.array([s], dtype=float))[0])
 
 
+def gauge_levels(f, young):
+    """Every level's Luxemburg norms of f, root first, from one leaves-up pass."""
+    return np.split(_luxemburg_norms(f, young), [(1 << level) - 1
+                                                  for level in range(1, len(f).bit_length())])
+
+
 def cube_gauge(f, cube, young, depth):
-    """The Luxemburg gauge of f on one cube: its leaves as a one-cube level."""
-    return float(luxemburg_norms_level(f[cube.leaf_slice(depth)], 0, young)[0])
+    """The Luxemburg gauge of f on one cube: the root of the pass over its leaves."""
+    return float(_luxemburg_norms(f[cube.leaf_slice(depth)], young)[0])
 
 
 class TestPsiPhi:
@@ -327,8 +334,7 @@ class TestLuxemburg:
         young = YoungSpec("power_over_log", 2.0, 1.0)
         rng = np.random.default_rng(9)
         f = np.exp(rng.standard_normal(32))
-        for level in range(6):
-            row = luxemburg_norms_level(f, level, young)
+        for level, row in enumerate(gauge_levels(f, young)):
             for j in range(1 << level):
                 ref = cube_gauge(f, CubeId(level, j), young, 5)
                 assert row[j] == pytest.approx(ref, rel=1e-10)
@@ -340,7 +346,6 @@ class TestLuxemburg:
 
     @staticmethod
     def _gauge(young, conjugate):
-        from sparsebump.bumps import _conjugate_table
         return _conjugate_table(young) if conjugate else young
 
     @classmethod
@@ -352,7 +357,8 @@ class TestLuxemburg:
         row width of each, which names the level it serves."""
 
         def __init__(self, gauge):
-            self.gauge, self.calls, self.widths, self.q = gauge, 0, [], gauge.q
+            self.gauge, self.calls, self.widths = gauge, 0, []
+            self.q, self.inv_one = gauge.q, gauge.inv_one
 
         def A_and_elasticity(self, x):
             self.calls += 1
@@ -360,36 +366,29 @@ class TestLuxemburg:
             return self.gauge.A_and_elasticity(x)
 
     @staticmethod
-    def _pyramid(f, gauge):
-        """Every level's norms from one leaves-up _luxemburg_norms pass."""
-        from sparsebump.bumps import _luxemburg_norms
-        depth = int(np.log2(len(f)))
-        pair = WeightPair(TreeGeometry(depth), np.ones(len(f)), f, 2.0)
-        flat = _luxemburg_norms(pair, 1.0, gauge, "all")
-        return np.split(flat, np.cumsum([1 << level for level in range(depth)]))
-
-    @staticmethod
-    def _assert_certified(f, level, lam, A):
-        # mean A(f/lambda) crosses 1 inside [lambda(1-2e-12), lambda(1+2e-12)]
-        rows = np.asarray(f, dtype=float).reshape(1 << level, -1)
+    def _assert_certified(rows, lam, A):
+        # mean A(row/lambda) crosses 1 inside [lambda(1-2e-12), lambda(1+2e-12)]
         for factor, above in ((1.0 - 2e-12, True), (1.0 + 2e-12, False)):
             means = np.mean(np.asarray(A(rows / (lam * factor)[:, None])), axis=1)
             assert np.all(means >= 1.0) if above else np.all(means <= 1.0)
 
     @pytest.mark.parametrize("young,conjugate", GAUGES)
     def test_certificate_on_every_cube(self, young, conjugate):
-        A = self._A(young, conjugate)
+        # each cube's norm, from the pass over that cube's own leaves, is
+        # certified and agrees with the cube's entry in the whole tree's pass
+        A, gauge = self._A(young, conjugate), self._gauge(young, conjugate)
         rng = np.random.default_rng(12)
-        for depth in range(11):
+        for depth in range(8):
             f = np.exp(rng.normal(0.0, 1.5, 1 << depth))
-            for level in range(depth + 1):
-                lam = luxemburg_norms_level(f, level, self._gauge(young, conjugate))
-                self._assert_certified(f, level, lam, A)
+            for level, lam in enumerate(gauge_levels(f, gauge)):
+                alone = np.array([cube_gauge(f, CubeId(level, j), gauge, depth)
+                                  for j in range(1 << level)])
+                self._assert_certified(f.reshape(1 << level, -1), alone, A)
+                np.testing.assert_allclose(lam, alone, rtol=2e-12, atol=0.0)
 
     @pytest.mark.parametrize("young,conjugate", GAUGES)
     def test_certificate_on_the_pyramid_path(self, young, conjugate):
-        # every level of the leaves-up pass is certified, and agrees with
-        # the same level started alone from max|f|
+        # every level of the leaves-up pass is certified
         A, gauge = self._A(young, conjugate), self._gauge(young, conjugate)
         rng = np.random.default_rng(12)
         spike = np.full(1 << 8, 1e-12)
@@ -398,54 +397,56 @@ class TestLuxemburg:
         rng.shuffle(wide)
         inputs = [np.exp(rng.normal(0.0, 1.5, 1 << depth)) for depth in range(13)]
         for f in inputs + [spike, wide]:
-            for level, lam in enumerate(self._pyramid(f, gauge)):
-                self._assert_certified(f, level, lam, A)
-                alone = luxemburg_norms_level(f, level, gauge)
-                np.testing.assert_allclose(lam, alone, rtol=2e-12, atol=0.0)
+            for level, lam in enumerate(gauge_levels(f, gauge)):
+                self._assert_certified(f.reshape(1 << level, -1), lam, A)
 
     def test_zero_children_close_at_zero(self):
         young = YoungSpec("power_over_log", 2.0, 1.0)
         f = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 3.0, 1.0])
-        below = luxemburg_norms_level(f, 3, young)
+        levels = gauge_levels(f, young)
+        assert np.array_equal(levels[3], f)
         for level in (2, 1, 0):
-            below = luxemburg_norms_level(f, level, young, below=below)
-            np.testing.assert_allclose(below, luxemburg_norms_level(f, level, young),
-                                       rtol=2e-12, atol=0.0)
-            assert below[0] == 0.0 if level > 0 else below[0] > 0.0
+            lam = levels[level]
+            assert lam[0] == 0.0 if level > 0 else lam[0] > 0.0
+            self._assert_certified(f.reshape(1 << level, -1)[lam > 0.0], lam[lam > 0.0], young.A)
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_power_closed_form_at_depth_10(self, q):
         young = YoungSpec("power", q, 0.0)
         f = np.exp(np.random.default_rng(13).normal(0.0, 1.5, 1 << 10))
-        for level in range(11):
+        for level, got in enumerate(gauge_levels(f, young)):
             ref = np.mean(f.reshape(1 << level, -1) ** q, axis=1) ** (1.0 / q)
-            got = luxemburg_norms_level(f, level, young)
             assert got == pytest.approx(ref, rel=1e-12)
 
-    def test_evaluation_count(self):
-        # the bisection took about 44 evaluations of mean A per level call and
-        # the Illinois steps up to 16; Newton steps read a mean of 5.23 here
-        young = YoungSpec("power_over_log", 2.0, 1.0)
-        sigma = np.exp(np.random.default_rng(14).normal(0.0, 1.5, 1 << 12))
-        counts = []
-        for p in (1.5, 2.0, 3.0):
-            for f, conjugate in ((sigma ** (1.0 / p), False), (sigma ** (1.0 - 1.0 / p), True)):
-                for level in range(13):
-                    gauge = self._Counted(self._gauge(young, conjugate))
-                    luxemburg_norms_level(f, level, gauge)
-                    counts.append(gauge.calls)
-        assert np.mean(counts) <= 5.5 and max(counts) <= 6
+    @pytest.mark.parametrize("young", [YoungSpec("power", 1.5, 0.0), YoungSpec("power", 3.0, 0.0),
+                                       YoungSpec("power_over_log", 2.0, 1.0)])
+    def test_leaves_in_closed_form(self, young):
+        # a leaf's norm is |f| / A^-1(1), with no width-1 call of A: |f|
+        # itself for a YoungSpec (A(1) = 1), certified for the conjugate
+        # table, and 0 at a zero leaf
+        f = np.exp(np.random.default_rng(18).normal(0.0, 1.5, 1 << 8))
+        f[[5, 6, 7, 100]] = 0.0
+        live = f > 0.0
+        for conjugate in (False, True):
+            gauge = self._Counted(self._gauge(young, conjugate))
+            leaves = gauge_levels(f, gauge)[8]
+            assert gauge.calls > 0 and 1 not in gauge.widths
+            assert np.all(leaves[~live] == 0.0)
+            if conjugate:
+                self._assert_certified(f[live, None], leaves[live], self._A(young, True))
+            else:
+                assert np.array_equal(leaves, f)
 
     def test_evaluation_count_on_the_pyramid_path(self):
-        # the same corpus as test_evaluation_count, each gauge in one
-        # leaves-up pass: a mean of 3.77 calls per level, 5 at most
+        # li and lacey gauges at p 1.5/2/3, each in one leaves-up pass: a
+        # mean of 3.58 calls per level (none at the leaves), 5 at most
         young = YoungSpec("power_over_log", 2.0, 1.0)
         sigma = np.exp(np.random.default_rng(14).normal(0.0, 1.5, 1 << 12))
         counts = []
         for p in (1.5, 2.0, 3.0):
             for f, conjugate in ((sigma ** (1.0 / p), False), (sigma ** (1.0 - 1.0 / p), True)):
                 gauge = self._Counted(self._gauge(young, conjugate))
-                self._pyramid(f, gauge)
+                gauge_levels(f, gauge)
                 counts += [gauge.widths.count(1 << (12 - level)) for level in range(13)]
         assert np.mean(counts) <= 3.8 and max(counts) <= 5
 
@@ -455,26 +456,17 @@ class TestLuxemburg:
         # the root, so one call sees the step vanish and one pair certifies
         sigma = np.exp(np.random.default_rng(17).normal(0.0, 1.5, 1 << 12))
         gauge = self._Counted(YoungSpec("power", q, 0.0))
-        self._pyramid(sigma, gauge)
-        assert gauge.widths.count(1) == 1  # A(1) = 1 closes the leaves at once
+        gauge_levels(sigma, gauge)
+        assert gauge.widths.count(1) == 0  # the leaves are |f| in closed form
         for level in range(12):
             assert gauge.widths.count(1 << (12 - level)) <= 2
 
-    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
-    def test_power_gauge_call_count(self, q):
-        # g is linear in t for power A: one step to the root, one to see the
-        # step vanish, one pair to certify it
-        sigma = np.exp(np.random.default_rng(17).normal(0.0, 1.5, 1 << 12))
-        for level in range(13):
-            gauge = self._Counted(YoungSpec("power", q, 0.0))
-            luxemburg_norms_level(sigma, level, gauge)
-            assert gauge.calls <= 3
-
-    def test_iteration_cap_raises(self):
-        # rel_tol = 0 can never be met: the cap raises, not a silent bracket
+    def test_iteration_cap_raises(self, monkeypatch):
+        # a tolerance of 0 can never be met: the cap raises, not a silent bracket
+        monkeypatch.setattr(bumps, "GAUGE_REL_TOL", 0.0)
         f = np.exp(np.random.default_rng(16).standard_normal(8))
         with pytest.raises(NumericError):
-            luxemburg_norms_level(f, 0, YoungSpec("power_over_log", 2.0, 1.0), rel_tol=0.0)
+            _luxemburg_norms(f, YoungSpec("power_over_log", 2.0, 1.0))
 
     @pytest.mark.parametrize("young,conjugate", GAUGES)
     def test_extreme_inputs(self, young, conjugate):
@@ -484,10 +476,14 @@ class TestLuxemburg:
         wide = np.geomspace(1e-150, 1e150, 1 << 8)
         np.random.default_rng(15).shuffle(wide)
         for f in (spike, wide):
-            for level in range(9):
-                lam = luxemburg_norms_level(f, level, self._gauge(young, conjugate))
+            for level, lam in enumerate(gauge_levels(f, self._gauge(young, conjugate))):
                 assert np.all(np.isfinite(lam)) and np.all(lam > 0.0)
-                self._assert_certified(f, level, lam, A)
+                self._assert_certified(f.reshape(1 << level, -1), lam, A)
+
+    def test_non_finite_leaves_rejected(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DomainError):
+                _luxemburg_norms(np.array([1.0, bad]), YoungSpec())
 
 
 class TestApNuConstants:
@@ -672,19 +668,16 @@ class TestOrliczConstants:
 
     def test_generalized_holder(self):
         # sigma_Q <= 2 ||sigma^{1/p}||_A ||sigma^{1/p'}||_Abar on random pairs
-        from sparsebump.bumps import _conjugate_table
         abar = _conjugate_table(self.YOUNG)
         count = 0
         for inst in random_corpus(1000, seed=77, depths=(2, 3, 4, 5, 6)):
             pair = inst.pair
             p, depth = pair.p, pair.geometry.depth
-            froot = pair.sigma_leaves ** (1.0 / p)
-            fdual = pair.sigma_leaves ** (1.0 - 1.0 / p)
+            na = gauge_levels(pair.sigma_leaves ** (1.0 / p), self.YOUNG)
+            nb = gauge_levels(pair.sigma_leaves ** (1.0 - 1.0 / p), abar)
             for level in (0, depth // 2):
-                na = luxemburg_norms_level(froot, level, self.YOUNG)
-                nb = luxemburg_norms_level(fdual, level, abar)
                 s = pair.sigma_avgs[level]
-                assert np.all(s <= 2.0 * na * nb * (1.0 + 1e-9))
+                assert np.all(s <= 2.0 * na[level] * nb[level] * (1.0 + 1e-9))
                 count += len(s)
         assert count >= 1000
 
@@ -712,21 +705,17 @@ class TestOrliczConstants:
         val = sepcon_constant(inst.pair, self.YOUNG, "all")
         assert val > 0.0
         froot = np.ones(8)
-        from sparsebump.bumps import _conjugate_table
         ref = cube_gauge(froot, CubeId(0, 0), _conjugate_table(self.YOUNG), 3)
         assert val == pytest.approx(ref, rel=1e-10)
 
     def test_family_constants_restrict_the_all_table(self):
-        from sparsebump.bumps import _conjugate_table
         spec = BumpSpec()
         abar = _conjugate_table(self.YOUNG)
         for inst in random_corpus(8, seed=31, depths=(2, 3, 4, 5), ps=(2.0, 3.0)):
             pair, S = inst.pair, inst.family
-            p, pd, depth = pair.p, pair.p_dual, pair.geometry.depth
-            lux = [luxemburg_norms_level(pair.sigma_leaves ** (1.0 / p), l, self.YOUNG)
-                   for l in range(depth + 1)]
-            lux_bar = [luxemburg_norms_level(pair.sigma_leaves ** (1.0 / pd), l, abar)
-                       for l in range(depth + 1)]
+            p, pd = pair.p, pair.p_dual
+            lux = gauge_levels(pair.sigma_leaves ** (1.0 / p), self.YOUNG)
+            lux_bar = gauge_levels(pair.sigma_leaves ** (1.0 / pd), abar)
             phi = lambda lam: float(spec.phi(max(lam, 1.0))) ** (1.0 / pd)
             li, lacey, sep = [], [], []
             for c in S.cubes:
@@ -746,7 +735,6 @@ class TestOrliczConstants:
         # splitting every leaf of a depth-6 instance into 64 equal leaves
         # changes no gauge: levels 0-6 agree, and below level 6 every cube
         # is constant, so its gauge is its depth-6 ancestor's
-        from sparsebump.bumps import _conjugate_table, _luxemburg_norms
         spec = BumpSpec()
         for inst in random_corpus(6, seed=41, depths=(6,), ps=(2.0, 3.0)):
             pair = inst.pair
@@ -759,9 +747,8 @@ class TestOrliczConstants:
                 sepcon_constant(pair, self.YOUNG), rel=1e-12, abs=0.0)
             for power, gauge in ((1.0 / pair.p, self.YOUNG),
                                  (1.0 / pair.p_dual, _conjugate_table(self.YOUNG))):
-                coarse = _luxemburg_norms(pair, power, gauge, "all")
-                levels = np.split(_luxemburg_norms(fine, power, gauge, "all"),
-                                  np.cumsum([1 << level for level in range(12)]))
+                coarse = _luxemburg_norms(pair.sigma_leaves ** power, gauge)
+                levels = gauge_levels(fine.sigma_leaves ** power, gauge)
                 np.testing.assert_allclose(np.concatenate(levels[:7]), coarse,
                                            rtol=2e-12, atol=0.0)
                 for level in range(7, 13):

@@ -97,6 +97,18 @@ class TestConstants:
                        "--out", str(tmp_path / "c.csv")) == 2
         assert "not convex" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("young", [{"family": "power", "q": 1},
+                                       {"family": "power_over_log", "q": 1, "eps": 0.5}])
+    def test_young_q_at_most_one_rejected(self, tmp_path, instance_file, capsys, young):
+        # Abar's growth exponent q/(q - 1) needs q > 1: exit 2, not a ZeroDivisionError
+        spec, out = tmp_path / "young.json", tmp_path / "c.csv"
+        spec.write_text(json.dumps(young))
+        assert run_cli("constants", "--in", str(instance_file), "--young", str(spec),
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "q = 1.0 is not above 1" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("p, young, member", [
         ("1.9", {"family": "power_over_log", "q": 1.95, "eps": 1.0}, False),
         ("2", {"family": "power", "q": 1.99}, True)])
@@ -224,6 +236,21 @@ class TestSearch:
                        "--steps", "5", "--young", str(young),
                        "--out", str(tmp_path / "s.csv")) == 2
         assert "not convex" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q", [1, 1.5])
+    def test_sepcon_young(self, tmp_path, capsys, q):
+        # the separated-bump objective runs its conjugate gauge for q > 1,
+        # and exits 2 with one line at q = 1, whose conjugate is not finite
+        young, out = tmp_path / "young.json", tmp_path / "s.csv"
+        young.write_text(json.dumps({"family": "power", "q": q}))
+        code = run_cli("search", "--objective", "conjecture_sepcon", "--depths", "2",
+                       "--steps", "5", "--young", str(young), "--out", str(out))
+        err = capsys.readouterr().err
+        if q == 1:
+            assert code == 2 and len(err.splitlines()) == 1 and "not above 1" in err
+        else:
+            assert code == 0 and err == ""
+            assert float(read(out).splitlines()[3].split(",")[1]) > 0.0
 
 
 class TestReport:
