@@ -14,10 +14,10 @@ this tree's `src/`:
   `power_over_log` at q = p with eps 0.1 (both in B_p) and at
   q = p + 0.05 with eps 1 (not in B_p);
 - `check --trials 150` at seeds 0 and 5;
-- `search --result-out` for main_theorem, conjecture_nc,
-  prop31_entropy and the two objectives that run the Luxemburg gauges,
-  conjecture_sepcon and prop31_orlicz, at p 1.5/2/3, `--depths 3 5
-  --steps 150 --seed 3`.
+- `search --result-out` for every objective, at p 1.5/2/3, `--depths 3 5
+  --steps 150 --seed 3`: main_theorem, conjecture_nc, prop31_entropy,
+  the two that run the Luxemburg gauges (conjecture_sepcon and
+  prop31_orlicz) and maximal_bound, the one that runs `dyadic_maximal`.
 
 `exit_codes.txt` lists each run's exit code.  Compare two sets with
 `diff -r` and `python scripts/artifact_diff.py OLD_DIR NEW_DIR`.
@@ -68,7 +68,7 @@ def runs():
         yield ["check", "--trials", "150", "--seed", str(seed),
                "--out", f"check_trials_seed{seed}.csv"]
     for objective in ("main_theorem", "conjecture_nc", "prop31_entropy", "conjecture_sepcon",
-                      "prop31_orlicz"):
+                      "prop31_orlicz", "maximal_bound"):
         for p in ("1.5", "2", "3"):
             name = f"{objective}_p{p}"
             yield ["search", "--objective", objective, "--p", p, "--depths", "3", "5",

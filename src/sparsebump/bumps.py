@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dyadic import (CubeId, DomainError, NumericError, WeightPair, _avg_pyramid,
-                     _select, ancestor_accumulate)
+                     _select, ancestor_accumulate, ancestor_table)
 
 _E = math.e
 _EE = math.exp(math.e)
@@ -506,15 +506,10 @@ def sepcon_constant(pair: WeightPair, young: YoungSpec, cubes="all") -> float:
 # -- dyadic maximal function and entropy bumps ------------------------------
 
 
-def dyadic_maximal(f_leaves, depth: int, level: int = 0) -> np.ndarray:
-    """The dyadic maximal function down from level, on every cube Q of
-    that level at once: at each leaf of Q, the max over dyadic Q' with the
-    leaf in Q' subset of Q of f_{Q'}.  Level 0 is M_d f."""
-    if not 0 <= level <= depth:
-        raise DomainError(f"level must lie in [0, {depth}], got {level}")
-    avgs = _avg_pyramid(f_leaves, depth)
-    avgs[:(1 << level) - 1] = -np.inf  # the cubes above level do not count
-    return ancestor_accumulate(avgs, depth, np.maximum)[(1 << depth) - 1:]
+def dyadic_maximal(f_leaves, depth: int) -> np.ndarray:
+    """M_d f: at each leaf, the max of f_Q over the dyadic cubes Q that
+    contain it."""
+    return ancestor_accumulate(_avg_pyramid(f_leaves, depth), depth, np.maximum)[(1 << depth) - 1:]
 
 
 def entropy_lambda(sigma_leaves, cube: CubeId, geometry) -> float:
@@ -523,22 +518,19 @@ def entropy_lambda(sigma_leaves, cube: CubeId, geometry) -> float:
         raise DomainError(f"cube {cube} outside the tree")
     s = np.asarray(sigma_leaves, dtype=float)
     leaves = cube.leaf_slice(geometry.depth)
-    # the leaf measure 2**-depth cancels from int_Q M and sigma(Q)
-    return float(np.sum(dyadic_maximal(s, geometry.depth, cube.level)[leaves])
-                 / np.sum(s[leaves]))
+    # row cube.level is M(sigma chi_Q) on Q; the leaf measure 2**-depth cancels
+    m = ancestor_table(_avg_pyramid(s, geometry.depth), geometry.depth, np.maximum)
+    return float(np.sum(m[cube.level, leaves]) / np.sum(s[leaves]))
 
 
 def entropy_lambdas(pair: WeightPair, cubes="all") -> np.ndarray:
-    """entropy_lambda of every cube as a family vector in _select order,
-    from one pass up from the leaves: after level l, run is the dyadic
-    maximal function down from level l at every leaf."""
-    s, depth, avgs = pair.sigma_leaves, pair.geometry.depth, pair.sigma_avg_flat
-    run, lams = avgs[(1 << depth) - 1:], np.empty_like(avgs)
-    for level in range(depth, -1, -1):
-        lo, hi = (1 << level) - 1, (2 << level) - 1
-        run = np.maximum(np.repeat(avgs[lo:hi], 1 << (depth - level)), run)
-        lams[lo:hi] = (run.reshape(1 << level, -1).sum(axis=1)
-                       / s.reshape(1 << level, -1).sum(axis=1))
+    """entropy_lambda of every cube as a family vector in _select order:
+    row l of the running-max ancestor_table is M(sigma chi_Q) on every
+    level-l cube Q at once."""
+    s, depth = pair.sigma_leaves, pair.geometry.depth
+    m = ancestor_table(pair.sigma_avg_flat, depth, np.maximum)
+    lams = np.concatenate([m[level].reshape(1 << level, -1).sum(axis=1)
+                           / s.reshape(1 << level, -1).sum(axis=1) for level in range(depth + 1)])
     return _select(lams, cubes)
 
 

@@ -146,7 +146,9 @@ def _scaling_reports(pair, S, base_tc) -> list:
 
 def _lemma_reports(pair, S, spec, tc) -> list:
     reports = testing_mod.lemma_reports(S, pair, testing_mod.realized_levels(S, pair), spec)
-    reports += testing_mod.eset_split_check(pair, S, S.sorted_cubes()[0])
+    # S is never empty (generators admit the root), so its first cube is the first True
+    first = dyadic.CubeId.from_flat(int(S.flat_mask.argmax()))
+    reports += testing_mod.eset_split_check(pair, S, first)
     reports.append(testing_mod.prop31_bound(pair, S, bumps.nu_lambdas(pair, spec, S), spec, tc))
     return reports + list(testing_mod.theorem_main_ratio(pair, S, spec, tc))
 

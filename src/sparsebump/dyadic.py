@@ -96,6 +96,16 @@ def ancestor_accumulate(flat: np.ndarray, depth: int, op=np.add) -> np.ndarray:
     return flat
 
 
+def ancestor_table(flat: np.ndarray, depth: int, op=np.add) -> np.ndarray:
+    """The (L + 1, 2**L) table t[r, x] = op over leaf x's ancestors at level
+    >= r of a flat (level, index) buffer: flat gathered onto the up table
+    of _tree_index, folded leaves up by op(t[r], t[r + 1], out=t[r])."""
+    t = flat[_tree_index(depth)[1]]
+    for r in range(depth - 1, -1, -1):
+        op(t[r], t[r + 1], out=t[r])
+    return t
+
+
 @lru_cache(maxsize=32)
 def _tree_index(depth: int):
     """(scale, up), read-only: scale[k] = 2**l at flat (level, index)
@@ -210,16 +220,6 @@ class SparseFamily:
 
     def sorted_cubes(self) -> list[CubeId]:
         return list(self._cube_tuple)
-
-    @cached_property
-    def coverage(self) -> tuple:
-        """(inside, leaf, owner), read-only: inside[l, x] says whether leaf x's
-        level-l ancestor up[l, x] is in S; leaf, owner: x, up[l, x] per True."""
-        up = _tree_index(self.depth)[1]
-        inside = self.flat_mask[up]
-        leaf, owner = np.flatnonzero(inside) & (inside.shape[1] - 1), up[inside]
-        inside.flags.writeable = leaf.flags.writeable = owner.flags.writeable = False
-        return inside, leaf, owner
 
     @cached_property
     def packing(self) -> float:

@@ -125,26 +125,18 @@ def evaluate(objective: Objective, instance: Instance) -> float:
         pair = WeightPair(pair.geometry, pair.w_leaves, pair.sigma_leaves, objective.p)
     S = instance.family
     kind = objective.kind
+    num = (maximal_norm_lower(pair, budget=8, seed=1) if kind == "maximal_bound"
+           else testing_constant(pair, S)[0])
     if kind == "main_theorem":
-        num, _ = testing_constant(pair, S)
         den = nu_constant(pair, objective.spec, S) ** (1.0 / pair.p)
-    elif kind == "conjecture_nc":
-        num, _ = testing_constant(pair, S)
+    elif kind in ("conjecture_nc", "maximal_bound"):
         den = maximal_bound_constant(pair, objective.spec, "all")
     elif kind == "conjecture_sepcon":
-        num, _ = testing_constant(pair, S)
         den = sepcon_constant(pair, objective.young, "all")
-    elif kind == "maximal_bound":
-        num = maximal_norm_lower(pair, budget=8, seed=1)
-        den = maximal_bound_constant(pair, objective.spec, "all")
     elif kind == "prop31_orlicz":
-        num, _ = testing_constant(pair, S)
         den, _ = orlicz_li_constant(pair, objective.young, objective.spec, "all")
-    elif kind == "prop31_entropy":
-        num, _ = testing_constant(pair, S)
+    else:  # prop31_entropy
         den = entropy_constant(pair, objective.spec, "all")
-    else:  # pragma: no cover
-        raise DomainError(kind)
     if den < 1e-300:
         raise NumericError("objective denominator underflowed")
     return num / den

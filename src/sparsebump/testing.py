@@ -19,7 +19,8 @@ import numpy as np
 
 from .dyadic import (CubeId, DomainError, NumericError, SparseFamily,
                      TreeGeometry, WeightPair, _avg_pyramid, _pyramid, _same_tree,
-                     _select, _tree_index, ancestor_accumulate, subtree_sums)
+                     _select, _tree_index, ancestor_accumulate, ancestor_table,
+                     subtree_sums)
 from .bumps import (BumpSpec, _cube_averages, ap_constant, dyadic_maximal,
                     ensure_admissible, nu_constant)
 
@@ -63,12 +64,10 @@ def local_sum(S: SparseFamily, pair: WeightPair, R: CubeId) -> np.ndarray:
     _same_tree(S, geometry.depth)
     if not geometry.contains(R):
         raise DomainError(f"cube {R} outside the tree")
-    # no cube above R's level counts; the leaves outside R are cut below
-    flat = np.where(S.flat_mask, pair.sigma_avg_flat, 0.0)
-    flat[:(1 << R.level) - 1] = 0.0
-    leaves = ancestor_accumulate(flat, geometry.depth)[(1 << geometry.depth) - 1:]
+    # row R.level sums the cubes of S at or below that level; cut to R's leaves
     out, sl = np.zeros(geometry.n_leaves), R.leaf_slice(geometry.depth)
-    out[sl] = leaves[sl]
+    out[sl] = ancestor_table(np.where(S.flat_mask, pair.sigma_avg_flat, 0.0),
+                             geometry.depth)[R.level, sl]
     return out
 
 
@@ -89,13 +88,13 @@ def testing_constant(pair: WeightPair, S: SparseFamily):
     smallest (level, index)."""
     depth, p = pair.geometry.depth, pair.p
     _same_tree(S, depth)
-    inside, leaf, owner = S.coverage
+    up = _tree_index(depth)[1]
+    inside = S.flat_mask[up]  # whether leaf x's level-r ancestor up[r, x] is in S
     # g[r, x]: level-r local sum at leaf x, added leaves-up (no differences of large sums)
-    g = np.zeros(inside.shape)
-    g[inside] = pair.sigma_avg_flat[owner]
-    for r in range(depth - 1, -1, -1):
-        g[r] += g[r + 1]
-    sums = np.bincount(owner, g[inside] ** p * pair.w_leaves[leaf], minlength=S.flat_mask.size)
+    g = ancestor_table(np.where(S.flat_mask, pair.sigma_avg_flat, 0.0), depth)
+    leaf = np.flatnonzero(inside) & ((1 << depth) - 1)
+    sums = np.bincount(up[inside], g[inside] ** p * pair.w_leaves[leaf],
+                       minlength=S.flat_mask.size)
     vals = ((sums[S.flat_mask] * 2.0 ** (-depth)) ** (1.0 / p)
             / _select(pair.sigma_mass_flat, S) ** (1.0 / p))
     if not vals.size:
@@ -362,7 +361,7 @@ def eset_split_check(pair: WeightPair, S: SparseFamily, R: CubeId):
     sawyer = float(_sums_inside(S, _sawyer_terms(S, pair), R))
     split = CheckReport.make("eset_split", lhs,
                              ap_constant(pair, S) * sawyer if sawyer > 0 else 1.0)
-    if not E.cubes:
+    if not E.flat_mask.any():
         return split, CheckReport("eset_member", 0.0, 1.0, 1.0, 0.0, True, True)
     # hard intermediate: sigma(Q) <= sigma_Q^p w(Q) for every Q in E
     worst = (_select(pair.sigma_mass_flat, E) / _sawyer_terms(E, pair)).max()

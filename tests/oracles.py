@@ -272,6 +272,16 @@ def brute_ancestor_fold(values, depth, leaf, fold):
     return acc
 
 
+def brute_ancestor_table_entry(values, depth, level, leaf, fold):
+    """fold up leaf's ancestor chain from the leaf to level, leaf first:
+    values holds one entry per cube, the cube (l, j) at position
+    2**l - 1 + j."""
+    acc = float(values[(1 << depth) - 1 + leaf])
+    for l in range(depth - 1, level - 1, -1):
+        acc = fold(float(values[(1 << l) - 1 + (leaf >> (depth - l))]), acc)
+    return acc
+
+
 def random_pair(rng, depth):
     """Positive random leaf vectors for corpus tests."""
     n = 1 << depth

@@ -18,7 +18,7 @@ from sparsebump.bumps import (AdmissibilityError, BumpSpec, ConjugateTable,
                               YoungSpec, _conjugate, _conjugate_table, _luxemburg_norms,
                               ensure_admissible, ensure_young, entropy_lambdas,
                               nu_lambdas, sepcon_constant)
-from sparsebump.dyadic import DomainError, NumericError
+from sparsebump.dyadic import DomainError, NumericError, _avg_pyramid, ancestor_table
 
 GRID = [1e-6, 1e-3, 0.3, 0.9, 1.0, 1.7, 4.0, 1e3, 1e6]
 
@@ -527,20 +527,23 @@ class TestApNuConstants:
 
 class TestMaximalAndEntropy:
     def test_dyadic_maximal_matches_brute(self):
+        # row l of the running-max table is the maximal function down from
+        # level l on every level-l cube; row 0 is M_d
         rng = np.random.default_rng(2)
         g = TreeGeometry(4)
         sigma = np.exp(rng.standard_normal(16))
+        table = ancestor_table(_avg_pyramid(sigma, 4), 4, np.maximum)
+        assert np.array_equal(dyadic_maximal(sigma, 4), table[0])
         for cube in g.cubes():
             ref = oracles.brute_dyadic_maximal(sigma, cube.level, cube.index, 4)
-            got = dyadic_maximal(sigma, 4, cube.level)[cube.leaf_slice(4)]
+            got = table[cube.level, cube.leaf_slice(4)]
             assert np.allclose(got, ref, rtol=1e-12)
 
-    def test_dyadic_maximal_rejects_bad_level_or_length(self):
-        # a level outside [0, depth], or a leaf vector of another length or shape
-        for f, level in ((np.ones(16), -1), (np.ones(16), 5), (np.ones(8), 0),
-                         (np.ones(17), 2), (np.ones((4, 4)), 0)):
+    def test_dyadic_maximal_rejects_bad_length_or_shape(self):
+        # a leaf vector of another length or shape
+        for f in (np.ones(8), np.ones(17), np.ones((4, 4))):
             with pytest.raises(DomainError):
-                dyadic_maximal(f, 4, level)
+                dyadic_maximal(f, 4)
 
     def test_instance_a_entropy_lambda_root(self, instance_a):
         g = instance_a.pair.geometry

@@ -3,20 +3,18 @@
 import json
 import math
 import operator
-from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import STRATEGIES, make_instance
+from conftest import STRATEGIES
 from sparsebump import (CubeId, DomainError, Instance, SparseFamily,
                         TreeGeometry, WeightPair, carleson_embedding_ratio,
                         generate_sparse, instance_from_dict, load_instance,
                         packing_constant, stopping_time_family)
-from sparsebump.dyadic import ancestor_accumulate, subtree_sums
-from sparsebump.testing import testing_constant
+from sparsebump.dyadic import ancestor_accumulate, ancestor_table, subtree_sums
 
 
 def sigma_avg_flat(sigma, geometry):
@@ -120,25 +118,20 @@ class TestMassPyramid:
                    for x in range(1 << depth)]
             assert np.array_equal(got, ref)
 
-    def test_coverage_is_built_once_per_family(self, monkeypatch):
-        # constants reads the testing constant of the pair and of its dual,
-        # check six of them: all reuse one (level, leaf) membership table
-        built = []
-        coverage = SparseFamily.__dict__["coverage"]
-        counting = cached_property(lambda S: built.append(S) or coverage.func(S))
-        counting.__set_name__(SparseFamily, "coverage")
-        monkeypatch.setattr(SparseFamily, "coverage", counting)
-        inst = make_instance(6, *oracles.random_pair(np.random.default_rng(3), 6), 3.0)
-        pair, S = inst.pair, inst.family
-        for p in (pair, pair.swapped(), pair, pair.swapped()):
-            testing_constant(p, S)
-        assert built == [S]
-        inside, leaf, owner = S.coverage
-        up = (1 << np.arange(7))[:, None] - 1 + (np.arange(64) >> (6 - np.arange(7))[:, None])
-        assert np.array_equal(inside, S.flat_mask[up])
-        assert np.array_equal(leaf, np.nonzero(inside)[1])
-        assert np.array_equal(owner, up[inside])
-        assert not inside.flags.writeable
+    @pytest.mark.parametrize("depth", [0, 1, 4, 8, 12])
+    def test_ancestor_table_matches_brute_folds(self, depth):
+        # row r at leaf x folds the values of x's ancestors at level >= r,
+        # from the leaf up, bit for bit, and leaves the input unchanged
+        values = np.random.default_rng(depth).standard_normal((2 << depth) - 1)
+        before = values.copy()
+        for op, fold in ((np.add, operator.add), (np.maximum, max)):
+            got = ancestor_table(values, depth, op)
+            assert got.shape == (depth + 1, 1 << depth)
+            assert np.array_equal(values, before)
+            for r in range(depth + 1):
+                ref = [oracles.brute_ancestor_table_entry(values, depth, r, x, fold)
+                       for x in range(1 << depth)]
+                assert np.array_equal(got[r], ref)
 
     def test_swapped_pair_is_dual(self):
         rng = np.random.default_rng(11)
