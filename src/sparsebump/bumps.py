@@ -164,40 +164,34 @@ def _tail_extrapolate(u):
 
 def check_bump(spec: BumpSpec) -> AdmissibilityReport:
     reasons = []
-    grid_k = np.arange(1, 41, dtype=float)
-    # monotonicity: decreasing on (0,1), increasing on (1,inf); each
-    # sequence runs toward t = 0 or t = inf (t_small: 1/2, 1/4, ...)
-    t_small, t_big = 2.0 ** (-grid_k), 2.0 ** grid_k
-    for vals, what in ((spec.psi(t_small), "psi not decreasing on (0,1)"),
-                       (spec.psi(t_big), "psi not increasing on (1,inf)"),
-                       (spec.phi(t_big), "phi not increasing on (1,inf)")):
-        vals = np.asarray(vals)
+    K = TAIL_DIRECT_K
+    # psi at 2^k for |k| <= K (t = 1 at index K) and phi at 2^k for 0 <= k <= K
+    pw = np.asarray(spec.psi(2.0 ** np.arange(-K, K + 1, dtype=float)))
+    phw = np.asarray(spec.phi(2.0 ** np.arange(0, K + 1, dtype=float)))
+    # monotonicity: decreasing on (0,1), increasing on (1,inf), on 40 points
+    # each running toward t = 0 or t = inf (below 1: 1/2, 1/4, ...)
+    for vals, what in ((pw[K - 1:K - 41:-1], "psi not decreasing on (0,1)"),
+                       (pw[K + 1:K + 41], "psi not increasing on (1,inf)"),
+                       (phw[1:41], "phi not increasing on (1,inf)")):
         if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
             reasons.append(what)
 
-    # star[k] = inf of psi over the block (2^k, 2^{k+1}]; for the
-    # straddling block k = -1 the one-sided limit at t -> 1- is included
-    ks = np.arange(-TAIL_DIRECT_K, TAIL_DIRECT_K + 1)
-    pw = np.asarray(spec.psi(2.0 ** ks.astype(float)))
+    # star[k] = inf of psi over the block (2^k, 2^{k+1}] (index k + K); for
+    # the straddling block k = -1 the one-sided limit at t -> 1- is included
     star = np.minimum(pw[:-1], pw[1:])
-    straddle = np.where(ks[:-1] == -1)[0]
-    if straddle.size:
-        star[straddle[0]] = min(star[straddle[0]], float(spec.psi(1.0 - 1e-12)))
+    star[K - 1] = min(star[K - 1], float(spec.psi(1.0 - 1e-12)))
 
     inv = 1.0 / star
     # split into the two monotone tails (u increasing toward k = +-inf in psi
     # means 1/psi decreasing)
-    mid = np.where(ks[:-1] == 0)[0][0]
-    tail_pos = inv[mid:][::1]
-    tail_neg = inv[:mid][::-1]
+    tail_pos, tail_neg = inv[K:], inv[:K][::-1]
     if not _tail_converges(tail_neg):
         reasons.append("S_psi diverges on (0,1) (dyadic tail fails decay check)")
     if not _tail_converges(tail_pos):
         reasons.append("S_psi diverges on (1,inf) (dyadic tail fails decay check)")
     s_psi = float(np.sum(inv) + _tail_extrapolate(tail_neg) + _tail_extrapolate(tail_pos))
 
-    kphi = np.arange(0, TAIL_DIRECT_K + 1, dtype=float)
-    if not _tail_converges(1.0 / np.asarray(spec.phi(2.0 ** kphi))):
+    if not _tail_converges(1.0 / phw):
         reasons.append("S_phi diverges (dyadic tail fails decay check)")
     return AdmissibilityReport(ok=not reasons, reasons=reasons, s_psi=s_psi)
 
@@ -263,6 +257,10 @@ class YoungSpec:
         _known_keys(data, ("family", "q", "eps"))
         return YoungSpec(family=data.get("family"), q=float(data.get("q", 2.0)),
                          eps=float(data.get("eps", 1.0)))
+
+
+# the Young function of the CLI and of a search Objective when none is given
+DEFAULT_YOUNG = YoungSpec("power_over_log", 2.0, 1.0)
 
 
 def ensure_young(young: YoungSpec) -> None:
@@ -450,47 +448,46 @@ def nu_lambdas(pair: WeightPair, spec: BumpSpec, cubes="all") -> np.ndarray:
     return np.asarray(spec.psi(_select(pair.sigma_avg_flat, cubes)))
 
 
-def _phi_clamped(spec: BumpSpec, x):
-    # bump-constant formulas evaluate phi at lambda values that can dip
-    # below 1 numerically; phi is extended by its value at 1
-    return spec.phi(np.maximum(np.asarray(x, dtype=float), 1.0))
+def _lambda_bump(pair: WeightPair, spec: BumpSpec, lam, cubes) -> float:
+    """The lambda-bump sup_Q w_Q^{1/p} * sigma_Q^{1/p'} * lambda_Q^{1/p}
+    * phi^{1/p'}(lambda_Q), lam a family vector in _select order.  phi is
+    extended below 1 by phi(1): the Lacey lambda falls below 1."""
+    w, s = _cube_averages(pair, cubes)
+    p, pd = pair.p, pair.p_dual
+    terms = (w ** (1.0 / p) * s ** (1.0 / pd) * lam ** (1.0 / p)
+             * spec.phi(np.maximum(lam, 1.0)) ** (1.0 / pd))
+    return float(terms.max())
 
 
 def orlicz_li_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
                        cubes="all"):
-    """sup_Q w_Q^{1/p} * (sigma_Q / ||sigma^{1/p}||_{A,Q})
-    * phi^{1/p'}(sigma_Q / ||sigma^{1/p}||_{A,Q}^p).
+    """The lambda-bump with lambda_Q = sigma_Q / ||sigma^{1/p}||_{A,Q}^p,
+    that is sup_Q w_Q^{1/p} * (sigma_Q / ||sigma^{1/p}||_{A,Q})
+    * phi^{1/p'}(lambda_Q).
 
-    Returns (value, lambda) with lambda_Q = sigma_Q / ||.||^p as a family
-    vector in _select order."""
+    Returns (value, lambda) with lambda as a family vector in _select order."""
     ensure_admissible(spec)
     if not young.in_bp(pair.p):
         raise AdmissibilityError("Young function is not in B_p")
-    p = pair.p
-    w, s = _cube_averages(pair, cubes)
-    nvec = _select(_luxemburg_norms(pair.sigma_leaves ** (1.0 / p), young), cubes)
-    lam = s / nvec ** p
-    terms = w ** (1.0 / p) * (s / nvec) * _phi_clamped(spec, lam) ** (1.0 / pair.p_dual)
-    return float(np.max(terms)), lam
+    nvec = _select(_luxemburg_norms(pair.sigma_leaves ** (1.0 / pair.p), young), cubes)
+    lam = _select(pair.sigma_avg_flat, cubes) / nvec ** pair.p
+    return _lambda_bump(pair, spec, lam, cubes), lam
 
 
 def orlicz_lacey_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
                           cubes="all"):
-    """sup_Q w_Q^{1/p} * ||sigma^{1/p'}||_{Abar,Q}
-    * phi^{1/p'}(||sigma^{1/p'}||_{Abar,Q}^p / sigma_Q^{p-1}).
+    """The lambda-bump with lambda_Q = ||sigma^{1/p'}||_{Abar,Q}^p /
+    sigma_Q^{p-1}, that is sup_Q w_Q^{1/p} * ||sigma^{1/p'}||_{Abar,Q}
+    * phi^{1/p'}(lambda_Q).
 
-    Returns (value, lambda) with lambda_Q = ||.||^p / sigma_Q^{p-1} as a
-    family vector in _select order."""
+    Returns (value, lambda) with lambda as a family vector in _select order."""
     ensure_admissible(spec)
     if not young.in_bp(pair.p):
         raise AdmissibilityError("Young function is not in B_p")
-    p = pair.p
-    w, s = _cube_averages(pair, cubes)
     nvec = _select(_luxemburg_norms(pair.sigma_leaves ** (1.0 / pair.p_dual),
                                     _conjugate_table(young)), cubes)
-    lam = nvec ** p / s ** (p - 1.0)
-    terms = w ** (1.0 / p) * nvec * _phi_clamped(spec, lam) ** (1.0 / pair.p_dual)
-    return float(np.max(terms)), lam
+    lam = nvec ** pair.p / _select(pair.sigma_avg_flat, cubes) ** (pair.p - 1.0)
+    return _lambda_bump(pair, spec, lam, cubes), lam
 
 
 def sepcon_constant(pair: WeightPair, young: YoungSpec, cubes="all") -> float:
@@ -542,7 +539,7 @@ def entropy_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:
     lam = entropy_lambdas(pair, cubes)
     p = pair.p
     terms = w ** (1.0 / p) * s ** (1.0 / pair.p_dual) * lam ** (1.0 / p) \
-        * np.asarray(_phi_clamped(spec, lam))
+        * np.asarray(spec.phi(np.maximum(lam, 1.0)))
     return float(np.max(terms))
 
 

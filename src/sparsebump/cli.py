@@ -60,8 +60,7 @@ def _load_bump_spec(path) -> BumpSpec:
 
 
 def _load_young(path) -> YoungSpec:
-    young = YoungSpec("power_over_log", 2.0, 1.0) if path is None \
-        else _load_spec(path, YoungSpec.from_json_dict)
+    young = bumps.DEFAULT_YOUNG if path is None else _load_spec(path, YoungSpec.from_json_dict)
     bumps.ensure_young(young)
     return young
 

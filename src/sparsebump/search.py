@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .dyadic import (DomainError, Instance, NumericError, TreeGeometry,
-                     WeightPair, generate_sparse, DENSITY_FLOOR)
-from .bumps import (BumpSpec, YoungSpec, _cube_averages, ensure_admissible,
-                    entropy_constant, maximal_bound_constant, nu_constant,
-                    orlicz_li_constant, sepcon_constant)
+                     WeightPair, generate_sparse, instance_from_dict, DENSITY_FLOOR)
+from .bumps import (DEFAULT_YOUNG, BumpSpec, YoungSpec, _cube_averages,
+                    ensure_admissible, entropy_constant, maximal_bound_constant,
+                    nu_constant, orlicz_li_constant, sepcon_constant)
 from .testing import maximal_norm_lower, testing_constant
 
 OBJECTIVE_KINDS = ("main_theorem", "conjecture_nc", "conjecture_sepcon",
@@ -36,7 +36,7 @@ class Objective:
     kind: str
     p: float = 2.0
     spec: BumpSpec = field(default_factory=BumpSpec)
-    young: YoungSpec = field(default_factory=lambda: YoungSpec("power_over_log", 2.0, 1.0))
+    young: YoungSpec = DEFAULT_YOUNG
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
@@ -195,7 +195,6 @@ def anneal(objective: Objective, config: SearchConfig) -> SearchResult:
         temperature *= GAMMA
 
     # re-verify the best instance by recomputation from its serialized form
-    from .dyadic import instance_from_dict
     stored = best_inst.to_json_dict()
     replay = evaluate(objective, instance_from_dict(stored))
     if not math.isclose(replay, best_val, rel_tol=1e-9):

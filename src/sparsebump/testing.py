@@ -21,7 +21,7 @@ from .dyadic import (CubeId, DomainError, NumericError, SparseFamily,
                      TreeGeometry, WeightPair, _avg_pyramid, _pyramid, _same_tree,
                      _select, _tree_index, ancestor_accumulate, ancestor_table,
                      subtree_sums)
-from .bumps import (BumpSpec, _cube_averages, ap_constant, dyadic_maximal,
+from .bumps import (BumpSpec, _lambda_bump, ap_constant, dyadic_maximal,
                     ensure_admissible, nu_constant)
 
 
@@ -339,15 +339,11 @@ PROP31_CAP = 64.0
 
 def prop31_bound(pair: WeightPair, S: SparseFamily, lam, spec: BumpSpec, tc: float) -> CheckReport:
     """The testing constant tc = testing_constant(pair, S)[0] against the
-    lambda-bump sup, lam a family vector of S; the proof constant is
-    implicit, so the pass flag compares against PROP31_CAP."""
+    lambda-bump sup at max(lam, 1), lam a family vector of S; the proof
+    constant is implicit, so the pass flag compares against PROP31_CAP."""
     ensure_admissible(spec)
-    p, pd = pair.p, pair.p_dual
-    w, s = _cube_averages(pair, S)
-    lam = np.maximum(lam, 1.0)
-    terms = (w ** (1.0 / p) * s ** (1.0 / pd) * lam ** (1.0 / p)
-             * spec.phi(lam) ** (1.0 / pd))
-    return CheckReport.make("prop31", tc, float(terms.max()), bound=PROP31_CAP)
+    bump = _lambda_bump(pair, spec, np.maximum(lam, 1.0), S)
+    return CheckReport.make("prop31", tc, bump, bound=PROP31_CAP)
 
 
 def eset_split_check(pair: WeightPair, S: SparseFamily, R: CubeId):

@@ -12,13 +12,15 @@ from sparsebump import (CubeId, TreeGeometry, WeightPair, ap_constant,
                         check_bump, dyadic_maximal,
                         entropy_constant, entropy_lambda,
                         maximal_bound_constant, nu_constant,
-                        orlicz_lacey_constant, orlicz_li_constant)
+                        orlicz_lacey_constant, orlicz_li_constant, prop31_bound,
+                        testing_constant)
 from sparsebump import bumps
 from sparsebump.bumps import (AdmissibilityError, BumpSpec, ConjugateTable,
                               YoungSpec, _conjugate, _conjugate_table, _luxemburg_norms,
                               ensure_admissible, ensure_young, entropy_lambdas,
                               nu_lambdas, sepcon_constant)
-from sparsebump.dyadic import DomainError, NumericError, _avg_pyramid, ancestor_table
+from sparsebump.dyadic import DomainError, NumericError, _avg_pyramid, _select, ancestor_table
+from sparsebump.search import SearchConfig, random_instance
 
 GRID = [1e-6, 1e-3, 0.3, 0.9, 1.0, 1.7, 4.0, 1e3, 1e6]
 
@@ -630,7 +632,7 @@ class TestMaximalAndEntropy:
 
 
 class TestOrliczConstants:
-    YOUNG = YoungSpec("power_over_log", 2.0, 1.0)
+    YOUNG = bumps.DEFAULT_YOUNG
 
     def test_li_against_brute_oracle(self, instance_a):
         spec = BumpSpec()
@@ -712,9 +714,13 @@ class TestOrliczConstants:
         assert val == pytest.approx(ref, rel=1e-10)
 
     def test_family_constants_restrict_the_all_table(self):
+        # Lacey's lambda lies below 1 (at a leaf it is Abar^-1(1)^-p, ~0.14 at
+        # p = 3), where phi is extended by phi(1): not a rounding guard
         spec = BumpSpec()
         abar = _conjugate_table(self.YOUNG)
-        for inst in random_corpus(8, seed=31, depths=(2, 3, 4, 5), ps=(2.0, 3.0)):
+        corpus = random_corpus(8, seed=31, depths=(2, 3, 4, 5), ps=(2.0, 3.0))
+        corpus.append(random_instance(SearchConfig(depth=6, dist="lognormal"), 0, 3.0))
+        for inst in corpus:
             pair, S = inst.pair, inst.family
             p, pd = pair.p, pair.p_dual
             lux = gauge_levels(pair.sigma_leaves ** (1.0 / p), self.YOUNG)
@@ -731,7 +737,8 @@ class TestOrliczConstants:
                 _, table_all = fn(pair, self.YOUNG, spec, "all")
                 value, table = fn(pair, self.YOUNG, spec, S)
                 assert np.array_equal(table, table_all[S.flat_mask])
-                assert value == pytest.approx(max(terms), rel=1e-12)
+                assert value == pytest.approx(max(terms), rel=1e-14)
+            assert (orlicz_lacey_constant(pair, self.YOUNG, spec, "all")[1] < 1.0).any()
             assert sepcon_constant(pair, self.YOUNG, S) == pytest.approx(max(sep), rel=1e-12)
 
     def test_refinement_to_depth_12(self):
@@ -758,8 +765,23 @@ class TestOrliczConstants:
                     ancestor = np.repeat(levels[6], 1 << (level - 6))
                     np.testing.assert_allclose(levels[level], ancestor, rtol=2e-12, atol=0.0)
 
+    def test_prop31_clamps_lambda_in_both_factors(self):
+        spec = BumpSpec()
+        inst = random_instance(SearchConfig(depth=6, dist="lognormal"), 0, 3.0)
+        pair, S = inst.pair, inst.family
+        p, pd = pair.p, pair.p_dual
+        w, s = _select(pair.w_avg_flat, S), _select(pair.sigma_avg_flat, S)
+        tc = testing_constant(pair, S)[0]
+        for lam in (nu_lambdas(pair, spec, S),
+                    orlicz_lacey_constant(pair, self.YOUNG, spec, S)[1]):
+            up = np.maximum(lam, 1.0)
+            want = float((w ** (1.0 / p) * s ** (1.0 / pd) * up ** (1.0 / p)
+                          * spec.phi(up) ** (1.0 / pd)).max())
+            assert prop31_bound(pair, S, lam, spec, tc).rhs == want
+
     def test_li_requires_bp(self, instance_a):
         spec = BumpSpec()
         with pytest.raises(AdmissibilityError):
             orlicz_li_constant(instance_a.pair, YoungSpec("power", 2.0, 0.0),
                                spec, "all")
+

@@ -428,3 +428,30 @@ class TestArtifactDiff:
         deleted = diff(rows[:3])
         assert deleted.returncode == 1
         assert "missing row check.csv: sawyer_sum#1" in deleted.stdout
+
+
+class TestBenchPairs:
+    def test_summary_of_canned_runs(self):
+        # the summary only: the benchmark itself is never run here
+        path = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+        spec = importlib.util.spec_from_file_location("bench_pairs", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+
+        def run(ops, setup):
+            return {"correct": True, "attempted": 40, "failed": 0,
+                    "metrics": {"throughput_per_s": {"value": ops, "unit": "1/s"},
+                                "setup_s": {"value": setup, "unit": "s"}}}
+
+        # (old, new): new is faster in pairs 0 and 2, ties in pair 1, slower in pair 3;
+        # its set-up is lower only in pair 3
+        pairs = [(run(10.0, 0.2), run(12.0, 0.2)), (run(11.0, 0.2), run(11.0, 0.3)),
+                 (run(12.0, 0.2), run(13.0, 0.3)), (run(13.0, 0.2), run(9.0, 0.1))]
+        rows = bench.summarize(pairs, {"throughput_per_s": "higher", "setup_s": "lower"})
+        assert rows == [("throughput_per_s", 11.5, 11.5, 10.75, 12.25, 2, 1),
+                        ("setup_s", 0.2, 0.25, 0.2, 0.2, 1, 2)]
+        lines = bench.summary_lines(rows, len(pairs))
+        assert lines[0] == ("throughput_per_s: median old 11.5 new 11.5; old quartiles "
+                            "10.75-12.25 (spread 1.5); new won 2/4, old won 1/4")
+        assert bench.run_line("new", 3, pairs[3][1], ["throughput_per_s"]) == \
+            "pair 3 new: throughput_per_s=9 correct=True attempted=40 failed=0"
