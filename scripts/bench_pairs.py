@@ -9,10 +9,10 @@ other; the old checkout goes first in even pairs and the new one in odd
 pairs, so a drift of the machine's speed falls on both sides.  Each
 run's line gives its end-to-end metrics, its correct flag and its
 attempted and failed counts.  The summary gives, per end-to-end metric
-of NEW_TREE/BENCHMARK.json, both medians, the old runs' quartiles and
-their spread (q3 - q1, inclusive method) and the pairs each side won; a
-tie counts for neither.  Exits 1 if any run was not correct or had a
-failed operation, else 0.
+of NEW_TREE/BENCHMARK.json, both medians and their relative change
+(new - old) / old, the old runs' quartiles and their spread (q3 - q1,
+inclusive method) and the pairs each side won; a tie counts for neither.
+Exits 1 if any run was not correct or had a failed operation, else 0.
 """
 
 import argparse
@@ -60,8 +60,11 @@ def summarize(pairs, better: dict) -> list:
 
 
 def summary_lines(rows, n_pairs: int) -> list:
-    return [f"{name}: median old {old:.6g} new {new:.6g}; old quartiles {q1:.6g}-{q3:.6g} "
-            f"(spread {q3 - q1:.6g}); new won {new_won}/{n_pairs}, old won {old_won}/{n_pairs}"
+    """One line per row; change is (new - old) / old of the medians."""
+    return [f"{name}: median old {old:.6g} new {new:.6g} "
+            f"(change {(new - old) / old:+.2%}); "
+            f"old quartiles {q1:.6g}-{q3:.6g} (spread {q3 - q1:.6g}); "
+            f"new won {new_won}/{n_pairs}, old won {old_won}/{n_pairs}"
             for name, old, new, q1, q3, new_won, old_won in rows]
 
 

@@ -236,9 +236,10 @@ class YoungSpec:
         t = np.asarray(t, dtype=float)
         if self.family == "power":
             return t ** self.q, np.full(t.shape, self.q)
-        log_t = np.log(_E + t)
+        e_plus_t = _E + t
+        log_t = np.log(e_plus_t)
         return (t ** self.q * (math.log(_E + 1.0) / log_t) ** (1.0 + self.eps),
-                self.q - (1.0 + self.eps) * t / ((_E + t) * log_t))
+                self.q - (1.0 + self.eps) * t / (e_plus_t * log_t))
 
     def A(self, t):
         out = self.A_and_elasticity(t)[0]
@@ -330,14 +331,15 @@ class ConjugateTable:
     def A_and_elasticity(self, s):
         """(Abar(s), e(s)): np.interp on the log-log grid, clamped below it
         and extended by the top slope above it; e is the segment's slope.
-        The grid is uniform, so the segment of u is found by one division,
-        moved by one where rounding crossed a node."""
+        The grid is uniform, so the segment of u is found by one product
+        with 1/step, moved by one where rounding crossed a node."""
         s = np.asarray(s, dtype=float)
         u = np.log(np.maximum(s, 1e-300))
         ls = self.log_s
-        k = (u - (ls[0] - (ls[1] - ls[0]))) / (ls[1] - ls[0])
-        k = np.fmin(np.fmax(k, 0.0), len(ls)).astype(np.intp)
-        k = k - (u < self._edges[k]) + (u >= self._edges[k + 1])
+        h = ls[1] - ls[0]
+        k = np.clip((u - (ls[0] - h)) * (1.0 / h), 0.0, len(ls)).astype(np.intp)
+        k -= u < self._edges[k]
+        k += u >= self._edges[1:][k]
         slope = self._slope[k]
         val = slope * (u - self._node[k]) + self._value[k]
         return np.where(s > 0, np.exp(val), 0.0), slope
@@ -368,6 +370,7 @@ def luxemburg_norms_level(f, level: int, young, below) -> np.ndarray:
     Returns (lo + hi)/2."""
     mat = np.asarray(f, dtype=float).reshape(1 << level, -1)
     n, width = mat.shape
+    mean = np.full(width, 1.0 / width)  # a row's mean is one product with it, at every width
     closing = np.zeros(n, dtype=bool)  # the next call evaluates lam / grow and lam * grow
     grow = (1.0 + GAUGE_REL_TOL) ** 0.4
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -383,13 +386,13 @@ def luxemburg_norms_level(f, level: int, young, below) -> np.ndarray:
             pts = np.concatenate([lam[todo] / np.where(closing[todo], grow, 1.0),
                                   lam[pair] * grow])
             A, e = young.A_and_elasticity(
-                (mat if rows.size == n == k else mat[rows]) / pts[:, None])
-            m = A.sum(axis=1) / width
+                (mat if rows.size == n == k else mat.take(rows, axis=0)) / pts[:, None])
+            m = A @ mean
             np.maximum.at(lo, rows[m >= 1.0], pts[m >= 1.0])
             np.minimum.at(hi, rows[m <= 1.0], pts[m <= 1.0])
             # Newton from each row's first point
             x = pts[:k]
-            step = np.log(m[:k]) * m[:k] * width / (A[:k] * e[:k]).sum(axis=1)
+            step = np.log(m[:k]) * m[:k] / ((A[:k] * e[:k]) @ mean)
             nxt = x * np.exp(step)
             a, b = lo[todo], hi[todo]
             near = np.abs(step) < 1e-6

@@ -342,7 +342,6 @@ class Instance:
     pair: WeightPair
     family: SparseFamily
     sparse_config: dict
-    clamped: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -357,20 +356,16 @@ class Instance:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _clamp(vec: np.ndarray) -> tuple[np.ndarray, int]:
-    low = vec < DENSITY_FLOOR
+def _clamp(vec: np.ndarray) -> np.ndarray:
     if np.any(vec < 0):
         raise DomainError("leaf densities must be nonnegative")
-    n = int(low.sum())
-    if n:
-        vec = np.where(low, DENSITY_FLOOR, vec)
-    return vec, n
+    return np.maximum(vec, DENSITY_FLOOR)
 
 
 def instance_from_dict(data: dict) -> Instance:
     geometry = TreeGeometry(int(data["depth"]))
-    w, cw = _clamp(np.asarray(data["w_leaves"], dtype=float))
-    s, cs = _clamp(np.asarray(data["sigma_leaves"], dtype=float))
+    w = _clamp(np.asarray(data["w_leaves"], dtype=float))
+    s = _clamp(np.asarray(data["sigma_leaves"], dtype=float))
     pair = WeightPair(geometry, w, s, float(data["p"]))
     sparse = data["sparse"]
     if "cubes" in sparse:
@@ -379,7 +374,7 @@ def instance_from_dict(data: dict) -> Instance:
     else:
         family = generate_sparse(geometry, sparse["strategy"], float(sparse["eta"]),
                                  int(sparse.get("seed", 0)), sigma_avg_flat=pair.sigma_avg_flat)
-    return Instance(pair, family, sparse, clamped=cw + cs)
+    return Instance(pair, family, sparse)
 
 
 def load_instance(path: str) -> Instance:

@@ -10,7 +10,7 @@ Everything is deterministic given (objective, config).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class SearchResult:
     sub_ap_fraction: float  # fraction of family cubes with w_Q sigma_Q^{p-1} < 1
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # shallow: the caller only serializes it
 
 
 def _draw_leaves(rng, n: int, dist: str, params) -> np.ndarray:

@@ -451,7 +451,10 @@ class TestBenchPairs:
         assert rows == [("throughput_per_s", 11.5, 11.5, 10.75, 12.25, 2, 1),
                         ("setup_s", 0.2, 0.25, 0.2, 0.2, 1, 2)]
         lines = bench.summary_lines(rows, len(pairs))
-        assert lines[0] == ("throughput_per_s: median old 11.5 new 11.5; old quartiles "
-                            "10.75-12.25 (spread 1.5); new won 2/4, old won 1/4")
+        assert lines == [
+            "throughput_per_s: median old 11.5 new 11.5 (change +0.00%); old quartiles "
+            "10.75-12.25 (spread 1.5); new won 2/4, old won 1/4",
+            "setup_s: median old 0.2 new 0.25 (change +25.00%); old quartiles "
+            "0.2-0.2 (spread 0); new won 1/4, old won 2/4"]
         assert bench.run_line("new", 3, pairs[3][1], ["throughput_per_s"]) == \
             "pair 3 new: throughput_per_s=9 correct=True attempted=40 failed=0"

@@ -14,7 +14,8 @@ from sparsebump import (CubeId, DomainError, Instance, SparseFamily,
                         TreeGeometry, WeightPair, carleson_embedding_ratio,
                         generate_sparse, instance_from_dict, load_instance,
                         packing_constant, stopping_time_family)
-from sparsebump.dyadic import ancestor_accumulate, ancestor_table, subtree_sums
+from sparsebump.dyadic import (DENSITY_FLOOR, ancestor_accumulate, ancestor_table,
+                               subtree_sums)
 
 
 def sigma_avg_flat(sigma, geometry):
@@ -319,13 +320,13 @@ class TestInstanceIO:
         inst = instance_from_dict(data)
         assert CubeId(1, 1) in inst.family.cubes
 
-    def test_clamp_records_count(self):
+    def test_zero_leaves_load_at_the_floor(self):
         data = {"depth": 1, "p": 2.0, "w_leaves": [0.0, 1.0],
                 "sigma_leaves": [1.0, 0.0],
                 "sparse": {"cubes": [[0, 0]], "eta": 1.0}}
         inst = instance_from_dict(data)
-        assert inst.clamped == 2
-        assert inst.pair.w_leaves.min() == pytest.approx(1e-12)
+        assert inst.pair.w_leaves.tolist() == [DENSITY_FLOOR, 1.0]
+        assert inst.pair.sigma_leaves.tolist() == [1.0, DENSITY_FLOOR]
 
     def test_negative_density_rejected(self):
         data = {"depth": 1, "p": 2.0, "w_leaves": [-1.0, 1.0],
