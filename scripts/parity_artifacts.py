@@ -17,7 +17,9 @@ this tree's `src/`:
 - `search --result-out` for every objective, at p 1.5/2/3, `--depths 3 5
   --steps 150 --seed 3`: main_theorem, conjecture_nc, prop31_entropy,
   the two that run the Luxemburg gauges (conjecture_sepcon and
-  prop31_orlicz) and maximal_bound, the one that runs `dyadic_maximal`.
+  prop31_orlicz) and maximal_bound, the one that runs `dyadic_maximal`;
+- one more maximal_bound search at p 2, `--depths 8 --steps 150 --seed
+  3`, where 511 indicator ratios make last-bit ties likeliest.
 
 `exit_codes.txt` lists each run's exit code.  Compare two sets with
 `diff -r` and `python scripts/artifact_diff.py OLD_DIR NEW_DIR`.
@@ -74,6 +76,9 @@ def runs():
             yield ["search", "--objective", objective, "--p", p, "--depths", "3", "5",
                    "--steps", "150", "--seed", "3", "--out", f"search_{name}.csv",
                    "--result-out", f"search_{name}.json"]
+    yield ["search", "--objective", "maximal_bound", "--p", "2", "--depths", "8",
+           "--steps", "150", "--seed", "3", "--out", "search_maximal_bound_p2_d8.csv",
+           "--result-out", "search_maximal_bound_p2_d8.json"]
 
 
 def main(argv) -> int:

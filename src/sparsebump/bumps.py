@@ -319,11 +319,11 @@ class ConjugateTable:
         vals = np.maximum.accumulate(_conjugate(young, np.exp(self.log_s)))
         self.log_v = np.log(np.maximum(vals, 1e-300))
         # lookup segment k spans [_edges[k], _edges[k+1]), a line through (_node[k], _value[k])
-        # of slope _slope[k]: k = 0 lies below the grid (slope 0), k = 512 above its top node
+        # of slope _slope[k]: k = 0 lies below the grid (slope 0), k = 512 and 513 (s = inf) above
         slopes = np.diff(self.log_v) / np.diff(self.log_s)
-        self._edges = np.concatenate([[-np.inf], self.log_s, [np.inf]])
-        self._node, self._value = (np.concatenate([a[:1], a]) for a in (self.log_s, self.log_v))
-        self._slope = np.concatenate([[0.0], slopes, slopes[-1:]])
+        self._edges = np.concatenate([[-np.inf], self.log_s, [np.inf, np.inf]])
+        self._node, self._value = (np.pad(a, 1, mode="edge") for a in (self.log_s, self.log_v))
+        self._slope = np.concatenate([[0.0], slopes, slopes[-1:].repeat(2)])
         self.q = young.q / (young.q - 1.0)  # Abar's growth exponent, exact for power A
         k = np.searchsorted(self.log_v, 0.0)  # Abar^-1(1) is where segment k crosses log_v = 0
         self.inv_one = math.exp(self._node[k] - self._value[k] / self._slope[k])

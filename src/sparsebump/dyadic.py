@@ -39,12 +39,6 @@ class TreeGeometry:
     def n_leaves(self) -> int:
         return 1 << self.depth
 
-    def cubes(self):
-        """All cubes, top-down, left-to-right."""
-        for level in range(self.depth + 1):
-            for index in range(1 << level):
-                yield CubeId(level, index)
-
     def contains(self, cube: "CubeId") -> bool:
         return 0 <= cube.level <= self.depth and 0 <= cube.index < (1 << cube.level)
 
@@ -210,16 +204,12 @@ class SparseFamily:
         return SparseFamily(flat)
 
     @cached_property
-    def _cube_tuple(self) -> tuple:
-        # (level, index) order: the order of _select's family vectors
-        return tuple(map(CubeId.from_flat, np.flatnonzero(self.flat_mask).tolist()))
-
-    @cached_property
     def cubes(self) -> frozenset:
-        return frozenset(self._cube_tuple)
+        return frozenset(map(CubeId.from_flat, np.flatnonzero(self.flat_mask).tolist()))
 
     def sorted_cubes(self) -> list[CubeId]:
-        return list(self._cube_tuple)
+        """(level, index) order: the order of _select's family vectors."""
+        return sorted(self.cubes)
 
     @cached_property
     def packing(self) -> float:
@@ -239,7 +229,7 @@ def _same_tree(S: SparseFamily, depth: int) -> None:
 
 def _select(flat: np.ndarray, cubes) -> np.ndarray:
     """The family vector of a flat (level, index) buffer, in (level, index)
-    order, the order of TreeGeometry.cubes() and sorted_cubes(), over every
+    order, the order of the buffer itself and of sorted_cubes(), over every
     cube ("all") or a SparseFamily's cubes of the buffer's tree."""
     if cubes in ("all", None):
         return flat

@@ -10,8 +10,6 @@ source material leaves unspecified.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -141,25 +139,40 @@ def _trial_ratio(pair: WeightPair, apply, f: np.ndarray) -> float:
     return num / den
 
 
-def _best_trial(pair: WeightPair, apply, cubes, budget: int, seed: int):
+def _indicator_ratios(pair: WeightPair, mask, op) -> np.ndarray:
+    """The _trial_ratio of every cube's indicator as a flat (level, index)
+    buffer: T = A_S at (S.flat_mask, np.add), T = M at (True, np.maximum).
+    With E(P) = op of 2^level over P and its ancestors on the mask,
+    T(sigma chi_Q) is op(table[l(Q)], sigma(Q) E(parent Q)) on Q and sigma(Q) E(P) off
+    Q, P the least common ancestor; D(child) = D(parent) + E(parent)^p w(sibling),
+    D(root) = 0, sums those p-th powers against w."""
+    depth, p, sigma = pair.geometry.depth, pair.p, pair.sigma_mass_flat
+    scale, up = _tree_index(depth)
+    table = ancestor_table(np.where(mask, pair.sigma_avg_flat, 0.0), depth, op)
+    e = ancestor_accumulate(np.where(mask, scale, 0.0), depth, op)
+    e_parent = np.concatenate([[0.0], e[:(1 << depth) - 1].repeat(2)])
+    sibling_w = pair.w_mass_flat[1:].reshape(-1, 2)[:, ::-1].ravel()
+    off = ancestor_accumulate(np.concatenate([[0.0], e_parent[1:] ** p * sibling_w]), depth)
+    inside = op(table, (sigma * e_parent)[up]) ** p * pair.w_leaves
+    num = np.bincount(up.ravel(), inside.ravel(), minlength=sigma.size) * 2.0 ** (-depth)
+    # sigma(Q)^p D(Q), 0 at D = 0 even where sigma(Q)^p overflows
+    return ((num + (sigma * off ** (1.0 / p)) ** p) / sigma) ** (1.0 / p)
+
+
+def _best_trial(pair: WeightPair, apply, ratios, budget: int, seed: int):
     """The largest _trial_ratio and its trial function (None if no ratio
-    beats 0) over the indicators of cubes, then budget seeded random
-    nonnegative leaf vectors."""
+    beats 0): the first maximum of ratios, the indicator ratios with -inf
+    at a cube not tried, then budget seeded random nonnegative leaf vectors."""
     if budget < 1:
         raise DomainError("budget must be >= 1")
-    geometry = pair.geometry
-    rng = np.random.default_rng(np.uint64(seed))
-
-    def indicator(q: CubeId) -> np.ndarray:
-        f = np.zeros(geometry.n_leaves)
-        f[q.leaf_slice(geometry.depth)] = 1.0
-        return f
-
-    randoms = (rng.exponential(1.0, geometry.n_leaves) for _ in range(budget))
-    best, best_f = 0.0, None
-    for f in itertools.chain(map(indicator, cubes), randoms):
-        r = _trial_ratio(pair, apply, f)
-        if r > best:
+    n, rng = pair.geometry.n_leaves, np.random.default_rng(np.uint64(seed))
+    best, best_f, k = 0.0, None, int(ratios.argmax())
+    if ratios[k] > best:  # the indicator of the first maximum
+        best, best_f = float(ratios[k]), np.zeros(n)
+        best_f[CubeId.from_flat(k).leaf_slice(pair.geometry.depth)] = 1.0
+    for _ in range(budget):
+        f = rng.exponential(1.0, n)
+        if (r := _trial_ratio(pair, apply, f)) > best:
             best, best_f = r, f
     return best, best_f
 
@@ -185,8 +198,8 @@ def operator_norm_lower(S: SparseFamily, pair: WeightPair, budget: int,
     """Lower bound for ||A_S(. sigma)||_{L^p(sigma) -> L^p(w)} from trial
     functions: indicators of every R in S and seeded random nonnegative
     leaf vectors, then up to min(budget, 30) _boyd steps from the best."""
-    best, f = _best_trial(pair, functools.partial(apply_sparse, S), S.sorted_cubes(),
-                          budget, seed)
+    ratios = np.where(S.flat_mask, _indicator_ratios(pair, S.flat_mask, np.add), -np.inf)
+    best, f = _best_trial(pair, lambda g: apply_sparse(S, g), ratios, budget, seed)
     for _ in range(min(budget, 30)):
         if f is None:
             break
@@ -290,7 +303,7 @@ def lemma_reports(S: SparseFamily, pair: WeightPair, ks, spec: BumpSpec | None =
                   R: CubeId | None = None) -> list[CheckReport]:
     """prop32_check at each k of ks and, given a spec, prop33_check and
     sawyer_sum_bound, in that order, at R or (R None) at every R in S in
-    sorted_cubes() order: one subtree pass and one psi call in all."""
+    (level, index) order: one subtree pass and one psi call in all."""
     s, masses = _select(pair.sigma_avg_flat, S), _select(pair.sigma_mass_flat, S)
     terms = [np.where(_in_level(s[:, None], np.array(ks, dtype=int)), masses[:, None], 0.0)]
     if spec is not None:
@@ -380,9 +393,8 @@ def theorem_main_ratio(pair: WeightPair, S: SparseFamily, spec: BumpSpec, tc1: f
 
 
 def maximal_norm_lower(pair: WeightPair, budget: int, seed: int = 0) -> float:
-    """Trial-based lower bound for the dyadic maximal operator norm
-    ||M_d(. sigma)||_{L^p(sigma) -> L^p(w)}: indicators of every cube and
-    seeded random nonnegative leaf vectors."""
-    geometry = pair.geometry
-    return _best_trial(pair, lambda g: dyadic_maximal(g, geometry.depth), geometry.cubes(),
-                       budget, seed)[0]
+    """Trial-based lower bound for ||M_d(. sigma)||_{L^p(sigma) -> L^p(w)}:
+    the indicators of every cube, whose largest ratio is Sawyer's testing
+    constant for M, and seeded random nonnegative leaf vectors."""
+    return _best_trial(pair, lambda g: dyadic_maximal(g, pair.geometry.depth),
+                       _indicator_ratios(pair, True, np.maximum), budget, seed)[0]

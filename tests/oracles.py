@@ -11,13 +11,15 @@ import math
 import mpmath as mp
 import numpy as np
 
+from sparsebump.dyadic import CubeId  # cube_ids yields the package's cube type
+
 mp.mp.dps = 50
 
 E = mp.e
 EE = mp.exp(mp.e)
 
 
-# -- tree helpers (no package imports) --------------------------------------
+# -- tree helpers (no package code; cube_ids yields CubeId) -----------------
 
 def leaf_range(level, index, depth):
     """Half-open leaf index range covered by cube (level, index)."""
@@ -34,6 +36,20 @@ def contains(outer, inner):
 
 def all_cubes(depth):
     return [(l, j) for l in range(depth + 1) for j in range(1 << l)]
+
+
+def cube_ids(depth):
+    """Every cube of the depth-`depth` tree as a CubeId, top-down, left to
+    right: the (level, index) order of a flat buffer."""
+    return (CubeId(level, index) for level, index in all_cubes(depth))
+
+
+def reflect(flat):
+    """The flat buffer of the mirrored tree: the entry of cube (l, j), at
+    position 2**l - 1 + j, moves to cube (l, 2**l - 1 - j)."""
+    flat = np.asarray(flat)
+    return np.concatenate([flat[(1 << l) - 1:(2 << l) - 1][::-1]
+                           for l in range(len(flat).bit_length())])
 
 
 def brute_average(leaves, level, index, depth):
@@ -260,6 +276,47 @@ def brute_dyadic_maximal(sigma, level, index, depth):
                 best = max(best, brute_average(sigma, l, j, depth))
         out.append(best)
     return out
+
+
+def brute_maximal_of_indicator(sigma, level, index, depth):
+    """Leaf values of M(sigma chi_Q), Q = (level, index), over the whole
+    tree: at each leaf x the max over every dyadic cube P holding x of
+    sigma(Q and P) / |P|, which is sigma(P) / |P| for P inside Q,
+    sigma(Q) / |P| for P holding Q and 0 for P apart from Q."""
+    mass = {q: brute_mass(sigma, q[0], q[1], depth) for q in all_cubes(depth)}
+    out = []
+    for x in range(1 << depth):
+        best = 0.0
+        for l in range(depth + 1):
+            P = (l, x >> (depth - l))
+            if contains((level, index), P):
+                best = max(best, mass[P] * 2.0 ** l)
+            elif contains(P, (level, index)):
+                best = max(best, mass[(level, index)] * 2.0 ** l)
+        out.append(best)
+    return out
+
+
+def brute_indicator_ratios(w, sigma, p, depth, masks=None):
+    """The trial ratio ||T(sigma chi_Q)||_{L^p(w)} / ||chi_Q||_{L^p(sigma)} of
+    every cube Q's indicator, the cube (l, j) at position 2**l - 1 + j:
+    T = M by brute_maximal_of_indicator with masks None, else T = A_S of
+    the per-level masks, the l^p ratio of dense_operator applied to
+    chi_Q sigma^{1/p}."""
+    sigma = np.asarray(sigma, dtype=float)
+    dense = None if masks is None else dense_operator(depth, masks, w, sigma, p)
+    out = []
+    for level, index in all_cubes(depth):
+        if dense is None:
+            num = brute_lp_norm(brute_maximal_of_indicator(sigma, level, index, depth),
+                                w, p, depth)
+            out.append(num / brute_mass(sigma, level, index, depth) ** (1.0 / p))
+        else:
+            h = np.zeros(1 << depth)
+            a, b = leaf_range(level, index, depth)
+            h[a:b] = sigma[a:b] ** (1.0 / p)
+            out.append(np.sum((dense @ h) ** p) ** (1.0 / p) / np.sum(h ** p) ** (1.0 / p))
+    return np.array(out)
 
 
 def brute_ancestor_fold(values, depth, leaf, fold):

@@ -1,5 +1,6 @@
 """Bump families, admissibility, Young machinery, bump constants."""
 
+import copy
 import math
 
 import numpy as np
@@ -282,6 +283,24 @@ class TestYoung:
         assert table.A_and_elasticity(s)[0] == pytest.approx(ref, rel=1e-15, abs=0.0)
         assert table.A_and_elasticity(0.0)[0] == 0.0
 
+    def test_conjugate_table_lookup_at_inf(self):
+        # s = inf lands on the padded copy of the top segment: Abar = inf at
+        # the top slope; finite points read the same segments as the table
+        # without that copy, bit for bit
+        table = ConjugateTable(YoungSpec("power_over_log", 2.0, 1.0))
+        A, e = table.A_and_elasticity(np.array([np.inf, 1.0]))
+        assert A[0] == np.inf and e[0] == table._slope[-1] == table._slope[-2] > 0.0
+        unpadded = copy.copy(table)
+        for name in ("_edges", "_node", "_value", "_slope"):
+            setattr(unpadded, name, getattr(table, name)[:-1])
+        rng = np.random.default_rng(3)
+        ls = table.log_s
+        s = np.concatenate([np.exp(rng.uniform(ls[0] - 10.0, ls[-1] + 10.0, 4096)),
+                            np.exp(ls), [0.0, 1.0]])
+        for got, want in zip(table.A_and_elasticity(s), unpadded.A_and_elasticity(s)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(A[1:], table.A_and_elasticity(np.array([1.0]))[0])
+
 
 class TestLuxemburg:
     def test_norm_of_one_is_one(self):
@@ -295,7 +314,7 @@ class TestLuxemburg:
         young = YoungSpec("power", 2.0, 0.0)
         rng = np.random.default_rng(1)
         f = np.exp(rng.standard_normal(16))
-        for cube in TreeGeometry(4).cubes():
+        for cube in oracles.cube_ids(4):
             sub = f[cube.leaf_slice(4)]
             ref = float(np.mean(sub ** 2)) ** 0.5
             assert cube_gauge(f, cube, young, 4) == pytest.approx(ref, rel=1e-10)
@@ -327,7 +346,7 @@ class TestLuxemburg:
         rng = np.random.default_rng(4)
         f = np.exp(rng.standard_normal(8))
         A = young.A
-        for cube in TreeGeometry(3).cubes():
+        for cube in oracles.cube_ids(3):
             ref = oracles.brute_luxemburg(f, cube.level, cube.index, 3,
                                           lambda x: float(A(float(x))))
             assert cube_gauge(f, cube, young, 3) == pytest.approx(ref, rel=1e-10)
@@ -532,11 +551,10 @@ class TestMaximalAndEntropy:
         # row l of the running-max table is the maximal function down from
         # level l on every level-l cube; row 0 is M_d
         rng = np.random.default_rng(2)
-        g = TreeGeometry(4)
         sigma = np.exp(rng.standard_normal(16))
         table = ancestor_table(_avg_pyramid(sigma, 4), 4, np.maximum)
         assert np.array_equal(dyadic_maximal(sigma, 4), table[0])
-        for cube in g.cubes():
+        for cube in oracles.cube_ids(4):
             ref = oracles.brute_dyadic_maximal(sigma, cube.level, cube.index, 4)
             got = table[cube.level, cube.leaf_slice(4)]
             assert np.allclose(got, ref, rtol=1e-12)
@@ -563,7 +581,8 @@ class TestMaximalAndEntropy:
         pairs = [inst.pair for inst in random_corpus(10, seed=17, depths=(0, 2, 3, 5))]
         pairs.append(WeightPair(TreeGeometry(5), np.ones(32), spike, 2.0))
         for pair in pairs:
-            for cube, lam in zip(pair.geometry.cubes(), entropy_lambdas(pair, "all")):
+            cubes = oracles.cube_ids(pair.geometry.depth)
+            for cube, lam in zip(cubes, entropy_lambdas(pair, "all")):
                 ref = entropy_lambda(pair.sigma_leaves, cube, pair.geometry)
                 assert lam == pytest.approx(ref, rel=1e-13)
 
@@ -576,7 +595,8 @@ class TestMaximalAndEntropy:
         pairs.append(WeightPair(TreeGeometry(5), np.ones(32), spike, 2.0))
         for pair in pairs:
             depth, sigma = pair.geometry.depth, list(pair.sigma_leaves)
-            for cube, lam in zip(pair.geometry.cubes(), entropy_lambdas(pair, "all")):
+            cubes = oracles.cube_ids(pair.geometry.depth)
+            for cube, lam in zip(cubes, entropy_lambdas(pair, "all")):
                 m = oracles.brute_dyadic_maximal(sigma, cube.level, cube.index, depth)
                 ref = math.fsum(m) * 2.0 ** -depth \
                     / oracles.brute_mass(sigma, cube.level, cube.index, depth)

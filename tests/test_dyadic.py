@@ -27,12 +27,16 @@ class TestGeometry:
     def test_counts(self):
         g = TreeGeometry(5)
         assert g.n_leaves == 32
-        assert len(list(g.cubes())) == 2 ** 6 - 1
+        cubes = list(oracles.cube_ids(5))
+        assert len(cubes) == 2 ** 6 - 1 and all(map(g.contains, cubes))
+        assert [c.flat_index for c in cubes] == list(range(2 ** 6 - 1))
+        assert not g.contains(CubeId(6, 0)) and not g.contains(CubeId(5, 32))
 
     def test_depth_zero(self):
         g = TreeGeometry(0)
         assert g.n_leaves == 1
-        assert list(g.cubes()) == [CubeId(0, 0)]
+        assert list(oracles.cube_ids(0)) == [CubeId(0, 0)] and g.contains(CubeId(0, 0))
+        assert not g.contains(CubeId(1, 0))
 
     def test_invalid_depth(self):
         with pytest.raises(DomainError):
@@ -52,7 +56,7 @@ class TestMassPyramid:
         g = TreeGeometry(depth)
         w, sigma = oracles.random_pair(rng, depth)
         pair = WeightPair(g, w, sigma, 2.0)
-        for cube in g.cubes():
+        for cube in oracles.cube_ids(g.depth):
             ref = oracles.brute_average(w, cube.level, cube.index, depth)
             assert pair.w_avg_flat[cube.flat_index] == pytest.approx(ref, rel=1e-12)
             ref = oracles.brute_average(sigma, cube.level, cube.index, depth)
@@ -63,7 +67,7 @@ class TestMassPyramid:
         g = TreeGeometry(6)
         w, sigma = oracles.random_pair(rng, 6)
         pair = WeightPair(g, w, sigma, 2.0)
-        for cube in g.cubes():
+        for cube in oracles.cube_ids(g.depth):
             if cube.level == g.depth:
                 continue
             k = cube.flat_index  # its children sit at 2k + 1 and 2k + 2
@@ -160,7 +164,7 @@ class TestPacking:
         for trial in range(200):
             depth = int(rng.integers(1, 7))
             g = TreeGeometry(depth)
-            pool = list(g.cubes())
+            pool = list(oracles.cube_ids(g.depth))
             k = int(rng.integers(1, len(pool) + 1))
             picks = [pool[i] for i in rng.choice(len(pool), size=k, replace=False)]
             fast = packing_constant(picks, g)
@@ -170,7 +174,7 @@ class TestPacking:
     def test_monotone_under_inclusion(self):
         rng = np.random.default_rng(5)
         g = TreeGeometry(5)
-        pool = list(g.cubes())
+        pool = list(oracles.cube_ids(g.depth))
         for trial in range(100):
             k = int(rng.integers(1, len(pool)))
             picks = [pool[i] for i in rng.choice(len(pool), size=k, replace=False)]
@@ -219,7 +223,9 @@ class TestGenerators:
             fam = generate_sparse(g, strategy, eta, checked,
                                   sigma_avg_flat=sigma_avg_flat(sigma, g))
             assert fam.packing <= 1.0 / eta + 1e-12
-            assert fam.sorted_cubes() == sorted(fam.cubes)
+            # sorted_cubes() lists the flat mask's cubes in _select order
+            flat = [c.flat_index for c in fam.sorted_cubes()]
+            assert flat == np.flatnonzero(fam.flat_mask).tolist()
             assert fam.packing == packing_constant(fam.cubes, g)
             checked += 1
 

@@ -48,8 +48,7 @@ class TestObjective:
     def test_evaluate_maximal_bound_kind(self):
         obj = Objective("maximal_bound", p=2.0)
         inst = random_instance(SearchConfig(depth=3, seed=1), 1)
-        num = maximal_norm_lower(
-            inst.pair if inst.pair.p == 2.0 else inst.pair, budget=8, seed=1)
+        num = maximal_norm_lower(inst.pair, budget=8, seed=1)
         den = maximal_bound_constant(inst.pair, obj.spec, "all")
         assert evaluate(obj, inst) == pytest.approx(num / den, rel=1e-9)
 

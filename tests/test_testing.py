@@ -1,5 +1,6 @@
 """Local sums, testing constants, operator norms, tracked-constant checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import level_arrays, make_instance, random_corpus
+from conftest import STRATEGIES, level_arrays, make_instance, random_corpus
 from sparsebump import (CubeId, SparseFamily, TreeGeometry, WeightPair, apply_sparse, carleson_embedding_ratio, dyadic_maximal,
                         cov_sides, eset_split_check, hytonen_ratio, local_sum,
                         lp_norm, maximal_norm_lower, operator_norm_lower,
@@ -16,9 +17,10 @@ from sparsebump import (CubeId, SparseFamily, TreeGeometry, WeightPair, apply_sp
                         theorem_main_ratio, generate_sparse, nu_constant)
 from sparsebump.bumps import BumpSpec, check_bump, nu_lambdas
 from sparsebump.dyadic import DomainError, NumericError, _select
-from sparsebump.search import _sub_ap_fraction
-from sparsebump.testing import (CheckReport, CHECK_CSV_HEADER, _in_level, _sums_inside,
-                                cov_bracket_report, lemma_reports, realized_levels)
+from sparsebump.search import SearchConfig, _sub_ap_fraction, random_instance
+from sparsebump.testing import (CheckReport, CHECK_CSV_HEADER, _best_trial, _in_level,
+                                _indicator_ratios, _sums_inside, cov_bracket_report,
+                                lemma_reports, realized_levels)
 
 ROOT = CubeId(0, 0)
 
@@ -485,8 +487,83 @@ class TestMaximal:
         assert np.allclose(dyadic_maximal(f, 4), ref, rtol=1e-12)
 
     def test_maximal_lower_positive(self, instance_a):
-        val = maximal_norm_lower(instance_a.pair, budget=4, seed=0)
-        assert val > 0.0
+        # the bound is the best of the oracle's largest indicator ratio
+        # (Sawyer's testing constant for M) and the seeded random trials
+        pairs = [instance_a.pair] + [inst.pair for inst in random_corpus(
+            6, seed=19, depths=(1, 3, 5))]
+        for pair in pairs:
+            w, sigma, p, depth = pair.w_leaves, pair.sigma_leaves, pair.p, pair.geometry.depth
+            sawyer = oracles.brute_indicator_ratios(w, sigma, p, depth).max()
+            rng = np.random.default_rng(np.uint64(0))
+            trials = []
+            for _ in range(4):
+                f = rng.exponential(1.0, 1 << depth)
+                mf = oracles.brute_dyadic_maximal(f * sigma, 0, 0, depth)
+                trials.append(oracles.brute_lp_norm(mf, w, p, depth)
+                              / oracles.brute_lp_norm(f, sigma, p, depth))
+            val = maximal_norm_lower(pair, budget=4, seed=0)
+            assert val == pytest.approx(max(sawyer, *trials), rel=1e-13)
+            assert val >= sawyer * (1.0 - 1e-13) > 0.0
+
+
+LAWS = ("lognormal", "spike", "mixed")
+
+
+class TestIndicatorRatios:
+    """testing._indicator_ratios, the closed form of every cube's
+    indicator ratio for M (True, np.maximum) and A_S (S.flat_mask, np.add)."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_match_the_brute_oracle(self, p):
+        # the brute maximal function of sigma chi_Q and the dense A_S
+        # applied to chi_Q sigma^{1/p}, every cube at depths 0-6
+        for depth, law in itertools.product(range(7), LAWS):
+            for k, strategy in enumerate(STRATEGIES):
+                config = SearchConfig(depth=depth, eta=0.25, strategy=strategy, dist=law)
+                pair, S = (inst := random_instance(config, depth + 7, p)).pair, inst.family
+                w, sigma = pair.w_leaves, pair.sigma_leaves
+                if k == 0:  # the pair is the same for every strategy
+                    np.testing.assert_allclose(
+                        _indicator_ratios(pair, True, np.maximum),
+                        oracles.brute_indicator_ratios(w, sigma, p, depth), rtol=1e-13, atol=0)
+                np.testing.assert_allclose(
+                    _indicator_ratios(pair, S.flat_mask, np.add),
+                    oracles.brute_indicator_ratios(w, sigma, p, depth, S.masks),
+                    rtol=1e-13, atol=0)
+
+    def test_best_trial_takes_the_first_maximum(self, instance_a):
+        # ties go to the smallest (level, index), -inf marks a cube not
+        # tried, and random trials whose image is 0 never beat the indicator
+        pair = instance_a.pair
+        ratios = np.array([1.0, -np.inf, 2.0, 0.5, 2.0, 2.0, 0.0])
+        best, f = _best_trial(pair, lambda g: 0.0 * g, ratios, 3, 0)
+        assert best == 2.0 and np.array_equal(f, [0.0, 0.0, 1.0, 1.0])
+        best, f = _best_trial(pair, lambda g: 0.0 * g, np.full(7, -np.inf), 3, 0)
+        assert best == 0.0 and f is None
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_reflection_and_refinement(self, p):
+        # at depths 8-12, where the oracle is too slow: mirroring the pair
+        # (and the family) mirrors both buffers, and splitting every leaf
+        # in two, the family held on the same cubes, leaves every original
+        # cube's ratio as it was
+        for depth, law, strategy in itertools.product(range(8, 13), LAWS,
+                                                      ("stopping_time", "random_greedy")):
+            config = SearchConfig(depth=depth, eta=0.25, strategy=strategy, dist=law)
+            pair, S = (inst := random_instance(config, depth, p)).pair, inst.family
+            w, sigma = pair.w_leaves, pair.sigma_leaves
+            mirror = WeightPair(pair.geometry, w[::-1], sigma[::-1], p)
+            fine = WeightPair(TreeGeometry(depth + 1), oracles.refine(w, 1),
+                              oracles.refine(sigma, 1), p)
+            held = np.concatenate([S.flat_mask, np.zeros(2 << depth, dtype=bool)])
+            for mask, mirrored, refined, op in (
+                    (True, True, True, np.maximum),
+                    (S.flat_mask, oracles.reflect(S.flat_mask), held, np.add)):
+                ratios = _indicator_ratios(pair, mask, op)
+                np.testing.assert_allclose(_indicator_ratios(mirror, mirrored, op),
+                                           oracles.reflect(ratios), rtol=1e-13, atol=0)
+                np.testing.assert_allclose(_indicator_ratios(fine, refined, op)[:ratios.size],
+                                           ratios, rtol=1e-13, atol=0)
 
 
 class TestCheckReport:
