@@ -10,9 +10,10 @@ this tree's `src/`:
 - `constants --cubes all` and `--cubes sparse` on each instance;
 - `check --suite all --in` on each instance of depth <= 9;
 - `constants --young` at the B_p boundary of p 1.5/2/3, on the depth-6
-  stopping_time lognormal instance: `power` q = p - 0.01, and
-  `power_over_log` at q = p with eps 0.1 (both in B_p) and at
-  q = p + 0.05 with eps 1 (not in B_p);
+  and depth-12 stopping_time lognormal instances: `power` q = p - 0.01,
+  and `power_over_log` at q = p with eps 0.1 (both in B_p) and at
+  q = p + 0.05 with eps 1 (not in B_p); these converge slowest, and
+  depth 12 puts them on the largest tree;
 - `check --trials 150` at seeds 0 and 5;
 - `search --result-out` for every objective, at p 1.5/2/3, `--depths 3 5
   --steps 150 --seed 3`: main_theorem, conjecture_nc, prop31_entropy,
@@ -38,12 +39,13 @@ from sparsebump.dyadic import STRATEGIES  # noqa: E402
 
 def bp_boundary():
     """(instance, run name, Young JSON) of every B_p-boundary run."""
-    for p in (1.5, 2.0, 3.0):
-        for tag, family, q, eps in (("power_below", "power", p - 0.01, 1.0),
-                                    ("log_at", "power_over_log", p, 0.1),
-                                    ("log_above", "power_over_log", p + 0.05, 1.0)):
-            yield (f"gen_stopping_time_d6_p{p:g}_lognormal.json", f"{tag}_p{p:g}",
-                   {"family": family, "q": q, "eps": eps})
+    for depth in (6, 12):
+        for p in (1.5, 2.0, 3.0):
+            for tag, family, q, eps in (("power_below", "power", p - 0.01, 1.0),
+                                        ("log_at", "power_over_log", p, 0.1),
+                                        ("log_above", "power_over_log", p + 0.05, 1.0)):
+                yield (f"gen_stopping_time_d{depth}_p{p:g}_lognormal.json",
+                       f"{tag}_d{depth}_p{p:g}", {"family": family, "q": q, "eps": eps})
 
 
 def runs():

@@ -264,9 +264,10 @@ class YoungSpec:
 DEFAULT_YOUNG = YoungSpec("power_over_log", 2.0, 1.0)
 
 
+@lru_cache(maxsize=32)
 def ensure_young(young: YoungSpec) -> None:
     """Raise AdmissibilityError unless q > 1 (Abar grows like s^{q/(q-1)}),
-    A(0) = 0 and A is increasing and convex on a geometric grid."""
+    A(0) = 0 and A is increasing and convex on a geometric grid (cached once it passes)."""
     reasons = [] if young.q > 1.0 else [f"q = {young.q} is not above 1"]
     ts = np.concatenate(([0.0], np.geomspace(2.0 ** -40, 2.0 ** 40, 2001)))
     vals = np.asarray(young.A(ts))
@@ -331,18 +332,18 @@ class ConjugateTable:
     def A_and_elasticity(self, s):
         """(Abar(s), e(s)): np.interp on the log-log grid, clamped below it
         and extended by the top slope above it; e is the segment's slope.
-        The grid is uniform, so the segment of u is found by one product
-        with 1/step, moved by one where rounding crossed a node."""
+        The grid is uniform: u's segment is one product with 1/step, moved by
+        one where rounding crossed a node; nan reads segment 0, giving nan."""
         s = np.asarray(s, dtype=float)
         u = np.log(np.maximum(s, 1e-300))
         ls = self.log_s
         h = ls[1] - ls[0]
-        k = np.clip((u - (ls[0] - h)) * (1.0 / h), 0.0, len(ls)).astype(np.intp)
-        k -= u < self._edges[k]
-        k += u >= self._edges[1:][k]
-        slope = self._slope[k]
-        val = slope * (u - self._node[k]) + self._value[k]
-        return np.where(s > 0, np.exp(val), 0.0), slope
+        k = np.minimum((u - (ls[0] - h)) * (1.0 / h), len(ls)).astype(np.intp)
+        k -= u < self._edges.take(k, mode="clip")
+        k += u >= self._edges[1:].take(k, mode="clip")
+        slope = self._slope.take(k, mode="clip")
+        val = slope * (u - self._node.take(k, mode="clip")) + self._value.take(k, mode="clip")
+        return np.where(s <= 0, 0.0, np.exp(val)), slope
 
 
 @lru_cache(maxsize=32)
@@ -361,48 +362,47 @@ def luxemburg_norms_level(f, level: int, young, below) -> np.ndarray:
     A parent's mean A(f/lambda) is its children's average, each falling in
     lambda, so with tol = GAUGE_REL_TOL a row starts inside [min child /
     (1 + tol), max child * (1 + tol)] (zero children close it at 0), at their
-    power mean of exponent young.q: exact for power A.  Safeguarded Newton
-    steps on g(t) = log mean A(f e^-t), t = log lambda, of slope
-    -mean(A e)/mean(A), keep the bracket mean A(f/lo) >= 1 >= mean A(f/hi):
-    a step that is not finite or leaves it becomes a bisection in t (a
-    halving while lo = 0).  Once a step is below 1e-6, lambda * (1 + tol)^-/+0.4
-    are evaluated in one call, closing the bracket to hi - lo <= tol*lo.
-    Returns (lo + hi)/2."""
+    power mean of exponent young.q: exact for power A.  Phase 1 sets an end of
+    the bracket mean A(f/lo) >= 1 >= mean A(f/hi) at each open row's lambda and
+    steps by safeguarded Newton on g(t) = log mean A(f e^-t), t = log lambda, of
+    slope -mean(A e)/mean(A), until no row moves by 1e-6.  Phase 2 evaluates
+    lambda * (1 + tol)^-/+0.4: a row with hi - lo <= tol*lo is (lo + hi)/2, others go back."""
     mat = np.asarray(f, dtype=float).reshape(1 << level, -1)
-    n, width = mat.shape
-    mean = np.full(width, 1.0 / width)  # a row's mean is one product with it, at every width
-    closing = np.zeros(n, dtype=bool)  # the next call evaluates lam / grow and lam * grow
+    mean = np.full(mat.shape[1], 1.0 / mat.shape[1])  # a row's mean is one product with it
     grow = (1.0 + GAUGE_REL_TOL) ** 0.4
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a, b = np.minimum(below[0::2], below[1::2]), np.maximum(below[0::2], below[1::2])
         lo, hi = a / (1.0 + GAUGE_REL_TOL), b * (1.0 + GAUGE_REL_TOL)
         lam = b * (0.5 + 0.5 * (a / b) ** young.q) ** (1.0 / young.q)  # scaled by b: no overflow
+        out, at = np.zeros(len(mat)), np.flatnonzero(b > 0.0)  # out[at] are the open rows
+        if not at.size:
+            return out
+        if at.size < len(out):
+            mat, lo, hi, lam = (v.take(at, axis=0) for v in (mat, lo, hi, lam))
+        pair = False  # phase 2: this call evaluates lam / grow and lam * grow
         for _ in range(200):
-            todo = np.flatnonzero(hi - lo > GAUGE_REL_TOL * lo)
-            if not todo.size:
-                return 0.5 * (lo + hi)
-            k, pair = todo.size, todo[closing[todo]]
-            rows = np.concatenate([todo, pair])
-            pts = np.concatenate([lam[todo] / np.where(closing[todo], grow, 1.0),
-                                  lam[pair] * grow])
-            A, e = young.A_and_elasticity(
-                (mat if rows.size == n == k else mat.take(rows, axis=0)) / pts[:, None])
+            x = np.stack([lam / grow, lam * grow]) if pair else lam
+            A, e = young.A_and_elasticity(mat / x[..., None])
             m = A @ mean
-            np.maximum.at(lo, rows[m >= 1.0], pts[m >= 1.0])
-            np.minimum.at(hi, rows[m <= 1.0], pts[m <= 1.0])
-            # Newton from each row's first point
-            x = pts[:k]
-            step = np.log(m[:k]) * m[:k] / ((A[:k] * e[:k]) @ mean)
-            nxt = x * np.exp(step)
-            a, b = lo[todo], hi[todo]
-            near = np.abs(step) < 1e-6
-            bad = ~(near | ((nxt > a) & (nxt < b)))
-            if bad.any():  # bisect in t, or halve while lo = 0
-                nxt[bad] = np.where(a == 0.0, 0.5 * b, a * np.sqrt(b / a))[bad]
-                near[bad] = np.abs(np.log(nxt[bad] / x[bad])) < 1e-6
-            # a factor grow inside the known ends, so a closing pair stays in the bracket
-            closing[todo] = near
-            lam[todo] = np.minimum(np.maximum(nxt, a * grow), b / grow)
+            if pair:  # x[0] < x[1], both in the bracket
+                lo = np.where(m[1] >= 1.0, x[1], np.where(m[0] >= 1.0, x[0], lo))
+                hi = np.where(m[0] <= 1.0, x[0], np.where(m[1] <= 1.0, x[1], hi))
+                out[at] = 0.5 * (lo + hi)  # rows still open are written again when they close
+                done = hi - lo <= GAUGE_REL_TOL * lo
+                if done.all():
+                    return out
+                rest = (at, mat, lo, hi, x[0], A[0], e[0], m[0])  # Newton from the lower point
+                at, mat, lo, hi, x, A, e, m = (v.compress(~done, 0) for v in rest)
+            else:
+                lo, hi = np.where(m >= 1.0, x, lo), np.where(m <= 1.0, x, hi)
+            t = np.log(m) * m / ((A * e) @ mean)
+            nxt, move = x * np.exp(t), np.abs(t)
+            inside = (move < 1e-6) | ((nxt > lo) & (nxt < hi))
+            if not inside.all():  # bisect in t, or halve while lo = 0
+                nxt = np.where(inside, nxt, np.where(lo == 0.0, 0.5 * hi, lo * np.sqrt(hi / lo)))
+                move = np.abs(np.log(nxt / x))
+            lam = np.minimum(np.maximum(nxt, lo * grow), hi / grow)  # a pair stays inside
+            pair = not pair and move.max() < 1e-6
     raise NumericError("Luxemburg gauge did not converge in 200 steps")
 
 

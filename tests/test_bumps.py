@@ -175,6 +175,20 @@ class TestYoung:
         with pytest.raises(DomainError):
             YoungSpec("custom")
 
+    def test_ensure_young_caches_a_passing_verdict(self, monkeypatch):
+        # the grid check runs once per spec that passes; one that fails is
+        # checked and raises again on every call
+        grid_checks, real_A = [], YoungSpec.A
+        monkeypatch.setattr(YoungSpec, "A",
+                            lambda self, t: grid_checks.append(self) or real_A(self, t))
+        ensure_young.cache_clear()
+        good, bad = YoungSpec("power_over_log", 2.5, 0.5), YoungSpec("power", 0.5, 0.0)
+        for _ in range(3):
+            ensure_young(good)
+            with pytest.raises(AdmissibilityError, match="not above 1"):
+                ensure_young(bad)
+        assert grid_checks.count(good) == 1 and grid_checks.count(bad) == 3
+
     def test_json_keys(self):
         # missing q and eps keep their defaults; a key not in the spec is an error
         assert YoungSpec.from_json_dict({"family": "power_over_log"}) == \
@@ -301,6 +315,17 @@ class TestYoung:
             assert np.array_equal(got, want)
         assert np.array_equal(A[1:], table.A_and_elasticity(np.array([1.0]))[0])
 
+    def test_conjugate_table_lookup_at_nan(self):
+        # nan's index cast reads segment 0 and gives Abar = nan, where it
+        # raised IndexError; the other entries are read as on their own
+        table = ConjugateTable(YoungSpec("power_over_log", 2.0, 1.0))
+        s = np.array([np.nan, 1.0, 0.0, np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            A, e = table.A_and_elasticity(s)
+        assert np.isnan(A[[0, 4]]).all() and np.all(e[[0, 4]] == table._slope[0])
+        for got, want in zip((A, e), table.A_and_elasticity(s[1:4])):
+            assert np.array_equal(got[1:4], want)
+
 
 class TestLuxemburg:
     def test_norm_of_one_is_one(self):
@@ -375,15 +400,16 @@ class TestLuxemburg:
 
     class _Counted:
         """A gauge that counts its A_and_elasticity calls, and records the
-        row width of each, which names the level it serves."""
+        shape of each and its row width, which names the level it serves."""
 
         def __init__(self, gauge):
-            self.gauge, self.calls, self.widths = gauge, 0, []
+            self.gauge, self.calls, self.widths, self.shapes = gauge, 0, [], []
             self.q, self.inv_one = gauge.q, gauge.inv_one
 
         def A_and_elasticity(self, x):
             self.calls += 1
             self.widths.append(np.shape(x)[-1])
+            self.shapes.append(np.shape(x))
             return self.gauge.A_and_elasticity(x)
 
     @staticmethod
@@ -483,11 +509,31 @@ class TestLuxemburg:
             assert gauge.widths.count(1 << (12 - level)) <= 2
 
     def test_iteration_cap_raises(self, monkeypatch):
-        # a tolerance of 0 can never be met: the cap raises, not a silent bracket
+        # a tolerance of 0 can never be met: the cap raises, not a silent
+        # bracket, after 200 calls of A in all on the level that fails (the
+        # first above the leaves, of width 2), not 200 per phase
         monkeypatch.setattr(bumps, "GAUGE_REL_TOL", 0.0)
         f = np.exp(np.random.default_rng(16).standard_normal(8))
+        gauge = self._Counted(YoungSpec("power_over_log", 2.0, 1.0))
         with pytest.raises(NumericError):
-            _luxemburg_norms(f, YoungSpec("power_over_log", 2.0, 1.0))
+            _luxemburg_norms(f, gauge)
+        assert gauge.calls == gauge.widths.count(2) == 200
+
+    def test_pair_that_closes_some_rows(self, monkeypatch):
+        # at tol = 3e-15 some closing pairs close only part of a level: the
+        # other rows go back to phase 1 by themselves (calls of A on fewer
+        # rows than their level has) and still close, certified
+        monkeypatch.setattr(bumps, "GAUGE_REL_TOL", 3e-15)
+        young, shapes = YoungSpec("power_over_log", 2.0, 1.0), []
+        for seed in range(10):
+            f = np.exp(np.random.default_rng(seed).normal(0.0, 1.5, 1 << 8))
+            for conjugate in (False, True):
+                gauge = self._Counted(self._gauge(young, conjugate))
+                for level, lam in enumerate(gauge_levels(f, gauge)):
+                    self._assert_certified(f.reshape(1 << level, -1), lam,
+                                           self._A(young, conjugate))
+                shapes += gauge.shapes
+        assert any(shape[-2] < (1 << 8) // shape[-1] for shape in shapes)
 
     @pytest.mark.parametrize("young,conjugate", GAUGES)
     def test_extreme_inputs(self, young, conjugate):
