@@ -12,6 +12,11 @@ attempted and failed counts.  The summary gives, per end-to-end metric
 of NEW_TREE/BENCHMARK.json, both medians and their relative change
 (new - old) / old, the old runs' quartiles and their spread (q3 - q1,
 inclusive method) and the pairs each side won; a tie counts for neither.
+A verdict line per metric then says whether a gain may be claimed (the
+new tree won at least 9 in 10 of the pairs and its median beats the old
+median by more than the old quartile spread, in the metric's better
+direction) and whether the new median is within the metric's bound, a
+relative worsening of at most `bound`.
 Exits 1 if any run was not correct or had a failed operation, else 0.
 """
 
@@ -23,6 +28,7 @@ import sys
 from pathlib import Path
 
 PAIRS = 10
+CLAIM_WINS = 0.9  # the share of pairs the new tree must win to claim a gain
 
 
 def run_once(tree: Path, workload: str, seconds: float) -> dict:
@@ -68,6 +74,19 @@ def summary_lines(rows, n_pairs: int) -> list:
             for name, old, new, q1, q3, new_won, old_won in rows]
 
 
+def verdict(row, n_pairs: int, better: str, bound: float) -> str:
+    """The claim and bound verdicts of a summarize row whose metric is
+    better "lower" or "higher" and may worsen by the relative bound."""
+    name, old, new, q1, q3, new_won, _ = row
+    gain = (new - old) if better == "higher" else (old - new)
+    claim = new_won >= CLAIM_WINS * n_pairs and gain > q3 - q1
+    within = gain / old >= -bound
+    return (f"{name}: gain claim {'holds' if claim else 'does not hold'} "
+            f"(new won {new_won}/{n_pairs}, gain {gain:.6g} vs old spread {q3 - q1:.6g}); "
+            f"{'within' if within else 'outside'} bound {bound:g} "
+            f"(worsening {-gain / old:+.2%})")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_tree", type=Path)
@@ -76,6 +95,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.new_tree / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     pairs, clean = [], True
     for i in range(PAIRS):
@@ -86,7 +106,10 @@ def main(argv=None) -> int:
             clean &= result[side]["correct"] and result[side]["failed"] == 0
             print(run_line(side, i, result[side], better), flush=True)
         pairs.append((result["old"], result["new"]))
-    print("\n".join(summary_lines(summarize(pairs, better), PAIRS)))
+    rows = summarize(pairs, better)
+    print("\n".join(summary_lines(rows, PAIRS)))
+    print("\n".join(verdict(row, PAIRS, better[row[0]], bound[row[0]])
+                     for row in rows))
     return 0 if clean else 1
 
 

@@ -338,7 +338,8 @@ class ConjugateTable:
         u = np.log(np.maximum(s, 1e-300))
         ls = self.log_s
         h = ls[1] - ls[0]
-        k = np.minimum((u - (ls[0] - h)) * (1.0 / h), len(ls)).astype(np.intp)
+        with np.errstate(invalid="ignore"):  # the cast of nan is invalid
+            k = np.minimum((u - (ls[0] - h)) * (1.0 / h), len(ls)).astype(np.intp)
         k -= u < self._edges.take(k, mode="clip")
         k += u >= self._edges[1:].take(k, mode="clip")
         slope = self._slope.take(k, mode="clip")

@@ -168,8 +168,13 @@ class WeightPair:
         return self.p / (self.p - 1.0)
 
     def swapped(self) -> "WeightPair":
-        """The dual pair (sigma, w) with the conjugate exponent."""
-        return WeightPair(self.geometry, self.sigma_leaves, self.w_leaves, self.p_dual)
+        """The dual pair (sigma, w) at p', holding this pair's leaves and pyramids swapped."""
+        dual = object.__new__(WeightPair)
+        dual.geometry, dual.p = self.geometry, self.p_dual
+        dual.w_leaves, dual.sigma_leaves = self.sigma_leaves, self.w_leaves
+        dual.w_mass_flat, dual.sigma_mass_flat = self.sigma_mass_flat, self.w_mass_flat
+        dual.w_avg_flat, dual.sigma_avg_flat = self.sigma_avg_flat, self.w_avg_flat
+        return dual
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,13 +319,14 @@ def stopping_time_family(sigma_avg_flat, a: float) -> SparseFamily:
         raise DomainError(f"stopping threshold a must exceed 1, got {a}")
     mask = np.zeros(len(sigma_avg_flat), dtype=bool)
     mask[0] = True
-    # stop[j]: the average of the stopping cube governing cube j of the level
-    stop = sigma_avg_flat[:1]
+    # thr[j]: a times the average of the stopping cube governing cube j of the level
+    scaled = a * sigma_avg_flat
+    thr = scaled[:1]
     for level in range(1, len(sigma_avg_flat).bit_length()):
         lo, hi = (1 << level) - 1, (2 << level) - 1
-        avg, m, stop = sigma_avg_flat[lo:hi], mask[lo:hi], stop.repeat(2)
-        np.greater(avg, a * stop, out=m)
-        np.copyto(stop, avg, where=m)
+        m, thr = mask[lo:hi], thr.repeat(2)
+        np.greater(sigma_avg_flat[lo:hi], thr, out=m)
+        np.copyto(thr, scaled[lo:hi], where=m)
     return SparseFamily(mask)
 
 

@@ -176,8 +176,8 @@ def anneal(objective: Objective, config: SearchConfig) -> SearchResult:
             cur_val = evaluate(objective, current)
             evals += 1
         else:
-            pw = log_w + 0.5 * rng.standard_normal(n)
-            ps = log_sigma + 0.5 * rng.standard_normal(n)
+            step_w, step_s = 0.5 * rng.standard_normal((2, n))  # the stream of two draws of n
+            pw, ps = log_w + step_w, log_sigma + step_s
             cand = _instance(config, np.exp(pw), np.exp(ps), objective.p, family_seed)
             val = evaluate(objective, cand)
             evals += 1
@@ -185,9 +185,7 @@ def anneal(objective: Objective, config: SearchConfig) -> SearchResult:
             if delta >= 0 or rng.random() < math.exp(delta / max(temperature, 1e-12)):
                 log_w, log_sigma, current, cur_val = pw, ps, cand, val
         if step % refresh_every == 0 and config.strategy == "stopping_time":
-            current = _instance(config, np.exp(log_w), np.exp(log_sigma),
-                                objective.p, family_seed)
-            cur_val = evaluate(objective, current)
+            cur_val = evaluate(objective, current)  # current holds sigma's family already
             evals += 1
         if cur_val > best_val:
             best_val, best_inst = cur_val, current

@@ -458,3 +458,29 @@ class TestBenchPairs:
             "0.2-0.2 (spread 0); new won 1/4, old won 2/4"]
         assert bench.run_line("new", 3, pairs[3][1], ["throughput_per_s"]) == \
             "pair 3 new: throughput_per_s=9 correct=True attempted=40 failed=0"
+
+        # verdicts on each side of the claim rule (>= 9/10 pairs won and a
+        # median gain above the old quartile spread) and of the bound
+        ten = [(run(10.0 + i / 10, 0.2), run(12.0 + i / 10 if i else 9.0, 0.24))
+               for i in range(10)]
+        thr, setup = bench.summarize(ten, {"throughput_per_s": "higher", "setup_s": "lower"})
+        assert thr[0] == "throughput_per_s" and thr[-2:] == (9, 1)
+        assert thr[1:5] == pytest.approx((10.45, 12.45, 10.225, 10.675))
+        assert bench.verdict(thr, 10, "higher", 0.25) == (
+            "throughput_per_s: gain claim holds (new won 9/10, gain 2 vs old spread 0.45); "
+            "within bound 0.25 (worsening -19.14%)")
+        assert bench.verdict(setup, 10, "lower", 0.25) == (
+            "setup_s: gain claim does not hold (new won 0/10, gain -0.04 vs old spread 0); "
+            "within bound 0.25 (worsening +20.00%)")
+        verdicts = {  # (row, better, bound): (claim holds, within bound)
+            (("t", 10.0, 12.0, 9.5, 10.5, 8, 2), "higher", 0.25): (False, True),  # 8/10 won
+            (("t", 10.0, 10.9, 9.5, 10.5, 10, 0), "higher", 0.25): (False, True),  # 0.9 < 1
+            (("t", 10.0, 11.1, 9.5, 10.5, 10, 0), "higher", 0.25): (True, True),
+            (("t", 10.0, 7.4, 9.5, 10.5, 0, 10), "higher", 0.25): (False, False),  # -26 %
+            (("s", 0.2, 0.26, 0.2, 0.2, 0, 10), "lower", 0.25): (False, False),  # +30 %
+            (("s", 0.2, 0.1, 0.18, 0.22, 9, 1), "lower", 0.25): (True, True),
+            (("m", 40.0, 43.0, 39.0, 41.0, 0, 10), "lower", 0.1): (False, True)}  # +7.5 %
+        for (row, better, bound), (claim, within) in verdicts.items():
+            line = bench.verdict(row, 10, better, bound)
+            assert ("gain claim holds" in line) == claim, line
+            assert (f"within bound {bound:g}" in line) == within, line

@@ -147,6 +147,17 @@ class TestMassPyramid:
         assert dual.p == pytest.approx(1.5)
         assert np.allclose(dual.w_leaves, sigma)
         assert np.allclose(dual.sigma_leaves, w)
+        # the dual holds the pair's pyramids, swapped, and they are bit for bit
+        # the pyramids of a pair built from (sigma, w) afresh
+        fresh = WeightPair(g, sigma, w, pair.p_dual)
+        for name, mine in (("w_mass_flat", pair.sigma_mass_flat),
+                           ("sigma_mass_flat", pair.w_mass_flat),
+                           ("w_avg_flat", pair.sigma_avg_flat),
+                           ("sigma_avg_flat", pair.w_avg_flat)):
+            assert getattr(dual, name) is mine
+            assert getattr(dual, name).tobytes() == getattr(fresh, name).tobytes()
+        assert dual.p == fresh.p and dual.geometry == fresh.geometry
+        assert [v.tolist() for v in dual.sigma_avgs] == [v.tolist() for v in fresh.sigma_avgs]
 
     def test_rejects_bad_inputs(self):
         g = TreeGeometry(2)

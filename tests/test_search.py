@@ -13,6 +13,7 @@ from sparsebump import (Objective, SearchConfig, anneal, evaluate, sweep_results
 from sparsebump.bumps import (BumpSpec, YoungSpec, maximal_bound_constant,
                               sepcon_constant)
 from sparsebump.dyadic import STRATEGIES, DomainError, instance_from_dict
+from sparsebump import search
 from sparsebump.search import sweep_csv
 from sparsebump.testing import maximal_norm_lower
 
@@ -163,6 +164,19 @@ class TestAnneal:
             res = anneal(self.OBJ, SearchConfig(depth=8, dist="mixed", steps=100, seed=seed))
             assert res.evaluations == evaluations
             assert res.best_ratio == pytest.approx(ratio, rel=1e-9, abs=0.0)
+
+    def test_refresh_reevaluates_without_rebuilding(self, monkeypatch):
+        # 100 steps build 100 instances: the start, 9 restarts and 90
+        # proposals; the 19 stopping-time refreshes re-evaluate current, which
+        # still counts in evaluations, and build nothing.  A tower family has
+        # no refresh, so it reports one evaluation per instance
+        built, real = [], search._instance
+        monkeypatch.setattr(search, "_instance", lambda *args: built.append(args) or real(*args))
+        res = anneal(self.OBJ, SearchConfig(depth=4, steps=100, seed=0))
+        assert (len(built), res.evaluations) == (100, 119)
+        built.clear()
+        res = anneal(self.OBJ, SearchConfig(depth=4, strategy="tower", steps=100, seed=0))
+        assert (len(built), res.evaluations) == (100, 100)
 
     def test_inadmissible_spec_rejected(self):
         obj = Objective("main_theorem", p=2.0,
