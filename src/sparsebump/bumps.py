@@ -196,16 +196,13 @@ def check_bump(spec: BumpSpec) -> AdmissibilityReport:
     return AdmissibilityReport(ok=not reasons, reasons=reasons, s_psi=s_psi)
 
 
-_admissibility_cache: dict = {}
+# keyed on the spec itself: a cached spec keeps its custom functions alive,
+# so a later function can never be mistaken for a freed one
+_admissibility_report = lru_cache(maxsize=32)(check_bump)
 
 
 def ensure_admissible(spec: BumpSpec) -> AdmissibilityReport:
-    # keyed on the spec itself: the cache keeps custom functions alive, so
-    # a later function can never be mistaken for a freed one
-    report = _admissibility_cache.get(spec)
-    if report is None:
-        report = check_bump(spec)
-        _admissibility_cache[spec] = report
+    report = _admissibility_report(spec)
     if not report.ok:
         raise AdmissibilityError("inadmissible bump spec: " + "; ".join(report.reasons))
     return report

@@ -74,7 +74,7 @@ def cmd_gen(args) -> int:
     cfg = search_mod.SearchConfig(depth=args.depth, eta=args.eta,
                                   strategy=args.strategy, dist=args.dist,
                                   dist_params=args.dist_params, seed=args.seed)
-    data = search_mod.random_instance(cfg, args.seed, args.p).to_json_dict()
+    data = search_mod.random_instance(cfg, args.p).to_json_dict()
     # keep the file valid instance JSON: the config echo rides in a meta key
     # (the header's last word is the config hash)
     data["meta"] = {"config": config, "config_hash": _config_header(config).split()[-1]}
@@ -185,7 +185,7 @@ def _random_corpus(trials: int, seed: int):
         cfg = search_mod.SearchConfig(depth=depth, eta=eta, strategy=strategy, dist=dist,
                                       dist_params=(0.0, 1.5) if dist == "lognormal" else None,
                                       seed=seed + i)
-        yield seed + i, search_mod.random_instance(cfg, seed + i, p)
+        yield seed + i, search_mod.random_instance(cfg, p)
 
 
 def cmd_check(args) -> int:

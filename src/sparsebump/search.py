@@ -21,8 +21,17 @@ from .bumps import (DEFAULT_YOUNG, BumpSpec, YoungSpec, _cube_averages,
                     nu_constant, orlicz_li_constant, sepcon_constant)
 from .testing import maximal_norm_lower, testing_constant
 
-OBJECTIVE_KINDS = ("main_theorem", "conjecture_nc", "conjecture_sepcon",
-                   "maximal_bound", "prop31_orlicz", "prop31_entropy")
+# objective kind -> its denominator at (pair, S, objective); each entry looks
+# its bump constant up in this module's globals when it is called
+OBJECTIVE_KINDS = {
+    "main_theorem": lambda pair, S, obj: nu_constant(pair, obj.spec, S) ** (1.0 / pair.p),
+    "conjecture_nc": lambda pair, S, obj: maximal_bound_constant(pair, obj.spec, "all"),
+    "conjecture_sepcon": lambda pair, S, obj: sepcon_constant(pair, obj.young, "all"),
+    "maximal_bound": lambda pair, S, obj: maximal_bound_constant(pair, obj.spec, "all"),
+    "prop31_orlicz": lambda pair, S, obj: orlicz_li_constant(pair, obj.young, obj.spec,
+                                                              "all")[0],
+    "prop31_entropy": lambda pair, S, obj: entropy_constant(pair, obj.spec, "all"),
+}
 
 # default dist params: lognormal (mu, s), spike (mass, support fraction); mixed draws its own
 DIST_PARAMS = {"lognormal": (0.0, 1.0), "spike": (1.0, 0.25), "mixed": ()}
@@ -103,40 +112,29 @@ def _draw_pair(config: SearchConfig, seed: int):
     return _draw_leaves(rng, n, "lognormal", (0.0, 1.0)), sigma
 
 
-def _instance(config: SearchConfig, w, sigma, p: float, family_seed: int) -> Instance:
+def _instance(config: SearchConfig, w, sigma, p: float) -> Instance:
     """The pair (w, sigma) at p with the family config derives from it."""
     geometry = TreeGeometry(config.depth)
     pair = WeightPair(geometry, w, sigma, p)
-    family = generate_sparse(geometry, config.strategy, config.eta, family_seed,
+    family = generate_sparse(geometry, config.strategy, config.eta, config.seed,
                              sigma_avg_flat=pair.sigma_avg_flat)
     return Instance(pair, family, {"strategy": config.strategy, "eta": config.eta,
-                                   "seed": family_seed})
+                                   "seed": config.seed})
 
 
-def random_instance(config: SearchConfig, seed: int, p: float = 2.0) -> Instance:
-    """Deterministic random weight pair at p plus its family."""
-    return _instance(config, *_draw_pair(config, seed), p, seed)
+def random_instance(config: SearchConfig, p: float = 2.0) -> Instance:
+    """Deterministic random weight pair at p plus its family, both from config.seed."""
+    return _instance(config, *_draw_pair(config, config.seed), p)
 
 
 def evaluate(objective: Objective, instance: Instance) -> float:
-    """Objective ratio (numerator over bump constant) for one instance."""
-    pair = instance.pair
-    if abs(pair.p - objective.p) > 1e-12:
-        pair = WeightPair(pair.geometry, pair.w_leaves, pair.sigma_leaves, objective.p)
-    S = instance.family
-    kind = objective.kind
-    num = (maximal_norm_lower(pair, budget=8, seed=1) if kind == "maximal_bound"
+    """Objective ratio (numerator over bump constant) for one instance at the objective's p."""
+    pair, S = instance.pair, instance.family
+    if pair.p != objective.p:
+        raise DomainError(f"instance at p = {pair.p} for an objective at p = {objective.p}")
+    num = (maximal_norm_lower(pair, budget=8, seed=1) if objective.kind == "maximal_bound"
            else testing_constant(pair, S)[0])
-    if kind == "main_theorem":
-        den = nu_constant(pair, objective.spec, S) ** (1.0 / pair.p)
-    elif kind in ("conjecture_nc", "maximal_bound"):
-        den = maximal_bound_constant(pair, objective.spec, "all")
-    elif kind == "conjecture_sepcon":
-        den = sepcon_constant(pair, objective.young, "all")
-    elif kind == "prop31_orlicz":
-        den, _ = orlicz_li_constant(pair, objective.young, objective.spec, "all")
-    else:  # prop31_entropy
-        den = entropy_constant(pair, objective.spec, "all")
+    den = OBJECTIVE_KINDS[objective.kind](pair, S, objective)
     if den < 1e-300:
         raise NumericError("objective denominator underflowed")
     return num / den
@@ -149,41 +147,39 @@ def _sub_ap_fraction(instance: Instance, p: float) -> float:
 
 def anneal(objective: Objective, config: SearchConfig) -> SearchResult:
     """Simulated annealing over leaf log-densities with periodic restarts
-    and stopping-time family refreshes; best instance re-verified."""
+    and stopping-time family refreshes; best instance re-verified.
+
+    The start, each restart and each proposal is a candidate: its (2, n)
+    log-densities (log w, log sigma) are built into an instance and
+    evaluated on one path, with the densities floored at DENSITY_FLOOR
+    as instance_from_dict floors a reload, so the stored best replays
+    exactly.  A restart is accepted without a draw."""
     ensure_admissible(objective.spec)
     rng = np.random.default_rng(np.uint64(config.seed))
     n = 1 << config.depth
     restart_every = max(1, config.steps // 10)
     refresh_every = max(1, config.steps // 20)
+    evals = 0
 
-    def fresh(seed):
-        w, sigma = _draw_pair(config, seed)
-        return np.log(w), np.log(sigma)
+    def candidate(log_ws):
+        nonlocal evals
+        evals += 1
+        inst = _instance(config, *np.maximum(np.exp(log_ws), DENSITY_FLOOR), objective.p)
+        return inst, evaluate(objective, inst)
 
-    log_w, log_sigma = fresh(config.seed)
-    family_seed = config.seed
-    current = _instance(config, np.exp(log_w), np.exp(log_sigma), objective.p, family_seed)
-    cur_val = evaluate(objective, current)
+    log_ws = np.log(_draw_pair(config, config.seed))
+    current, cur_val = candidate(log_ws)
     best_val, best_inst = cur_val, current
     trace = [best_val]
     temperature = T0
-    evals = 1
     for step in range(1, config.steps):
-        if step % restart_every == 0:
-            log_w, log_sigma = fresh(config.seed + step)
-            current = _instance(config, np.exp(log_w), np.exp(log_sigma),
-                                objective.p, family_seed)
-            cur_val = evaluate(objective, current)
-            evals += 1
-        else:
-            step_w, step_s = 0.5 * rng.standard_normal((2, n))  # the stream of two draws of n
-            pw, ps = log_w + step_w, log_sigma + step_s
-            cand = _instance(config, np.exp(pw), np.exp(ps), objective.p, family_seed)
-            val = evaluate(objective, cand)
-            evals += 1
-            delta = val - cur_val
-            if delta >= 0 or rng.random() < math.exp(delta / max(temperature, 1e-12)):
-                log_w, log_sigma, current, cur_val = pw, ps, cand, val
+        restart = step % restart_every == 0
+        cand_ws = (np.log(_draw_pair(config, config.seed + step)) if restart
+                   else log_ws + 0.5 * rng.standard_normal((2, n)))
+        cand, val = candidate(cand_ws)
+        delta = val - cur_val
+        if restart or delta >= 0 or rng.random() < math.exp(delta / max(temperature, 1e-12)):
+            log_ws, current, cur_val = cand_ws, cand, val
         if step % refresh_every == 0 and config.strategy == "stopping_time":
             cur_val = evaluate(objective, current)  # current holds sigma's family already
             evals += 1

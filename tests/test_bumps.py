@@ -786,7 +786,7 @@ class TestOrliczConstants:
         spec = BumpSpec()
         abar = _conjugate_table(self.YOUNG)
         corpus = random_corpus(8, seed=31, depths=(2, 3, 4, 5), ps=(2.0, 3.0))
-        corpus.append(random_instance(SearchConfig(depth=6, dist="lognormal"), 0, 3.0))
+        corpus.append(random_instance(SearchConfig(depth=6, dist="lognormal"), 3.0))
         for inst in corpus:
             pair, S = inst.pair, inst.family
             p, pd = pair.p, pair.p_dual
@@ -834,7 +834,7 @@ class TestOrliczConstants:
 
     def test_prop31_clamps_lambda_in_both_factors(self):
         spec = BumpSpec()
-        inst = random_instance(SearchConfig(depth=6, dist="lognormal"), 0, 3.0)
+        inst = random_instance(SearchConfig(depth=6, dist="lognormal"), 3.0)
         pair, S = inst.pair, inst.family
         p, pd = pair.p, pair.p_dual
         w, s = _select(pair.w_avg_flat, S), _select(pair.sigma_avg_flat, S)

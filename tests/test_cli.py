@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import cli_env, random_corpus
-from sparsebump import testing
+from sparsebump import cli, testing
 from sparsebump.bumps import BumpSpec, nu_lambdas
 from sparsebump.cli import _lemma_reports, main
 from sparsebump.dyadic import instance_from_dict
@@ -149,6 +149,15 @@ class TestCheck:
     def test_unknown_suite_is_usage_error(self):
         assert run_cli("check", "--suite", "bogus") == 2
 
+    def test_hard_failure_exits_1_and_names_the_seed(self, tmp_path, capsys, monkeypatch):
+        failing = testing.CheckReport.make("cov_forced", 2.0, 1.0, bound=1.0, hard=True)
+        monkeypatch.setattr(cli, "_cov_reports", lambda pair, S: [failing])
+        out = tmp_path / "check.csv"
+        assert run_cli("check", "--suite", "cov", "--trials", "1", "--seed", "4",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == "hard-assert failure: cov_forced (instance seed 4)\n"
+        assert read(out).splitlines()[3].startswith("seed4_cov_forced,")
+
     def test_one_testing_constant_per_pair(self, tmp_path, instance_a, monkeypatch):
         # the pair, its dual and the four scaled pairs of the homogeneity
         # rows, each once
@@ -225,6 +234,14 @@ class TestSearch:
         result = json.loads(read(res))["result"]
         assert result["best_ratio"] == float(best[1])
         assert result["evaluations"] == int(best[2])
+
+    def test_prop31_orlicz_at_p3_reverifies(self, tmp_path, capsys):
+        # its walks reach sigma leaves below the density floor; the stored
+        # best must replay to the ratio the anneal evaluated
+        assert run_cli("search", "--objective", "prop31_orlicz", "--p", "3",
+                       "--depths", "3", "5", "--steps", "150", "--seed", "3",
+                       "--out", str(tmp_path / "s.csv")) == 0
+        assert capsys.readouterr().err == ""
 
     def test_unknown_objective_is_usage_error(self):
         assert run_cli("search", "--objective", "bogus") == 2

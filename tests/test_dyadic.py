@@ -318,8 +318,24 @@ class TestGenerators:
             assert want == oracles.brute_stopping_time(sigma, 1.5, 1)
 
     def test_unknown_strategy(self):
-        with pytest.raises(DomainError):
-            generate_sparse(TreeGeometry(2), "nope", 0.5, 0)
+        # and every other input the generator rejects, each for its own reason
+        geometry = TreeGeometry(2)
+        avgs = WeightPair(geometry, np.ones(4), np.ones(4), 2.0).sigma_avg_flat
+        rejected = [
+            ("unknown strategy", lambda: generate_sparse(geometry, "nope", 0.5, 0)),
+            ("eta must lie", lambda: generate_sparse(geometry, "tower", 0.0, 0)),
+            ("eta must lie", lambda: generate_sparse(geometry, "tower", 1.5, 0)),
+            ("needs sigma_avg_flat", lambda: generate_sparse(geometry, "stopping_time", 0.5, 0)),
+            ("needs eta < 1", lambda: generate_sparse(geometry, "stopping_time", 1.0, 0,
+                                                      sigma_avg_flat=avgs)),
+            ("packing 3 > 1/eta", lambda: generate_sparse(geometry, "all_above_level:2",
+                                                          0.5, 0)),
+            ("must exceed 1", lambda: stopping_time_family(avgs, 1.0)),
+            ("must exceed 1", lambda: stopping_time_family(avgs, 0.5)),
+        ]
+        for reason, call in rejected:
+            with pytest.raises(DomainError, match=reason):
+                call()
 
 
 class TestInstanceIO:

@@ -10,12 +10,38 @@ import pytest
 from conftest import random_corpus
 from sparsebump import (Objective, SearchConfig, anneal, evaluate, sweep_results,
                         random_instance, testing_constant)
-from sparsebump.bumps import (BumpSpec, YoungSpec, maximal_bound_constant,
-                              sepcon_constant)
-from sparsebump.dyadic import STRATEGIES, DomainError, instance_from_dict
+from sparsebump.bumps import (BumpSpec, YoungSpec, entropy_constant, maximal_bound_constant,
+                              nu_constant, orlicz_li_constant, sepcon_constant)
+from sparsebump.dyadic import (DENSITY_FLOOR, STRATEGIES, DomainError, WeightPair,
+                               instance_from_dict)
 from sparsebump import search
 from sparsebump.search import sweep_csv
 from sparsebump.testing import maximal_norm_lower
+
+
+# kind -> (numerator, public denominator, rel tolerance), recomputed outside
+# search.OBJECTIVE_KINDS
+EXPECTED = {
+    "main_theorem": (lambda pair, S: testing_constant(pair, S)[0],
+                     lambda pair, S, obj: nu_constant(pair, obj.spec, S) ** (1.0 / pair.p),
+                     1e-10),
+    "conjecture_nc": (lambda pair, S: testing_constant(pair, S)[0],
+                      lambda pair, S, obj: maximal_bound_constant(pair, obj.spec, "all"),
+                      1e-10),
+    "conjecture_sepcon": (lambda pair, S: testing_constant(pair, S)[0],
+                          lambda pair, S, obj: sepcon_constant(pair, obj.young, "all"),
+                          1e-10),
+    "maximal_bound": (lambda pair, S: maximal_norm_lower(pair, budget=8, seed=1),
+                      lambda pair, S, obj: maximal_bound_constant(pair, obj.spec, "all"),
+                      1e-9),
+    "prop31_orlicz": (lambda pair, S: testing_constant(pair, S)[0],
+                      lambda pair, S, obj: orlicz_li_constant(pair, obj.young, obj.spec,
+                                                              "all")[0],
+                      1e-10),
+    "prop31_entropy": (lambda pair, S: testing_constant(pair, S)[0],
+                       lambda pair, S, obj: entropy_constant(pair, obj.spec, "all"),
+                       1e-10),
+}
 
 
 class TestObjective:
@@ -23,42 +49,35 @@ class TestObjective:
         with pytest.raises(DomainError):
             Objective("nope")
 
-    def test_evaluate_main_theorem_matches_components(self):
-        obj = Objective("main_theorem", p=2.0)
-        for inst in random_corpus(20, seed=30, ps=(2.0,), depths=(3, 4)):
-            from sparsebump.bumps import nu_constant
-            tc, _ = testing_constant(inst.pair, inst.family)
-            nu = nu_constant(inst.pair, obj.spec, inst.family)
-            assert evaluate(obj, inst) == pytest.approx(tc / nu ** 0.5, rel=1e-10)
+    @pytest.mark.parametrize("kind", list(search.OBJECTIVE_KINDS))
+    def test_evaluate_is_numerator_over_denominator(self, kind):
+        numerator, denominator, rel = EXPECTED[kind]
+        for inst in random_corpus(100, seed=31, ps=(2.0, 3.0), depths=(2, 3, 4)):
+            obj = Objective(kind, p=inst.pair.p)
+            want = numerator(inst.pair, inst.family) / denominator(inst.pair, inst.family, obj)
+            assert evaluate(obj, inst) == pytest.approx(want, rel=rel, abs=0.0)
+        # homogeneous of degree 0 in w
+        for p in (2.0, 3.0):
+            obj = Objective(kind, p=p)
+            inst = random_instance(SearchConfig(depth=5, seed=9), p)
+            base = evaluate(obj, inst)
+            for c in (1e-4, 1e4):
+                pair = WeightPair(inst.pair.geometry, c * inst.pair.w_leaves,
+                                  inst.pair.sigma_leaves, p)
+                scaled = evaluate(obj, dataclasses.replace(inst, pair=pair))
+                assert scaled == pytest.approx(base, rel=1e-12, abs=0.0), (p, c)
 
-    def test_evaluate_nc_denominator_matches_bumps_module(self):
-        # right side of the new maximal bound, recomputed independently
-        obj = Objective("conjecture_nc", p=2.0)
-        for inst in random_corpus(100, seed=31, ps=(2.0,), depths=(2, 3, 4)):
-            tc, _ = testing_constant(inst.pair, inst.family)
-            den = maximal_bound_constant(inst.pair, obj.spec, "all")
-            assert evaluate(obj, inst) == pytest.approx(tc / den, rel=1e-10)
-
-    def test_evaluate_sepcon_denominator_matches_bumps_module(self):
-        obj = Objective("conjecture_sepcon", p=2.0)
-        for inst in random_corpus(100, seed=32, ps=(2.0,), depths=(2, 3)):
-            tc, _ = testing_constant(inst.pair, inst.family)
-            den = sepcon_constant(inst.pair, obj.young, "all")
-            assert evaluate(obj, inst) == pytest.approx(tc / den, rel=1e-10)
-
-    def test_evaluate_maximal_bound_kind(self):
-        obj = Objective("maximal_bound", p=2.0)
-        inst = random_instance(SearchConfig(depth=3, seed=1), 1)
-        num = maximal_norm_lower(inst.pair, budget=8, seed=1)
-        den = maximal_bound_constant(inst.pair, obj.spec, "all")
-        assert evaluate(obj, inst) == pytest.approx(num / den, rel=1e-9)
+    def test_pair_at_another_p_rejected(self):
+        inst = random_instance(SearchConfig(depth=3, seed=1), 2.0)
+        with pytest.raises(DomainError, match="p = 2.0 for an objective at p = 3.0"):
+            evaluate(Objective("main_theorem", p=3.0), inst)
 
 
 class TestRandomInstance:
     def test_deterministic(self):
         cfg = SearchConfig(depth=4, seed=5)
-        a = random_instance(cfg, 5)
-        b = random_instance(cfg, 5)
+        a = random_instance(cfg)
+        b = random_instance(cfg)
         assert np.array_equal(a.pair.w_leaves, b.pair.w_leaves)
         assert a.family.cubes == b.family.cubes
 
@@ -66,19 +85,19 @@ class TestRandomInstance:
         rng = np.random.default_rng(np.uint64(7))
         sigma = np.exp(0.0 + 1.0 * rng.standard_normal(16))
         w = np.exp(0.0 + 1.0 * rng.standard_normal(16))
-        inst = random_instance(SearchConfig(depth=4, seed=7), 7)
+        inst = random_instance(SearchConfig(depth=4, seed=7))
         assert np.array_equal(inst.pair.sigma_leaves, sigma)
         assert np.array_equal(inst.pair.w_leaves, w)
 
     def test_anneal_starts_from_the_random_instance(self):
         obj = Objective("main_theorem", p=3.0)
         cfg = SearchConfig(depth=5, seed=4, steps=1)
-        start = evaluate(obj, random_instance(cfg, cfg.seed))
+        start = evaluate(obj, random_instance(cfg, 3.0))
         assert anneal(obj, cfg).best_ratio == pytest.approx(start, rel=1e-12)
 
     def test_spike_distribution_shape(self):
         cfg = SearchConfig(depth=3, dist="spike", dist_params=(1.0, 0.25), seed=0)
-        inst = random_instance(cfg, 0)
+        inst = random_instance(cfg)
         sigma = inst.pair.sigma_leaves
         assert np.sum(sigma > 1e-9) == 2  # quarter of 8 leaves
         assert np.sum(sigma) == pytest.approx(8.0, rel=1e-9)
@@ -107,7 +126,7 @@ class TestRandomInstance:
                     for dist, params, p in laws:
                         cfg = SearchConfig(depth=depth, eta=eta, strategy=strategy, dist=dist,
                                            dist_params=params, seed=depth)
-                        inst = random_instance(cfg, depth, p)
+                        inst = random_instance(cfg, p)
                         back = instance_from_dict(inst.to_json_dict())
                         assert inst.pair.p == back.pair.p == p
                         for a, b in ((inst.pair.w_leaves, back.pair.w_leaves),
@@ -141,6 +160,21 @@ class TestAnneal:
         replay = evaluate(self.OBJ, instance_from_dict(res.best_instance))
         assert replay == pytest.approx(res.best_ratio, rel=1e-9)
 
+    def test_stored_best_is_what_was_evaluated(self):
+        # the walks of `search --objective prop31_orlicz --p 3 --depths 3 5
+        # --steps 150 --seed 3` reach sigma leaves below DENSITY_FLOOR; every
+        # candidate is floored as a reload floors it, so the stored best
+        # reloads to the evaluated leaves and replays to its ratio exactly
+        obj = Objective("prop31_orlicz", p=3.0)
+        for res in sweep_results(obj, SearchConfig(dist="mixed", steps=150, seed=3),
+                                   depths=(3, 5))[1]:
+            stored = res.best_instance
+            back = instance_from_dict(stored)
+            for name in ("w_leaves", "sigma_leaves"):
+                assert min(stored[name]) >= DENSITY_FLOOR
+                assert getattr(back.pair, name).tolist() == stored[name]
+            assert evaluate(obj, back) == res.best_ratio
+
     def test_json_dict_equals_asdict(self):
         # to_json_dict is a shallow dict of the fields; it must serialize
         # exactly as the deep dataclasses.asdict copy does
@@ -151,7 +185,7 @@ class TestAnneal:
 
     def test_search_improves_on_first_draw(self):
         cfg = SearchConfig(depth=4, steps=300, seed=2)
-        first = evaluate(self.OBJ, random_instance(cfg, 2))
+        first = evaluate(self.OBJ, random_instance(cfg))
         res = anneal(self.OBJ, cfg)
         assert res.best_ratio >= first - 1e-12
 

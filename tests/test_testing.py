@@ -519,8 +519,9 @@ class TestIndicatorRatios:
         # applied to chi_Q sigma^{1/p}, every cube at depths 0-6
         for depth, law in itertools.product(range(7), LAWS):
             for k, strategy in enumerate(STRATEGIES):
-                config = SearchConfig(depth=depth, eta=0.25, strategy=strategy, dist=law)
-                pair, S = (inst := random_instance(config, depth + 7, p)).pair, inst.family
+                config = SearchConfig(depth=depth, eta=0.25, strategy=strategy, dist=law,
+                                      seed=depth + 7)
+                pair, S = (inst := random_instance(config, p)).pair, inst.family
                 w, sigma = pair.w_leaves, pair.sigma_leaves
                 if k == 0:  # the pair is the same for every strategy
                     np.testing.assert_allclose(
@@ -549,8 +550,8 @@ class TestIndicatorRatios:
         # cube's ratio as it was
         for depth, law, strategy in itertools.product(range(8, 13), LAWS,
                                                       ("stopping_time", "random_greedy")):
-            config = SearchConfig(depth=depth, eta=0.25, strategy=strategy, dist=law)
-            pair, S = (inst := random_instance(config, depth, p)).pair, inst.family
+            config = SearchConfig(depth=depth, eta=0.25, strategy=strategy, dist=law, seed=depth)
+            pair, S = (inst := random_instance(config, p)).pair, inst.family
             w, sigma = pair.w_leaves, pair.sigma_leaves
             mirror = WeightPair(pair.geometry, w[::-1], sigma[::-1], p)
             fine = WeightPair(TreeGeometry(depth + 1), oracles.refine(w, 1),
