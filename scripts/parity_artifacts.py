@@ -20,21 +20,36 @@ this tree's `src/`:
   the two that run the Luxemburg gauges (conjecture_sepcon and
   prop31_orlicz) and maximal_bound, the one that runs `dyadic_maximal`;
 - one more maximal_bound search at p 2, `--depths 8 --steps 150 --seed
-  3`, where 511 indicator ratios make last-bit ties likeliest.
+  3`, where 511 indicator ratios make last-bit ties likeliest;
+- `constants --in` and `check --in` on two malformed instance files that
+  the CLI must refuse with exit code 2: one lacks `w_leaves`, and one
+  misspells `seed` as `sed`.
 
-`exit_codes.txt` lists each run's exit code.  Compare two sets with
-`diff -r` and `python scripts/artifact_diff.py OLD_DIR NEW_DIR`.
+`exit_codes.txt` lists each run's exit code, or `raised <ExceptionType>`
+for a run that raised out of `cli.main`.  Compare two sets with `diff -r`
+and `python scripts/artifact_diff.py OLD_DIR NEW_DIR`.
 """
 
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sparsebump import cli  # noqa: E402
 from sparsebump.dyadic import STRATEGIES  # noqa: E402
+
+
+# the malformed instance files: file name -> JSON data
+MALFORMED = {
+    "malformed_no_w.json": {"depth": 1, "p": 2.0, "sigma_leaves": [1.0, 2.0],
+                            "sparse": {"strategy": "tower", "eta": 0.5}},
+    "malformed_sed.json": {"depth": 1, "p": 2.0, "w_leaves": [1.0, 1.0],
+                           "sigma_leaves": [1.0, 2.0],
+                           "sparse": {"strategy": "random_greedy", "eta": 0.3, "sed": 5}},
+}
 
 
 def bp_boundary():
@@ -81,6 +96,19 @@ def runs():
     yield ["search", "--objective", "maximal_bound", "--p", "2", "--depths", "8",
            "--steps", "150", "--seed", "3", "--out", "search_maximal_bound_p2_d8.csv",
            "--result-out", "search_maximal_bound_p2_d8.json"]
+    for inst in MALFORMED:
+        for cmd in ("constants", "check"):
+            yield [cmd, "--in", inst, "--out", f"{cmd}_{inst.removesuffix('.json')}.csv"]
+
+
+def run(args) -> str:
+    """The exit code of one run, or what it raised; a raise prints its
+    traceback on stderr, and the set goes on."""
+    try:
+        return str(cli.main(args))
+    except Exception as exc:
+        traceback.print_exc()
+        return f"raised {type(exc).__name__}"
 
 
 def main(argv) -> int:
@@ -90,9 +118,10 @@ def main(argv) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    for _, name, data in bp_boundary():
-        Path(f"young_{name}.json").write_text(json.dumps(data, sort_keys=True) + "\n")
-    codes = [f"{cli.main(args)} {' '.join(args)}" for args in runs()]
+    inputs = {f"young_{name}.json": data for _, name, data in bp_boundary()} | MALFORMED
+    for path, data in inputs.items():
+        Path(path).write_text(json.dumps(data, sort_keys=True) + "\n")
+    codes = [f"{run(args)} {' '.join(args)}" for args in runs()]
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n")
     return 0
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dyadic import (CubeId, DomainError, NumericError, WeightPair, _avg_pyramid,
-                     _select, ancestor_accumulate, ancestor_table)
+                     _known_keys, _select, ancestor_accumulate, ancestor_table)
 
 _E = math.e
 _EE = math.exp(math.e)
@@ -50,14 +50,6 @@ def _upper(t, eps, family):
     if family == "log_power":
         return np.log(_E + t) ** (1.0 + eps)
     return np.log(_E + t) * _loglog(_EE + t) ** (1.0 + eps)
-
-
-def _known_keys(data: dict, keys) -> dict:
-    """data, once each of its keys is one of keys: a misspelt key is an error, not a default."""
-    unknown = sorted(set(data) - set(keys))
-    if unknown:
-        raise DomainError(f"unknown spec keys {unknown}, expected some of {list(keys)}")
-    return data
 
 
 @dataclass(frozen=True)
@@ -475,6 +467,12 @@ def orlicz_li_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
     return _lambda_bump(pair, spec, lam, cubes), lam
 
 
+def _lacey_norms(pair: WeightPair, young: YoungSpec, cubes) -> np.ndarray:
+    """||sigma^{1/p'}||_{Abar,Q} as a family vector in _select order."""
+    return _select(_luxemburg_norms(pair.sigma_leaves ** (1.0 / pair.p_dual),
+                                    _conjugate_table(young)), cubes)
+
+
 def orlicz_lacey_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
                           cubes="all"):
     """The lambda-bump with lambda_Q = ||sigma^{1/p'}||_{Abar,Q}^p /
@@ -485,20 +483,16 @@ def orlicz_lacey_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
     ensure_admissible(spec)
     if not young.in_bp(pair.p):
         raise AdmissibilityError("Young function is not in B_p")
-    nvec = _select(_luxemburg_norms(pair.sigma_leaves ** (1.0 / pair.p_dual),
-                                    _conjugate_table(young)), cubes)
-    lam = nvec ** pair.p / _select(pair.sigma_avg_flat, cubes) ** (pair.p - 1.0)
+    lam = _lacey_norms(pair, young, cubes) ** pair.p \
+        / _select(pair.sigma_avg_flat, cubes) ** (pair.p - 1.0)
     return _lambda_bump(pair, spec, lam, cubes), lam
 
 
 def sepcon_constant(pair: WeightPair, young: YoungSpec, cubes="all") -> float:
     """Right side of the separated-bump conjecture:
     sup_Q w_Q^{1/p} * ||sigma^{1/p'}||_{Abar,Q}."""
-    p = pair.p
     w, _ = _cube_averages(pair, cubes)
-    nvec = _select(_luxemburg_norms(pair.sigma_leaves ** (1.0 / pair.p_dual),
-                                    _conjugate_table(young)), cubes)
-    return float(np.max(w ** (1.0 / p) * nvec))
+    return float(np.max(w ** (1.0 / pair.p) * _lacey_norms(pair, young, cubes)))
 
 
 # -- dyadic maximal function and entropy bumps ------------------------------
@@ -511,20 +505,18 @@ def dyadic_maximal(f_leaves, depth: int) -> np.ndarray:
 
 
 def entropy_lambda(sigma_leaves, cube: CubeId, geometry) -> float:
-    """int_Q M(sigma chi_Q) / sigma(Q); always >= 1."""
+    """int_Q M(sigma chi_Q) / sigma(Q), always >= 1: entropy_lambdas at the
+    cube, for strictly positive finite sigma."""
     if not geometry.contains(cube):
         raise DomainError(f"cube {cube} outside the tree")
-    s = np.asarray(sigma_leaves, dtype=float)
-    leaves = cube.leaf_slice(geometry.depth)
-    # row cube.level is M(sigma chi_Q) on Q; the leaf measure 2**-depth cancels
-    m = ancestor_table(_avg_pyramid(s, geometry.depth), geometry.depth, np.maximum)
-    return float(np.sum(m[cube.level, leaves]) / np.sum(s[leaves]))
+    pair = WeightPair(geometry, sigma_leaves, sigma_leaves, 2.0)  # the lambdas read sigma only
+    return float(entropy_lambdas(pair)[cube.flat_index])
 
 
 def entropy_lambdas(pair: WeightPair, cubes="all") -> np.ndarray:
-    """entropy_lambda of every cube as a family vector in _select order:
-    row l of the running-max ancestor_table is M(sigma chi_Q) on every
-    level-l cube Q at once."""
+    """int_Q M(sigma chi_Q) / sigma(Q) of every cube Q as a family vector
+    in _select order: row l of the running-max ancestor_table is
+    M(sigma chi_Q) on every level-l cube Q at once."""
     s, depth = pair.sigma_leaves, pair.geometry.depth
     m = ancestor_table(pair.sigma_avg_flat, depth, np.maximum)
     lams = np.concatenate([m[level].reshape(1 << level, -1).sum(axis=1)

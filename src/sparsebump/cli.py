@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bumps, dyadic, search as search_mod, testing as testing_mod
 from .bumps import AdmissibilityError, BumpSpec, YoungSpec
-from .dyadic import DomainError, Instance, WeightPair
+from .dyadic import DomainError, Instance, WeightPair, load_json
 
 EXIT_OK, EXIT_ASSERT, EXIT_USAGE = 0, 1, 2
 
@@ -28,10 +28,8 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _config_header(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True)
-    digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    return f"# config {blob}\n# config_hash {digest}\n"
+def _config_hash(config: dict) -> str:
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _write(path, text: str):
@@ -42,25 +40,21 @@ def _write(path, text: str):
             fh.write(text)
 
 
-def _load_spec(path, from_json_dict):
-    """A spec from a JSON file; a malformed file is a DomainError.  The two
-    loaders below certify what they load, and main reports either error on
-    stderr and exits EXIT_USAGE."""
-    with open(path) as fh:
-        try:
-            return from_json_dict(json.load(fh))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise DomainError(f"malformed spec file {path}: {exc!r}") from exc
+def _write_csv(path, config: dict, header: str, rows):
+    """A CSV artifact: the config echo and its hash, the column names, the rows."""
+    _write(path, f"# config {json.dumps(config, sort_keys=True)}\n"
+                 f"# config_hash {_config_hash(config)}\n" + "\n".join([header, *rows]) + "\n")
 
 
+# the loaders certify what they load: main reports a rejected file and exits EXIT_USAGE
 def _load_bump_spec(path) -> BumpSpec:
-    spec = BumpSpec() if path is None else _load_spec(path, BumpSpec.from_json_dict)
+    spec = BumpSpec() if path is None else load_json(path, BumpSpec.from_json_dict)
     bumps.ensure_admissible(spec)
     return spec
 
 
 def _load_young(path) -> YoungSpec:
-    young = bumps.DEFAULT_YOUNG if path is None else _load_spec(path, YoungSpec.from_json_dict)
+    young = bumps.DEFAULT_YOUNG if path is None else load_json(path, YoungSpec.from_json_dict)
     bumps.ensure_young(young)
     return young
 
@@ -76,8 +70,7 @@ def cmd_gen(args) -> int:
                                   dist_params=args.dist_params, seed=args.seed)
     data = search_mod.random_instance(cfg, args.p).to_json_dict()
     # keep the file valid instance JSON: the config echo rides in a meta key
-    # (the header's last word is the config hash)
-    data["meta"] = {"config": config, "config_hash": _config_header(config).split()[-1]}
+    data["meta"] = {"config": config, "config_hash": _config_hash(config)}
     _write(args.out, json.dumps(data, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -110,10 +103,8 @@ def cmd_constants(args) -> int:
         rows["op_norm_p2"] = testing_mod.operator_norm_p2(S, pair)
     config = {"cmd": "constants", "in": args.infile, "cubes": args.cubes,
               "bumps": spec.to_json_dict(), "young": young.to_json_dict()}
-    lines = [_config_header(config) + "name,value"]
-    for name in sorted(rows):
-        lines.append(f"{name},{_fmt(rows[name])}")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write_csv(args.out, config, "name,value",
+               [f"{name},{_fmt(rows[name])}" for name in sorted(rows)])
     return EXIT_OK
 
 
@@ -206,10 +197,7 @@ def cmd_check(args) -> int:
             rows.append(f"{tag}_{rep.csv_row()}")
             if rep.hard and not rep.passed:
                 failed_seeds.append((inst_seed, rep.name))
-    rows.sort()
-    text = _config_header(config) + testing_mod.CHECK_CSV_HEADER + "\n" \
-        + "\n".join(rows) + "\n"
-    _write(args.out, text)
+    _write_csv(args.out, config, testing_mod.CHECK_CSV_HEADER, sorted(rows))
     if failed_seeds:
         for seed, name in failed_seeds:
             print(f"hard-assert failure: {name} (instance seed {seed})",
@@ -232,8 +220,9 @@ def cmd_search(args) -> int:
               "depths": args.depths, "steps": args.steps, "seed": args.seed,
               "eta": args.eta, "strategy": args.strategy, "dist": args.dist}
     rows, results = search_mod.sweep_results(objective, cfg, args.depths)
-    csv_text = _config_header(config) + search_mod.sweep_csv(rows)
-    _write(args.out, csv_text)
+    _write_csv(args.out, config, "depth,best_ratio,evaluations,seconds",
+               [f"{depth},{_fmt(ratio)},{evals},{_fmt(seconds)}"
+                for depth, ratio, evals, seconds in rows])
     if args.result_out:
         best = max(results, key=lambda r: r.best_ratio)
         payload = {"config": config, "result": best.to_json_dict()}
@@ -261,7 +250,7 @@ def cmd_report(args) -> int:
         header = None
         for ln in lines:
             if ln.startswith("# config_hash"):
-                config_hash = ln.split()[-1]
+                config_hash = ln.removeprefix("# config_hash").strip()
                 continue
             if ln.startswith("#") or not ln.strip():
                 continue

@@ -138,7 +138,8 @@ def _avg_pyramid(leaves, depth: int) -> np.ndarray:
 class WeightPair:
     """A couple of strictly positive leaf densities plus an exponent.
 
-    Immutable by convention.  The pyramids are flat (level, index) buffers:
+    Immutable: it holds read-only copies of the leaf vectors.  The
+    pyramids are flat (level, index) buffers:
     w_mass_flat[R.flat_index] is w(R), sigma_avg_flat[R.flat_index] R's sigma
     average (check a cube from outside against the geometry first); their
     per-level views sigma_avgs, made on first read, suit cov_sides.
@@ -147,15 +148,16 @@ class WeightPair:
     sigma_avgs = cached_property(lambda self: _level_views(self.sigma_avg_flat))
 
     def __init__(self, geometry: TreeGeometry, w_leaves, sigma_leaves, p: float):
-        w = np.asarray(w_leaves, dtype=float)
-        s = np.asarray(sigma_leaves, dtype=float)
         n = geometry.n_leaves
-        if w.shape != (n,) or s.shape != (n,):
+        if np.shape(w_leaves) != (n,) or np.shape(sigma_leaves) != (n,):
             raise DomainError(f"leaf vectors must have length {n}")
-        if not (w.min() > 0 and s.min() > 0):
+        leaves = np.array((w_leaves, sigma_leaves), dtype=float)  # one copy of both
+        leaves.flags.writeable = False  # so its rows w and s are read-only views
+        if not leaves.min() > 0:
             raise DomainError("leaf densities must be strictly positive")
-        if not (w.max() < np.inf and s.max() < np.inf):
+        if not leaves.max() < np.inf:
             raise DomainError("leaf densities must be finite")
+        w, s = leaves
         if not (1.0 < p < np.inf):
             raise DomainError(f"p must lie in (1, inf), got {p}")
         self.geometry, self.w_leaves, self.sigma_leaves, self.p = geometry, w, s, float(p)
@@ -348,9 +350,6 @@ class Instance:
             "sparse": self.sparse_config,
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def _clamp(vec: np.ndarray) -> np.ndarray:
     if np.any(vec < 0):
@@ -358,12 +357,21 @@ def _clamp(vec: np.ndarray) -> np.ndarray:
     return np.maximum(vec, DENSITY_FLOOR)
 
 
+def _known_keys(data: dict, keys) -> dict:
+    """data, once each of its keys is one of keys: a misspelt key is an error, not a default."""
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise DomainError(f"unknown spec keys {unknown}, expected some of {list(keys)}")
+    return data
+
+
 def instance_from_dict(data: dict) -> Instance:
+    _known_keys(data, ("depth", "p", "w_leaves", "sigma_leaves", "sparse", "meta"))
+    sparse = _known_keys(data["sparse"], ("strategy", "eta", "seed", "cubes"))
     geometry = TreeGeometry(int(data["depth"]))
     w = _clamp(np.asarray(data["w_leaves"], dtype=float))
     s = _clamp(np.asarray(data["sigma_leaves"], dtype=float))
     pair = WeightPair(geometry, w, s, float(data["p"]))
-    sparse = data["sparse"]
     if "cubes" in sparse:
         cubes = [CubeId(int(l), int(j)) for l, j in sparse["cubes"]]
         family = SparseFamily.build(cubes, geometry)
@@ -373,8 +381,17 @@ def instance_from_dict(data: dict) -> Instance:
     return Instance(pair, family, sparse)
 
 
-def load_instance(path: str) -> Instance:
-    """The instance in a JSON file; lines starting with "#" (a config
-    header) are skipped."""
-    with open(path) as fh:
-        return instance_from_dict(json.loads("".join(ln for ln in fh if not ln.startswith("#"))))
+def load_json(path, from_json_dict):
+    """from_json_dict of the JSON in a file, skipping lines that start with
+    "#" (a config header).  A file that is not JSON or that from_json_dict
+    cannot read is a DomainError naming the file."""
+    try:
+        with open(path) as fh:
+            return from_json_dict(json.loads("".join(ln for ln in fh if not ln.startswith("#"))))
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise DomainError(f"malformed input file {path}: {exc!r}") from exc
+
+
+def load_instance(path) -> Instance:
+    """The instance in a JSON file, read by load_json."""
+    return load_json(path, instance_from_dict)

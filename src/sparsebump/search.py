@@ -210,10 +210,3 @@ def sweep_results(objective: Objective, config: SearchConfig, depths):
         rows.append((depth, result.best_ratio, result.evaluations, 0.0))
         results.append(result)
     return rows, results
-
-
-def sweep_csv(rows) -> str:
-    lines = ["depth,best_ratio,evaluations,seconds"]
-    for depth, ratio, evals, seconds in rows:
-        lines.append(f"{depth},{ratio:.17g},{evals},{seconds:.17g}")
-    return "\n".join(lines) + "\n"

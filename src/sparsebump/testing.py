@@ -383,13 +383,9 @@ def theorem_main_ratio(pair: WeightPair, S: SparseFamily, spec: BumpSpec, tc1: f
     testing_constant(pair, S)[0], and the dual r2.  Report only; the
     theorem's constant is implicit."""
     ensure_admissible(spec)
-    nu1 = nu_constant(pair, spec, S)
     dual = pair.swapped()
-    tc2, _ = testing_constant(dual, S)
-    nu2 = nu_constant(dual, spec, S)
-    r1 = CheckReport.make("theorem_main_r1", tc1, nu1 ** (1.0 / pair.p))
-    r2 = CheckReport.make("theorem_main_r2", tc2, nu2 ** (1.0 / dual.p))
-    return r1, r2
+    return tuple(CheckReport.make(f"theorem_main_r{i}", tc, nu_constant(q, spec, S) ** (1.0 / q.p))
+                 for i, q, tc in ((1, pair, tc1), (2, dual, testing_constant(dual, S)[0])))
 
 
 def maximal_norm_lower(pair: WeightPair, budget: int, seed: int = 0) -> float:

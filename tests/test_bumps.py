@@ -664,6 +664,13 @@ class TestMaximalAndEntropy:
             with pytest.raises(DomainError):
                 entropy_lambda(np.ones(16), cube, g)
 
+    def test_entropy_lambda_rejects_sigma_not_positive_and_finite(self):
+        g = TreeGeometry(2)
+        for sigma in ([1.0, 0.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0],
+                      [1.0, np.nan, 1.0, 1.0], np.ones(8)):
+            with pytest.raises(DomainError):
+                entropy_lambda(sigma, CubeId(1, 0), g)
+
     def test_entropy_flat_pair(self):
         inst = make_instance(3, np.ones(8), np.ones(8), 2.0)
         spec = BumpSpec()

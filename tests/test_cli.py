@@ -14,7 +14,8 @@ from conftest import cli_env, random_corpus
 from sparsebump import cli, testing
 from sparsebump.bumps import BumpSpec, nu_lambdas
 from sparsebump.cli import _lemma_reports, main
-from sparsebump.dyadic import instance_from_dict
+from sparsebump.dyadic import Instance, instance_from_dict
+from sparsebump.search import Objective, evaluate
 
 
 def run_cli(*argv):
@@ -61,7 +62,7 @@ class TestConstants:
     @pytest.fixture()
     def instance_file(self, tmp_path, instance_a):
         path = tmp_path / "inst.json"
-        path.write_text(instance_a.dumps())
+        path.write_text(json.dumps(instance_a.to_json_dict(), sort_keys=True))
         return path
 
     def test_rows_and_header(self, tmp_path, instance_file):
@@ -140,7 +141,7 @@ class TestCheck:
 
     def test_single_instance_file(self, tmp_path, instance_a):
         path = tmp_path / "inst.json"
-        path.write_text(instance_a.dumps())
+        path.write_text(json.dumps(instance_a.to_json_dict(), sort_keys=True))
         out = tmp_path / "check.csv"
         assert run_cli("check", "--in", str(path), "--suite", "lemmas",
                        "--out", str(out)) == 0
@@ -162,13 +163,24 @@ class TestCheck:
         # the pair, its dual and the four scaled pairs of the homogeneity
         # rows, each once
         path = tmp_path / "inst.json"
-        path.write_text(instance_a.dumps())
+        path.write_text(json.dumps(instance_a.to_json_dict(), sort_keys=True))
         calls, real = [], testing.testing_constant
         monkeypatch.setattr(testing, "testing_constant",
                             lambda pair, S: calls.append(pair) or real(pair, S))
         assert run_cli("check", "--in", str(path), "--suite", "all",
                        "--out", str(tmp_path / "check.csv")) == 0
         assert len(calls) == 6
+
+    def test_theorem_rows_match_the_main_theorem_objective(self):
+        # check's theorem_main ratios and search's main_theorem objective are
+        # two expressions of one ratio: r1 on the instance, r2 on its dual at p'
+        for inst in random_corpus(40, seed=31):
+            pair, S = inst.pair, inst.family
+            ratios = {r.name: r.ratio for r in cli._check_one(inst, BumpSpec(), "lemmas")}
+            dual = Instance(pair.swapped(), S, {})
+            assert ratios["theorem_main_r1"] == evaluate(Objective("main_theorem", pair.p), inst)
+            assert ratios["theorem_main_r2"] == evaluate(Objective("main_theorem", pair.p_dual),
+                                                         dual)
 
     def test_lemma_rows_match_the_per_R_checkers(self):
         # the all-R pass behind `check` against the public checker of the
@@ -306,9 +318,12 @@ class TestUsageErrors:
                                           ("--young", "young_extra.json"),
                                           ("--bumps", "bumps_extra.json"),
                                           ("--bumps", "phi_extra.json"))),
+        *([cmd, "--in", name] for cmd in ("constants", "check")
+          for name in ("no_w.json", "not_json.json", "cube_text.json", "sparse_extra.json")),
     ])
     def test_exits_2_with_one_line(self, tmp_path, argv):
         phi = '"phi": {"family": "log_loglog", "eps": 1.0}'
+        pair = '"depth": 1, "p": 2, "sigma_leaves": [1, 2]'
         for name, text in (("custom.json", '{"family": "custom"}'),
                            ("q_text.json", '{"family": "power", "q": "two"}'),
                            ("truncated.json", '{"family": "pow'),
@@ -323,7 +338,16 @@ class TestUsageErrors:
                                                 + phi + ', "eta": 0.5}'),
                            ("phi_extra.json", '{"psi": {"family": "log_power", "eps": 1.0}, '
                                               '"phi": {"family": "log_loglog", "eps": 1.0, '
-                                              '"esp": 2.0}}')):
+                                              '"esp": 2.0}}'),
+                           # instance files: "sed" would otherwise run seed 0
+                           ("no_w.json", '{' + pair + ', "sparse": {"strategy": "tower", '
+                                         '"eta": 0.5}}'),
+                           ("not_json.json", "depth = 1\n"),
+                           ("cube_text.json", '{' + pair + ', "w_leaves": [1, 1], '
+                                              '"sparse": {"cubes": [["a", 0]]}}'),
+                           ("sparse_extra.json", '{' + pair + ', "w_leaves": [1, 1], "sparse": '
+                                                 '{"strategy": "random_greedy", "eta": 0.3, '
+                                                 '"sed": 5}}')):
             (tmp_path / name).write_text(text)
         proc = subprocess.run([sys.executable, "-m", "sparsebump.cli", *argv,
                                "--out", str(tmp_path / "out")],

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import STRATEGIES
-from sparsebump import (CubeId, DomainError, Instance, SparseFamily,
-                        TreeGeometry, WeightPair, carleson_embedding_ratio,
-                        generate_sparse, instance_from_dict, load_instance,
-                        packing_constant, stopping_time_family)
+from sparsebump import (BumpSpec, CubeId, DomainError, Instance, SparseFamily,
+                        TreeGeometry, WeightPair, ap_constant, carleson_embedding_ratio,
+                        entropy_constant, generate_sparse, instance_from_dict, load_instance,
+                        nu_constant, packing_constant, stopping_time_family, testing_constant)
 from sparsebump.dyadic import (DENSITY_FLOOR, ancestor_accumulate, ancestor_table,
                                subtree_sums)
 
@@ -167,6 +167,27 @@ class TestMassPyramid:
             WeightPair(g, np.ones(4), np.ones(4), 1.0)
         with pytest.raises(DomainError):
             WeightPair(g, -np.ones(4), np.ones(4), 2.0)
+
+    def test_holds_read_only_copies_of_the_leaves(self):
+        # writing into the caller's arrays afterwards changes no constant,
+        # and the pair's own leaf vectors (its dual's too) refuse writes
+        rng = np.random.default_rng(5)
+        g = TreeGeometry(4)
+        w, sigma = oracles.random_pair(rng, 4)
+        pair = WeightPair(g, w, sigma, 2.0)
+        S = generate_sparse(g, "stopping_time", 0.5, 0, sigma_avg_flat=pair.sigma_avg_flat)
+
+        def constants():
+            return (testing_constant(pair, S)[0], testing_constant(pair.swapped(), S)[0],
+                    ap_constant(pair), nu_constant(pair, BumpSpec()),
+                    entropy_constant(pair, BumpSpec()))
+
+        before = constants()
+        w[:], sigma[:] = 100.0, 100.0
+        assert constants() == before
+        for leaves in (pair.w_leaves, pair.sigma_leaves, pair.swapped().w_leaves):
+            with pytest.raises(ValueError):
+                leaves[0] = 1.0
 
 
 class TestPacking:
@@ -340,7 +361,7 @@ class TestGenerators:
 
 class TestInstanceIO:
     def test_roundtrip(self, instance_a):
-        data = json.loads(instance_a.dumps())
+        data = json.loads(json.dumps(instance_a.to_json_dict()))
         back = instance_from_dict(data)
         assert back.pair.geometry.depth == 2
         assert np.allclose(back.pair.sigma_leaves, [4, 1, 1, 1])
@@ -369,13 +390,33 @@ class TestInstanceIO:
 
     def test_load_from_file(self, tmp_path, instance_a):
         path = tmp_path / "inst.json"
-        path.write_text(instance_a.dumps())
+        text = json.dumps(instance_a.to_json_dict(), sort_keys=True)
+        path.write_text(text)
         inst = load_instance(path)
         assert np.allclose(inst.pair.sigma_leaves, [4, 1, 1, 1])
         # the same instance behind a config header line, as the CLI writes
-        path.write_text('# config {"cmd": "gen"}\n' + instance_a.dumps())
+        path.write_text('# config {"cmd": "gen"}\n' + text)
         inst = load_instance(path)
         assert np.allclose(inst.pair.sigma_leaves, [4, 1, 1, 1])
+
+    @pytest.mark.parametrize("outer, key", [(False, "W_leaves"), (True, "sed")])
+    def test_unknown_keys_rejected(self, instance_a, outer, key):
+        # a misspelt key is an error, not a silent default (seed 0 for "sed");
+        # the JSON round trip copies the fixture's own sparse dict
+        data = json.loads(json.dumps(instance_a.to_json_dict()))
+        (data["sparse"] if outer else data)[key] = 5
+        with pytest.raises(DomainError, match="unknown spec keys"):
+            instance_from_dict(data)
+
+    @pytest.mark.parametrize("text", ['{"depth": 1, "p": 2', '{"depth": 1, "p": 2}',
+                                      '{"depth": 1, "p": 2, "w_leaves": [1, 1], '
+                                      '"sigma_leaves": [1, 1], "sparse": {"cubes": [["a", 0]]}}',
+                                      '[1, 2]'])
+    def test_malformed_file_is_a_domain_error_naming_it(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(DomainError, match="bad.json"):
+            load_instance(path)
 
     def test_empty_family_rejected(self):
         with pytest.raises(DomainError):
