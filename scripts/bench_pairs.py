@@ -1,22 +1,23 @@
 """Run the benchmark of two checkouts in alternating pairs and compare them:
 
-    python3 scripts/bench_pairs.py OLD_TREE NEW_TREE --workload W
+    python3 scripts/bench_pairs.py OLD_TREE NEW_TREE --workload W [--seed N]
 
-Each of the PAIRS (10) pairs runs `perfbench/run.py --workload W --seed 0
---seconds S --trace 0`, with S the `run_seconds` of NEW_TREE/BENCHMARK.json,
-with this interpreter, from the root of each checkout, one after the
-other; the old checkout goes first in even pairs and the new one in odd
-pairs, so a drift of the machine's speed falls on both sides.  Each
-run's line gives its end-to-end metrics, its correct flag and its
-attempted and failed counts.  The summary gives, per end-to-end metric
-of NEW_TREE/BENCHMARK.json, both medians and their relative change
-(new - old) / old, the old runs' quartiles and their spread (q3 - q1,
-inclusive method) and the pairs each side won; a tie counts for neither.
-A verdict line per metric then says whether a gain may be claimed (the
-new tree won at least 9 in 10 of the pairs and its median beats the old
-median by more than the old quartile spread, in the metric's better
-direction) and whether the new median is within the metric's bound, a
-relative worsening of at most `bound`.
+Each of the PAIRS (10) pairs runs `perfbench/run.py --workload W --seed
+N --seconds S --trace 0`, with N 0 unless given and S the `run_seconds`
+of NEW_TREE/BENCHMARK.json, with this interpreter, from the root of each
+checkout, one after the other; a claimed gain should also hold at a seed
+not used while writing the change.  The old checkout goes first in even
+pairs and the new one in odd pairs, so a drift of the machine's speed
+falls on both sides.  Each run's line gives its end-to-end metrics, its
+correct flag and its attempted and failed counts.  The summary gives,
+per end-to-end metric of NEW_TREE/BENCHMARK.json, both medians and their
+relative change (new - old) / old, the old runs' quartiles and their
+spread (q3 - q1, inclusive method) and the pairs each side won; a tie
+counts for neither.  A verdict line per metric then says whether a gain
+may be claimed (the new tree won at least 9 in 10 of the pairs and its
+median beats the old median by more than the old quartile spread, in the
+metric's better direction) and whether the new median is within the
+metric's bound, a relative worsening of at most `bound`.
 Exits 1 if any run was not correct or had a failed operation, else 0.
 """
 
@@ -31,10 +32,10 @@ PAIRS = 10
 CLAIM_WINS = 0.9  # the share of pairs the new tree must win to claim a gain
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The JSON object on the last stdout line of one benchmark run."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
@@ -92,6 +93,7 @@ def main(argv=None) -> int:
     parser.add_argument("old_tree", type=Path)
     parser.add_argument("new_tree", type=Path)
     parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     spec = json.loads((args.new_tree / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -102,7 +104,7 @@ def main(argv=None) -> int:
         order = [("old", args.old_tree), ("new", args.new_tree)]
         result = {}
         for side, tree in order if i % 2 == 0 else order[::-1]:
-            result[side] = run_once(tree, args.workload, spec["run_seconds"])
+            result[side] = run_once(tree, args.workload, args.seed, spec["run_seconds"])
             clean &= result[side]["correct"] and result[side]["failed"] == 0
             print(run_line(side, i, result[side], better), flush=True)
         pairs.append((result["old"], result["new"]))

@@ -347,7 +347,7 @@ class Instance:
             "p": self.pair.p,
             "w_leaves": self.pair.w_leaves.tolist(),
             "sigma_leaves": self.pair.sigma_leaves.tolist(),
-            "sparse": self.sparse_config,
+            "sparse": dict(self.sparse_config),
         }
 
 
@@ -378,7 +378,7 @@ def instance_from_dict(data: dict) -> Instance:
     else:
         family = generate_sparse(geometry, sparse["strategy"], float(sparse["eta"]),
                                  int(sparse.get("seed", 0)), sigma_avg_flat=pair.sigma_avg_flat)
-    return Instance(pair, family, sparse)
+    return Instance(pair, family, dict(sparse))
 
 
 def load_json(path, from_json_dict):

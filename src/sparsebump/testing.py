@@ -283,20 +283,16 @@ def hytonen_ratio(S: SparseFamily, pair: WeightPair, R: CubeId) -> CheckReport:
     return CheckReport.make("hytonen", lhs, ap_constant(pair, S) * total)
 
 
-def _in_level(s, k):
-    """2^k < s <= 2^{k+1}: the level-set convention, strict below, weak above."""
-    return (2.0 ** k < s) & (s <= 2.0 ** (k + 1))
+def _level(s):
+    """The k with 2^k < s <= 2^{k+1} (strict below, weak above), exactly:
+    s = m 2^e with m in [1/2, 1), and m = 1/2 puts s on the upper edge."""
+    m, e = np.frexp(s)
+    return e - 1 - (m == 0.5)
 
 
 def realized_levels(S: SparseFamily, pair: WeightPair) -> list[int]:
     """The k with nonempty level set, under the strict/weak convention."""
-    s = _select(pair.sigma_avg_flat, S)
-    k = np.floor(np.log2(s)).astype(int)
-    # log2 can round across a power of two: one step each way restores
-    # 2^k < s, then s <= 2^{k+1}
-    k = np.where(np.ldexp(1.0, k) < s, k, k - 1)
-    k = np.where(s <= np.ldexp(1.0, k + 1), k, k + 1)
-    return sorted(set(k.tolist()))
+    return sorted(set(_level(_select(pair.sigma_avg_flat, S)).tolist()))
 
 
 def lemma_reports(S: SparseFamily, pair: WeightPair, ks, spec: BumpSpec | None = None,
@@ -305,7 +301,7 @@ def lemma_reports(S: SparseFamily, pair: WeightPair, ks, spec: BumpSpec | None =
     sawyer_sum_bound, in that order, at R or (R None) at every R in S in
     (level, index) order: one subtree pass and one psi call in all."""
     s, masses = _select(pair.sigma_avg_flat, S), _select(pair.sigma_mass_flat, S)
-    terms = [np.where(_in_level(s[:, None], np.array(ks, dtype=int)), masses[:, None], 0.0)]
+    terms = [np.where(_level(s)[:, None] == np.array(ks, dtype=int), masses[:, None], 0.0)]
     if spec is not None:
         psi_bound = 2.0 * S.packing * ensure_admissible(spec).s_psi
         psi = spec.psi(s)

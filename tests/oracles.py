@@ -204,6 +204,15 @@ def brute_conjugate(A, s, lo=mp.mpf("1e-8"), hi=mp.mpf("1e8")):
     return float(best)
 
 
+def mp_young(family, q, eps):
+    """A(t) of a YoungSpec in multi-precision: t^q, or for power_over_log
+    t^q (log(e+1)/log(e+t))^{1+eps}."""
+    q, eps = mp.mpf(q), mp.mpf(eps)
+    if family == "power":
+        return lambda t: t ** q
+    return lambda t: t ** q * (mp.log(E + 1) / mp.log(E + t)) ** (1 + eps)
+
+
 # -- local sums / norms / testing constant ----------------------------------
 
 def brute_local_sum(cubes, sigma, R, depth):
@@ -345,6 +354,13 @@ def random_pair(rng, depth):
     w = np.exp(rng.standard_normal(n))
     sigma = np.exp(1.5 * rng.standard_normal(n))
     return w, sigma
+
+
+def brute_level(s):
+    """The k with 2^k < s <= 2^{k+1} for a float s > 0, in integers: s =
+    n / 2^j exactly, and 2^{k+1} is the least power of two >= n / 2^j."""
+    n, d = float(s).as_integer_ratio()
+    return (n - 1).bit_length() - (d.bit_length() - 1) - 1
 
 
 # -- dense operator and its l^p norm bracket --------------------------------

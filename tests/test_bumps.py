@@ -270,9 +270,24 @@ class TestYoung:
         # the search at each point on its own
         young = YoungSpec("power_over_log", 2.0, 1.0)
         table = ConjugateTable(young)
-        ref = np.maximum.accumulate([conjugate_at(young, float(s))
-                                     for s in np.exp(table.log_s)])
+        ref = [conjugate_at(young, float(s)) for s in np.exp(table.log_s)]
         assert np.exp(table.log_v) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("family, q, eps", [
+        ("power_over_log", 1.5, 0.1), ("power_over_log", 1.5, 1.0),
+        ("power_over_log", 1.9, 1.0), ("power_over_log", 2.0, 1.0),
+        ("power_over_log", 3.0, 1.0),
+        ("power", 1.5, 0.0), ("power", 2.0, 0.0), ("power", 3.0, 0.0)])
+    def test_conjugate_table_nodes_against_oracle(self, family, q, eps):
+        # 39 nodes over |log s| <= 41, where the maximizing t reaches 2^142
+        # at q = 1.5, against the multi-precision search over |log2 t| <= 200
+        table = ConjugateTable(YoungSpec(family, q, eps))
+        A = oracles.mp_young(family, q, eps)
+        nodes = np.flatnonzero(np.abs(table.log_s) <= 41.0)[::13]
+        ref = [oracles.brute_conjugate(A, float(s), lo=2.0 ** -200, hi=2.0 ** 200)
+               for s in np.exp(table.log_s[nodes])]
+        assert len(nodes) == 39
+        assert np.exp(table.log_v[nodes]) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_conjugate_table_lookup_matches_interp(self):
         # direct segment lookup against np.interp (clamped below the grid)

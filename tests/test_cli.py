@@ -472,12 +472,44 @@ class TestArtifactDiff:
 
 
 class TestBenchPairs:
-    def test_summary_of_canned_runs(self):
-        # the summary only: the benchmark itself is never run here
+    @staticmethod
+    def _bench():
         path = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
         spec = importlib.util.spec_from_file_location("bench_pairs", path)
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
+        return bench
+
+    @pytest.mark.parametrize("seed_args, seed", [([], "0"), (["--seed", "7"], "7")])
+    def test_seed_reaches_every_run(self, tmp_path, monkeypatch, capsys, seed_args, seed):
+        # every run's command line, with subprocess.run replaced by a canned run
+        bench = self._bench()
+        spec = {"run_seconds": 3, "end_to_end": [
+            {"name": "throughput_per_s", "better": "higher", "bound": 0.25}]}
+        for tree in ("old", "new"):
+            (tmp_path / tree).mkdir()
+            (tmp_path / tree / "BENCHMARK.json").write_text(json.dumps(spec))
+        calls = []
+
+        def run(cmd, cwd, **kwargs):
+            calls.append((cmd, Path(cwd).name))
+            line = {"correct": True, "attempted": 1, "failed": 0,
+                    "metrics": {"throughput_per_s": {"value": 1.0, "unit": "1/s"}}}
+            return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(line) + "\n")
+
+        monkeypatch.setattr(bench.subprocess, "run", run)
+        argv = [str(tmp_path / "old"), str(tmp_path / "new"), "--workload", "w", *seed_args]
+        assert bench.main(argv) == 0
+        assert [tree for _, tree in calls[:4]] == ["old", "new", "new", "old"]
+        assert len(calls) == 2 * bench.PAIRS
+        for cmd, _ in calls:
+            assert cmd[1:] == ["perfbench/run.py", "--workload", "w", "--seed", seed,
+                               "--seconds", "3", "--trace", "0"]
+        assert "gain claim does not hold" in capsys.readouterr().out
+
+    def test_summary_of_canned_runs(self):
+        # the summary only: the benchmark itself is never run here
+        bench = self._bench()
 
         def run(ops, setup):
             return {"correct": True, "attempted": 40, "failed": 0,

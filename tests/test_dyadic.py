@@ -399,11 +399,20 @@ class TestInstanceIO:
         inst = load_instance(path)
         assert np.allclose(inst.pair.sigma_leaves, [4, 1, 1, 1])
 
+    def test_sparse_config_is_the_instance_own(self, instance_a):
+        # neither the caller's input dict nor a returned dict edits the instance
+        data = instance_a.to_json_dict()
+        inst = instance_from_dict(data)
+        data["sparse"]["seed"] = 99
+        inst.to_json_dict()["sparse"]["eta"] = 0.9
+        assert inst.sparse_config == {"strategy": "tower", "eta": 0.5, "seed": 0}
+        instance_a.to_json_dict()["sparse"]["sed"] = 5
+        assert "sed" not in instance_a.sparse_config
+
     @pytest.mark.parametrize("outer, key", [(False, "W_leaves"), (True, "sed")])
     def test_unknown_keys_rejected(self, instance_a, outer, key):
-        # a misspelt key is an error, not a silent default (seed 0 for "sed");
-        # the JSON round trip copies the fixture's own sparse dict
-        data = json.loads(json.dumps(instance_a.to_json_dict()))
+        # a misspelt key is an error, not a silent default (seed 0 for "sed")
+        data = instance_a.to_json_dict()
         (data["sparse"] if outer else data)[key] = 5
         with pytest.raises(DomainError, match="unknown spec keys"):
             instance_from_dict(data)

@@ -18,7 +18,7 @@ from sparsebump import (CubeId, SparseFamily, TreeGeometry, WeightPair, apply_sp
 from sparsebump.bumps import BumpSpec, check_bump, nu_lambdas
 from sparsebump.dyadic import DomainError, NumericError, _select
 from sparsebump.search import SearchConfig, _sub_ap_fraction, random_instance
-from sparsebump.testing import (CheckReport, CHECK_CSV_HEADER, _best_trial, _in_level,
+from sparsebump.testing import (CheckReport, CHECK_CSV_HEADER, _best_trial, _level,
                                 _indicator_ratios, _sums_inside, cov_bracket_report,
                                 lemma_reports, realized_levels)
 
@@ -311,9 +311,10 @@ class TestLevelSets:
             s = _select(inst.pair.sigma_avg_flat, inst.family)
             seen = np.zeros(s.shape, dtype=int)  # level sets holding each cube of S
             for k in realized_levels(inst.family, inst.pair):
-                assert _in_level(s, k).any(), k
-                seen += _in_level(s, k)
+                assert (_level(s) == k).any(), k
+                seen += _level(s) == k
             assert (seen == 1).all()
+            assert _level(s).tolist() == [oracles.brute_level(x) for x in s]
 
     def test_boundary_convention(self):
         # sigma_Q = 1 must land in k = -1 under the strict/weak convention
@@ -332,12 +333,32 @@ class TestLevelSets:
                 assert len(fam.cubes) == 15
                 assert realized_levels(fam, pair) == [level], (k, value)
                 s = _select(pair.sigma_avg_flat, fam)
-                assert _in_level(s, level).all()
+                assert [oracles.brute_level(x) for x in s] == [level] * 15
+                assert (_level(s) == level).all()
                 for other in (level - 1, level + 1):
-                    assert not _in_level(s, other).any()
                     assert prop32_check(fam, pair, ROOT, other).lhs == 0.0
                 assert prop32_check(fam, pair, ROOT, level).lhs == \
                     pytest.approx(4.0 * value, rel=1e-15)
+
+    def test_level_matches_the_integer_oracle(self):
+        # random values over the whole float range, every power of two with
+        # its neighbours one ulp away, and subnormals
+        rng = np.random.default_rng(27)
+        edges = np.ldexp(1.0, np.arange(-1074, 1024))
+        mantissas, exponents = rng.uniform(0.5, 1.0, 20000), rng.integers(-1073, 1025, 20000)
+        s = np.concatenate([np.ldexp(mantissas, exponents), edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, np.inf), rng.uniform(0.0, 2.0 ** -1022, 200),
+                            [np.finfo(float).max]])
+        s = s[s > 0]  # the neighbour below 2^-1074 is 0
+        assert _level(s).tolist() == [oracles.brute_level(x) for x in s]
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_averages_level_without_overflow(self):
+        # sigma averages at and above 2^1023, where 2^{k+1} is not a float
+        for value, level in ((2.0 ** 1023, 1022), (np.nextafter(2.0 ** 1023, np.inf), 1023),
+                             (np.finfo(float).max, 1023)):
+            inst = make_instance(2, np.ones(4), np.full(4, value), 2.0, strategy="tower")
+            assert realized_levels(inst.family, inst.pair) == [level]
 
 
 class TestCheckersAgainstOracles:
@@ -364,19 +385,10 @@ class TestCheckersAgainstOracles:
         table = nu_lambdas(pair, spec, fam)
         lam = dict(zip(cubes, table.tolist()))
 
-        def level_of(s):
-            k = math.floor(math.log2(s))
-            while not 2.0 ** k < s:
-                k -= 1
-            while not s <= 2.0 ** (k + 1):
-                k += 1
-            return k
-
-        levels = sorted({level_of(s_avg[q]) for q in cubes})
+        levels = sorted({oracles.brute_level(s_avg[q]) for q in cubes})
         assert realized_levels(fam, pair) == levels
-        for k in levels:
-            assert _in_level(_select(pair.sigma_avg_flat, fam), k).tolist() == \
-                [level_of(s_avg[q]) == k for q in cubes]
+        assert _level(_select(pair.sigma_avg_flat, fam)).tolist() == \
+            [oracles.brute_level(s_avg[q]) for q in cubes]
         assert _sub_ap_fraction(inst, p) == sum(ap[q] < 1.0 for q in cubes) / len(cubes)
 
         def near(got, want):
@@ -403,7 +415,7 @@ class TestCheckersAgainstOracles:
 
             for k in levels:
                 near(prop32_check(fam, pair, R, k).lhs,
-                     inside(lambda q: s_mass[q] if level_of(s_avg[q]) == k else 0.0))
+                     inside(lambda q: s_mass[q] if oracles.brute_level(s_avg[q]) == k else 0.0))
             near(prop33_check(fam, pair, spec, R).lhs, inside(lambda q: s_mass[q] / psi[q]))
             near(lam_sum / pair.sigma_mass_flat[R.flat_index],
                  inside(lambda q: s_mass[q] / lam[q]) / s_mass[r])
