@@ -21,6 +21,9 @@ this tree's `src/`:
   prop31_orlicz) and maximal_bound, the one that runs `dyadic_maximal`;
 - one more maximal_bound search at p 2, `--depths 8 --steps 150 --seed
   3`, where 511 indicator ratios make last-bit ties likeliest;
+- main_theorem searches at p 2, `--depths 3 5 --steps 150 --seed 3`,
+  over the fixed `--strategy tower` and `--strategy all_above_level`
+  families, whose candidates keep one family while the weights move;
 - `constants --in` and `check --in` on two malformed instance files that
   the CLI must refuse with exit code 2: one lacks `w_leaves`, and one
   misspells `seed` as `sed`.
@@ -96,6 +99,11 @@ def runs():
     yield ["search", "--objective", "maximal_bound", "--p", "2", "--depths", "8",
            "--steps", "150", "--seed", "3", "--out", "search_maximal_bound_p2_d8.csv",
            "--result-out", "search_maximal_bound_p2_d8.json"]
+    for strategy in ("tower", "all_above_level"):
+        name = f"main_theorem_p2_{strategy}"
+        yield ["search", "--objective", "main_theorem", "--p", "2", "--depths", "3", "5",
+               "--steps", "150", "--seed", "3", "--strategy", strategy,
+               "--out", f"search_{name}.csv", "--result-out", f"search_{name}.json"]
     for inst in MALFORMED:
         for cmd in ("constants", "check"):
             yield [cmd, "--in", inst, "--out", f"{cmd}_{inst.removesuffix('.json')}.csv"]

@@ -2,7 +2,7 @@
 
 from .dyadic import (CubeId, DomainError, Instance, NumericError, SparseFamily,
                      TreeGeometry, WeightPair, generate_sparse, instance_from_dict,
-                     load_instance, packing_constant, stopping_time_family)
+                     load_instance, make_instance, packing_constant, stopping_time_family)
 from .bumps import (AdmissibilityError, BumpSpec, YoungSpec, ap_constant, check_bump,
                     dyadic_maximal, entropy_constant, entropy_lambda,
                     maximal_bound_constant, nu_constant, orlicz_lacey_constant,

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dyadic import (CubeId, DomainError, NumericError, WeightPair, _avg_pyramid,
-                     _known_keys, _select, ancestor_accumulate, ancestor_table)
+                     _known_keys, _select, _tree_index, ancestor_accumulate, ancestor_table)
 
 _E = math.e
 _EE = math.exp(math.e)
@@ -56,8 +56,8 @@ def _upper(t, eps, family):
 class BumpSpec:
     """psi/phi families with eagerly certified admissibility.
 
-    psi_family, phi_family: "log_power" or "log_loglog"; "custom" uses
-    the corresponding callable field (vectorized, t > 0 resp. t >= 1).
+    psi_family, phi_family: "log_power" or "log_loglog"; psi_family
+    "custom" uses the callable psi_fn (vectorized, t > 0).
     """
 
     psi_family: str = "log_power"
@@ -65,11 +65,10 @@ class BumpSpec:
     phi_family: str = "log_loglog"
     phi_eps: float = 1.0
     psi_fn: object = None
-    phi_fn: object = None
 
     def __post_init__(self):  # from_json_dict passes no callable, so JSON cannot say "custom"
-        for family, fn in ((self.psi_family, self.psi_fn), (self.phi_family, self.phi_fn)):
-            if not (family in ("log_power", "log_loglog") or family == "custom" and callable(fn)):
+        for family, custom in ((self.psi_family, callable(self.psi_fn)), (self.phi_family, False)):
+            if not (family in ("log_power", "log_loglog") or family == "custom" and custom):
                 raise DomainError(f"unknown bump family {family!r}, or custom without a callable")
 
     def psi(self, t):
@@ -88,10 +87,7 @@ class BumpSpec:
         t = np.asarray(t, dtype=float)
         if (t < 1.0).any():
             raise DomainError("phi requires t >= 1")
-        if self.phi_family == "custom":
-            out = np.asarray(self.phi_fn(t), dtype=float)
-        else:
-            out = _upper(t, self.phi_eps, self.phi_family)
+        out = _upper(t, self.phi_eps, self.phi_family)
         return float(out) if out.ndim == 0 else out
 
     def nu_p(self, p, t):
@@ -512,12 +508,13 @@ def entropy_lambda(sigma_leaves, cube: CubeId, geometry) -> float:
 def entropy_lambdas(pair: WeightPair, cubes="all") -> np.ndarray:
     """int_Q M(sigma chi_Q) / sigma(Q) of every cube Q as a family vector
     in _select order: row l of the running-max ancestor_table is
-    M(sigma chi_Q) on every level-l cube Q at once."""
-    s, depth = pair.sigma_leaves, pair.geometry.depth
+    M(sigma chi_Q) on every level-l cube Q at once, summed onto Q by one
+    np.bincount over the up table."""
+    depth = pair.geometry.depth
     m = ancestor_table(pair.sigma_avg_flat, depth, np.maximum)
-    lams = np.concatenate([m[level].reshape(1 << level, -1).sum(axis=1)
-                           / s.reshape(1 << level, -1).sum(axis=1) for level in range(depth + 1)])
-    return _select(lams, cubes)
+    integrals = np.bincount(_tree_index(depth)[1].ravel(), m.ravel(),
+                            minlength=pair.sigma_mass_flat.size) * 2.0 ** (-depth)
+    return _select(integrals / pair.sigma_mass_flat, cubes)
 
 
 def entropy_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:

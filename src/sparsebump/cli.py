@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--p", type=float, default=2.0)
     s.add_argument("--eta", type=float, default=0.5)
-    s.add_argument("--strategy", default="stopping_time")
+    s.add_argument("--strategy", default="stopping_time", choices=dyadic.STRATEGIES)
     s.add_argument("--dist", default="mixed",
                    choices=list(search_mod.DIST_PARAMS))
     s.add_argument("--dist-params", type=float, nargs="*", default=None)

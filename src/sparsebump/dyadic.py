@@ -238,7 +238,7 @@ def _select(flat: np.ndarray, cubes) -> np.ndarray:
     """The family vector of a flat (level, index) buffer, in (level, index)
     order, the order of the buffer itself and of sorted_cubes(), over every
     cube ("all") or a SparseFamily's cubes of the buffer's tree."""
-    if cubes in ("all", None):
+    if cubes == "all":
         return flat
     _same_tree(cubes, len(flat).bit_length() - 1)
     return flat[cubes.flat_mask]
@@ -254,20 +254,16 @@ STRATEGIES = ("tower", "random_greedy", "all_above_level", "stopping_time")
 
 def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int,
                     sigma_avg_flat=None) -> SparseFamily:
-    """Deterministic sparse-family generator.
-
-    strategy is one of "tower", "random_greedy", "all_above_level",
-    "all_above_level:<m>", "stopping_time".  stopping_time derives its
-    threshold a from eta via eta = 1 - 1/a and needs the flat sigma
-    averages (a WeightPair's sigma_avg_flat).
-    """
+    """Deterministic eta-sparse family at one of the STRATEGIES: "tower" (a
+    root chain), "random_greedy" (seeded), "all_above_level" (every cube of
+    level <= min(L, floor(1/eta) - 1)) or "stopping_time" (sigma's principal
+    cubes at a = 1/(1 - eta), from a WeightPair's sigma_avg_flat)."""
     if not (0.0 < eta <= 1.0):
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
     cap = 1.0 / eta
     depth, size = geometry.depth, (2 << geometry.depth) - 1
 
-    name, _, arg = strategy.partition(":")
-    if name == "tower":
+    if strategy == "tower":
         flat, total = np.zeros(size, dtype=bool), 0.0
         for level in range(depth + 1):
             total += 2.0 ** (-level)
@@ -276,15 +272,11 @@ def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int
             flat[(1 << level) - 1] = True
         return SparseFamily(flat)
 
-    if name == "all_above_level":
-        m = int(arg) if arg else min(depth, int(np.floor(cap + 1e-12)) - 1)
-        m = max(0, min(m, depth))
-        if m + 1 > cap + 1e-12:
-            raise DomainError(
-                f"all_above_level {m} has packing {m + 1} > 1/eta = {cap}")
+    if strategy == "all_above_level":
+        m = min(depth, int(np.floor(cap + 1e-12)) - 1)
         return SparseFamily(np.arange(size) < (2 << m) - 1)  # levels 0..m
 
-    if name == "random_greedy":
+    if strategy == "random_greedy":
         rng = np.random.default_rng(np.uint64(seed))
         # subtree[k]: measure of admitted family cubes inside the cube at flat
         # position k.  A candidate's own subtree is still empty when it is drawn,
@@ -302,7 +294,7 @@ def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int
                     subtree[(1 << a) - 1 + (j >> (level - a))] += m_c
         return SparseFamily(np.array(admitted))
 
-    if name == "stopping_time":
+    if strategy == "stopping_time":
         if sigma_avg_flat is None:
             raise DomainError("stopping_time strategy needs sigma_avg_flat")
         if eta >= 1.0:
@@ -365,20 +357,26 @@ def _known_keys(data: dict, keys) -> dict:
     return data
 
 
-def instance_from_dict(data: dict) -> Instance:
-    _known_keys(data, ("depth", "p", "w_leaves", "sigma_leaves", "sparse", "meta"))
-    sparse = _known_keys(data["sparse"], ("strategy", "eta", "seed", "cubes"))
-    geometry = TreeGeometry(int(data["depth"]))
-    w = _clamp(np.asarray(data["w_leaves"], dtype=float))
-    s = _clamp(np.asarray(data["sigma_leaves"], dtype=float))
-    pair = WeightPair(geometry, w, s, float(data["p"]))
+def make_instance(geometry: TreeGeometry, w, sigma, p: float, sparse: dict) -> Instance:
+    """The pair (w, sigma) at p with the family of a sparse config: its
+    explicit "cubes", a list of (level, index), or generate_sparse at its
+    "strategy", "eta" and "seed" (default 0), from this pair's sigma."""
+    pair = WeightPair(geometry, w, sigma, p)
     if "cubes" in sparse:
-        cubes = [CubeId(int(l), int(j)) for l, j in sparse["cubes"]]
-        family = SparseFamily.build(cubes, geometry)
+        family = SparseFamily.build([CubeId(int(l), int(j)) for l, j in sparse["cubes"]], geometry)
     else:
         family = generate_sparse(geometry, sparse["strategy"], float(sparse["eta"]),
                                  int(sparse.get("seed", 0)), sigma_avg_flat=pair.sigma_avg_flat)
     return Instance(pair, family, dict(sparse))
+
+
+def instance_from_dict(data: dict) -> Instance:
+    _known_keys(data, ("depth", "p", "w_leaves", "sigma_leaves", "sparse", "meta"))
+    sparse = _known_keys(data["sparse"], ("strategy", "eta", "seed", "cubes"))
+    return make_instance(TreeGeometry(int(data["depth"])),
+                         _clamp(np.asarray(data["w_leaves"], dtype=float)),
+                         _clamp(np.asarray(data["sigma_leaves"], dtype=float)),
+                         float(data["p"]), sparse)
 
 
 def load_json(path, from_json_dict):

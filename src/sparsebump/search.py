@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dyadic import (DomainError, Instance, NumericError, TreeGeometry,
-                     WeightPair, generate_sparse, instance_from_dict, DENSITY_FLOOR)
+                     instance_from_dict, make_instance, DENSITY_FLOOR)
 from .bumps import (DEFAULT_YOUNG, BumpSpec, YoungSpec, _cube_averages,
                     ensure_admissible, entropy_constant, maximal_bound_constant,
                     nu_constant, orlicz_li_constant, sepcon_constant)
@@ -114,12 +114,8 @@ def _draw_pair(config: SearchConfig, seed: int):
 
 def _instance(config: SearchConfig, w, sigma, p: float) -> Instance:
     """The pair (w, sigma) at p with the family config derives from it."""
-    geometry = TreeGeometry(config.depth)
-    pair = WeightPair(geometry, w, sigma, p)
-    family = generate_sparse(geometry, config.strategy, config.eta, config.seed,
-                             sigma_avg_flat=pair.sigma_avg_flat)
-    return Instance(pair, family, {"strategy": config.strategy, "eta": config.eta,
-                                   "seed": config.seed})
+    return make_instance(TreeGeometry(config.depth), w, sigma, p,
+                         {"strategy": config.strategy, "eta": config.eta, "seed": config.seed})
 
 
 def random_instance(config: SearchConfig, p: float = 2.0) -> Instance:

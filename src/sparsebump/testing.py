@@ -104,13 +104,15 @@ def testing_constant(pair: WeightPair, S: SparseFamily):
 def apply_sparse(S: SparseFamily, values) -> np.ndarray:
     """A_S f = sum over Q in S of f_Q * chi_Q for finite f, leaf array in,
     leaf array out."""
-    flat = _avg_pyramid(values, S.depth) * S.flat_mask
+    flat = np.where(S.flat_mask, _avg_pyramid(values, S.depth), 0.0)
     return ancestor_accumulate(flat, S.depth)[(1 << S.depth) - 1:]
 
 
 def operator_norm_p2(S: SparseFamily, pair: WeightPair) -> float:
-    """Exact norm of A_S(. sigma): L^2(sigma) -> L^2(w) by _boyd steps, at
-    p = 2 power iteration on B^T B, B = W^{1/2} A_S Sigma^{1/2}, in f sqrt(sigma)."""
+    """The norm of A_S(. sigma): L^2(sigma) -> L^2(w) from below, by _boyd's
+    power iteration on B^T B, B = W^{1/2} A_S Sigma^{1/2}, in f sqrt(sigma), until
+    a step moves it by <= 1e-10 relative: that bounds the step, not the error,
+    which reached 8.9e-9 relative on random depth-12 pairs."""
     if abs(pair.p - 2.0) > 1e-12:
         raise DomainError("operator_norm_p2 requires p = 2")
     if pair.geometry.depth > 14:
@@ -183,11 +185,12 @@ def _boyd(S: SparseFamily, pair: WeightPair, f: np.ndarray):
     A_S(f sigma)^{p-1})^{1/(p-1)} scaled to max 1, or None when that is 0.
     Raises NumericError when the ratio or the map overflows."""
     p = pair.p
-    img = apply_sparse(S, f * pair.sigma_leaves)
-    u = img ** (p - 1.0) * pair.w_leaves  # u . img = ||img||^p in L^p(w), up to 2^-L
-    ratio = float(np.dot(u, img) / np.dot(f ** p, pair.sigma_leaves)) ** (1.0 / p)
-    nxt = apply_sparse(S, u) ** (1.0 / (p - 1.0))
-    m = float(nxt.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        img = apply_sparse(S, f * pair.sigma_leaves)
+        u = img ** (p - 1.0) * pair.w_leaves  # u . img = ||img||^p in L^p(w), up to 2^-L
+        ratio = float(np.dot(u, img) / np.dot(f ** p, pair.sigma_leaves)) ** (1.0 / p)
+        nxt = apply_sparse(S, u) ** (1.0 / (p - 1.0))
+        m = float(nxt.max())
     if not math.isfinite(ratio + m):
         raise NumericError("Boyd step overflowed")
     return ratio, (nxt / m if m > 0.0 else None)
@@ -219,13 +222,17 @@ def operator_norm_lower(S: SparseFamily, pair: WeightPair, budget: int,
 def _sums_inside(S: SparseFamily, terms, R: CubeId | None = None) -> np.ndarray:
     """The sum of terms (a family vector of S; trailing axes are separate
     columns) over the cubes of S inside R, or, with R None, inside every
-    cube of S at once as a family vector: one subtree_sums pass."""
+    cube of S at once as a family vector: one subtree_sums pass.  Raises
+    NumericError when a sum overflows."""
     if R is not None and not TreeGeometry(S.depth).contains(R):
         raise DomainError(f"cube {R} outside the tree")
     flat = np.zeros(S.flat_mask.shape + np.shape(terms)[1:])
     flat[S.flat_mask] = terms
-    sums = subtree_sums(flat, S.depth)
-    return sums[S.flat_mask] if R is None else sums[R.flat_index]
+    with np.errstate(over="ignore"):
+        sums = subtree_sums(flat, S.depth)[S.flat_mask if R is None else R.flat_index]
+    if not np.isfinite(sums).all():
+        raise NumericError("family sums overflowed")
+    return sums
 
 
 def _sawyer_terms(S: SparseFamily, pair: WeightPair) -> np.ndarray:

@@ -8,8 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import sparsebump
-from sparsebump import (Instance, TreeGeometry, WeightPair, generate_sparse)
-from sparsebump.dyadic import STRATEGIES
+from sparsebump import TreeGeometry
+from sparsebump.dyadic import STRATEGIES, make_instance as _make_instance
 
 
 def cli_env():
@@ -35,11 +35,8 @@ def level_arrays(values, depth):
 
 
 def make_instance(depth, w, sigma, p, strategy="stopping_time", eta=0.5, seed=0):
-    geometry = TreeGeometry(depth)
-    pair = WeightPair(geometry, np.asarray(w, float), np.asarray(sigma, float), p)
-    family = generate_sparse(geometry, strategy, eta, seed,
-                             sigma_avg_flat=pair.sigma_avg_flat)
-    return Instance(pair, family, {"strategy": strategy, "eta": eta, "seed": seed})
+    return _make_instance(TreeGeometry(depth), w, sigma, p,
+                          {"strategy": strategy, "eta": eta, "seed": seed})
 
 
 def random_corpus(count, seed=0, depths=(2, 3, 4, 5, 6, 7, 8),

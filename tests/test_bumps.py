@@ -103,9 +103,9 @@ class TestAdmissibility:
         assert any("tail" in r or "diverg" in r for r in rep.reasons)
 
     def test_family_names_checked(self):
-        # "custom" needs its callable, and has no JSON form
+        # psi's "custom" needs its callable, phi has none, and neither has a JSON form
         for kwargs in ({"psi_family": "nonsense"}, {"phi_family": "log"},
-                       {"psi_family": "custom"}, {"phi_family": "custom", "phi_fn": 1.0}):
+                       {"psi_family": "custom"}, {"phi_family": "custom"}):
             with pytest.raises(DomainError):
                 BumpSpec(**kwargs)
         data = BumpSpec().to_json_dict()
@@ -562,6 +562,23 @@ class TestLuxemburg:
             for level, lam in enumerate(gauge_levels(f, self._gauge(young, conjugate))):
                 assert np.all(np.isfinite(lam)) and np.all(lam > 0.0)
                 self._assert_certified(f.reshape(1 << level, -1), lam, A)
+
+    def test_bisection_safeguard_certified(self):
+        # the conjugate of power_over_log at q = 1.5, which ensure_young
+        # rejects but orlicz_lacey_constant takes: on these leaves Newton
+        # steps leave the bracket at every level above the leaves, the
+        # bisection safeguard brings them back, and every level is certified
+        young = YoungSpec("power_over_log", 1.5, 1.0)
+        f = np.exp(3.0 * np.random.default_rng(0).standard_normal(16))
+        for level, lam in enumerate(gauge_levels(f, _conjugate_table(young))):
+            self._assert_certified(f.reshape(1 << level, -1), lam, self._A(young, True))
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_zero_leaves_give_zero_norms(self, conjugate):
+        # no level has an open row, so each returns zeros without calling A
+        gauge = self._Counted(self._gauge(YoungSpec("power_over_log", 2.0, 1.0), conjugate))
+        norms = _luxemburg_norms(np.zeros(16), gauge)
+        assert norms.shape == (31,) and not norms.any() and gauge.calls == 0
 
     def test_non_finite_leaves_rejected(self):
         for bad in (np.inf, np.nan):

@@ -150,6 +150,21 @@ class TestCheck:
     def test_unknown_suite_is_usage_error(self):
         assert run_cli("check", "--suite", "bogus") == 2
 
+    def test_overflowed_family_sums_exit_1(self, tmp_path):
+        # finite leaves whose level-set sums overflow: the lemma rows raise
+        # NumericError (exit 1, the overflow named), neither a false
+        # violation nor a "not finite" usage error from the scaled pairs
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"depth": 2, "p": 2.0, "w_leaves": [1.0] * 4,
+                                    "sigma_leaves": [sys.float_info.max] * 4,
+                                    "sparse": {"strategy": "tower", "eta": 0.5}}))
+        proc = subprocess.run([sys.executable, "-m", "sparsebump.cli", "check", "--in",
+                               str(path), "--out", str(tmp_path / "check.csv")],
+                              env=cli_env(), capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == "family sums overflowed"
+        assert "Traceback" not in proc.stderr
+
     def test_hard_failure_exits_1_and_names_the_seed(self, tmp_path, capsys, monkeypatch):
         failing = testing.CheckReport.make("cov_forced", 2.0, 1.0, bound=1.0, hard=True)
         monkeypatch.setattr(cli, "_cov_reports", lambda pair, S: [failing])
@@ -257,6 +272,13 @@ class TestSearch:
 
     def test_unknown_objective_is_usage_error(self):
         assert run_cli("search", "--objective", "bogus") == 2
+
+    @pytest.mark.parametrize("strategy", ["all_above_level:x", "bogus"])
+    def test_unknown_strategy_is_usage_error(self, capsys, strategy):
+        # only the four STRATEGIES names: argparse's usage error, no traceback
+        assert run_cli("search", "--objective", "main_theorem", "--strategy", strategy) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "Traceback" not in err
 
     def test_inadmissible_young_rejected(self, tmp_path, capsys):
         young = tmp_path / "young.json"

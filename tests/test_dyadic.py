@@ -276,12 +276,9 @@ class TestGenerators:
                 assert cubes("tower") == [
                     (l, 0) for l in range(depth + 1)
                     if math.fsum(2.0 ** (-i) for i in range(l + 1)) <= 1.0 / eta + 1e-12]
-                # all_above_level:<m>: every cube of level <= m, packing m + 1
-                for m in range(depth + 1):
-                    if m + 1 <= 1.0 / eta:
-                        assert cubes(f"all_above_level:{m}") == oracles.all_cubes(m)
-                default = max(0, min(depth, math.floor(1.0 / eta + 1e-12) - 1))
-                assert cubes("all_above_level") == oracles.all_cubes(default)
+                # all_above_level: every cube of level <= m, packing m + 1 <= 1/eta
+                m = min(depth, math.floor(1.0 / eta + 1e-12) - 1)
+                assert cubes("all_above_level") == oracles.all_cubes(m)
 
     def test_determinism(self):
         g = TreeGeometry(6)
@@ -349,8 +346,8 @@ class TestGenerators:
             ("needs sigma_avg_flat", lambda: generate_sparse(geometry, "stopping_time", 0.5, 0)),
             ("needs eta < 1", lambda: generate_sparse(geometry, "stopping_time", 1.0, 0,
                                                       sigma_avg_flat=avgs)),
-            ("packing 3 > 1/eta", lambda: generate_sparse(geometry, "all_above_level:2",
-                                                          0.5, 0)),
+            ("unknown strategy", lambda: generate_sparse(geometry, "all_above_level:2",
+                                                         0.5, 0)),
             ("must exceed 1", lambda: stopping_time_family(avgs, 1.0)),
             ("must exceed 1", lambda: stopping_time_family(avgs, 0.5)),
         ]

@@ -360,6 +360,16 @@ class TestLevelSets:
             inst = make_instance(2, np.ones(4), np.full(4, value), 2.0, strategy="tower")
             assert realized_levels(inst.family, inst.pair) == [level]
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_level_set_sum_raises(self):
+        # sigma at the largest float: the level-1023 sum of sigma(Q) inside the
+        # root overflows, so NumericError and no RuntimeWarning, never lhs = inf
+        # failing a hard check whose true ratio is 1.75 against the bound 3.5
+        inst = make_instance(2, np.ones(4), np.full(4, np.finfo(float).max), 2.0,
+                             strategy="tower")
+        with pytest.raises(NumericError, match="overflowed"):
+            prop32_check(inst.family, inst.pair, ROOT, 1023)
+
 
 class TestCheckersAgainstOracles:
     """Every checker's sums against plain-Python sums over leaf lists, for
