@@ -24,6 +24,9 @@ this tree's `src/`:
 - main_theorem searches at p 2, `--depths 3 5 --steps 150 --seed 3`,
   over the fixed `--strategy tower` and `--strategy all_above_level`
   families, whose candidates keep one family while the weights move;
+- `constants --in` at p 2 on a depth-6 instance whose explicit `cubes`
+  omit the root and the last quarter, so the operator-norm bracket meets
+  uncovered leaves;
 - `constants --in` and `check --in` on two malformed instance files that
   the CLI must refuse with exit code 2: one lacks `w_leaves`, and one
   misspells `seed` as `sed`.
@@ -53,6 +56,17 @@ MALFORMED = {
                            "sigma_leaves": [1.0, 2.0],
                            "sparse": {"strategy": "random_greedy", "eta": 0.3, "sed": 5}},
 }
+
+
+def rootless_instance() -> dict:
+    """A depth-6 p = 2 instance with explicit cubes: (1, 0) and the cubes
+    of levels 2-4 left of 3/4, so the leaves of [3/4, 1) are uncovered."""
+    n = 1 << 6
+    return {"depth": 6, "p": 2.0,
+            "w_leaves": [1.0 + (7 * i % 11) / 4.0 for i in range(n)],
+            "sigma_leaves": [2.0 ** ((5 * i % 13) - 6) for i in range(n)],
+            "sparse": {"cubes": [[1, 0]] + [[level, j] for level in (2, 3, 4)
+                                            for j in range(3 << (level - 2))]}}
 
 
 def bp_boundary():
@@ -104,6 +118,7 @@ def runs():
         yield ["search", "--objective", "main_theorem", "--p", "2", "--depths", "3", "5",
                "--steps", "150", "--seed", "3", "--strategy", strategy,
                "--out", f"search_{name}.csv", "--result-out", f"search_{name}.json"]
+    yield ["constants", "--in", "rootless_d6_p2.json", "--out", "constants_rootless_d6_p2.csv"]
     for inst in MALFORMED:
         for cmd in ("constants", "check"):
             yield [cmd, "--in", inst, "--out", f"{cmd}_{inst.removesuffix('.json')}.csv"]
@@ -126,7 +141,8 @@ def main(argv) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    inputs = {f"young_{name}.json": data for _, name, data in bp_boundary()} | MALFORMED
+    inputs = ({f"young_{name}.json": data for _, name, data in bp_boundary()} | MALFORMED
+              | {"rootless_d6_p2.json": rootless_instance()})
     for path, data in inputs.items():
         Path(path).write_text(json.dumps(data, sort_keys=True) + "\n")
     codes = [f"{run(args)} {' '.join(args)}" for args in runs()]

@@ -9,8 +9,8 @@ from .bumps import (AdmissibilityError, BumpSpec, YoungSpec, ap_constant, check_
                     orlicz_li_constant)
 from .testing import (CheckReport, apply_sparse, carleson_embedding_ratio, cov_sides,
                       eset_split_check, hytonen_ratio, lemma_reports, local_sum, lp_norm,
-                      maximal_norm_lower, operator_norm_lower, operator_norm_p2, prop31_bound,
-                      prop32_check, prop33_check, sawyer_sum_bound, testing_constant,
+                      maximal_norm_lower, operator_norm, operator_norm_lower, operator_norm_p2,
+                      prop31_bound, prop32_check, prop33_check, sawyer_sum_bound, testing_constant,
                       theorem_main_ratio)
 from .search import (Objective, SearchConfig, SearchResult, anneal, evaluate,
                      random_instance, sweep_results)

@@ -330,6 +330,7 @@ class ConjugateTable:
 
 @lru_cache(maxsize=32)
 def _conjugate_table(young: YoungSpec) -> ConjugateTable:
+    ensure_young(young)
     return ConjugateTable(young)
 
 
@@ -452,6 +453,10 @@ def orlicz_li_constant(pair: WeightPair, young: YoungSpec, spec: BumpSpec,
 
     Returns (value, lambda) with lambda as a family vector in _select order."""
     ensure_admissible(spec)
+    # q > 1, not ensure_young: the gauge also runs on a nonconvex A such as
+    # power_over_log at q = 1.5, eps = 1, which the homogeneity criterion uses
+    if young.q <= 1.0:
+        raise AdmissibilityError(f"inadmissible Young function: q = {young.q} is not above 1")
     if not young.in_bp(pair.p):
         raise AdmissibilityError("Young function is not in B_p")
     nvec = _select(_luxemburg_norms(pair.sigma_leaves ** (1.0 / pair.p), young), cubes)

@@ -84,23 +84,25 @@ def cmd_constants(args) -> int:
     young = _load_young(args.young)
     pair, S = inst.pair, inst.family
     cubes = "all" if args.cubes == "all" else S
-    rows = {}
-    rows["a_p"] = bumps.ap_constant(pair, cubes)
-    rows["nu_bump"] = bumps.nu_constant(pair, spec, cubes)
-    try:
-        rows["orlicz_li"], _ = bumps.orlicz_li_constant(pair, young, spec, cubes)
-        rows["orlicz_lacey"], _ = bumps.orlicz_lacey_constant(pair, young, spec, cubes)
-    except AdmissibilityError:
-        rows["orlicz_li"] = float("nan")
-        rows["orlicz_lacey"] = float("nan")
-    rows["entropy"] = bumps.entropy_constant(pair, spec, cubes)
-    rows["maximal_bound"] = bumps.maximal_bound_constant(pair, spec, cubes)
-    tc, _ = testing_mod.testing_constant(pair, S)
-    rows["testing_p"] = tc
-    tc_dual, _ = testing_mod.testing_constant(pair.swapped(), S)
-    rows["testing_p_dual"] = tc_dual
-    if abs(pair.p - 2.0) <= 1e-12:
-        rows["op_norm_p2"] = testing_mod.operator_norm_p2(S, pair)
+    rows, outside_bp = {}, ()
+    with np.errstate(all="ignore"):  # a non-finite row raises below instead
+        rows["a_p"] = bumps.ap_constant(pair, cubes)
+        rows["nu_bump"] = bumps.nu_constant(pair, spec, cubes)
+        try:
+            rows["orlicz_li"], _ = bumps.orlicz_li_constant(pair, young, spec, cubes)
+            rows["orlicz_lacey"], _ = bumps.orlicz_lacey_constant(pair, young, spec, cubes)
+        except AdmissibilityError:  # the Young function is not in B_p: both rows read nan
+            outside_bp = ("orlicz_li", "orlicz_lacey")
+            rows.update(dict.fromkeys(outside_bp, float("nan")))
+        rows["entropy"] = bumps.entropy_constant(pair, spec, cubes)
+        rows["maximal_bound"] = bumps.maximal_bound_constant(pair, spec, cubes)
+        rows["testing_p"], _ = testing_mod.testing_constant(pair, S)
+        rows["testing_p_dual"], _ = testing_mod.testing_constant(pair.swapped(), S)
+        if abs(pair.p - 2.0) <= 1e-12:
+            rows["op_norm_p2"] = testing_mod.operator_norm_p2(S, pair)
+    bad = [name for name in sorted(rows) if not np.isfinite(rows[name]) and name not in outside_bp]
+    if bad:
+        raise dyadic.NumericError(f"non-finite constants: {', '.join(bad)}")
     config = {"cmd": "constants", "in": args.infile, "cubes": args.cubes,
               "bumps": spec.to_json_dict(), "young": young.to_json_dict()}
     _write_csv(args.out, config, "name,value",

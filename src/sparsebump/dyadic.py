@@ -170,13 +170,8 @@ class WeightPair:
         return self.p / (self.p - 1.0)
 
     def swapped(self) -> "WeightPair":
-        """The dual pair (sigma, w) at p', holding this pair's leaves and pyramids swapped."""
-        dual = object.__new__(WeightPair)
-        dual.geometry, dual.p = self.geometry, self.p_dual
-        dual.w_leaves, dual.sigma_leaves = self.sigma_leaves, self.w_leaves
-        dual.w_mass_flat, dual.sigma_mass_flat = self.sigma_mass_flat, self.w_mass_flat
-        dual.w_avg_flat, dual.sigma_avg_flat = self.sigma_avg_flat, self.w_avg_flat
-        return dual
+        """The dual pair (sigma, w) at p'."""
+        return WeightPair(self.geometry, self.sigma_leaves, self.w_leaves, self.p_dual)
 
 
 @dataclass(frozen=True, eq=False)

@@ -381,17 +381,18 @@ def dense_operator(depth, masks, w, sigma, p):
 
 
 def bracket(M, p):
-    """(lo, hi) around the l^p operator norm of a positive matrix M: Boyd's
-    map F(x) = (M^T (M x)^{p-1})^{1/(p-1)} from x = 1, lo the ratio
+    """(lo, hi) around the l^p operator norm of a nonnegative matrix M:
+    Boyd's map F(x) = (M^T (M x)^{p-1})^{1/(p-1)} from x = 1, lo the ratio
     ||M x||_p / ||x||_p and hi the Collatz-Wielandt end
-    max_j (F(x)_j / x_j)^{(p-1)/p}, until hi <= lo (1 + 1e-12), within
-    10^6 steps."""
+    max over x_j > 0 of (F(x)_j / x_j)^{(p-1)/p}, until hi <= lo (1 + 1e-12),
+    within 10^6 steps.  After one step x_j = 0 exactly at the zero columns
+    of M, which do not change its norm."""
     x = np.ones(M.shape[1])
     for _ in range(1_000_000):
         y = M @ x
         lo = np.sum(y ** p) ** (1.0 / p) / np.sum(x ** p) ** (1.0 / p)
         fx = (M.T @ y ** (p - 1.0)) ** (1.0 / (p - 1.0))
-        hi = np.max(fx / x) ** ((p - 1.0) / p)
+        hi = np.max(fx[x > 0] / x[x > 0]) ** ((p - 1.0) / p)
         if hi <= lo * (1.0 + 1e-12):
             return lo, hi
         x = fx / np.max(fx)

@@ -21,7 +21,7 @@ from sparsebump.bumps import (AdmissibilityError, BumpSpec, ConjugateTable,
                               ensure_admissible, ensure_young, entropy_lambdas,
                               nu_lambdas, sepcon_constant)
 from sparsebump.dyadic import DomainError, NumericError, _avg_pyramid, _select, ancestor_table
-from sparsebump.search import SearchConfig, random_instance
+from sparsebump.search import Objective, SearchConfig, anneal, random_instance
 
 GRID = [1e-6, 1e-3, 0.3, 0.9, 1.0, 1.7, 4.0, 1e3, 1e6]
 
@@ -565,13 +565,15 @@ class TestLuxemburg:
 
     def test_bisection_safeguard_certified(self):
         # the conjugate of power_over_log at q = 1.5, which ensure_young
-        # rejects but orlicz_lacey_constant takes: on these leaves Newton
-        # steps leave the bracket at every level above the leaves, the
+        # rejects (so only a table built directly holds it): on these leaves
+        # Newton steps leave the bracket at every level above the leaves, the
         # bisection safeguard brings them back, and every level is certified
         young = YoungSpec("power_over_log", 1.5, 1.0)
         f = np.exp(3.0 * np.random.default_rng(0).standard_normal(16))
-        for level, lam in enumerate(gauge_levels(f, _conjugate_table(young))):
-            self._assert_certified(f.reshape(1 << level, -1), lam, self._A(young, True))
+        table = ConjugateTable(young)
+        for level, lam in enumerate(gauge_levels(f, table)):
+            self._assert_certified(f.reshape(1 << level, -1), lam,
+                                   lambda x: table.A_and_elasticity(x)[0])
 
     @pytest.mark.parametrize("conjugate", [False, True])
     def test_zero_leaves_give_zero_norms(self, conjugate):
@@ -890,4 +892,18 @@ class TestOrliczConstants:
         with pytest.raises(AdmissibilityError):
             orlicz_li_constant(instance_a.pair, YoungSpec("power", 2.0, 0.0),
                                spec, "all")
+
+    @pytest.mark.parametrize("q", [1.0, 0.5])
+    def test_library_paths_certify_the_young_function(self, instance_a, q):
+        # q = 1 (no conjugate growth exponent) and q = 0.5 (concave): each
+        # Young-function path raises AdmissibilityError, not a
+        # ZeroDivisionError or a silent value
+        pair, spec, young = instance_a.pair, BumpSpec(), YoungSpec("power", q)
+        for run in (lambda: orlicz_li_constant(pair, young, spec),
+                    lambda: orlicz_lacey_constant(pair, young, spec),
+                    lambda: sepcon_constant(pair, young),
+                    lambda: anneal(Objective("conjecture_sepcon", young=young),
+                                   SearchConfig(depth=2, steps=2))):
+            with pytest.raises(AdmissibilityError, match="inadmissible Young function"):
+                run()
 

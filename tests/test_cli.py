@@ -126,6 +126,23 @@ class TestConstants:
         assert math.isfinite(float(rows["entropy"]))
 
 
+    def test_non_finite_rows_exit_1(self, tmp_path):
+        # finite leaves whose constants overflow (testing_p is about 1e205,
+        # a_p about 1e616): exit 1 with one stderr line naming the rows, no
+        # RuntimeWarning, and no file holding inf or nan rows
+        path, out = tmp_path / "big.json", tmp_path / "c.csv"
+        path.write_text(json.dumps({"depth": 2, "p": 3.0, "w_leaves": [1.0] * 4,
+                                    "sigma_leaves": [sys.float_info.max] * 4,
+                                    "sparse": {"strategy": "tower", "eta": 0.5}}))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "sparsebump.cli",
+                               "constants", "--in", str(path), "--out", str(out)],
+                              env=cli_env(), capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == ("non-finite constants: a_p, entropy, nu_bump, orlicz_lacey, "
+                               "testing_p, testing_p_dual\n")
+        assert not out.exists()
+
+
 class TestCheck:
     def test_random_corpus_all_suites_pass(self, tmp_path):
         out = tmp_path / "check.csv"

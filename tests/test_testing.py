@@ -11,12 +11,13 @@ import oracles
 from conftest import STRATEGIES, level_arrays, make_instance, random_corpus
 from sparsebump import (CubeId, SparseFamily, TreeGeometry, WeightPair, apply_sparse, carleson_embedding_ratio, dyadic_maximal,
                         cov_sides, eset_split_check, hytonen_ratio, local_sum,
-                        lp_norm, maximal_norm_lower, operator_norm_lower,
+                        lp_norm, maximal_norm_lower, operator_norm, operator_norm_lower,
                         operator_norm_p2, prop31_bound, prop32_check,
                         prop33_check, sawyer_sum_bound, testing_constant,
                         theorem_main_ratio, generate_sparse, nu_constant)
 from sparsebump.bumps import BumpSpec, check_bump, nu_lambdas
 from sparsebump.dyadic import DomainError, NumericError, _select
+from sparsebump import testing
 from sparsebump.search import SearchConfig, _sub_ap_fraction, random_instance
 from sparsebump.testing import (CheckReport, CHECK_CSV_HEADER, _best_trial, _level,
                                 _indicator_ratios, _sums_inside, cov_bracket_report,
@@ -195,37 +196,76 @@ class TestSparseOperator:
                 inst.pair.sigma_leaves, 2.0), compute_uv=False)[0]
             assert iterative == pytest.approx(dense, rel=1e-6)
 
+    @staticmethod
+    def _bracket_cases(p):
+        """(S, pair): random_corpus draws, then at depths 0-6 every strategy
+        and law on one pair each, plus an explicit family without the root
+        or the last quarter's cubes, whose uncovered leaves put zeros in f
+        and whose halves are two blocks."""
+        for inst in random_corpus(70, seed=17, depths=(2, 3, 4, 5, 6), ps=(p,)):
+            yield inst.family, inst.pair
+        for depth, law in itertools.product(range(7), LAWS):
+            for strategy in STRATEGIES:  # the pair is the same for every strategy
+                inst = random_instance(SearchConfig(depth=depth, eta=0.25, strategy=strategy,
+                                                    dist=law, seed=depth + 7), p)
+                yield inst.family, inst.pair
+            if depth:
+                yield SparseFamily.build(
+                    [CubeId(1, 0)] + [c for c in inst.family.cubes
+                                      if c.level >= 2 and c.index < 3 << (c.level - 2)],
+                    inst.pair.geometry), inst.pair
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_norms_inside_the_dense_bracket(self, p):
-        # Boyd steps from the best trial reach the l^p norm of the dense
-        # matrix, bracketed by Boyd's map and its Collatz-Wielandt end
-        for inst in random_corpus(70, seed=17, depths=(2, 3, 4, 5, 6), ps=(p,)):
-            pair, S = inst.pair, inst.family
+        # the certified bracket closes to 1e-10 and overlaps the dense
+        # matrix's Boyd/Collatz-Wielandt bracket to 1e-12
+        for S, pair in self._bracket_cases(p):
             lo, hi = oracles.bracket(oracles.dense_operator(
                 pair.geometry.depth, S.masks, pair.w_leaves, pair.sigma_leaves, p), p)
-            assert lo * (1.0 - 1e-8) <= operator_norm_lower(S, pair, 64) <= hi * (1.0 + 1e-12)
-            if p == 2.0:
-                assert lo * (1.0 - 1e-9) <= operator_norm_p2(S, pair) <= hi * (1.0 + 1e-9)
+            lower, upper = operator_norm(S, pair)
+            assert upper - lower <= 1e-10 * lower
+            assert lo * (1.0 - 1e-12) <= upper and lower <= hi * (1.0 + 1e-12)
 
     def test_overflow_raises(self):
         # w A_S(f sigma) near 1e375 overflows: NumericError, never the 0.0
         # that only a zero image may return
-        inst = make_instance(3, np.full(8, 1e250), np.full(8, 1e250), 2.0)
-        with pytest.raises(NumericError):
-            operator_norm_p2(inst.family, inst.pair)
+        for p, norm in ((1.5, operator_norm), (2.0, operator_norm_p2), (3.0, operator_norm)):
+            inst = make_instance(3, np.full(8, 1e250), np.full(8, 1e250), p)
+            with pytest.raises(NumericError):
+                norm(inst.family, inst.pair)
+
+    def test_dual_brackets_overlap(self):
+        # ||A_S(. sigma)||_{L^p(sigma) -> L^p(w)} is the norm of its adjoint
+        # A_S(. w) from L^p'(w) to L^p'(sigma): the two brackets overlap
+        for inst in random_corpus(30, seed=12, depths=(0, 2, 4, 6, 8), ps=(1.5, 2.0, 3.0)):
+            lower, upper = operator_norm(inst.family, inst.pair)
+            dual_lower, dual_upper = operator_norm(inst.family, inst.pair.swapped())
+            assert lower <= dual_upper * (1.0 + 1e-12) and dual_lower <= upper * (1.0 + 1e-12)
+
+    def test_zero_image_gives_zero(self, instance_a):
+        assert operator_norm(SparseFamily(np.zeros(7, dtype=bool)), instance_a.pair) == (0.0, 0.0)
+
+    def test_step_cap_raises(self, instance_a, monkeypatch):
+        # a bracket that never closes stops at the 100 000-step cap
+        monkeypatch.setattr(testing, "_boyd", lambda S, pair, f: (1.0, 2.0, f))
+        with pytest.raises(NumericError, match="did not close"):
+            operator_norm(instance_a.family, instance_a.pair)
 
     def test_lower_bound_below_norm(self):
+        # both names are views of the bracket's lower end
         for inst in random_corpus(30, seed=10, depths=(2, 3, 4), ps=(2.0,)):
-            norm = operator_norm_p2(inst.family, inst.pair)
-            lower = operator_norm_lower(inst.family, inst.pair, budget=6, seed=0)
-            assert lower <= norm + 1e-9
+            lower, upper = operator_norm(inst.family, inst.pair)
+            assert lower <= upper * (1.0 + 1e-12)
+            assert operator_norm_p2(inst.family, inst.pair) == lower
+            for budget, seed in ((1, 0), (6, 0), (64, 5)):
+                assert operator_norm_lower(inst.family, inst.pair, budget, seed) == lower
 
     def test_norm_dominates_both_testing_constants(self):
-        for inst in random_corpus(30, seed=11, depths=(2, 3, 4, 5), ps=(2.0,)):
-            norm = operator_norm_p2(inst.family, inst.pair)
+        for inst in random_corpus(30, seed=11, depths=(2, 3, 4, 5), ps=(1.5, 2.0, 3.0)):
+            upper = operator_norm(inst.family, inst.pair)[1]
             t1, _ = testing_constant(inst.pair, inst.family)
             t2, _ = testing_constant(inst.pair.swapped(), inst.family)
-            assert max(t1, t2) <= norm + 1e-9
+            assert max(t1, t2) <= upper * (1.0 + 1e-12)
 
     def test_rejects_other_exponents(self, instance_a):
         pair = WeightPair(instance_a.pair.geometry, instance_a.pair.w_leaves,
@@ -555,14 +595,12 @@ class TestIndicatorRatios:
                     rtol=1e-13, atol=0)
 
     def test_best_trial_takes_the_first_maximum(self, instance_a):
-        # ties go to the smallest (level, index), -inf marks a cube not
-        # tried, and random trials whose image is 0 never beat the indicator
+        # -inf marks a cube not tried, and random trials whose image is 0
+        # never beat the indicators' maximum
         pair = instance_a.pair
         ratios = np.array([1.0, -np.inf, 2.0, 0.5, 2.0, 2.0, 0.0])
-        best, f = _best_trial(pair, lambda g: 0.0 * g, ratios, 3, 0)
-        assert best == 2.0 and np.array_equal(f, [0.0, 0.0, 1.0, 1.0])
-        best, f = _best_trial(pair, lambda g: 0.0 * g, np.full(7, -np.inf), 3, 0)
-        assert best == 0.0 and f is None
+        assert _best_trial(pair, lambda g: 0.0 * g, ratios, 3, 0) == 2.0
+        assert _best_trial(pair, lambda g: 0.0 * g, np.full(7, -np.inf), 3, 0) == 0.0
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_reflection_and_refinement(self, p):
