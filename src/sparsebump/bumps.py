@@ -313,15 +313,16 @@ class ConjugateTable:
     def A_and_elasticity(self, s):
         """(Abar(s), e(s)): np.interp on the log-log grid, clamped below it
         and extended by the top slope above it; e is the segment's slope.
-        The grid is uniform: u's segment is one product with 1/step, moved by
-        one where rounding crossed a node; nan reads segment 0, giving nan."""
+        The grid is uniform: u's segment is one product with 1/step, less 1e-7
+        so that it is exact or one low, moved up by one where u is past its
+        upper edge; nan reads segment 0, giving nan."""
         s = np.asarray(s, dtype=float)
         u = np.log(np.maximum(s, 1e-300))
         ls = self.log_s
         h = ls[1] - ls[0]
         with np.errstate(invalid="ignore"):  # the cast of nan is invalid
-            k = np.minimum((u - (ls[0] - h)) * (1.0 / h), len(ls)).astype(np.intp)
-        k -= u < self._edges.take(k, mode="clip")
+            k = np.minimum((u - (ls[0] - h)) * (1.0 / h) - 1e-7, len(ls))
+            k = np.maximum(k, 0.0).astype(np.intp)  # not out=: a 0-d k is a numpy scalar
         k += u >= self._edges[1:].take(k, mode="clip")
         slope = self._slope.take(k, mode="clip")
         val = slope * (u - self._node.take(k, mode="clip")) + self._value.take(k, mode="clip")

@@ -10,7 +10,6 @@ are summed pairwise, so a parent's is exactly the sum of its children's.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -376,11 +375,14 @@ def instance_from_dict(data: dict) -> Instance:
 
 def load_json(path, from_json_dict):
     """from_json_dict of the JSON in a file, skipping lines that start with
-    "#" (a config header).  A file that is not JSON or that from_json_dict
-    cannot read is a DomainError naming the file."""
+    "#" (a config header), parsed by orjson.  A file that is not JSON (NaN,
+    Infinity and literals beyond the float range included) or that
+    from_json_dict cannot read is a DomainError naming the file."""
+    import orjson  # imported here: search reads no file, so it skips this ~6 ms import
     try:
-        with open(path) as fh:
-            return from_json_dict(json.loads("".join(ln for ln in fh if not ln.startswith("#"))))
+        with open(path, "rb") as fh:
+            text = b"".join(ln for ln in fh if not ln.startswith(b"#"))
+        return from_json_dict(orjson.loads(text))
     except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
         raise DomainError(f"malformed input file {path}: {exc!r}") from exc
 

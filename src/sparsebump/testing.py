@@ -138,21 +138,20 @@ def _trial_ratio(pair: WeightPair, apply, f: np.ndarray) -> float:
     return num / den
 
 
-def _indicator_ratios(pair: WeightPair, mask, op) -> np.ndarray:
-    """The _trial_ratio of every cube's indicator as a flat (level, index)
-    buffer: T = A_S at (S.flat_mask, np.add), T = M at (True, np.maximum).
-    With E(P) = op of 2^level over P and its ancestors on the mask,
-    T(sigma chi_Q) is op(table[l(Q)], sigma(Q) E(parent Q)) on Q and sigma(Q) E(P) off
-    Q, P the least common ancestor; D(child) = D(parent) + E(parent)^p w(sibling),
-    D(root) = 0, sums those p-th powers against w."""
+def _indicator_ratios(pair: WeightPair) -> np.ndarray:
+    """The _trial_ratio of every cube's indicator under T = M as a flat
+    (level, index) buffer.  With E(P) = 2^level(P), the largest of 2^level
+    over P and its ancestors, M(sigma chi_Q) is max(table[l(Q)], sigma(Q)
+    E(parent Q)) on Q and sigma(Q) E(P) off Q, P the least common ancestor;
+    D(child) = D(parent) + E(parent)^p w(sibling), D(root) = 0, sums those
+    p-th powers against w."""
     depth, p, sigma = pair.geometry.depth, pair.p, pair.sigma_mass_flat
     scale, up = _tree_index(depth)
-    table = ancestor_table(np.where(mask, pair.sigma_avg_flat, 0.0), depth, op)
-    e = ancestor_accumulate(np.where(mask, scale, 0.0), depth, op)
-    e_parent = np.concatenate([[0.0], e[:(1 << depth) - 1].repeat(2)])
+    table = ancestor_table(pair.sigma_avg_flat, depth, np.maximum)
+    e_parent = np.concatenate([[0.0], scale[:(1 << depth) - 1].repeat(2)])
     sibling_w = pair.w_mass_flat[1:].reshape(-1, 2)[:, ::-1].ravel()
     off = ancestor_accumulate(np.concatenate([[0.0], e_parent[1:] ** p * sibling_w]), depth)
-    inside = op(table, (sigma * e_parent)[up]) ** p * pair.w_leaves
+    inside = np.maximum(table, (sigma * e_parent)[up]) ** p * pair.w_leaves
     num = np.bincount(up.ravel(), inside.ravel(), minlength=sigma.size) * 2.0 ** (-depth)
     # sigma(Q)^p D(Q), 0 at D = 0 even where sigma(Q)^p overflows
     return ((num + (sigma * off ** (1.0 / p)) ** p) / sigma) ** (1.0 / p)
@@ -379,4 +378,4 @@ def maximal_norm_lower(pair: WeightPair, budget: int, seed: int = 0) -> float:
     the indicators of every cube, whose largest ratio is Sawyer's testing
     constant for M, and seeded random nonnegative leaf vectors."""
     return _best_trial(pair, lambda g: dyadic_maximal(g, pair.geometry.depth),
-                       _indicator_ratios(pair, True, np.maximum), budget, seed)
+                       _indicator_ratios(pair), budget, seed)

@@ -306,25 +306,15 @@ def brute_maximal_of_indicator(sigma, level, index, depth):
     return out
 
 
-def brute_indicator_ratios(w, sigma, p, depth, masks=None):
-    """The trial ratio ||T(sigma chi_Q)||_{L^p(w)} / ||chi_Q||_{L^p(sigma)} of
-    every cube Q's indicator, the cube (l, j) at position 2**l - 1 + j:
-    T = M by brute_maximal_of_indicator with masks None, else T = A_S of
-    the per-level masks, the l^p ratio of dense_operator applied to
-    chi_Q sigma^{1/p}."""
+def brute_indicator_ratios(w, sigma, p, depth):
+    """The trial ratio ||M(sigma chi_Q)||_{L^p(w)} / ||chi_Q||_{L^p(sigma)} of
+    every cube Q's indicator by brute_maximal_of_indicator, the cube (l, j)
+    at position 2**l - 1 + j."""
     sigma = np.asarray(sigma, dtype=float)
-    dense = None if masks is None else dense_operator(depth, masks, w, sigma, p)
     out = []
     for level, index in all_cubes(depth):
-        if dense is None:
-            num = brute_lp_norm(brute_maximal_of_indicator(sigma, level, index, depth),
-                                w, p, depth)
-            out.append(num / brute_mass(sigma, level, index, depth) ** (1.0 / p))
-        else:
-            h = np.zeros(1 << depth)
-            a, b = leaf_range(level, index, depth)
-            h[a:b] = sigma[a:b] ** (1.0 / p)
-            out.append(np.sum((dense @ h) ** p) ** (1.0 / p) / np.sum(h ** p) ** (1.0 / p))
+        num = brute_lp_norm(brute_maximal_of_indicator(sigma, level, index, depth), w, p, depth)
+        out.append(num / brute_mass(sigma, level, index, depth) ** (1.0 / p))
     return np.array(out)
 
 

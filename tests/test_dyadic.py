@@ -3,10 +3,11 @@
 import json
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import STRATEGIES
@@ -417,12 +418,31 @@ class TestInstanceIO:
     @pytest.mark.parametrize("text", ['{"depth": 1, "p": 2', '{"depth": 1, "p": 2}',
                                       '{"depth": 1, "p": 2, "w_leaves": [1, 1], '
                                       '"sigma_leaves": [1, 1], "sparse": {"cubes": [["a", 0]]}}',
-                                      '[1, 2]'])
+                                      '[1, 2]'] + [
+        # literals the reader rejects, where json would read nan and inf leaves
+        f'{{"depth": 1, "p": 2, "w_leaves": [{x}, 1], "sigma_leaves": [1, 1], '
+        f'"sparse": {{"cubes": [[0, 0]]}}}}' for x in ("NaN", "Infinity", "1e400")])
     def test_malformed_file_is_a_domain_error_naming_it(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
         with pytest.raises(DomainError, match="bad.json"):
             load_instance(path)
+
+    @given(st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=16, max_size=16))
+    @example([0.0, -0.0, 5e-324, 2.2e-308, 1e-12, 1e-12 * (1 + 2 ** -52),
+              sys.float_info.max, 0.1] * 2)
+    @settings(max_examples=200, deadline=None)
+    def test_leaves_read_to_the_bits_json_reads(self, tmp_path_factory, leaves):
+        # every finite density json.dumps writes reads back as json.loads
+        # reads it, after the DENSITY_FLOOR clamp
+        path = tmp_path_factory.getbasetemp() / "leaves.json"
+        text = json.dumps({"depth": 3, "p": 2.0, "w_leaves": leaves[:8],
+                           "sigma_leaves": leaves[8:], "sparse": {"cubes": [[0, 0]]}})
+        path.write_text(text)
+        pair, data = load_instance(path).pair, json.loads(text)
+        for got, key in ((pair.w_leaves, "w_leaves"), (pair.sigma_leaves, "sigma_leaves")):
+            want = np.maximum(np.array(data[key]), DENSITY_FLOOR)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_empty_family_rejected(self):
         with pytest.raises(DomainError):

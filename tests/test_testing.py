@@ -573,26 +573,18 @@ LAWS = ("lognormal", "spike", "mixed")
 
 class TestIndicatorRatios:
     """testing._indicator_ratios, the closed form of every cube's
-    indicator ratio for M (True, np.maximum) and A_S (S.flat_mask, np.add)."""
+    indicator ratio for M."""
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_match_the_brute_oracle(self, p):
-        # the brute maximal function of sigma chi_Q and the dense A_S
-        # applied to chi_Q sigma^{1/p}, every cube at depths 0-6
+        # the brute maximal function of sigma chi_Q, every cube at depths 0-6
         for depth, law in itertools.product(range(7), LAWS):
-            for k, strategy in enumerate(STRATEGIES):
-                config = SearchConfig(depth=depth, eta=0.25, strategy=strategy, dist=law,
-                                      seed=depth + 7)
-                pair, S = (inst := random_instance(config, p)).pair, inst.family
-                w, sigma = pair.w_leaves, pair.sigma_leaves
-                if k == 0:  # the pair is the same for every strategy
-                    np.testing.assert_allclose(
-                        _indicator_ratios(pair, True, np.maximum),
-                        oracles.brute_indicator_ratios(w, sigma, p, depth), rtol=1e-13, atol=0)
-                np.testing.assert_allclose(
-                    _indicator_ratios(pair, S.flat_mask, np.add),
-                    oracles.brute_indicator_ratios(w, sigma, p, depth, S.masks),
-                    rtol=1e-13, atol=0)
+            config = SearchConfig(depth=depth, eta=0.25, dist=law, seed=depth + 7)
+            pair = random_instance(config, p).pair
+            np.testing.assert_allclose(
+                _indicator_ratios(pair),
+                oracles.brute_indicator_ratios(pair.w_leaves, pair.sigma_leaves, p, depth),
+                rtol=1e-13, atol=0)
 
     def test_best_trial_takes_the_first_maximum(self, instance_a):
         # -inf marks a cube not tried, and random trials whose image is 0
@@ -605,26 +597,20 @@ class TestIndicatorRatios:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_reflection_and_refinement(self, p):
         # at depths 8-12, where the oracle is too slow: mirroring the pair
-        # (and the family) mirrors both buffers, and splitting every leaf
-        # in two, the family held on the same cubes, leaves every original
-        # cube's ratio as it was
-        for depth, law, strategy in itertools.product(range(8, 13), LAWS,
-                                                      ("stopping_time", "random_greedy")):
-            config = SearchConfig(depth=depth, eta=0.25, strategy=strategy, dist=law, seed=depth)
-            pair, S = (inst := random_instance(config, p)).pair, inst.family
+        # mirrors the buffer, and splitting every leaf in two leaves every
+        # original cube's ratio as it was
+        for depth, law in itertools.product(range(8, 13), LAWS):
+            config = SearchConfig(depth=depth, eta=0.25, dist=law, seed=depth)
+            pair = random_instance(config, p).pair
             w, sigma = pair.w_leaves, pair.sigma_leaves
             mirror = WeightPair(pair.geometry, w[::-1], sigma[::-1], p)
             fine = WeightPair(TreeGeometry(depth + 1), oracles.refine(w, 1),
                               oracles.refine(sigma, 1), p)
-            held = np.concatenate([S.flat_mask, np.zeros(2 << depth, dtype=bool)])
-            for mask, mirrored, refined, op in (
-                    (True, True, True, np.maximum),
-                    (S.flat_mask, oracles.reflect(S.flat_mask), held, np.add)):
-                ratios = _indicator_ratios(pair, mask, op)
-                np.testing.assert_allclose(_indicator_ratios(mirror, mirrored, op),
-                                           oracles.reflect(ratios), rtol=1e-13, atol=0)
-                np.testing.assert_allclose(_indicator_ratios(fine, refined, op)[:ratios.size],
-                                           ratios, rtol=1e-13, atol=0)
+            ratios = _indicator_ratios(pair)
+            np.testing.assert_allclose(_indicator_ratios(mirror), oracles.reflect(ratios),
+                                       rtol=1e-13, atol=0)
+            np.testing.assert_allclose(_indicator_ratios(fine)[:ratios.size], ratios,
+                                       rtol=1e-13, atol=0)
 
 
 class TestCheckReport:
