@@ -29,7 +29,13 @@ this tree's `src/`:
   uncovered leaves;
 - `constants --in` and `check --in` on two malformed instance files that
   the CLI must refuse with exit code 2: one lacks `w_leaves`, and one
-  misspells `seed` as `sed`.
+  misspells `seed` as `sed`;
+- with the non-default bump file `bumps_nondefault.json` (psi
+  `log_loglog` eps 0.5, phi `log_power` eps 0.5): `constants --in` and
+  `check --in` on the depth-6 stopping_time lognormal p 2 instance, and
+  a maximal_bound search at p 2, `--depths 3 5 --steps 150 --seed 3`;
+- `report` over five of the set's CSVs: two `constants`, two `check` and
+  one `search` table.
 
 `exit_codes.txt` lists each run's exit code, or `raised <ExceptionType>`
 for a run that raised out of `cli.main`.  Compare two sets with `diff -r`
@@ -56,6 +62,11 @@ MALFORMED = {
                            "sigma_leaves": [1.0, 2.0],
                            "sparse": {"strategy": "random_greedy", "eta": 0.3, "sed": 5}},
 }
+
+
+# a bump file away from BumpSpec's defaults on both sides
+NONDEFAULT_BUMPS = {"psi": {"family": "log_loglog", "eps": 0.5},
+                    "phi": {"family": "log_power", "eps": 0.5}}
 
 
 def rootless_instance() -> dict:
@@ -122,6 +133,16 @@ def runs():
     for inst in MALFORMED:
         for cmd in ("constants", "check"):
             yield [cmd, "--in", inst, "--out", f"{cmd}_{inst.removesuffix('.json')}.csv"]
+    bumps = ["--bumps", "bumps_nondefault.json"]
+    for cmd in ("constants", "check"):
+        yield [cmd, "--in", "gen_stopping_time_d6_p2_lognormal.json", *bumps,
+               "--out", f"{cmd}_bumps_stopping_time_d6_p2_lognormal.csv"]
+    yield ["search", "--objective", "maximal_bound", "--p", "2", "--depths", "3", "5",
+           "--steps", "150", "--seed", "3", *bumps, "--out", "search_bumps_maximal_bound_p2.csv",
+           "--result-out", "search_bumps_maximal_bound_p2.json"]
+    yield ["report", "--in", "constants_all_tower_d3_p2_lognormal.csv",
+           "constants_bumps_stopping_time_d6_p2_lognormal.csv", "check_tower_d3_p2_lognormal.csv",
+           "check_trials_seed0.csv", "search_maximal_bound_p2.csv", "--out", "report.csv"]
 
 
 def run(args) -> str:
@@ -142,7 +163,8 @@ def main(argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
     inputs = ({f"young_{name}.json": data for _, name, data in bp_boundary()} | MALFORMED
-              | {"rootless_d6_p2.json": rootless_instance()})
+              | {"rootless_d6_p2.json": rootless_instance(),
+                 "bumps_nondefault.json": NONDEFAULT_BUMPS})
     for path, data in inputs.items():
         Path(path).write_text(json.dumps(data, sort_keys=True) + "\n")
     codes = [f"{run(args)} {' '.join(args)}" for args in runs()]

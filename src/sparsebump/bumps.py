@@ -255,15 +255,16 @@ def ensure_young(young: YoungSpec) -> None:
     A(0) = 0 and A is increasing and convex on a geometric grid (cached once it passes)."""
     reasons = [] if young.q > 1.0 else [f"q = {young.q} is not above 1"]
     ts = np.concatenate(([0.0], np.geomspace(2.0 ** -40, 2.0 ** 40, 2001)))
-    vals = np.asarray(young.A(ts))
-    if abs(vals[0]) > 1e-12:
-        reasons.append("A(0) != 0")
-    if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
-        reasons.append("A not increasing")
-    slopes = np.diff(vals) / np.diff(ts)
-    rel = np.diff(slopes) / np.maximum(slopes[1:], 1e-300)
-    if np.min(rel) < -1e-9:
-        reasons.append("A not convex on the geometric grid")
+    with np.errstate(all="ignore"):  # A(0) is inf for q < 0; the reasons say so
+        vals = np.asarray(young.A(ts))
+        if abs(vals[0]) > 1e-12:
+            reasons.append("A(0) != 0")
+        if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
+            reasons.append("A not increasing")
+        slopes = np.diff(vals) / np.diff(ts)
+        rel = np.diff(slopes) / np.maximum(slopes[1:], 1e-300)
+        if np.min(rel) < -1e-9:
+            reasons.append("A not convex on the geometric grid")
     if reasons:
         raise AdmissibilityError("inadmissible Young function: " + "; ".join(reasons))
 

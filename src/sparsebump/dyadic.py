@@ -163,6 +163,8 @@ class WeightPair:
         self.w_mass_flat, self.sigma_mass_flat = (_pyramid(v, geometry.depth) for v in (w, s))
         self.w_avg_flat, self.sigma_avg_flat = (m * _tree_index(geometry.depth)[0]
                                                 for m in (self.w_mass_flat, self.sigma_mass_flat))
+        for flat in (self.w_mass_flat, self.sigma_mass_flat, self.w_avg_flat, self.sigma_avg_flat):
+            flat.flags.writeable = False
 
     @property
     def p_dual(self) -> float:

@@ -128,7 +128,7 @@ def evaluate(objective: Objective, instance: Instance) -> float:
     pair, S = instance.pair, instance.family
     if pair.p != objective.p:
         raise DomainError(f"instance at p = {pair.p} for an objective at p = {objective.p}")
-    num = (maximal_norm_lower(pair, budget=8, seed=1) if objective.kind == "maximal_bound"
+    num = (maximal_norm_lower(pair) if objective.kind == "maximal_bound"
            else testing_constant(pair, S)[0])
     den = OBJECTIVE_KINDS[objective.kind](pair, S, objective)
     if den < 1e-300:

@@ -127,21 +127,10 @@ def operator_norm_p2(S: SparseFamily, pair: WeightPair) -> float:
     return operator_norm(S, pair)[0]
 
 
-def _trial_ratio(pair: WeightPair, apply, f: np.ndarray) -> float:
-    """||apply(f sigma)||_{L^p(w)} / ||f||_{L^p(sigma)}, 0 for f = 0."""
-    p, mu = pair.p, 2.0 ** (-pair.geometry.depth)
-    den = float(np.sum(np.abs(f) ** p * pair.sigma_leaves) * mu) ** (1.0 / p)
-    if den == 0.0:
-        return 0.0
-    img = apply(f * pair.sigma_leaves)
-    num = float(np.sum(np.abs(img) ** p * pair.w_leaves) * mu) ** (1.0 / p)
-    return num / den
-
-
 def _indicator_ratios(pair: WeightPair) -> np.ndarray:
-    """The _trial_ratio of every cube's indicator under T = M as a flat
-    (level, index) buffer.  With E(P) = 2^level(P), the largest of 2^level
-    over P and its ancestors, M(sigma chi_Q) is max(table[l(Q)], sigma(Q)
+    """||M(sigma chi_Q)||_{L^p(w)} / sigma(Q)^{1/p} for every cube Q as a
+    flat (level, index) buffer.  With E(P) = 2^level(P), the largest of
+    2^level over P and its ancestors, M(sigma chi_Q) is max(table[l(Q)], sigma(Q)
     E(parent Q)) on Q and sigma(Q) E(P) off Q, P the least common ancestor;
     D(child) = D(parent) + E(parent)^p w(sibling), D(root) = 0, sums those
     p-th powers against w."""
@@ -155,19 +144,6 @@ def _indicator_ratios(pair: WeightPair) -> np.ndarray:
     num = np.bincount(up.ravel(), inside.ravel(), minlength=sigma.size) * 2.0 ** (-depth)
     # sigma(Q)^p D(Q), 0 at D = 0 even where sigma(Q)^p overflows
     return ((num + (sigma * off ** (1.0 / p)) ** p) / sigma) ** (1.0 / p)
-
-
-def _best_trial(pair: WeightPair, apply, ratios, budget: int, seed: int) -> float:
-    """The largest of 0, ratios (the indicator ratios, -inf at a cube not
-    tried) and the _trial_ratio of budget seeded random nonnegative leaf
-    vectors."""
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
-    n, rng = pair.geometry.n_leaves, np.random.default_rng(np.uint64(seed))
-    best = max(0.0, float(ratios.max()))
-    for _ in range(budget):
-        best = max(best, _trial_ratio(pair, apply, rng.exponential(1.0, n)))
-    return best
 
 
 def _boyd(S: SparseFamily, pair: WeightPair, f: np.ndarray):
@@ -333,6 +309,9 @@ def sawyer_sum_bound(pair: WeightPair, S: SparseFamily, spec: BumpSpec,
 
 # the pass cap of prop31_bound: the proof's constant is implicit
 PROP31_CAP = 64.0
+# maximal_norm_lower's random trials: that many exponential leaf vectors,
+# drawn from that seed
+MAXIMAL_TRIALS, MAXIMAL_SEED = 8, 1
 
 
 def prop31_bound(pair: WeightPair, S: SparseFamily, lam, spec: BumpSpec, tc: float) -> CheckReport:
@@ -355,10 +334,8 @@ def eset_split_check(pair: WeightPair, S: SparseFamily, R: CubeId):
     sawyer = float(_sums_inside(S, _sawyer_terms(S, pair), R))
     split = CheckReport.make("eset_split", lhs,
                              ap_constant(pair, S) * sawyer if sawyer > 0 else 1.0)
-    if not E.flat_mask.any():
-        return split, CheckReport.make("eset_member", 0.0, 1.0, bound=1.0, hard=True)
-    # hard intermediate: sigma(Q) <= sigma_Q^p w(Q) for every Q in E
-    worst = (_select(pair.sigma_mass_flat, E) / _sawyer_terms(E, pair)).max()
+    # hard intermediate: sigma(Q) <= sigma_Q^p w(Q) for every Q in E (0 for an empty E)
+    worst = (_select(pair.sigma_mass_flat, E) / _sawyer_terms(E, pair)).max(initial=0.0)
     return split, CheckReport.make("eset_member", float(worst), 1.0, bound=1.0, hard=True)
 
 
@@ -373,9 +350,16 @@ def theorem_main_ratio(pair: WeightPair, S: SparseFamily, spec: BumpSpec, tc1: f
                  for i, q, tc in ((1, pair, tc1), (2, dual, testing_constant(dual, S)[0])))
 
 
-def maximal_norm_lower(pair: WeightPair, budget: int, seed: int = 0) -> float:
+def maximal_norm_lower(pair: WeightPair) -> float:
     """Trial-based lower bound for ||M_d(. sigma)||_{L^p(sigma) -> L^p(w)}:
-    the indicators of every cube, whose largest ratio is Sawyer's testing
-    constant for M, and seeded random nonnegative leaf vectors."""
-    return _best_trial(pair, lambda g: dyadic_maximal(g, pair.geometry.depth),
-                       _indicator_ratios(pair), budget, seed)
+    the largest ratio over the indicators of every cube, which is Sawyer's
+    testing constant for M, and MAXIMAL_TRIALS random leaf vectors f >= 0
+    drawn from MAXIMAL_SEED."""
+    p, w, sigma = pair.p, pair.w_leaves, pair.sigma_leaves
+    rng = np.random.default_rng(np.uint64(MAXIMAL_SEED))
+    best = float(_indicator_ratios(pair).max())
+    for _ in range(MAXIMAL_TRIALS):
+        f = rng.exponential(1.0, sigma.size)
+        mf = dyadic_maximal(f * sigma, pair.geometry.depth)
+        best = max(best, lp_norm(mf, w, p) / lp_norm(f, sigma, p))
+    return best

@@ -110,6 +110,20 @@ class TestConstants:
         assert len(err.splitlines()) == 1 and "q = 1.0 is not above 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", ["power", "power_over_log"])
+    def test_negative_q_rejected_without_warnings(self, tmp_path, instance_file, family):
+        # A(0) = 0^q is inf at q = -1: exit 2 with the one reasons line, no
+        # RuntimeWarning before it
+        spec = tmp_path / "young.json"
+        spec.write_text(json.dumps({"family": family, "q": -1}))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "sparsebump.cli",
+                               "constants", "--in", str(instance_file), "--young", str(spec),
+                               "--out", str(tmp_path / "c.csv")],
+                              env=cli_env(), capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == ("inadmissible Young function: q = -1.0 is not above 1; "
+                               "A(0) != 0; A not increasing\n")
+
     @pytest.mark.parametrize("p, young, member", [
         ("1.9", {"family": "power_over_log", "q": 1.95, "eps": 1.0}, False),
         ("2", {"family": "power", "q": 1.99}, True)])

@@ -1,6 +1,9 @@
-"""The package's third-party imports are the dependencies pyproject.toml declares."""
+"""The package's third-party imports are the dependencies pyproject.toml
+declares, and every name the benchmark's tracer rebinds exists."""
 
 import ast
+import importlib
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -32,3 +35,18 @@ def test_every_third_party_import_is_declared():
     third_party = imported - set(sys.stdlib_module_names) - {"sparsebump"}
     assert {"numpy", "orjson"} <= third_party
     assert third_party <= declared, f"imported but not declared: {sorted(third_party - declared)}"
+
+
+def test_every_traced_name_exists():
+    # perfbench/tracer.py rebinds these when a run is traced; a missing one
+    # would otherwise only show as a raise in Tracer.install()
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr_path in (t for targets in tracer.LAYERS.values() for t in targets):
+        home = importlib.import_module(f"sparsebump.{module_name}")
+        owner_name, _, meth = attr_path.rpartition(".")
+        if owner_name:  # a method: the tracer rebinds it on its class
+            assert meth in vars(getattr(home, owner_name)), f"{module_name}.{attr_path}"
+        else:
+            assert callable(getattr(home, attr_path, None)), f"{module_name}.{attr_path}"

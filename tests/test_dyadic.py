@@ -171,7 +171,8 @@ class TestMassPyramid:
 
     def test_holds_read_only_copies_of_the_leaves(self):
         # writing into the caller's arrays afterwards changes no constant,
-        # and the pair's own leaf vectors (its dual's too) refuse writes
+        # and the pair's own leaf vectors (its dual's too) and its four flat
+        # pyramids, which _select(flat, "all") hands out uncopied, refuse writes
         rng = np.random.default_rng(5)
         g = TreeGeometry(4)
         w, sigma = oracles.random_pair(rng, 4)
@@ -186,9 +187,10 @@ class TestMassPyramid:
         before = constants()
         w[:], sigma[:] = 100.0, 100.0
         assert constants() == before
-        for leaves in (pair.w_leaves, pair.sigma_leaves, pair.swapped().w_leaves):
+        for buf in (pair.w_leaves, pair.sigma_leaves, pair.swapped().w_leaves, pair.w_mass_flat,
+                    pair.sigma_mass_flat, pair.w_avg_flat, pair.sigma_avg_flat):
             with pytest.raises(ValueError):
-                leaves[0] = 1.0
+                buf *= 10.0
 
 
 class TestPacking:

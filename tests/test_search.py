@@ -30,7 +30,7 @@ EXPECTED = {
     "conjecture_sepcon": (lambda pair, S: testing_constant(pair, S)[0],
                           lambda pair, S, obj: sepcon_constant(pair, obj.young, "all"),
                           1e-10),
-    "maximal_bound": (lambda pair, S: maximal_norm_lower(pair, budget=8, seed=1),
+    "maximal_bound": (lambda pair, S: maximal_norm_lower(pair),
                       lambda pair, S, obj: maximal_bound_constant(pair, obj.spec, "all"),
                       1e-9),
     "prop31_orlicz": (lambda pair, S: testing_constant(pair, S)[0],

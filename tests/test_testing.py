@@ -19,8 +19,8 @@ from sparsebump.bumps import BumpSpec, check_bump, nu_lambdas
 from sparsebump.dyadic import DomainError, NumericError, _select
 from sparsebump import testing
 from sparsebump.search import SearchConfig, _sub_ap_fraction, random_instance
-from sparsebump.testing import (CheckReport, CHECK_CSV_HEADER, _best_trial, _level,
-                                _indicator_ratios, _sums_inside, cov_bracket_report,
+from sparsebump.testing import (CheckReport, CHECK_CSV_HEADER, MAXIMAL_SEED, MAXIMAL_TRIALS,
+                                _level, _indicator_ratios, _sums_inside, cov_bracket_report,
                                 lemma_reports, realized_levels)
 
 ROOT = CubeId(0, 0)
@@ -556,14 +556,14 @@ class TestMaximal:
         for pair in pairs:
             w, sigma, p, depth = pair.w_leaves, pair.sigma_leaves, pair.p, pair.geometry.depth
             sawyer = oracles.brute_indicator_ratios(w, sigma, p, depth).max()
-            rng = np.random.default_rng(np.uint64(0))
+            rng = np.random.default_rng(np.uint64(MAXIMAL_SEED))
             trials = []
-            for _ in range(4):
+            for _ in range(MAXIMAL_TRIALS):
                 f = rng.exponential(1.0, 1 << depth)
                 mf = oracles.brute_dyadic_maximal(f * sigma, 0, 0, depth)
                 trials.append(oracles.brute_lp_norm(mf, w, p, depth)
                               / oracles.brute_lp_norm(f, sigma, p, depth))
-            val = maximal_norm_lower(pair, budget=4, seed=0)
+            val = maximal_norm_lower(pair)
             assert val == pytest.approx(max(sawyer, *trials), rel=1e-13)
             assert val >= sawyer * (1.0 - 1e-13) > 0.0
 
@@ -585,14 +585,6 @@ class TestIndicatorRatios:
                 _indicator_ratios(pair),
                 oracles.brute_indicator_ratios(pair.w_leaves, pair.sigma_leaves, p, depth),
                 rtol=1e-13, atol=0)
-
-    def test_best_trial_takes_the_first_maximum(self, instance_a):
-        # -inf marks a cube not tried, and random trials whose image is 0
-        # never beat the indicators' maximum
-        pair = instance_a.pair
-        ratios = np.array([1.0, -np.inf, 2.0, 0.5, 2.0, 2.0, 0.0])
-        assert _best_trial(pair, lambda g: 0.0 * g, ratios, 3, 0) == 2.0
-        assert _best_trial(pair, lambda g: 0.0 * g, np.full(7, -np.inf), 3, 0) == 0.0
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_reflection_and_refinement(self, p):
