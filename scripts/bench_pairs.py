@@ -13,11 +13,15 @@ correct flag and its attempted and failed counts.  The summary gives,
 per end-to-end metric of NEW_TREE/BENCHMARK.json, both medians and their
 relative change (new - old) / old, the old runs' quartiles and their
 spread (q3 - q1, inclusive method) and the pairs each side won; a tie
-counts for neither.  A verdict line per metric then says whether a gain
-may be claimed (the new tree won at least 9 in 10 of the pairs and its
-median beats the old median by more than the old quartile spread, in the
-metric's better direction) and whether the new median is within the
-metric's bound, a relative worsening of at most `bound`.
+counts for neither.  A ratio line per metric gives the median and
+quartiles of the per-pair ratio new / old: the two runs of a pair are
+back to back, so the ratio cancels most of a drift of the machine's
+speed that widens the quartiles of either side.  A verdict line per
+metric then says whether a gain may be claimed (the new tree won at
+least 9 in 10 of the pairs and its median beats the old median by more
+than the old quartile spread, in the metric's better direction) and
+whether the new median is within the metric's bound, a relative
+worsening of at most `bound`.
 Exits 1 if any run was not correct or had a failed operation, else 0.
 """
 
@@ -75,6 +79,18 @@ def summary_lines(rows, n_pairs: int) -> list:
             for name, old, new, q1, q3, new_won, old_won in rows]
 
 
+def ratio_lines(pairs, names) -> list:
+    """One line per metric of names: the median and quartiles (inclusive
+    method) of new / old over pairs, a list of (old run, new run) results."""
+    lines = []
+    for name in names:
+        ratios = [n["metrics"][name]["value"] / o["metrics"][name]["value"] for o, n in pairs]
+        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        lines.append(f"{name}: pair ratio new/old median {median:.4f}, "
+                     f"quartiles {q1:.4f}-{q3:.4f}")
+    return lines
+
+
 def verdict(row, n_pairs: int, better: str, bound: float) -> str:
     """The claim and bound verdicts of a summarize row whose metric is
     better "lower" or "higher" and may worsen by the relative bound."""
@@ -110,6 +126,7 @@ def main(argv=None) -> int:
         pairs.append((result["old"], result["new"]))
     rows = summarize(pairs, better)
     print("\n".join(summary_lines(rows, PAIRS)))
+    print("\n".join(ratio_lines(pairs, better)))
     print("\n".join(verdict(row, PAIRS, better[row[0]], bound[row[0]])
                      for row in rows))
     return 0 if clean else 1

@@ -299,35 +299,34 @@ class ConjugateTable:
     (eps <= 1); nearer q = 1 the outermost nodes read t = 2^+-200."""
 
     def __init__(self, young: YoungSpec):
-        self.log_s = np.linspace(-60.0 * math.log(2.0), 60.0 * math.log(2.0), 512)
+        self.log_s, step = np.linspace(-60 * math.log(2.0), 60 * math.log(2.0), 512, retstep=True)
         self.log_v = np.log(np.maximum(_conjugate(young, np.exp(self.log_s)), 1e-300))
-        # lookup segment k spans [_edges[k], _edges[k+1]), a line through (_node[k], _value[k])
-        # of slope _slope[k]: k = 0 lies below the grid (slope 0), k = 512 and 513 (s = inf) above
+        # lookup segment k is a line through (_node[k], _value[k]) of slope _slope[k] up to
+        # _node[k + 1]: k = 0 lies below the grid (slope 0), k = 512 and 513 (s = inf) above
         slopes = np.diff(self.log_v) / np.diff(self.log_s)
-        self._edges = np.concatenate([[-np.inf], self.log_s, [np.inf, np.inf]])
         self._node, self._value = (np.pad(a, 1, mode="edge") for a in (self.log_s, self.log_v))
         self._slope = np.concatenate([[0.0], slopes, slopes[-1:].repeat(2)])
+        self._origin, self._inv_step = self.log_s[0] - (1.0 - 1e-7) * step, 1.0 / step
         self.q = young.q / (young.q - 1.0)  # Abar's growth exponent, exact for power A
         k = np.searchsorted(self.log_v, 0.0)  # Abar^-1(1) is where segment k crosses log_v = 0
         self.inv_one = math.exp(self._node[k] - self._value[k] / self._slope[k])
 
     def A_and_elasticity(self, s):
-        """(Abar(s), e(s)): np.interp on the log-log grid, clamped below it
-        and extended by the top slope above it; e is the segment's slope.
-        The grid is uniform: u's segment is one product with 1/step, less 1e-7
-        so that it is exact or one low, moved up by one where u is past its
-        upper edge; nan reads segment 0, giving nan."""
+        """(Abar(s), e(s)): np.interp on the log-log grid, clamped below it and
+        extended by the top slope above it; e is the segment's slope.  log s lies on
+        segment (log s - _origin) / step, floored (_origin is 1e-7 of a step high), or
+        the next; s <= 0 and nan read segment 0 (take clips), giving (0, 0) and nan."""
         s = np.asarray(s, dtype=float)
-        u = np.log(np.maximum(s, 1e-300))
-        ls = self.log_s
-        h = ls[1] - ls[0]
-        with np.errstate(invalid="ignore"):  # the cast of nan is invalid
-            k = np.minimum((u - (ls[0] - h)) * (1.0 / h) - 1e-7, len(ls))
-            k = np.maximum(k, 0.0).astype(np.intp)  # not out=: a 0-d k is a numpy scalar
-        k += u >= self._edges[1:].take(k, mode="clip")
-        slope = self._slope.take(k, mode="clip")
-        val = slope * (u - self._node.take(k, mode="clip")) + self._value.take(k, mode="clip")
-        return np.where(s <= 0, 0.0, np.exp(val)), slope
+        with np.errstate(divide="ignore", invalid="ignore"):  # log of s <= 0, casts of -inf, nan
+            u = np.log(s)
+            k = np.minimum((u - self._origin) * self._inv_step, 512.0).astype(np.intp)
+            k += u >= self._node[1:].take(k, mode="clip")
+            slope = self._slope.take(k, mode="clip")
+            val = u - self._node.take(k, mode="clip")  # -inf or nan where s <= 0
+            val *= slope
+            val += self._value.take(k, mode="clip")
+        A = np.exp(val)
+        return (np.where(s <= 0.0, 0.0, A) if (s <= 0.0).any() else A), slope
 
 
 @lru_cache(maxsize=32)
@@ -367,7 +366,8 @@ def luxemburg_norms_level(f, level: int, young, below) -> np.ndarray:
         pair = False  # phase 2: this call evaluates lam / grow and lam * grow
         for _ in range(200):
             x = np.stack([lam / grow, lam * grow]) if pair else lam
-            A, e = young.A_and_elasticity(mat / x[..., None])
+            # x laid out as mat's rows: numpy divides narrow rows by a broadcast x row by row
+            A, e = young.A_and_elasticity(mat / x.repeat(mat.shape[1], -1).reshape(*x.shape, -1))
             m = A @ mean
             if pair:  # x[0] < x[1], both in the bracket
                 lo = np.where(m[1] >= 1.0, x[1], np.where(m[0] >= 1.0, x[0], lo))

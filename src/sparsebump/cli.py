@@ -172,7 +172,7 @@ def _random_corpus(trials: int, seed: int):
     rng = np.random.default_rng(np.uint64(seed))
     for i in range(trials):
         depth = int(rng.integers(2, 9))
-        eta = float(rng.choice([0.25, 0.5]))
+        eta = float(rng.choice([0.25, 0.3, 0.5]))  # at 0.3 random_greedy is not all_above_level
         p = float(rng.choice([1.5, 2.0, 3.0]))
         strategy = dyadic.STRATEGIES[i % len(dyadic.STRATEGIES)]
         dist = ["lognormal", "spike", "mixed"][i % 3]

@@ -20,7 +20,8 @@ from sparsebump.bumps import (AdmissibilityError, BumpSpec, ConjugateTable,
                               YoungSpec, _conjugate, _conjugate_table, _luxemburg_norms,
                               ensure_admissible, ensure_young, entropy_lambdas,
                               nu_lambdas, sepcon_constant)
-from sparsebump.dyadic import DomainError, NumericError, _avg_pyramid, _select, ancestor_table
+from sparsebump.dyadic import (DomainError, NumericError, SparseFamily, _avg_pyramid, _select,
+                              ancestor_table)
 from sparsebump.search import Objective, SearchConfig, anneal, random_instance
 
 GRID = [1e-6, 1e-3, 0.3, 0.9, 1.0, 1.7, 4.0, 1e3, 1e6]
@@ -291,26 +292,34 @@ class TestYoung:
 
     def test_conjugate_table_lookup_matches_interp(self):
         # direct segment lookup against np.interp (clamped below the grid)
-        # plus the linear log-log extension above it
-        table = ConjugateTable(YoungSpec("power_over_log", 2.0, 1.0))
-        ls, lv = table.log_s, table.log_v
-        # arguments within 4 ulps of each node put log(s) on most nodes exactly
-        near = [np.exp(ls)]
-        for toward in (np.inf, 0.0):
-            x = near[0]
-            for _ in range(4):
-                x = np.nextafter(x, toward)
-                near.append(x)
-        rng = np.random.default_rng(16)
-        s = np.concatenate([np.exp(rng.uniform(ls[0] - 10.0, ls[-1] + 10.0, 4096)), *near])
-        u = np.log(s)
-        assert np.isin(ls, u).sum() > 500
-        slope = (lv[-1] - lv[-2]) / (ls[-1] - ls[-2])
-        ref = np.exp(np.where(u > ls[-1], lv[-1] + slope * (u - ls[-1]),
-                              np.interp(u, ls, lv)))
-        assert np.any(u < ls[0]) and np.any(u > ls[-1])
-        assert table.A_and_elasticity(s)[0] == pytest.approx(ref, rel=1e-15, abs=0.0)
-        assert table.A_and_elasticity(0.0)[0] == 0.0
+        # plus the linear log-log extension above it, and e against the slope
+        # of the segment np.searchsorted finds, for the default Young function
+        # and the B_p-boundary ones of the parity set
+        for young in (YoungSpec("power_over_log", 2.0, 1.0), YoungSpec("power", 1.49, 0.0),
+                      YoungSpec("power_over_log", 1.5, 0.1),
+                      YoungSpec("power_over_log", 3.05, 1.0)):
+            table = ConjugateTable(young)
+            ls, lv = table.log_s, table.log_v
+            # arguments within 4 ulps of each node put log(s) on most nodes exactly
+            near = [np.exp(ls)]
+            for toward in (np.inf, 0.0):
+                x = near[0]
+                for _ in range(4):
+                    x = np.nextafter(x, toward)
+                    near.append(x)
+            rng = np.random.default_rng(16)
+            s = np.concatenate([np.exp(rng.uniform(ls[0] - 10.0, ls[-1] + 10.0, 4096)), *near])
+            u = np.log(s)
+            assert np.isin(ls, u).sum() > 500
+            slopes = np.diff(lv) / np.diff(ls)
+            ref = np.exp(np.where(u > ls[-1], lv[-1] + slopes[-1] * (u - ls[-1]),
+                                  np.interp(u, ls, lv)))
+            ref_e = np.concatenate([[0.0], slopes, slopes[-1:]])[np.searchsorted(ls, u, "right")]
+            assert np.any(u < ls[0]) and np.any(u > ls[-1])
+            A, e = table.A_and_elasticity(s)
+            assert A == pytest.approx(ref, rel=1e-15, abs=0.0), young
+            assert e == pytest.approx(ref_e, rel=1e-15, abs=0.0), young
+            assert table.A_and_elasticity(0.0)[0] == 0.0
 
     def test_conjugate_table_lookup_at_inf(self):
         # s = inf lands on the padded copy of the top segment: Abar = inf at
@@ -320,7 +329,7 @@ class TestYoung:
         A, e = table.A_and_elasticity(np.array([np.inf, 1.0]))
         assert A[0] == np.inf and e[0] == table._slope[-1] == table._slope[-2] > 0.0
         unpadded = copy.copy(table)
-        for name in ("_edges", "_node", "_value", "_slope"):
+        for name in ("_node", "_value", "_slope"):
             setattr(unpadded, name, getattr(table, name)[:-1])
         rng = np.random.default_rng(3)
         ls = table.log_s
@@ -648,7 +657,7 @@ class TestMaximalAndEntropy:
 
     def test_instance_a_entropy_lambda_root(self, instance_a):
         g = instance_a.pair.geometry
-        lam = entropy_lambda(instance_a.pair.sigma_leaves, CubeId(0, 0), g)
+        lam = entropy_lambdas(instance_a.pair)[CubeId(0, 0).flat_index]
         assert lam == pytest.approx(10.0 / 7.0, rel=1e-12)
 
     def test_entropy_lambda_at_least_one(self):
@@ -664,7 +673,10 @@ class TestMaximalAndEntropy:
         for pair in pairs:
             cubes = oracles.cube_ids(pair.geometry.depth)
             for cube, lam in zip(cubes, entropy_lambdas(pair, "all")):
-                ref = entropy_lambda(pair.sigma_leaves, cube, pair.geometry)
+                # lambda_Q reads sigma inside Q only: the root of Q's own subtree
+                sub = pair.sigma_leaves[cube.leaf_slice(pair.geometry.depth)]
+                ref = entropy_lambdas(WeightPair(TreeGeometry(pair.geometry.depth - cube.level),
+                                                 sub, sub, 2.0))[0]
                 assert lam == pytest.approx(ref, rel=1e-13)
 
     def test_entropy_lambdas_match_brute_force(self):
@@ -688,8 +700,8 @@ class TestMaximalAndEntropy:
         g = TreeGeometry(4)
         sigma = np.exp(rng.standard_normal(16))
         for cube in [CubeId(0, 0), CubeId(2, 1), CubeId(4, 7)]:
-            a = entropy_lambda(sigma, cube, g)
-            b = entropy_lambda(100.0 * sigma, cube, g)
+            a, b = (entropy_lambdas(WeightPair(g, s, s, 2.0))[cube.flat_index]
+                    for s in (sigma, 100.0 * sigma))
             assert a == pytest.approx(b, rel=1e-14)
 
     def test_entropy_lambda_rejects_cube_outside_tree(self):
@@ -703,7 +715,7 @@ class TestMaximalAndEntropy:
         for sigma in ([1.0, 0.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0],
                       [1.0, np.nan, 1.0, 1.0], np.ones(8)):
             with pytest.raises(DomainError):
-                entropy_lambda(sigma, CubeId(1, 0), g)
+                entropy_lambdas(WeightPair(g, sigma, sigma, 2.0))
 
     def test_entropy_flat_pair(self):
         inst = make_instance(3, np.ones(8), np.ones(8), 2.0)
@@ -872,6 +884,31 @@ class TestOrliczConstants:
                 for level in range(7, 13):
                     ancestor = np.repeat(levels[6], 1 << (level - 6))
                     np.testing.assert_allclose(levels[level], ancestor, rtol=2e-12, atol=0.0)
+
+    @pytest.mark.parametrize("p, young", [(1.5, YoungSpec("power_over_log", 1.5, 0.1)),
+                                          (3.0, bumps.DEFAULT_YOUNG)])
+    def test_reflection_at_depth_12(self, p, young):
+        # mirroring the leaves of a depth-12 pair mirrors both gauges' flat
+        # buffers, and leaves every gauge-based constant as it was over all
+        # cubes and over the mirrored stopping-time family
+        spec = BumpSpec()
+        inst = random_instance(SearchConfig(depth=12, strategy="stopping_time",
+                                            dist="lognormal", seed=12), p)
+        pair, S = inst.pair, inst.family
+        mirror = WeightPair(pair.geometry, pair.w_leaves[::-1], pair.sigma_leaves[::-1], p)
+        mirror_S = SparseFamily(oracles.reflect(S.flat_mask))
+        assert 1 < len(S.cubes) < S.flat_mask.size
+        for power, gauge in ((1.0 / p, young), (1.0 / pair.p_dual, _conjugate_table(young))):
+            np.testing.assert_allclose(_luxemburg_norms(mirror.sigma_leaves ** power, gauge),
+                                       oracles.reflect(_luxemburg_norms(
+                                           pair.sigma_leaves ** power, gauge)),
+                                       rtol=2e-12, atol=0.0)
+        for cubes, mirror_cubes in (("all", "all"), (S, mirror_S)):
+            for fn in (orlicz_li_constant, orlicz_lacey_constant):
+                assert fn(mirror, young, spec, mirror_cubes)[0] == pytest.approx(
+                    fn(pair, young, spec, cubes)[0], rel=1e-12, abs=0.0)
+            assert sepcon_constant(mirror, young, mirror_cubes) == pytest.approx(
+                sepcon_constant(pair, young, cubes), rel=1e-12, abs=0.0)
 
     def test_prop31_clamps_lambda_in_both_factors(self):
         spec = BumpSpec()

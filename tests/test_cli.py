@@ -8,13 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import cli_env, random_corpus
 from sparsebump import cli, testing
 from sparsebump.bumps import BumpSpec, nu_lambdas
 from sparsebump.cli import _lemma_reports, main
-from sparsebump.dyadic import Instance, instance_from_dict
+from sparsebump.dyadic import Instance, generate_sparse, instance_from_dict
 from sparsebump.search import Objective, evaluate
 
 
@@ -170,6 +171,19 @@ class TestCheck:
         assert any("cov" in ln for ln in body)
         assert any("scale_testing" in ln for ln in body)
 
+    def test_random_corpus_runs_a_seed_dependent_family(self, tmp_path, monkeypatch):
+        # at eta 0.25 and 0.5 every random_greedy family is the all_above_level
+        # one, whatever its seed; the corpus also draws eta 0.3, where it is not
+        seen = []
+        monkeypatch.setattr(cli, "_check_one", lambda inst, spec, suite: seen.append(inst) or [])
+        assert run_cli("check", "--trials", "40", "--seed", "0",
+                       "--out", str(tmp_path / "check.csv")) == 0
+        greedy = [inst for inst in seen if inst.sparse_config["strategy"] == "random_greedy"]
+        assert len(seen) == 40 and greedy
+        assert any(not np.array_equal(inst.family.flat_mask, generate_sparse(
+            inst.pair.geometry, "all_above_level", inst.sparse_config["eta"], 0).flat_mask)
+            for inst in greedy)
+
     def test_single_instance_file(self, tmp_path, instance_a):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(instance_a.to_json_dict(), sort_keys=True))
@@ -231,17 +245,14 @@ class TestCheck:
                                                          dual)
 
     def test_lemma_rows_match_the_per_R_checkers(self):
-        # the all-R pass behind `check` against the public checker of the
-        # same name and R, for depths 2-8 and all four strategies
+        # the all-R pass behind `check` against the same checkers at each
+        # R on its own, for depths 2-8 and all four strategies
         spec = BumpSpec()
         for inst in random_corpus(28, seed=23):
             pair, S = inst.pair, inst.family
             want = []
             for R in S.sorted_cubes():
-                want += [testing.prop32_check(S, pair, R, k)
-                         for k in testing.realized_levels(S, pair)]
-                want += [testing.prop33_check(S, pair, spec, R),
-                         testing.sawyer_sum_bound(pair, S, spec, R)]
+                want += testing.lemma_reports(S, pair, testing.realized_levels(S, pair), spec, R)
             want += testing.eset_split_check(pair, S, S.sorted_cubes()[0])
             tc = testing.testing_constant(pair, S)[0]
             want.append(testing.prop31_bound(pair, S, nu_lambdas(pair, spec, S), spec, tc))
@@ -584,6 +595,10 @@ class TestBenchPairs:
             "10.75-12.25 (spread 1.5); new won 2/4, old won 1/4",
             "setup_s: median old 0.2 new 0.25 (change +25.00%); old quartiles "
             "0.2-0.2 (spread 0); new won 1/4, old won 2/4"]
+        # per-pair ratios new/old: throughput 1.2, 1, 13/12, 9/13 and set-up 1, 1.5, 1.5, 0.5
+        assert bench.ratio_lines(pairs, ["throughput_per_s", "setup_s"]) == [
+            "throughput_per_s: pair ratio new/old median 1.0417, quartiles 0.9231-1.1125",
+            "setup_s: pair ratio new/old median 1.2500, quartiles 0.8750-1.5000"]
         assert bench.run_line("new", 3, pairs[3][1], ["throughput_per_s"]) == \
             "pair 3 new: throughput_per_s=9 correct=True attempted=40 failed=0"
 

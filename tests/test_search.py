@@ -121,7 +121,7 @@ class TestRandomInstance:
                 ("spike", None, 2.0), ("mixed", None, 3.0))
         for depth in range(2, 9):
             for strategy in STRATEGIES:
-                for eta in (0.25, 0.5):
+                for eta in (0.25, 0.3, 0.5):
                     for dist, params, p in laws:
                         cfg = SearchConfig(depth=depth, eta=eta, strategy=strategy, dist=dist,
                                            dist_params=params, seed=depth)

@@ -12,8 +12,7 @@ from conftest import STRATEGIES, level_arrays, make_instance, random_corpus
 from sparsebump import (CubeId, SparseFamily, TreeGeometry, WeightPair, apply_sparse, carleson_embedding_ratio, dyadic_maximal,
                         cov_sides, eset_split_check, hytonen_ratio, local_sum,
                         lp_norm, maximal_norm_lower, operator_norm, operator_norm_lower,
-                        operator_norm_p2, prop31_bound, prop32_check,
-                        prop33_check, sawyer_sum_bound, testing_constant,
+                        operator_norm_p2, prop31_bound, testing_constant,
                         theorem_main_ratio, generate_sparse, nu_constant)
 from sparsebump.bumps import BumpSpec, check_bump, nu_lambdas
 from sparsebump.dyadic import DomainError, NumericError, _select
@@ -376,8 +375,8 @@ class TestLevelSets:
                 assert [oracles.brute_level(x) for x in s] == [level] * 15
                 assert (_level(s) == level).all()
                 for other in (level - 1, level + 1):
-                    assert prop32_check(fam, pair, ROOT, other).lhs == 0.0
-                assert prop32_check(fam, pair, ROOT, level).lhs == \
+                    assert lemma_reports(fam, pair, [other], R=ROOT)[0].lhs == 0.0
+                assert lemma_reports(fam, pair, [level], R=ROOT)[0].lhs == \
                     pytest.approx(4.0 * value, rel=1e-15)
 
     def test_level_matches_the_integer_oracle(self):
@@ -408,7 +407,7 @@ class TestLevelSets:
         inst = make_instance(2, np.ones(4), np.full(4, np.finfo(float).max), 2.0,
                              strategy="tower")
         with pytest.raises(NumericError, match="overflowed"):
-            prop32_check(inst.family, inst.pair, ROOT, 1023)
+            lemma_reports(inst.family, inst.pair, [1023], R=ROOT)
 
 
 class TestCheckersAgainstOracles:
@@ -463,14 +462,14 @@ class TestCheckersAgainstOracles:
             def inside(term):
                 return oracles.brute_family_sum_inside(cubes, r, term)
 
-            for k in levels:
-                near(prop32_check(fam, pair, R, k).lhs,
+            *prop32, prop33, rep = lemma_reports(fam, pair, levels, spec, R)
+            for k, k_rep in zip(levels, prop32):
+                near(k_rep.lhs,
                      inside(lambda q: s_mass[q] if oracles.brute_level(s_avg[q]) == k else 0.0))
-            near(prop33_check(fam, pair, spec, R).lhs, inside(lambda q: s_mass[q] / psi[q]))
+            near(prop33.lhs, inside(lambda q: s_mass[q] / psi[q]))
             near(lam_sum / pair.sigma_mass_flat[R.flat_index],
                  inside(lambda q: s_mass[q] / lam[q]) / s_mass[r])
             sawyer = inside(lambda q: s_avg[q] ** p * w_mass[q])
-            rep = sawyer_sum_bound(pair, fam, spec, R)
             near(rep.lhs, sawyer)
             near(rep.rhs, sawyer_sup * s_mass[r])
             rep = hytonen_ratio(fam, pair, R)
@@ -493,13 +492,13 @@ class TestTrackedConstants:
     SPEC = BumpSpec()
 
     def test_prop32_instance_a(self, instance_a):
-        rep = prop32_check(instance_a.family, instance_a.pair, ROOT, 1)
+        rep = lemma_reports(instance_a.family, instance_a.pair, [1], R=ROOT)[0]
         assert rep.ratio == pytest.approx(2.25 / 1.75, rel=1e-12)
         assert rep.bound == pytest.approx(2.0 * instance_a.family.packing)
         assert rep.passed
 
     def test_prop33_uses_tail_sum_bound(self, instance_a):
-        rep = prop33_check(instance_a.family, instance_a.pair, self.SPEC, ROOT)
+        rep = lemma_reports(instance_a.family, instance_a.pair, [], self.SPEC, ROOT)[0]
         s_psi = check_bump(self.SPEC).s_psi
         assert rep.bound == pytest.approx(2.0 * instance_a.family.packing * s_psi)
         assert rep.passed
@@ -510,9 +509,10 @@ class TestTrackedConstants:
             fam = inst.family
             R = max(fam.cubes, key=lambda q: -q.level)
             for k in realized_levels(fam, pair)[:3]:
-                assert prop32_check(fam, pair, R, k).passed
-            assert prop33_check(fam, pair, self.SPEC, R).passed
-            assert sawyer_sum_bound(pair, fam, self.SPEC, R).passed
+                assert lemma_reports(fam, pair, [k], R=R)[0].passed
+            prop33, sawyer = lemma_reports(fam, pair, [], self.SPEC, R)
+            assert prop33.passed
+            assert sawyer.passed
             _, member = eset_split_check(pair, fam, R)
             assert member.passed
 
@@ -521,7 +521,7 @@ class TestTrackedConstants:
         table = nu_lambdas(pair, self.SPEC, fam)
         c = _sums_inside(fam, _select(pair.sigma_mass_flat, fam) / table, ROOT) \
             / pair.sigma_mass_flat[0]
-        rep = prop33_check(fam, pair, self.SPEC, ROOT)
+        rep = lemma_reports(fam, pair, [], self.SPEC, ROOT)[0]
         assert c == pytest.approx(rep.ratio, rel=1e-12)
 
     def test_prop31_report(self, instance_a):
