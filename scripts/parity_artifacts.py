@@ -34,6 +34,12 @@ this tree's `src/`:
   `log_loglog` eps 0.5, phi `log_power` eps 0.5): `constants --in` and
   `check --in` on the depth-6 stopping_time lognormal p 2 instance, and
   a maximal_bound search at p 2, `--depths 3 5 --steps 150 --seed 3`;
+- `--dist-params` and `search --young`, which no run above sets: `gen
+  --depth 6 --dist spike --dist-params 2 0.5`, with `constants --in` and
+  `check --in` on that instance; a conjecture_sepcon search with the
+  `--young` file `young_power_q1.5.json` (`power` q = 1.5); and a
+  main_theorem search with `--dist lognormal --dist-params 0 1.5`, both
+  at p 2, `--depths 3 5 --steps 150 --seed 3`;
 - `report` over five of the set's CSVs: two `constants`, two `check` and
   one `search` table.
 
@@ -67,6 +73,9 @@ MALFORMED = {
 # a bump file away from BumpSpec's defaults on both sides
 NONDEFAULT_BUMPS = {"psi": {"family": "log_loglog", "eps": 0.5},
                     "phi": {"family": "log_power", "eps": 0.5}}
+
+# a Young file inside B_2 away from the default
+YOUNG_Q15 = {"family": "power", "q": 1.5}
 
 
 def rootless_instance() -> dict:
@@ -140,6 +149,17 @@ def runs():
     yield ["search", "--objective", "maximal_bound", "--p", "2", "--depths", "3", "5",
            "--steps", "150", "--seed", "3", *bumps, "--out", "search_bumps_maximal_bound_p2.csv",
            "--result-out", "search_bumps_maximal_bound_p2.json"]
+    inst = "gen_spike_params_d6.json"
+    yield ["gen", "--depth", "6", "--dist", "spike", "--dist-params", "2", "0.5", "--out", inst]
+    for cmd in ("constants", "check"):
+        yield [cmd, "--in", inst, "--out", f"{cmd}_spike_params_d6.csv"]
+    search = ["search", "--p", "2", "--depths", "3", "5", "--steps", "150", "--seed", "3"]
+    yield [*search, "--objective", "conjecture_sepcon", "--young", "young_power_q1.5.json",
+           "--out", "search_young_conjecture_sepcon_p2.csv",
+           "--result-out", "search_young_conjecture_sepcon_p2.json"]
+    yield [*search, "--objective", "main_theorem", "--dist", "lognormal",
+           "--dist-params", "0", "1.5", "--out", "search_dist_params_main_theorem_p2.csv",
+           "--result-out", "search_dist_params_main_theorem_p2.json"]
     yield ["report", "--in", "constants_all_tower_d3_p2_lognormal.csv",
            "constants_bumps_stopping_time_d6_p2_lognormal.csv", "check_tower_d3_p2_lognormal.csv",
            "check_trials_seed0.csv", "search_maximal_bound_p2.csv", "--out", "report.csv"]
@@ -164,7 +184,8 @@ def main(argv) -> int:
     os.chdir(out)
     inputs = ({f"young_{name}.json": data for _, name, data in bp_boundary()} | MALFORMED
               | {"rootless_d6_p2.json": rootless_instance(),
-                 "bumps_nondefault.json": NONDEFAULT_BUMPS})
+                 "bumps_nondefault.json": NONDEFAULT_BUMPS,
+                 "young_power_q1.5.json": YOUNG_Q15})
     for path, data in inputs.items():
         Path(path).write_text(json.dumps(data, sort_keys=True) + "\n")
     codes = [f"{run(args)} {' '.join(args)}" for args in runs()]

@@ -136,7 +136,7 @@ def _tail_extrapolate(u):
     """The tail beyond the directly summed range: geometric when the last
     two ratios agree, else a power law fit between K/2 and K."""
     K = len(u)
-    if K < 8 or u[-1] <= 0:
+    if u[-1] <= 0:
         return 0.0
     r1, r2 = (u[-1] / u[-2], u[-2] / u[-3]) if u[-2] > 0 and u[-3] > 0 else (0.0, 0.0)
     if 0 < r1 < 0.97 and abs(r1 - r2) < 0.02:

@@ -28,8 +28,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
+def _config(args, **resolved) -> dict:
+    """The config echo: every parsed option but the output paths, under its
+    dest (`--in` as "in"), with `resolved` in place of the flags it names."""
+    config = {("in" if name == "infile" else name): value for name, value in vars(args).items()
+              if name not in ("command", "func", "out", "result_out")}
+    return {**config, "cmd": args.command, **resolved}
+
+
+def _config_hash(echo: str) -> str:
+    return hashlib.sha256(echo.encode()).hexdigest()[:16]
 
 
 def _write(path, text: str):
@@ -42,8 +50,9 @@ def _write(path, text: str):
 
 def _write_csv(path, config: dict, header: str, rows):
     """A CSV artifact: the config echo and its hash, the column names, the rows."""
-    _write(path, f"# config {json.dumps(config, sort_keys=True)}\n"
-                 f"# config_hash {_config_hash(config)}\n" + "\n".join([header, *rows]) + "\n")
+    echo = json.dumps(config, sort_keys=True)
+    _write(path, f"# config {echo}\n# config_hash {_config_hash(echo)}\n"
+                 + "\n".join([header, *rows]) + "\n")
 
 
 # the loaders certify what they load: main reports a rejected file and exits EXIT_USAGE
@@ -63,14 +72,14 @@ def _load_young(path) -> YoungSpec:
 
 
 def cmd_gen(args) -> int:
-    config = {"cmd": "gen", "depth": args.depth, "strategy": args.strategy,
-              "eta": args.eta, "seed": args.seed, "dist": args.dist, "p": args.p}
     cfg = search_mod.SearchConfig(depth=args.depth, eta=args.eta,
                                   strategy=args.strategy, dist=args.dist,
                                   dist_params=args.dist_params, seed=args.seed)
     data = search_mod.random_instance(cfg, args.p).to_json_dict()
+    config = _config(args, dist_params=cfg.dist_params)
     # keep the file valid instance JSON: the config echo rides in a meta key
-    data["meta"] = {"config": config, "config_hash": _config_hash(config)}
+    data["meta"] = {"config": config,
+                    "config_hash": _config_hash(json.dumps(config, sort_keys=True))}
     _write(args.out, json.dumps(data, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -103,8 +112,7 @@ def cmd_constants(args) -> int:
     bad = [name for name in sorted(rows) if not np.isfinite(rows[name]) and name not in outside_bp]
     if bad:
         raise dyadic.NumericError(f"non-finite constants: {', '.join(bad)}")
-    config = {"cmd": "constants", "in": args.infile, "cubes": args.cubes,
-              "bumps": spec.to_json_dict(), "young": young.to_json_dict()}
+    config = _config(args, bumps=spec.to_json_dict(), young=young.to_json_dict())
     _write_csv(args.out, config, "name,value",
                [f"{name},{_fmt(rows[name])}" for name in sorted(rows)])
     return EXIT_OK
@@ -186,8 +194,7 @@ def cmd_check(args) -> int:
     if min(args.trials, args.seed) < 0:
         raise DomainError(f"trials and seed must be >= 0, got {args.trials} and {args.seed}")
     spec = _load_bump_spec(args.bumps)
-    config = {"cmd": "check", "suite": args.suite, "trials": args.trials,
-              "seed": args.seed, "in": args.infile, "bumps": spec.to_json_dict()}
+    config = _config(args, bumps=spec.to_json_dict())
     rows = []
     failed_seeds = []
     if args.infile:
@@ -219,9 +226,8 @@ def cmd_search(args) -> int:
     cfg = search_mod.SearchConfig(depth=args.depths[0], eta=args.eta,
                                   strategy=args.strategy, dist=args.dist,
                                   dist_params=args.dist_params, steps=args.steps, seed=args.seed)
-    config = {"cmd": "search", "objective": args.objective, "p": args.p,
-              "depths": args.depths, "steps": args.steps, "seed": args.seed,
-              "eta": args.eta, "strategy": args.strategy, "dist": args.dist}
+    config = _config(args, bumps=spec.to_json_dict(), young=young.to_json_dict(),
+                     dist_params=cfg.dist_params)
     rows, results = search_mod.sweep_results(objective, cfg, args.depths)
     _write_csv(args.out, config, "depth,best_ratio,evaluations,seconds",
                [f"{depth},{_fmt(ratio)},{evals},{_fmt(seconds)}"
@@ -238,17 +244,12 @@ def cmd_search(args) -> int:
 
 def cmd_report(args) -> int:
     if not args.inputs:
-        print("report needs at least one input file", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("report needs at least one input file")
     merged = []
     seen = set()
     for path in args.inputs:
-        try:
-            with open(path) as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            print(f"cannot read {path}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        with open(path) as fh:  # main reports an unreadable file and exits EXIT_USAGE
+            lines = fh.read().splitlines()
         config_hash = ""
         header = None
         for ln in lines:
@@ -260,9 +261,7 @@ def cmd_report(args) -> int:
             if header is None:
                 header = ln
                 if "," not in header:
-                    print(f"schema mismatch in {path}: no CSV header",
-                          file=sys.stderr)
-                    return EXIT_USAGE
+                    raise DomainError(f"schema mismatch in {path}: no CSV header")
                 continue
             key = (header, ln)
             dup = key in seen
@@ -278,6 +277,16 @@ def cmd_report(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+def _instance_options(parser, strategy: str, dist: str):
+    """The options of the random instance that `gen` writes and `search` starts from."""
+    parser.add_argument("--strategy", default=strategy, choices=dyadic.STRATEGIES)
+    parser.add_argument("--eta", type=float, default=0.5)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--dist", default=dist, choices=list(search_mod.DIST_PARAMS))
+    parser.add_argument("--dist-params", type=float, nargs="*", default=None)
+    parser.add_argument("--p", type=float, default=2.0)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it as is)."""
@@ -286,13 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate an instance JSON file")
     g.add_argument("--depth", type=int, required=True)
-    g.add_argument("--strategy", default="tower", choices=dyadic.STRATEGIES)
-    g.add_argument("--eta", type=float, default=0.5)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--dist", default="lognormal",
-                   choices=list(search_mod.DIST_PARAMS))
-    g.add_argument("--dist-params", type=float, nargs="*", default=None)
-    g.add_argument("--p", type=float, default=2.0)
+    _instance_options(g, strategy="tower", dist="lognormal")
     g.add_argument("--out", default="-")
     g.set_defaults(func=cmd_gen)
 
@@ -318,13 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--objective", required=True, choices=list(search_mod.OBJECTIVE_KINDS))
     s.add_argument("--depths", type=int, nargs="+", default=[4])
     s.add_argument("--steps", type=int, default=1000)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--p", type=float, default=2.0)
-    s.add_argument("--eta", type=float, default=0.5)
-    s.add_argument("--strategy", default="stopping_time", choices=dyadic.STRATEGIES)
-    s.add_argument("--dist", default="mixed",
-                   choices=list(search_mod.DIST_PARAMS))
-    s.add_argument("--dist-params", type=float, nargs="*", default=None)
+    _instance_options(s, strategy="stopping_time", dist="mixed")
     s.add_argument("--bumps", default=None)
     s.add_argument("--young", default=None)
     s.add_argument("--out", default="-")

@@ -23,8 +23,15 @@ from sparsebump.bumps import (AdmissibilityError, BumpSpec, ConjugateTable,
 from sparsebump.dyadic import (DomainError, NumericError, SparseFamily, _avg_pyramid, _select,
                               ancestor_table)
 from sparsebump.search import Objective, SearchConfig, anneal, random_instance
+from sparsebump.testing import _indicator_ratios, operator_norm
 
 GRID = [1e-6, 1e-3, 0.3, 0.9, 1.0, 1.7, 4.0, 1e3, 1e6]
+
+
+def v_cubed(t):
+    """max(t, 1/t)^3, inf at the far ends of the dyadic grid 2^-512..2^512."""
+    with np.errstate(over="ignore"):
+        return np.maximum(t, 1.0 / t) ** 3
 
 
 def conjugate_at(young, s):
@@ -114,6 +121,31 @@ class TestAdmissibility:
         data["psi"]["family"] = "custom"
         with pytest.raises(DomainError):
             BumpSpec.from_json_dict(data)
+
+    @pytest.mark.parametrize("psi_fn, s_psi", [
+        # 1/psi falls by 2^{-1/2} per dyadic block on both sides, so both
+        # tails beyond the direct range are geometric
+        (lambda t: np.sqrt(np.maximum(t, 1.0 / t)), 2.0 / (1.0 - 2.0 ** -0.5)),
+        # 1/psi reaches 0 inside the direct range: the tails add nothing
+        (v_cubed, 2.0 / (1.0 - 1.0 / 8.0)),
+    ], ids=["geometric", "underflowed"])
+    def test_s_psi_closed_forms(self, psi_fn, s_psi):
+        rep = check_bump(BumpSpec(psi_family="custom", psi_fn=psi_fn))
+        assert rep.ok, rep.reasons
+        assert rep.s_psi == pytest.approx(s_psi, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("spec, reasons", [
+        (BumpSpec(psi_family="custom", psi_fn=lambda t: np.sqrt(np.maximum(t, 1.0 / t))
+                  * (1.0 + 0.5 * np.sin(np.log(t)))),
+         ["psi not decreasing on (0,1)", "psi not increasing on (1,inf)"]),
+        # 1/psi(2^k) ~ |k|^{-1/2}: the power-law fit has no finite tail either
+        (BumpSpec(psi_family="custom", psi_fn=lambda t: np.sqrt(1.0 + np.abs(np.log(t)))),
+         ["S_psi diverges on (0,1) (dyadic tail fails decay check)",
+          "S_psi diverges on (1,inf) (dyadic tail fails decay check)"]),
+        (BumpSpec(phi_eps=0.0), ["S_phi diverges (dyadic tail fails decay check)"]),
+    ], ids=["psi_not_monotone", "psi_power_tails", "phi_eps0"])
+    def test_rejection_reasons(self, spec, reasons):
+        assert check_bump(spec).reasons == reasons
 
     def test_eps0_loglog_rejected(self):
         rep = check_bump(BumpSpec(psi_family="log_loglog", psi_eps=0.0))
@@ -889,8 +921,9 @@ class TestOrliczConstants:
                                           (3.0, bumps.DEFAULT_YOUNG)])
     def test_reflection_at_depth_12(self, p, young):
         # mirroring the leaves of a depth-12 pair mirrors both gauges' flat
-        # buffers, and leaves every gauge-based constant as it was over all
-        # cubes and over the mirrored stopping-time family
+        # buffers and the indicator ratios, leaves every bump constant as it
+        # was over all cubes and over the mirrored stopping-time family, and
+        # leaves the testing constants and the operator-norm bracket of S
         spec = BumpSpec()
         inst = random_instance(SearchConfig(depth=12, strategy="stopping_time",
                                             dist="lognormal", seed=12), p)
@@ -909,6 +942,19 @@ class TestOrliczConstants:
                     fn(pair, young, spec, cubes)[0], rel=1e-12, abs=0.0)
             assert sepcon_constant(mirror, young, mirror_cubes) == pytest.approx(
                 sepcon_constant(pair, young, cubes), rel=1e-12, abs=0.0)
+            assert ap_constant(mirror, mirror_cubes) == pytest.approx(
+                ap_constant(pair, cubes), rel=1e-13, abs=0.0)
+            for fn in (nu_constant, entropy_constant, maximal_bound_constant):
+                assert fn(mirror, spec, mirror_cubes) == pytest.approx(
+                    fn(pair, spec, cubes), rel=1e-13, abs=0.0)
+        # the testing constants and the operator-norm bracket are taken over S only
+        for image, original in ((mirror, pair), (mirror.swapped(), pair.swapped())):
+            assert testing_constant(image, mirror_S)[0] == pytest.approx(
+                testing_constant(original, S)[0], rel=1e-13, abs=0.0)
+        (lo, hi), (mirror_lo, mirror_hi) = operator_norm(S, pair), operator_norm(mirror_S, mirror)
+        assert max(lo, mirror_lo) <= min(hi, mirror_hi)
+        np.testing.assert_allclose(_indicator_ratios(mirror),
+                                   oracles.reflect(_indicator_ratios(pair)), rtol=1e-13, atol=0.0)
 
     def test_prop31_clamps_lambda_in_both_factors(self):
         spec = BumpSpec()

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, headers, exit codes, determinism."""
 
+import argparse
 import importlib
 import importlib.util
 import json
@@ -366,6 +367,60 @@ class TestReport:
         assert run_cli("report") == 2
 
 
+class TestConfigEcho:
+    """Every option but the output paths reaches the config echo."""
+
+    # the options each run starts from: search takes the lognormal law,
+    # whose params --dist-params can move
+    BASE = {"gen": ["--depth", "2"], "constants": ["--in", "a.json"], "check": ["--trials", "1"],
+            "search": ["--objective", "main_theorem", "--depths", "2", "--steps", "5",
+                       "--dist", "lognormal"]}
+    # option -> the values that move it off BASE
+    VARIED = {
+        "gen": {"--depth": ["3"], "--strategy": ["all_above_level"], "--eta": ["0.25"],
+                "--seed": ["1"], "--dist": ["spike"], "--dist-params": ["0", "2"], "--p": ["3"]},
+        "constants": {"--in": ["b.json"], "--bumps": ["bumps.json"], "--young": ["young.json"],
+                      "--cubes": ["sparse"]},
+        "check": {"--in": ["a.json"], "--suite": ["cov"], "--trials": ["2"], "--seed": ["1"],
+                  "--bumps": ["bumps.json"]},
+        "search": {"--objective": ["conjecture_nc"], "--depths": ["3"], "--steps": ["6"],
+                   "--seed": ["1"], "--p": ["3"], "--eta": ["0.25"], "--strategy": ["tower"],
+                   "--dist": ["spike"], "--dist-params": ["0", "2"], "--bumps": ["bumps.json"],
+                   "--young": ["young.json"]},
+    }
+
+    @staticmethod
+    def echo(cmd, argv) -> dict:
+        """The config echo of one run; for search, also the --result-out one."""
+        outputs = ["--out", "out"] + (["--result-out", "result.json"] if cmd == "search" else [])
+        assert run_cli(cmd, *argv, *outputs) == 0
+        text = Path("out").read_text()
+        if cmd == "gen":
+            return json.loads(text)["meta"]["config"]
+        config = json.loads(text.splitlines()[0].removeprefix("# config "))
+        if cmd == "search":
+            assert json.loads(Path("result.json").read_text())["config"] == config
+        return config
+
+    @pytest.mark.parametrize("cmd", list(VARIED))
+    def test_every_option_moves_the_echo(self, tmp_path, monkeypatch, instance_a, cmd):
+        sub = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        options = {name for action in sub.choices[cmd]._actions for name in action.option_strings}
+        assert options - {"-h", "--help", "--out", "--result-out"} == set(self.VARIED[cmd])
+        monkeypatch.chdir(tmp_path)
+        Path("a.json").write_text(json.dumps(instance_a.to_json_dict()))
+        assert run_cli("gen", "--depth", "3", "--out", "b.json") == 0
+        Path("bumps.json").write_text(json.dumps({"psi": {"family": "log_loglog", "eps": 0.5},
+                                                  "phi": {"family": "log_power", "eps": 0.5}}))
+        Path("young.json").write_text(json.dumps({"family": "power", "q": 1.5}))
+        base = self.echo(cmd, self.BASE[cmd])
+        assert base["cmd"] == cmd
+        unmoved = [flag for flag, values in self.VARIED[cmd].items()
+                   if self.echo(cmd, [*self.BASE[cmd], flag, *values]) == base]
+        assert unmoved == []
+
+
 class TestUsageErrors:
     """Bad flags exit 2 with a one-line message, never a traceback."""
 
@@ -386,6 +441,8 @@ class TestUsageErrors:
                                           ("--bumps", "phi_extra.json"))),
         *([cmd, "--in", name] for cmd in ("constants", "check")
           for name in ("no_w.json", "not_json.json", "cube_text.json", "sparse_extra.json")),
+        ["report", "--in", "missing.csv"],
+        ["report", "--in", "no_header.csv"],
     ])
     def test_exits_2_with_one_line(self, tmp_path, argv):
         phi = '"phi": {"family": "log_loglog", "eps": 1.0}'
@@ -413,7 +470,9 @@ class TestUsageErrors:
                                               '"sparse": {"cubes": [["a", 0]]}}'),
                            ("sparse_extra.json", '{' + pair + ', "w_leaves": [1, 1], "sparse": '
                                                  '{"strategy": "random_greedy", "eta": 0.3, '
-                                                 '"sed": 5}}')):
+                                                 '"sed": 5}}'),
+                           # report: the first line that is not a comment names no columns
+                           ("no_header.csv", "# config {}\nname value\n")):
             (tmp_path / name).write_text(text)
         proc = subprocess.run([sys.executable, "-m", "sparsebump.cli", *argv,
                                "--out", str(tmp_path / "out")],
