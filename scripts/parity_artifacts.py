@@ -41,7 +41,14 @@ this tree's `src/`:
   main_theorem search with `--dist lognormal --dist-params 0 1.5`, both
   at p 2, `--depths 3 5 --steps 150 --seed 3`;
 - `report` over five of the set's CSVs: two `constants`, two `check` and
-  one `search` table.
+  one `search` table;
+- after it, two runs that no run above makes: `gen --strategy tower
+  --depth 6 --p 2` at eta 0.75 and 1.0, where the tower stops at the root
+  (at eta 0.25 it runs the whole chain), with `constants --cubes sparse`
+  and `check --in` on each; and `constants --in` and `check --in` on the
+  depth-6 stopping_time lognormal p 2 instance with the bump file
+  `bumps_psi_eps150.json` (psi `log_power` eps 150, whose values pass the
+  float range on check_bump's grid).
 
 `exit_codes.txt` lists each run's exit code, or `raised <ExceptionType>`
 for a run that raised out of `cli.main`.  Compare two sets with `diff -r`
@@ -76,6 +83,10 @@ NONDEFAULT_BUMPS = {"psi": {"family": "log_loglog", "eps": 0.5},
 
 # a Young file inside B_2 away from the default
 YOUNG_Q15 = {"family": "power", "q": 1.5}
+
+# an admissible bump file whose psi overflows to inf on check_bump's grid
+PSI_EPS150_BUMPS = {"psi": {"family": "log_power", "eps": 150.0},
+                    "phi": {"family": "log_loglog", "eps": 1.0}}
 
 
 def rootless_instance() -> dict:
@@ -163,6 +174,17 @@ def runs():
     yield ["report", "--in", "constants_all_tower_d3_p2_lognormal.csv",
            "constants_bumps_stopping_time_d6_p2_lognormal.csv", "check_tower_d3_p2_lognormal.csv",
            "check_trials_seed0.csv", "search_maximal_bound_p2.csv", "--out", "report.csv"]
+    for eta in ("0.75", "1.0"):
+        name = f"tower_eta{eta}_d6_p2"
+        yield ["gen", "--depth", "6", "--strategy", "tower", "--eta", eta, "--p", "2",
+               "--out", f"gen_{name}.json"]
+        yield ["constants", "--in", f"gen_{name}.json", "--cubes", "sparse",
+               "--out", f"constants_{name}.csv"]
+        yield ["check", "--in", f"gen_{name}.json", "--out", f"check_{name}.csv"]
+    for cmd in ("constants", "check"):
+        yield [cmd, "--in", "gen_stopping_time_d6_p2_lognormal.json",
+               "--bumps", "bumps_psi_eps150.json",
+               "--out", f"{cmd}_bumps_eps150_stopping_time_d6_p2_lognormal.csv"]
 
 
 def run(args) -> str:
@@ -185,7 +207,8 @@ def main(argv) -> int:
     inputs = ({f"young_{name}.json": data for _, name, data in bp_boundary()} | MALFORMED
               | {"rootless_d6_p2.json": rootless_instance(),
                  "bumps_nondefault.json": NONDEFAULT_BUMPS,
-                 "young_power_q1.5.json": YOUNG_Q15})
+                 "young_power_q1.5.json": YOUNG_Q15,
+                 "bumps_psi_eps150.json": PSI_EPS150_BUMPS})
     for path, data in inputs.items():
         Path(path).write_text(json.dumps(data, sort_keys=True) + "\n")
     codes = [f"{run(args)} {' '.join(args)}" for args in runs()]

@@ -96,12 +96,8 @@ class BumpSpec:
             raise DomainError(f"p must lie in (1, inf), got {p}")
         t = np.asarray(t, dtype=float)
         ps = np.asarray(self.psi(t), dtype=float)
-        lower = t < 1.0
-        if lower.any():
-            out = np.where(lower, ps * np.asarray(self.phi(np.where(lower, ps, 1.0)),
-                                                  dtype=float) ** (p - 1.0), ps)
-        else:
-            out = ps
+        low = t < 1.0
+        out = ps * np.where(low, np.asarray(self.phi(np.where(low, ps, 1.0))) ** (p - 1.0), 1.0)
         return float(out) if np.ndim(out) == 0 else out
 
     def to_json_dict(self) -> dict:
@@ -154,15 +150,16 @@ def check_bump(spec: BumpSpec) -> AdmissibilityReport:
     reasons = []
     K = TAIL_DIRECT_K
     # psi at 2^k for |k| <= K (t = 1 at index K) and phi at 2^k for 0 <= k <= K
-    pw = np.asarray(spec.psi(2.0 ** np.arange(-K, K + 1, dtype=float)))
-    phw = np.asarray(spec.phi(2.0 ** np.arange(0, K + 1, dtype=float)))
-    # monotonicity: decreasing on (0,1), increasing on (1,inf), on 40 points
-    # each running toward t = 0 or t = inf (below 1: 1/2, 1/4, ...)
-    for vals, what in ((pw[K - 1:K - 41:-1], "psi not decreasing on (0,1)"),
-                       (pw[K + 1:K + 41], "psi not increasing on (1,inf)"),
-                       (phw[1:41], "phi not increasing on (1,inf)")):
-        if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
-            reasons.append(what)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf: increasing
+        pw = np.asarray(spec.psi(2.0 ** np.arange(-K, K + 1, dtype=float)))
+        phw = np.asarray(spec.phi(2.0 ** np.arange(0, K + 1, dtype=float)))
+        # monotonicity: decreasing on (0,1), increasing on (1,inf), on 40 points
+        # each running toward t = 0 or t = inf (below 1: 1/2, 1/4, ...)
+        for vals, what in ((pw[K - 1:K - 41:-1], "psi not decreasing on (0,1)"),
+                           (pw[K + 1:K + 41], "psi not increasing on (1,inf)"),
+                           (phw[1:41], "phi not increasing on (1,inf)")):
+            if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
+                reasons.append(what)
 
     # star[k] = inf of psi over the block (2^k, 2^{k+1}] (index k + K); for
     # the straddling block k = -1 the one-sided limit at t -> 1- is included

@@ -122,25 +122,21 @@ def cmd_constants(args) -> int:
 
 
 def _scaling_reports(pair, S, base_tc) -> list:
-    """Exact homogeneity laws as CheckReports with bound 1."""
-    reports = []
+    """The exact homogeneity laws T(c) = c ** degree * T(1), as CheckReports with bound 1."""
     base_ap = bumps.ap_constant(pair, "all")
-    geometry = pair.geometry
+    reports = []
     for c in (1e-6, 1e6):
-        scaled_sigma = WeightPair(geometry, pair.w_leaves, c * pair.sigma_leaves, pair.p)
-        scaled_w = WeightPair(geometry, c * pair.w_leaves, pair.sigma_leaves, pair.p)
-        tc_s, _ = testing_mod.testing_constant(scaled_sigma, S)
-        tc_w, _ = testing_mod.testing_constant(scaled_w, S)
-        checks = [
-            (f"scale_testing_sigma_c{c:g}", tc_s, c ** (1.0 / pair.p_dual) * base_tc),
-            (f"scale_testing_w_c{c:g}", tc_w, c ** (1.0 / pair.p) * base_tc),
-            (f"scale_ap_sigma_c{c:g}", bumps.ap_constant(scaled_sigma, "all"),
-             c ** (pair.p - 1.0) * base_ap),
-            (f"scale_ap_w_c{c:g}", bumps.ap_constant(scaled_w, "all"), c * base_ap),
-        ]
-        reports += [testing_mod.CheckReport.make(name, lhs, rhs, bound=1.0 + 1e-10,
-                                                 hard=True, lower=1.0 - 1e-10)
-                    for name, lhs, rhs in checks]
+        # sigma, then w, scaled by c: (side, w, sigma, testing degree, A_p degree)
+        for side, w, sigma, tc_degree, ap_degree in (
+                ("sigma", pair.w_leaves, c * pair.sigma_leaves, 1.0 / pair.p_dual, pair.p - 1.0),
+                ("w", c * pair.w_leaves, pair.sigma_leaves, 1.0 / pair.p, 1.0)):
+            scaled = WeightPair(pair.geometry, w, sigma, pair.p)
+            laws = (("testing", testing_mod.testing_constant(scaled, S)[0], tc_degree, base_tc),
+                    ("ap", bumps.ap_constant(scaled, "all"), ap_degree, base_ap))
+            reports += [testing_mod.CheckReport.make(f"scale_{law}_{side}_c{c:g}", lhs,
+                                                     c ** degree * base, bound=1.0 + 1e-10,
+                                                     hard=True, lower=1.0 - 1e-10)
+                        for law, lhs, degree, base in laws]
     return reports
 
 

@@ -259,13 +259,9 @@ def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int
     cap = 1.0 / eta
     depth, size = geometry.depth, (2 << geometry.depth) - 1
 
-    if strategy == "tower":
-        flat, total = np.zeros(size, dtype=bool), 0.0
-        for level in range(depth + 1):
-            total += 2.0 ** (-level)
-            if total > cap + 1e-12:
-                break
-            flat[(1 << level) - 1] = True
+    if strategy == "tower":  # the root chain: every level l with chain measure 2 - 2**-l <= 1/eta
+        levels, flat = np.arange(depth + 1), np.zeros(size, dtype=bool)
+        flat[(1 << levels[2.0 - 2.0 ** -levels <= cap + 1e-12]) - 1] = True
         return SparseFamily(flat)
 
     if strategy == "all_above_level":
@@ -353,26 +349,35 @@ def _known_keys(data: dict, keys) -> dict:
     return data
 
 
+def _number(value, key: str, kind=float):
+    """value as a kind, int or float, unless it is a boolean or, for an int, has a fraction."""
+    if isinstance(value, bool) or kind is int and value != int(value):
+        raise DomainError(f"{key} must be a {'whole ' * (kind is int)}number, got {value!r}")
+    return kind(value)
+
+
 def make_instance(geometry: TreeGeometry, w, sigma, p: float, sparse: dict) -> Instance:
     """The pair (w, sigma) at p with the family of a sparse config: its
     explicit "cubes", a list of (level, index), or generate_sparse at its
     "strategy", "eta" and "seed" (default 0), from this pair's sigma."""
     pair = WeightPair(geometry, w, sigma, p)
     if "cubes" in sparse:
-        family = SparseFamily.build([CubeId(int(l), int(j)) for l, j in sparse["cubes"]], geometry)
+        family = SparseFamily.build([CubeId(_number(l, "cubes", int), _number(j, "cubes", int))
+                                     for l, j in sparse["cubes"]], geometry)
     else:
-        family = generate_sparse(geometry, sparse["strategy"], float(sparse["eta"]),
-                                 int(sparse.get("seed", 0)), sigma_avg_flat=pair.sigma_avg_flat)
+        family = generate_sparse(geometry, sparse["strategy"], _number(sparse["eta"], "eta"),
+                                 _number(sparse.get("seed", 0), "seed", int),
+                                 sigma_avg_flat=pair.sigma_avg_flat)
     return Instance(pair, family, dict(sparse))
 
 
 def instance_from_dict(data: dict) -> Instance:
     _known_keys(data, ("depth", "p", "w_leaves", "sigma_leaves", "sparse", "meta"))
     sparse = _known_keys(data["sparse"], ("strategy", "eta", "seed", "cubes"))
-    return make_instance(TreeGeometry(int(data["depth"])),
+    return make_instance(TreeGeometry(_number(data["depth"], "depth", int)),
                          _clamp(np.asarray(data["w_leaves"], dtype=float)),
                          _clamp(np.asarray(data["sigma_leaves"], dtype=float)),
-                         float(data["p"]), sparse)
+                         _number(data["p"], "p"), sparse)
 
 
 def load_json(path, from_json_dict):

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,21 @@ class TestPsiPhi:
             for t in GRID:
                 ref = float(oracles.mp_nu(p, t))
                 assert spec.nu_p(p, t) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["log_power", "log_loglog"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_nu_vector_equals_scalar_calls(self, family, p):
+        # one np.where expression serves every input: on vectors all at or
+        # above 1, all below 1 or across 1, and on 0-d input, it returns each
+        # element's scalar call bit for bit, and psi itself at and above 1
+        spec = BumpSpec(psi_family=family)
+        above, below = np.geomspace(1.0, 1e6, 27), np.geomspace(1e-6, 0.999, 27)
+        for t in (above, below, np.geomspace(1e-6, 1e6, 27), np.array(GRID)):
+            assert np.array_equal(spec.nu_p(p, t), [spec.nu_p(p, x) for x in t.tolist()])
+        assert np.array_equal(spec.nu_p(p, above), spec.psi(above))
+        for x in (0.3, 1.0, 4.0):
+            zero_d = spec.nu_p(p, np.array(x))
+            assert type(zero_d) is float and zero_d == spec.nu_p(p, x)
 
     def test_nu_at_one_uses_upper_branch(self):
         spec = BumpSpec()
@@ -146,6 +162,20 @@ class TestAdmissibility:
     ], ids=["psi_not_monotone", "psi_power_tails", "phi_eps0"])
     def test_rejection_reasons(self, spec, reasons):
         assert check_bump(spec).reasons == reasons
+
+    @pytest.mark.parametrize("spec, s_psi, rel", [
+        (BumpSpec(psi_eps=125.0), 0.0448, 1e-3), (BumpSpec(psi_eps=150.0), 0.0246, 1e-3),
+        # S_psi does not depend on phi: the default spec's, bit for bit
+        (BumpSpec(phi_family="log_power", phi_eps=150.0), check_bump(BumpSpec()).s_psi, 0.0),
+    ], ids=["psi_eps125", "psi_eps150", "phi_eps150"])
+    def test_grid_overflow_is_admissible_without_warnings(self, spec, s_psi, rel):
+        # psi or phi pass the float range on the dyadic grid 2^-512..2^512:
+        # inf still counts as increasing and its 1/psi adds 0 to S_psi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_bump(spec)
+        assert rep.ok, rep.reasons
+        assert rep.s_psi == pytest.approx(s_psi, rel=rel, abs=0.0)
 
     def test_eps0_loglog_rejected(self):
         rep = check_bump(BumpSpec(psi_family="log_loglog", psi_eps=0.0))

@@ -1,7 +1,6 @@
 """Command-line interface: artifacts, headers, exit codes, determinism."""
 
 import argparse
-import importlib
 import importlib.util
 import json
 import math
@@ -125,6 +124,23 @@ class TestConstants:
         assert proc.returncode == 2
         assert proc.stderr == ("inadmissible Young function: q = -1.0 is not above 1; "
                                "A(0) != 0; A not increasing\n")
+
+    @pytest.mark.parametrize("bumps", [
+        {"psi": {"family": "log_power", "eps": 150.0},
+         "phi": {"family": "log_loglog", "eps": 1.0}},
+        {"psi": {"family": "log_power", "eps": 1.0},
+         "phi": {"family": "log_power", "eps": 150.0}},
+    ], ids=["psi_eps150", "phi_eps150"])
+    def test_overflowing_bumps_load_without_warnings(self, tmp_path, instance_file, capsys,
+                                                     bumps):
+        # psi or phi pass the float range on check_bump's grid; the spec is
+        # admissible, so its loader says nothing (warnings are errors here)
+        spec = tmp_path / "bumps.json"
+        spec.write_text(json.dumps(bumps))
+        for cmd in ("constants", "check"):
+            assert run_cli(cmd, "--in", str(instance_file), "--bumps", str(spec),
+                           "--out", str(tmp_path / f"{cmd}.csv")) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("p, young, member", [
         ("1.9", {"family": "power_over_log", "q": 1.95, "eps": 1.0}, False),
@@ -480,6 +496,29 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("key, edit", [
+        ("depth", lambda d: d.update(depth=2.9)),
+        ("depth", lambda d: d.update(depth=True, w_leaves=[1, 1], sigma_leaves=[1, 2])),
+        ("seed", lambda d: d["sparse"].update(seed=3.7)),
+        ("cubes", lambda d: d.update(sparse={"cubes": [[0.9, 0]]})),
+        ("p", lambda d: d.update(p=True)), ("eta", lambda d: d["sparse"].update(eta=True)),
+    ], ids=["depth_fraction", "depth_bool", "seed", "cube", "p", "eta"])
+    def test_fractions_and_booleans_in_instance_files_exit_2(self, tmp_path, capsys, key, edit):
+        # int() would read depth 2.9 as 2, seed 3.7 as 3 and the cube
+        # (0.9, 0) as (0, 0); int() and float() read true as 1
+        data = {"depth": 2, "p": 2.0, "w_leaves": [1, 1, 1, 1], "sigma_leaves": [1, 2, 3, 4],
+                "sparse": {"strategy": "random_greedy", "eta": 0.5, "seed": 3}}
+        path, out = tmp_path / "inst.json", tmp_path / "out"
+        path.write_text(json.dumps(data))
+        assert run_cli("constants", "--in", str(path), "--out", str(out)) == 0
+        edit(data)
+        path.write_text(json.dumps(data))
+        out.unlink()
+        assert run_cli("constants", "--in", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{key} must be a " in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, name", [
         (["gen", "--depth", "3", "--seed", "-1"], "seed"),
         (["gen", "--depth", "-1"], "depth"),
@@ -547,25 +586,6 @@ class TestDeterminism:
                 assert proc.returncode == 0
             outputs.append([read(d / n) for n in ("g.json", "c.csv", "s.csv")])
         assert outputs[0] == outputs[1]
-
-
-class TestTracedNames:
-    def test_every_traced_name_resolves(self):
-        # the benchmark's tracer wraps these functions by name, so each must
-        # stay callable under it; the tracer file is read, never changed
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
-        assert tracer.TRACED
-        for qualname in tracer.TRACED:
-            module_name, _, attr_path = qualname.partition(".")
-            owner = importlib.import_module(f"sparsebump.{module_name}")
-            *outer, attr = attr_path.split(".")
-            for name in outer:
-                owner = getattr(owner, name)
-            # a method must be defined on its class, where the tracer rebinds it
-            assert callable(vars(owner).get(attr)), qualname
 
 
 class TestArtifactDiff:

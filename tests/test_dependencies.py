@@ -43,10 +43,12 @@ def test_every_traced_name_exists():
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    assert tracer.TRACED
     for module_name, attr_path in (t for targets in tracer.LAYERS.values() for t in targets):
         home = importlib.import_module(f"sparsebump.{module_name}")
         owner_name, _, meth = attr_path.rpartition(".")
+        name = f"{module_name}.{attr_path}"
         if owner_name:  # a method: the tracer rebinds it on its class
-            assert meth in vars(getattr(home, owner_name)), f"{module_name}.{attr_path}"
+            assert callable(vars(getattr(home, owner_name)).get(meth)), name
         else:
-            assert callable(getattr(home, attr_path, None)), f"{module_name}.{attr_path}"
+            assert callable(getattr(home, attr_path, None)), name

@@ -267,7 +267,7 @@ class TestGenerators:
     def test_generators_match_their_definitions(self):
         for depth in range(10):
             g = TreeGeometry(depth)
-            for eta in (0.25, 0.3, 0.5, 0.7, 0.9, 1.0):
+            for eta in (0.25, 0.3, 0.5, 0.52, 0.6, 0.7, 0.9, 1.0):
                 def cubes(strategy, seed=0):
                     fam = generate_sparse(g, strategy, eta, seed)
                     return sorted((c.level, c.index) for c in fam.cubes)
@@ -276,6 +276,7 @@ class TestGenerators:
                     assert cubes("random_greedy", seed) == \
                         oracles.brute_random_greedy(eta, seed, depth)
                 # tower: the root chain while its measures total at most 1/eta
+                # (the whole chain at eta <= 1/2, 4 and 2 levels at 0.52 and 0.6)
                 assert cubes("tower") == [
                     (l, 0) for l in range(depth + 1)
                     if math.fsum(2.0 ** (-i) for i in range(l + 1)) <= 1.0 / eta + 1e-12]
