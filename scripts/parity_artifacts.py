@@ -48,7 +48,10 @@ this tree's `src/`:
   and `check --in` on each; and `constants --in` and `check --in` on the
   depth-6 stopping_time lognormal p 2 instance with the bump file
   `bumps_psi_eps150.json` (psi `log_power` eps 150, whose values pass the
-  float range on check_bump's grid).
+  float range on check_bump's grid);
+- last, main_theorem searches at p 2, `--depths 3 5 --steps 150 --seed
+  3`, with `--dist spike` and `--dist mixed`: every search above draws
+  sigma from the lognormal law.
 
 `exit_codes.txt` lists each run's exit code, or `raised <ExceptionType>`
 for a run that raised out of `cli.main`.  Compare two sets with `diff -r`
@@ -185,6 +188,10 @@ def runs():
         yield [cmd, "--in", "gen_stopping_time_d6_p2_lognormal.json",
                "--bumps", "bumps_psi_eps150.json",
                "--out", f"{cmd}_bumps_eps150_stopping_time_d6_p2_lognormal.csv"]
+    for dist in ("spike", "mixed"):
+        yield [*search, "--objective", "main_theorem", "--dist", dist,
+               "--out", f"search_dist_{dist}_main_theorem_p2.csv",
+               "--result-out", f"search_dist_{dist}_main_theorem_p2.json"]
 
 
 def run(args) -> str:

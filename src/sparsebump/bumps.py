@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import (CubeId, DomainError, NumericError, WeightPair, _avg_pyramid,
-                     _known_keys, _select, _tree_index, ancestor_accumulate, ancestor_table)
+from .dyadic import (CubeId, DomainError, NumericError, WeightPair, _avg_pyramid, _known_keys,
+                     _number, _select, _tree_index, ancestor_accumulate, ancestor_table)
 
 _E = math.e
 _EE = math.exp(math.e)
@@ -73,14 +73,16 @@ class BumpSpec:
 
     def psi(self, t):
         t = np.asarray(t, dtype=float)
-        if (t <= 0.0).any():
+        low = t < 1.0
+        any_low = low.any()  # t <= 0 implies t < 1: input all >= 1 skips check and branch
+        if any_low and (t <= 0.0).any():
             raise DomainError("psi requires t > 0")
         if self.psi_family == "custom":
             out = np.asarray(self.psi_fn(t), dtype=float)
         else:
-            out = np.where(t < 1.0,
-                           _psi_lower(np.maximum(t, 1e-300), self.psi_eps),
-                           _upper(np.maximum(t, 1.0), self.psi_eps, self.psi_family))
+            out = _upper(np.maximum(t, 1.0), self.psi_eps, self.psi_family)
+            if any_low:
+                out = np.where(low, _psi_lower(np.maximum(t, 1e-300), self.psi_eps), out)
         return float(out) if out.ndim == 0 else out
 
     def phi(self, t):
@@ -95,8 +97,10 @@ class BumpSpec:
         if not 1.0 < p < math.inf:
             raise DomainError(f"p must lie in (1, inf), got {p}")
         t = np.asarray(t, dtype=float)
-        ps = np.asarray(self.psi(t), dtype=float)
+        ps = self.psi(t)
         low = t < 1.0
+        if not low.any():  # the factor phi^{p-1} is 1 on every entry
+            return ps
         out = ps * np.where(low, np.asarray(self.phi(np.where(low, ps, 1.0))) ** (p - 1.0), 1.0)
         return float(out) if np.ndim(out) == 0 else out
 
@@ -108,8 +112,8 @@ class BumpSpec:
     def from_json_dict(data: dict) -> "BumpSpec":
         _known_keys(data, ("psi", "phi"))
         psi, phi = (_known_keys(data[side], ("family", "eps")) for side in ("psi", "phi"))
-        return BumpSpec(psi_family=psi["family"], psi_eps=float(psi["eps"]),
-                        phi_family=phi["family"], phi_eps=float(phi["eps"]))
+        return BumpSpec(psi_family=psi["family"], psi_eps=_number(psi["eps"], "psi eps"),
+                        phi_family=phi["family"], phi_eps=_number(phi["eps"], "phi eps"))
 
 
 @dataclass
@@ -238,8 +242,8 @@ class YoungSpec:
     @staticmethod
     def from_json_dict(data: dict) -> "YoungSpec":
         _known_keys(data, ("family", "q", "eps"))
-        return YoungSpec(family=data.get("family"), q=float(data.get("q", 2.0)),
-                         eps=float(data.get("eps", 1.0)))
+        return YoungSpec(family=data.get("family"), q=_number(data.get("q", 2.0), "q"),
+                         eps=_number(data.get("eps", 1.0), "eps"))
 
 
 # the Young function of the CLI and of a search Objective when none is given

@@ -335,7 +335,11 @@ class Instance:
         }
 
 
-def _clamp(vec: np.ndarray) -> np.ndarray:
+def _leaves(values, key: str) -> np.ndarray:
+    """A leaf list as densities floored at DENSITY_FLOOR, if its numpy dtype is int or float."""
+    vec = np.asarray(values)
+    if vec.dtype.kind not in "iuf":
+        raise DomainError(f"{key} must be a list of numbers")
     if np.any(vec < 0):
         raise DomainError("leaf densities must be nonnegative")
     return np.maximum(vec, DENSITY_FLOOR)
@@ -350,8 +354,10 @@ def _known_keys(data: dict, keys) -> dict:
 
 
 def _number(value, key: str, kind=float):
-    """value as a kind, int or float, unless it is a boolean or, for an int, has a fraction."""
-    if isinstance(value, bool) or kind is int and value != int(value):
+    """value as a kind, int or float, if it is an int or a float (never a bool)
+    and, for an int, has no fraction."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or (
+            kind is int and value != int(value)):
         raise DomainError(f"{key} must be a {'whole ' * (kind is int)}number, got {value!r}")
     return kind(value)
 
@@ -375,8 +381,8 @@ def instance_from_dict(data: dict) -> Instance:
     _known_keys(data, ("depth", "p", "w_leaves", "sigma_leaves", "sparse", "meta"))
     sparse = _known_keys(data["sparse"], ("strategy", "eta", "seed", "cubes"))
     return make_instance(TreeGeometry(_number(data["depth"], "depth", int)),
-                         _clamp(np.asarray(data["w_leaves"], dtype=float)),
-                         _clamp(np.asarray(data["sigma_leaves"], dtype=float)),
+                         _leaves(data["w_leaves"], "w_leaves"),
+                         _leaves(data["sigma_leaves"], "sigma_leaves"),
                          _number(data["p"], "p"), sparse)
 
 

@@ -77,9 +77,10 @@ class TestPsiPhi:
     @pytest.mark.parametrize("family", ["log_power", "log_loglog"])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_nu_vector_equals_scalar_calls(self, family, p):
-        # one np.where expression serves every input: on vectors all at or
-        # above 1, all below 1 or across 1, and on 0-d input, it returns each
-        # element's scalar call bit for bit, and psi itself at and above 1
+        # input with no entry below 1 returns psi as it is; input with one
+        # takes the phi^{p-1}(psi) expression: on vectors all at or above 1,
+        # all below 1 or across 1, and on 0-d input, either path returns
+        # each element's scalar call bit for bit
         spec = BumpSpec(psi_family=family)
         above, below = np.geomspace(1.0, 1e6, 27), np.geomspace(1e-6, 0.999, 27)
         for t in (above, below, np.geomspace(1e-6, 1e6, 27), np.array(GRID)):
@@ -88,6 +89,18 @@ class TestPsiPhi:
         for x in (0.3, 1.0, 4.0):
             zero_d = spec.nu_p(p, np.array(x))
             assert type(zero_d) is float and zero_d == spec.nu_p(p, x)
+
+    @pytest.mark.parametrize("family", ["log_power", "log_loglog"])
+    def test_psi_vector_equals_scalar_calls(self, family):
+        # a vector with no entry below 1 skips the small-t branch; the same
+        # entries inside a vector across 1 go through np.where; both equal
+        # their scalar calls bit for bit
+        spec = BumpSpec(psi_family=family)
+        above, below = np.geomspace(1.0, 1e6, 27), np.geomspace(1e-6, 0.999, 27)
+        mixed = spec.psi(np.concatenate([below, above]))
+        assert np.array_equal(spec.psi(above), mixed[27:])
+        assert np.array_equal(spec.psi(above), [spec.psi(x) for x in above.tolist()])
+        assert np.array_equal(mixed[:27], [spec.psi(x) for x in below.tolist()])
 
     def test_nu_at_one_uses_upper_branch(self):
         spec = BumpSpec()
@@ -98,12 +111,18 @@ class TestPsiPhi:
         spec = BumpSpec()
         t = np.array(GRID)
         scalar = np.array([spec.psi(x) for x in GRID])
-        assert np.allclose(spec.psi(t), scalar, rtol=1e-14)
+        assert np.array_equal(spec.psi(t), scalar)
 
     def test_domain_errors(self):
         spec = BumpSpec()
         with pytest.raises(DomainError):
             spec.psi(0.0)
+        # the t > 0 check runs with the small-t branch: every other entry >= 1
+        for t in ([2.0, 0.0], [3.0, -1.0]):
+            with pytest.raises(DomainError):
+                spec.psi(np.array(t))
+        with pytest.raises(DomainError):
+            BumpSpec(psi_family="custom", psi_fn=v_cubed).psi(np.array([1.0, 0.0]))
         with pytest.raises(DomainError):
             spec.phi(0.5)
         with pytest.raises(DomainError):

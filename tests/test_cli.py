@@ -502,10 +502,15 @@ class TestUsageErrors:
         ("seed", lambda d: d["sparse"].update(seed=3.7)),
         ("cubes", lambda d: d.update(sparse={"cubes": [[0.9, 0]]})),
         ("p", lambda d: d.update(p=True)), ("eta", lambda d: d["sparse"].update(eta=True)),
-    ], ids=["depth_fraction", "depth_bool", "seed", "cube", "p", "eta"])
+        ("p", lambda d: d.update(p="2")), ("eta", lambda d: d["sparse"].update(eta="0.5")),
+        ("w_leaves", lambda d: d.update(w_leaves=["1", 1, 1, 1])),
+        ("sigma_leaves", lambda d: d.update(sigma_leaves=[True, False, True, True])),
+    ], ids=["depth_fraction", "depth_bool", "seed", "cube", "p", "eta", "p_string",
+            "eta_string", "leaf_string", "leaf_bools"])
     def test_fractions_and_booleans_in_instance_files_exit_2(self, tmp_path, capsys, key, edit):
         # int() would read depth 2.9 as 2, seed 3.7 as 3 and the cube
-        # (0.9, 0) as (0, 0); int() and float() read true as 1
+        # (0.9, 0) as (0, 0); int() and float() read true as 1, and float()
+        # reads the strings "2" and "0.5" as numbers
         data = {"depth": 2, "p": 2.0, "w_leaves": [1, 1, 1, 1], "sigma_leaves": [1, 2, 3, 4],
                 "sparse": {"strategy": "random_greedy", "eta": 0.5, "seed": 3}}
         path, out = tmp_path / "inst.json", tmp_path / "out"
@@ -517,6 +522,25 @@ class TestUsageErrors:
         assert run_cli("constants", "--in", str(path), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and f"{key} must be a " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, spec, key", [
+        ("--bumps", {"psi": {"family": "log_power", "eps": True},
+                     "phi": {"family": "log_loglog", "eps": 1.0}}, "psi eps"),
+        ("--bumps", {"psi": {"family": "log_power", "eps": 1.0},
+                     "phi": {"family": "log_loglog", "eps": "1.0"}}, "phi eps"),
+        ("--young", {"family": "power", "q": "2"}, "q"),
+        ("--young", {"family": "power_over_log", "q": 2.0, "eps": True}, "eps"),
+    ], ids=["psi_eps_bool", "phi_eps_string", "q_string", "young_eps_bool"])
+    def test_booleans_and_strings_in_spec_files_exit_2(self, tmp_path, capsys, instance_a,
+                                                        option, spec, key):
+        # float() would read true as 1.0 and "2" as 2.0, and the run exit 0
+        inst, path, out = (tmp_path / name for name in ("inst.json", "spec.json", "c.csv"))
+        inst.write_text(json.dumps(instance_a.to_json_dict()))
+        path.write_text(json.dumps(spec))
+        assert run_cli("constants", "--in", str(inst), option, str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{key} must be a number" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, name", [
