@@ -49,9 +49,12 @@ this tree's `src/`:
   depth-6 stopping_time lognormal p 2 instance with the bump file
   `bumps_psi_eps150.json` (psi `log_power` eps 150, whose values pass the
   float range on check_bump's grid);
-- last, main_theorem searches at p 2, `--depths 3 5 --steps 150 --seed
+- then main_theorem searches at p 2, `--depths 3 5 --steps 150 --seed
   3`, with `--dist spike` and `--dist mixed`: every search above draws
-  sigma from the lognormal law.
+  sigma from the lognormal law;
+- last, a main_theorem search at p 2, `--depths 3 5 --steps 150 --seed
+  3`, over the seeded `--strategy random_greedy` family, which the anneal
+  builds once and no search above draws.
 
 `exit_codes.txt` lists each run's exit code, or `raised <ExceptionType>`
 for a run that raised out of `cli.main`.  Compare two sets with `diff -r`
@@ -192,6 +195,9 @@ def runs():
         yield [*search, "--objective", "main_theorem", "--dist", dist,
                "--out", f"search_dist_{dist}_main_theorem_p2.csv",
                "--result-out", f"search_dist_{dist}_main_theorem_p2.json"]
+    name = "main_theorem_p2_random_greedy"
+    yield [*search, "--objective", "main_theorem", "--strategy", "random_greedy",
+           "--out", f"search_{name}.csv", "--result-out", f"search_{name}.json"]
 
 
 def run(args) -> str:

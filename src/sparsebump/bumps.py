@@ -427,8 +427,12 @@ def ap_constant(pair: WeightPair, cubes="all") -> float:
 def nu_constant(pair: WeightPair, spec: BumpSpec, cubes="all") -> float:
     """sup_Q w_Q * sigma_Q^{p-1} * nu_p(sigma_Q)."""
     ensure_admissible(spec)
-    w, s = _cube_averages(pair, cubes)
-    return float((w * s ** (pair.p - 1.0) * spec.nu_p(pair.p, s)).max())
+    return nu_sup(spec, pair.p, *_cube_averages(pair, cubes))
+
+
+def nu_sup(spec: BumpSpec, p: float, w, s) -> float:
+    """nu_constant over the cube averages w and s of a cube set."""
+    return float((w * s ** (p - 1.0) * spec.nu_p(p, s)).max())
 
 
 def nu_lambdas(pair: WeightPair, spec: BumpSpec, cubes="all") -> np.ndarray:

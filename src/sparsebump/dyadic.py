@@ -101,13 +101,15 @@ def ancestor_table(flat: np.ndarray, depth: int, op=np.add) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _tree_index(depth: int):
-    """(scale, up), read-only: scale[k] = 2**l at flat (level, index)
-    position k on level l; up[l, x] = the position of leaf x's level-l ancestor."""
+    """(scale, up, two_rows), read-only: scale[k] = 2**l at flat (level, index)
+    position k on level l; up[l, x] = the position of leaf x's level-l ancestor;
+    two_rows[r, k] = where row r's position k sits in _pyramid's two-row buffer."""
     levels = np.arange(depth + 1)
     up = ((1 << levels) - 1)[:, None] + (np.arange(1 << depth) >> (depth - levels)[:, None])
     scale = np.repeat(2.0 ** levels, 1 << levels)
-    up.flags.writeable = scale.flags.writeable = False
-    return scale, up
+    two_rows = (np.arange(scale.size) + scale - 1.0 + [[0.0], [1.0]] * scale).astype(np.intp)
+    up.flags.writeable = scale.flags.writeable = two_rows.flags.writeable = False
+    return scale, up, two_rows
 
 
 def _level_views(flat: np.ndarray) -> list[np.ndarray]:
@@ -116,14 +118,17 @@ def _level_views(flat: np.ndarray) -> list[np.ndarray]:
 
 
 def _pyramid(leaves: np.ndarray, depth: int) -> np.ndarray:
-    """Per-cube masses of the leaf values in one flat (level, index)
-    buffer: subtree_sums of the leaf masses, one np.add a level."""
-    flat = np.empty((2 << depth) - 1)
-    np.multiply(leaves, 2.0 ** (-depth), out=flat[(1 << depth) - 1:])
-    for level in range(depth - 1, -1, -1):
-        lo, hi = (1 << level) - 1, (2 << level) - 1
-        np.add(flat[hi:2 * hi + 1:2], flat[hi + 1:2 * hi + 1:2], out=flat[lo:hi])
-    return flat
+    """Per-cube masses of a leaf vector, or of each row of a (2, n) leaf
+    array (w and sigma), as flat (level, index) buffers: subtree_sums of the
+    leaf masses, one np.add a level for both rows at once, on a level-major
+    buffer (each level's rows side by side) read out by _tree_index's two_rows."""
+    rows = 1 if np.ndim(leaves) == 1 else 2
+    flat = np.empty(rows * ((2 << depth) - 1))
+    np.multiply(np.ravel(leaves), 2.0 ** (-depth), out=flat[rows * ((1 << depth) - 1):])
+    for level in range(depth - 1, -1, -1):  # level + 1 spans [hi, 2 * hi + rows)
+        lo, hi = rows * ((1 << level) - 1), rows * ((2 << level) - 1)
+        np.add(flat[hi:2 * hi + rows:2], flat[hi + 1:2 * hi + rows:2], out=flat[lo:hi])
+    return flat if rows == 1 else flat[_tree_index(depth)[2]]
 
 
 def _avg_pyramid(leaves, depth: int) -> np.ndarray:
@@ -151,20 +156,26 @@ class WeightPair:
         if np.shape(w_leaves) != (n,) or np.shape(sigma_leaves) != (n,):
             raise DomainError(f"leaf vectors must have length {n}")
         leaves = np.array((w_leaves, sigma_leaves), dtype=float)  # one copy of both
-        leaves.flags.writeable = False  # so its rows w and s are read-only views
         if not leaves.min() > 0:
             raise DomainError("leaf densities must be strictly positive")
+        self._hold(geometry, leaves, p)
+
+    # the pair of a (2, n) array of positive leaves (w, sigma), held without a copy
+    over = classmethod(lambda cls, geometry, leaves, p: cls.__new__(cls)._hold(geometry, leaves, p))
+
+    def _hold(self, geometry: TreeGeometry, leaves: np.ndarray, p: float) -> "WeightPair":
+        """Hold finite leaves at p in (1, inf) with their read-only pyramids."""
         if not leaves.max() < np.inf:
             raise DomainError("leaf densities must be finite")
-        w, s = leaves
         if not (1.0 < p < np.inf):
             raise DomainError(f"p must lie in (1, inf), got {p}")
-        self.geometry, self.w_leaves, self.sigma_leaves, self.p = geometry, w, s, float(p)
-        self.w_mass_flat, self.sigma_mass_flat = (_pyramid(v, geometry.depth) for v in (w, s))
-        self.w_avg_flat, self.sigma_avg_flat = (m * _tree_index(geometry.depth)[0]
-                                                for m in (self.w_mass_flat, self.sigma_mass_flat))
-        for flat in (self.w_mass_flat, self.sigma_mass_flat, self.w_avg_flat, self.sigma_avg_flat):
-            flat.flags.writeable = False
+        mass = _pyramid(leaves, geometry.depth)
+        avgs = [m * _tree_index(geometry.depth)[0] for m in mass]
+        for buf in (leaves, mass, *avgs):
+            buf.flags.writeable = False  # before the row views below are taken
+        self.geometry, self.p, (self.w_avg_flat, self.sigma_avg_flat) = geometry, float(p), avgs
+        (self.w_leaves, self.sigma_leaves), (self.w_mass_flat, self.sigma_mass_flat) = leaves, mass
+        return self
 
     @property
     def p_dual(self) -> float:
@@ -250,25 +261,38 @@ STRATEGIES = ("tower", "random_greedy", "all_above_level", "stopping_time")
 
 def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int,
                     sigma_avg_flat=None) -> SparseFamily:
-    """Deterministic eta-sparse family at one of the STRATEGIES: "tower" (a
-    root chain), "random_greedy" (seeded), "all_above_level" (every cube of
-    level <= min(L, floor(1/eta) - 1)) or "stopping_time" (sigma's principal
-    cubes at a = 1/(1 - eta), from a WeightPair's sigma_avg_flat)."""
+    """The family of sparse_rule at a WeightPair's sigma_avg_flat."""
+    rule = sparse_rule(geometry, strategy, eta, seed)
+    if strategy == "stopping_time" and sigma_avg_flat is None:
+        raise DomainError("stopping_time strategy needs sigma_avg_flat")
+    return SparseFamily(rule(sigma_avg_flat))
+
+
+def sparse_rule(geometry: TreeGeometry, strategy: str, eta: float, seed: int):
+    """Deterministic eta-sparse family at one of the STRATEGIES as a map from
+    sigma's flat averages to a flat mask, checked once: "tower" (a root
+    chain), "random_greedy" (seeded), "all_above_level" (every cube of level
+    <= min(L, floor(1/eta) - 1)), each built here once and handed out as is,
+    or "stopping_time" (sigma's principal cubes at a = 1/(1 - eta))."""
     if not (0.0 < eta <= 1.0):
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
     cap = 1.0 / eta
     depth, size = geometry.depth, (2 << geometry.depth) - 1
 
+    if strategy == "stopping_time":
+        if eta >= 1.0:
+            raise DomainError("stopping_time needs eta < 1 (a = 1/(1-eta) > 1)")
+        return lambda sigma_avg_flat: stopping_time_mask(sigma_avg_flat, 1.0 / (1.0 - eta))
+
     if strategy == "tower":  # the root chain: every level l with chain measure 2 - 2**-l <= 1/eta
         levels, flat = np.arange(depth + 1), np.zeros(size, dtype=bool)
         flat[(1 << levels[2.0 - 2.0 ** -levels <= cap + 1e-12]) - 1] = True
-        return SparseFamily(flat)
 
-    if strategy == "all_above_level":
-        m = min(depth, int(np.floor(cap + 1e-12)) - 1)
-        return SparseFamily(np.arange(size) < (2 << m) - 1)  # levels 0..m
+    elif strategy == "all_above_level":
+        m = int(min(depth, np.floor(cap + 1e-12) - 1.0))  # cap = inf (subnormal eta): depth
+        flat = np.arange(size) < (2 << m) - 1  # levels 0..m
 
-    if strategy == "random_greedy":
+    elif strategy == "random_greedy":
         rng = np.random.default_rng(np.uint64(seed))
         # subtree[k]: measure of admitted family cubes inside the cube at flat
         # position k.  A candidate's own subtree is still empty when it is drawn,
@@ -284,23 +308,23 @@ def generate_sparse(geometry: TreeGeometry, strategy: str, eta: float, seed: int
                 admitted[(1 << level) - 1 + j] = True
                 for a in range(level + 1):
                     subtree[(1 << a) - 1 + (j >> (level - a))] += m_c
-        return SparseFamily(np.array(admitted))
+        flat = np.array(admitted)
 
-    if strategy == "stopping_time":
-        if sigma_avg_flat is None:
-            raise DomainError("stopping_time strategy needs sigma_avg_flat")
-        if eta >= 1.0:
-            raise DomainError("stopping_time needs eta < 1 (a = 1/(1-eta) > 1)")
-        return stopping_time_family(sigma_avg_flat, 1.0 / (1.0 - eta))
-
-    raise DomainError(f"unknown strategy {strategy!r}")
+    else:
+        raise DomainError(f"unknown strategy {strategy!r}")
+    return lambda sigma_avg_flat: flat
 
 
 def stopping_time_family(sigma_avg_flat, a: float) -> SparseFamily:
-    """Principal cubes of sigma, given its flat averages (a WeightPair's
-    sigma_avg_flat): starting from the root, select maximal descendants
-    whose average exceeds a times the current stopping cube's average,
-    recursively.  The result is (1 - 1/a)-sparse by construction."""
+    """The SparseFamily of stopping_time_mask."""
+    return SparseFamily(stopping_time_mask(sigma_avg_flat, a))
+
+
+def stopping_time_mask(sigma_avg_flat, a: float) -> np.ndarray:
+    """Principal cubes of sigma as a flat mask, given its flat averages (a
+    WeightPair's sigma_avg_flat): starting from the root, select maximal
+    descendants whose average exceeds a times the current stopping cube's
+    average, recursively.  The result is (1 - 1/a)-sparse by construction."""
     if not a > 1.0:
         raise DomainError(f"stopping threshold a must exceed 1, got {a}")
     mask = np.zeros(len(sigma_avg_flat), dtype=bool)
@@ -313,7 +337,7 @@ def stopping_time_family(sigma_avg_flat, a: float) -> SparseFamily:
         m, thr = mask[lo:hi], thr.repeat(2)
         np.greater(sigma_avg_flat[lo:hi], thr, out=m)
         np.copyto(thr, scaled[lo:hi], where=m)
-    return SparseFamily(mask)
+    return mask
 
 
 # -- instance (de)serialization --------------------------------------------

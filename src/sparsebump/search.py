@@ -14,23 +14,25 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dyadic import (DomainError, Instance, NumericError, TreeGeometry,
-                     instance_from_dict, make_instance, DENSITY_FLOOR)
+from .dyadic import (DomainError, Instance, NumericError, SparseFamily, TreeGeometry, WeightPair,
+                     _number, _same_tree, instance_from_dict, make_instance, sparse_rule,
+                     DENSITY_FLOOR)
 from .bumps import (DEFAULT_YOUNG, BumpSpec, YoungSpec, _cube_averages,
                     ensure_admissible, entropy_constant, maximal_bound_constant,
-                    nu_constant, orlicz_li_constant, sepcon_constant)
-from .testing import maximal_norm_lower, testing_constant
+                    nu_sup, orlicz_li_constant, sepcon_constant)
+from .testing import maximal_norm_lower, testing_values
 
-# objective kind -> its denominator at (pair, S, objective); each entry looks
-# its bump constant up in this module's globals when it is called
+# objective kind -> its denominator at (pair, flat family mask, objective); each
+# entry looks its bump constant up in this module's globals when it is called
 OBJECTIVE_KINDS = {
-    "main_theorem": lambda pair, S, obj: nu_constant(pair, obj.spec, S) ** (1.0 / pair.p),
-    "conjecture_nc": lambda pair, S, obj: maximal_bound_constant(pair, obj.spec, "all"),
-    "conjecture_sepcon": lambda pair, S, obj: sepcon_constant(pair, obj.young, "all"),
-    "maximal_bound": lambda pair, S, obj: maximal_bound_constant(pair, obj.spec, "all"),
-    "prop31_orlicz": lambda pair, S, obj: orlicz_li_constant(pair, obj.young, obj.spec,
-                                                              "all")[0],
-    "prop31_entropy": lambda pair, S, obj: entropy_constant(pair, obj.spec, "all"),
+    "main_theorem": lambda pair, mask, obj: nu_sup(obj.spec, pair.p, pair.w_avg_flat[mask],
+                                                   pair.sigma_avg_flat[mask]) ** (1.0 / pair.p),
+    "conjecture_nc": lambda pair, mask, obj: maximal_bound_constant(pair, obj.spec, "all"),
+    "conjecture_sepcon": lambda pair, mask, obj: sepcon_constant(pair, obj.young, "all"),
+    "maximal_bound": lambda pair, mask, obj: maximal_bound_constant(pair, obj.spec, "all"),
+    "prop31_orlicz": lambda pair, mask, obj: orlicz_li_constant(pair, obj.young, obj.spec,
+                                                                "all")[0],
+    "prop31_entropy": lambda pair, mask, obj: entropy_constant(pair, obj.spec, "all"),
 }
 
 # default dist params: lognormal (mu, s), spike (mass, support fraction); mixed draws its own
@@ -72,6 +74,8 @@ class SearchConfig:
         if default is None or len(params) != len(default):
             raise DomainError(f"leaf law {self.dist!r} with dist params {params}: the laws "
                               f"and their default params are {DIST_PARAMS}")
+        if not all(map(math.isfinite, params)):
+            raise DomainError(f"dist params must be finite, got {params}")
         object.__setattr__(self, "dist_params", params)
 
 
@@ -108,32 +112,48 @@ def _draw_pair(config: SearchConfig, seed: int):
     """The seeded leaf densities (w, sigma): sigma is drawn first, then w."""
     rng = np.random.default_rng(np.uint64(seed))
     n = TreeGeometry(config.depth).n_leaves
-    sigma = _draw_leaves(rng, n, config.dist, config.dist_params)
+    with np.errstate(over="ignore"):  # an overflow reads inf, refused below
+        sigma = _draw_leaves(rng, n, config.dist, config.dist_params)
+    if not (sigma.min() > 0.0 and sigma.max() < np.inf):
+        raise DomainError(f"leaf law {config.dist!r} with dist params {config.dist_params} "
+                          "draws densities outside (0, inf)")
     return _draw_leaves(rng, n, "lognormal", (0.0, 1.0)), sigma
-
-
-def _instance(config: SearchConfig, w, sigma, p: float) -> Instance:
-    """The pair (w, sigma) at p with the family config derives from it."""
-    return make_instance(TreeGeometry(config.depth), w, sigma, p,
-                         {"strategy": config.strategy, "eta": config.eta, "seed": config.seed})
 
 
 def random_instance(config: SearchConfig, p: float = 2.0) -> Instance:
     """Deterministic random weight pair at p plus its family, both from config.seed."""
-    return _instance(config, *_draw_pair(config, config.seed), p)
+    return make_instance(TreeGeometry(config.depth), *_draw_pair(config, config.seed), p,
+                         {"strategy": config.strategy, "eta": config.eta, "seed": config.seed})
 
 
+@np.errstate(all="ignore")  # _fraction computes under it
 def evaluate(objective: Objective, instance: Instance) -> float:
     """Objective ratio (numerator over bump constant) for one instance at the objective's p."""
     pair, S = instance.pair, instance.family
     if pair.p != objective.p:
         raise DomainError(f"instance at p = {pair.p} for an objective at p = {objective.p}")
+    _same_tree(S, pair.geometry.depth)
+    ensure_admissible(objective.spec)
+    num, den = _fraction(objective, pair, S.flat_mask)
+    return num / den
+
+
+def _fraction(objective: Objective, pair: WeightPair, mask: np.ndarray):
+    """(numerator, bump constant) of the objective at a pair and the flat mask
+    of a family on its tree: evaluate's and anneal's, under their np.errstate."""
     num = (maximal_norm_lower(pair) if objective.kind == "maximal_bound"
-           else testing_constant(pair, S)[0])
-    den = OBJECTIVE_KINDS[objective.kind](pair, S, objective)
+           else float(testing_values(pair, mask).max(initial=-math.inf)))
+    den = OBJECTIVE_KINDS[objective.kind](pair, mask, objective)
     if den < 1e-300:
         raise NumericError("objective denominator underflowed")
-    return num / den
+    return num, den
+
+
+def _candidate(log_ws: np.ndarray, geometry: TreeGeometry, p: float, family):
+    """(pair, family mask) of (2, n) log-densities (log w, log sigma), floored
+    at DENSITY_FLOOR as instance_from_dict floors a reload; family is a sparse_rule."""
+    pair = WeightPair.over(geometry, np.maximum(np.exp(log_ws), DENSITY_FLOOR), p)
+    return pair, family(pair.sigma_avg_flat)
 
 
 def _sub_ap_fraction(instance: Instance, p: float) -> float:
@@ -141,58 +161,64 @@ def _sub_ap_fraction(instance: Instance, p: float) -> float:
     return float(np.mean(w * s ** (p - 1.0) < 1.0))
 
 
+@np.errstate(all="ignore")  # a value that is not finite is refused instead
 def anneal(objective: Objective, config: SearchConfig) -> SearchResult:
     """Simulated annealing over leaf log-densities with periodic restarts
     and stopping-time family refreshes; best instance re-verified.
 
-    The start, each restart and each proposal is a candidate: its (2, n)
-    log-densities (log w, log sigma) are built into an instance and
-    evaluated on one path, with the densities floored at DENSITY_FLOOR
-    as instance_from_dict floors a reload, so the stored best replays
-    exactly.  A restart is accepted without a draw."""
+    The start, each restart and each proposal is a candidate: the
+    _candidate buffers of its (2, n) log-densities, evaluated by _fraction,
+    with one family rule for all.  Only the best becomes an Instance, whose
+    serialized form replays exactly.  A restart is accepted without a draw."""
     ensure_admissible(objective.spec)
+    p, geometry = objective.p, TreeGeometry(config.depth)
+    sparse = {"strategy": config.strategy, "eta": config.eta, "seed": config.seed}
+    family = sparse_rule(geometry, config.strategy, _number(config.eta, "eta"),
+                         _number(config.seed, "seed", int))
     rng = np.random.default_rng(np.uint64(config.seed))
-    n = 1 << config.depth
     restart_every = max(1, config.steps // 10)
     refresh_every = max(1, config.steps // 20)
     evals = 0
 
-    def candidate(log_ws):
+    def value(step, cand):
         nonlocal evals
         evals += 1
-        inst = _instance(config, *np.maximum(np.exp(log_ws), DENSITY_FLOOR), objective.p)
-        return inst, evaluate(objective, inst)
+        num, den = _fraction(objective, *cand)
+        if not all(map(math.isfinite, (num, den, num / den))):
+            raise NumericError(f"anneal step {step}: objective {num!r} / {den!r} is not finite")
+        return num / den
 
     log_ws = np.log(_draw_pair(config, config.seed))
-    current, cur_val = candidate(log_ws)
-    best_val, best_inst = cur_val, current
+    current = best = _candidate(log_ws, geometry, p, family)
+    cur_val = best_val = value(0, current)
     trace = [best_val]
     temperature = T0
     for step in range(1, config.steps):
         restart = step % restart_every == 0
         cand_ws = (np.log(_draw_pair(config, config.seed + step)) if restart
-                   else log_ws + 0.5 * rng.standard_normal((2, n)))
-        cand, val = candidate(cand_ws)
+                   else log_ws + 0.5 * rng.standard_normal((2, geometry.n_leaves)))
+        cand = _candidate(cand_ws, geometry, p, family)
+        val = value(step, cand)
         delta = val - cur_val
         if restart or delta >= 0 or rng.random() < math.exp(delta / max(temperature, 1e-12)):
             log_ws, current, cur_val = cand_ws, cand, val
         if step % refresh_every == 0 and config.strategy == "stopping_time":
-            cur_val = evaluate(objective, current)  # current holds sigma's family already
-            evals += 1
+            cur_val = value(step, current)  # current holds sigma's family already
         if cur_val > best_val:
-            best_val, best_inst = cur_val, current
+            best_val, best = cur_val, current
         trace.append(best_val)
         temperature *= GAMMA
 
     # re-verify the best instance by recomputation from its serialized form
+    best_inst = Instance(WeightPair(geometry, best[0].w_leaves, best[0].sigma_leaves, p),
+                         SparseFamily(best[1]), sparse)
     stored = best_inst.to_json_dict()
     replay = evaluate(objective, instance_from_dict(stored))
     if not math.isclose(replay, best_val, rel_tol=1e-9):
         raise NumericError(
             f"best ratio failed re-verification: {best_val} vs {replay}")
     return SearchResult(best_ratio=best_val, best_instance=stored, trace=trace,
-                        evaluations=evals,
-                        sub_ap_fraction=_sub_ap_fraction(best_inst, objective.p))
+                        evaluations=evals, sub_ap_fraction=_sub_ap_fraction(best_inst, p))
 
 
 def sweep_results(objective: Objective, config: SearchConfig, depths):

@@ -84,21 +84,25 @@ def testing_constant(pair: WeightPair, S: SparseFamily):
     """[w,sigma]_p: max over R in S of ||local_sum(R)||_{L^p(w)} /
     sigma(R)^{1/p}.  Returns (value, maximizing R); ties break toward the
     smallest (level, index)."""
-    depth, p = pair.geometry.depth, pair.p
-    _same_tree(S, depth)
-    up = _tree_index(depth)[1]
-    inside = S.flat_mask[up]  # whether leaf x's level-r ancestor up[r, x] is in S
-    # g[r, x]: level-r local sum at leaf x, added leaves-up (no differences of large sums)
-    g = ancestor_table(np.where(S.flat_mask, pair.sigma_avg_flat, 0.0), depth)
-    leaf = np.flatnonzero(inside) & ((1 << depth) - 1)
-    sums = np.bincount(up[inside], g[inside] ** p * pair.w_leaves[leaf],
-                       minlength=S.flat_mask.size)
-    vals = ((sums[S.flat_mask] * 2.0 ** (-depth)) ** (1.0 / p)
-            / _select(pair.sigma_mass_flat, S) ** (1.0 / p))
+    _same_tree(S, pair.geometry.depth)
+    vals = testing_values(pair, S.flat_mask)
     if not vals.size:
         return -math.inf, None
     k = int(vals.argmax())  # the first maximum in (level, index) order
     return float(vals[k]), CubeId.from_flat(int(S.flat_mask.nonzero()[0][k]))
+
+
+def testing_values(pair: WeightPair, mask: np.ndarray) -> np.ndarray:
+    """||local_sum(R)||_{L^p(w)} / sigma(R)^{1/p} for every R of a family's
+    flat mask on the pair's tree, as a family vector in (level, index) order."""
+    depth, p = pair.geometry.depth, pair.p
+    up = _tree_index(depth)[1]
+    inside = mask[up]  # whether leaf x's level-r ancestor up[r, x] is in the family
+    # g[r, x]: level-r local sum at leaf x, added leaves-up (no differences of large sums)
+    g = ancestor_table(np.where(mask, pair.sigma_avg_flat, 0.0), depth)
+    leaf = np.flatnonzero(inside) & ((1 << depth) - 1)
+    sums = np.bincount(up[inside], g[inside] ** p * pair.w_leaves[leaf], minlength=mask.size)
+    return (sums[mask] * 2.0 ** (-depth)) ** (1.0 / p) / pair.sigma_mass_flat[mask] ** (1.0 / p)
 
 
 def apply_sparse(S: SparseFamily, values) -> np.ndarray:
@@ -135,7 +139,7 @@ def _indicator_ratios(pair: WeightPair) -> np.ndarray:
     D(child) = D(parent) + E(parent)^p w(sibling), D(root) = 0, sums those
     p-th powers against w."""
     depth, p, sigma = pair.geometry.depth, pair.p, pair.sigma_mass_flat
-    scale, up = _tree_index(depth)
+    scale, up = _tree_index(depth)[:2]
     table = ancestor_table(pair.sigma_avg_flat, depth, np.maximum)
     e_parent = np.concatenate([[0.0], scale[:(1 << depth) - 1].repeat(2)])
     sibling_w = pair.w_mass_flat[1:].reshape(-1, 2)[:, ::-1].ravel()

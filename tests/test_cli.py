@@ -58,6 +58,16 @@ class TestGen:
         assert run_cli("gen", "--depth", "2", "--p", "1.0", "--out", str(out)) == 2
         assert not out.exists()
 
+    def test_subnormal_eta_admits_every_level(self, tmp_path):
+        # eta = 1e-320 lies in (0, 1] though 1/eta overflows: the family is
+        # every cube, and constants and check read the instance
+        inst = tmp_path / "inst.json"
+        assert run_cli("gen", "--depth", "3", "--eta", "1e-320", "--strategy", "all_above_level",
+                       "--out", str(inst)) == 0
+        assert instance_from_dict(json.loads(read(inst))).family.flat_mask.all()
+        for cmd in ("constants", "check"):
+            assert run_cli(cmd, "--in", str(inst), "--out", str(tmp_path / f"{cmd}.csv")) == 0
+
 
 class TestConstants:
     @pytest.fixture()
@@ -495,6 +505,22 @@ class TestUsageErrors:
                               cwd=tmp_path, env=cli_env(), capture_output=True, text=True)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, code, reason", [
+        (["gen", "--depth", "3", "--dist", "spike", "--dist-params", "1", "nan"], 2,
+         "dist params must be finite"),
+        (["gen", "--depth", "3", "--dist", "lognormal", "--dist-params", "800", "1"], 2,
+         "outside (0, inf)"),
+        (["search", "--objective", "main_theorem", "--depths", "2", "--steps", "20",
+          "--p", "1e12"], 1, "anneal step 0: "),
+    ], ids=["nan_dist_params", "overflowing_draw", "nan_search_value"])
+    def test_non_finite_draws_and_values_exit_with_one_line(self, tmp_path, argv, code, reason):
+        # under -W error a numpy RuntimeWarning would end the run with a traceback
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "sparsebump.cli", *argv,
+                               "--out", str(tmp_path / "out")],
+                              cwd=tmp_path, env=cli_env(), capture_output=True, text=True)
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) == 1 and reason in proc.stderr
 
     @pytest.mark.parametrize("key, edit", [
         ("depth", lambda d: d.update(depth=2.9)),

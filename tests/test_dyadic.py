@@ -169,6 +169,24 @@ class TestMassPyramid:
         with pytest.raises(DomainError):
             WeightPair(g, -np.ones(4), np.ones(4), 2.0)
 
+    @pytest.mark.parametrize("depth", [0, 1, 4, 8])
+    def test_over_holds_the_buffers_of_a_checked_pair(self, depth):
+        # a search candidate's pair: the (2, n) leaves held as they are, with
+        # the buffers of the checked pair bit for bit, all read-only
+        w, sigma = oracles.random_pair(np.random.default_rng(depth), depth)
+        g = TreeGeometry(depth)
+        leaves = np.array((w, sigma))
+        pair, ref = WeightPair.over(g, leaves, 3.0), WeightPair(g, w, sigma, 3.0)
+        assert pair.w_leaves.base is leaves and pair.p == 3.0
+        for name in ("w_leaves", "sigma_leaves", "w_mass_flat", "sigma_mass_flat",
+                     "w_avg_flat", "sigma_avg_flat"):
+            assert np.array_equal(getattr(pair, name), getattr(ref, name)), name
+            assert not getattr(pair, name).flags.writeable
+        for bad, p, reason in ((np.full((2, 1 << depth), np.inf), 2.0, "finite"),
+                               (np.ones((2, 1 << depth)), 1.0, "p must lie")):
+            with pytest.raises(DomainError, match=reason):
+                WeightPair.over(g, bad, p)
+
     def test_holds_read_only_copies_of_the_leaves(self):
         # writing into the caller's arrays afterwards changes no constant,
         # and the pair's own leaf vectors (its dual's too) and its four flat
@@ -338,6 +356,16 @@ class TestGenerators:
             fam = stopping_time_family(sigma_avg_flat(np.array(sigma), g), 1.5)
             assert sorted((c.level, c.index) for c in fam.cubes) == want
             assert want == oracles.brute_stopping_time(sigma, 1.5, 1)
+
+    @pytest.mark.parametrize("strategy", ["all_above_level", "tower", "random_greedy"])
+    def test_subnormal_eta_admits_every_cube(self, strategy):
+        # 1/eta overflows to inf for eta = 1e-320, which lies in (0, 1]: no
+        # packing bound binds, so every cube of every level is in the family
+        for depth in (0, 3, 6):
+            S = generate_sparse(TreeGeometry(depth), strategy, 1e-320, 0)
+            chain = strategy == "tower"  # the tower is the root chain: its leftmost cubes
+            assert [m.tolist() for m in S.masks] == [
+                [True] + [not chain] * ((1 << level) - 1) for level in range(depth + 1)]
 
     def test_unknown_strategy(self):
         # and every other input the generator rejects, each for its own reason

@@ -199,17 +199,32 @@ class TestAnneal:
             assert res.best_ratio == pytest.approx(ratio, rel=1e-9, abs=0.0)
 
     def test_refresh_reevaluates_without_rebuilding(self, monkeypatch):
-        # 100 steps build 100 instances: the start, 9 restarts and 90
+        # 100 steps build 100 candidates: the start, 9 restarts and 90
         # proposals; the 19 stopping-time refreshes re-evaluate current, which
         # still counts in evaluations, and build nothing.  A tower family has
-        # no refresh, so it reports one evaluation per instance
-        built, real = [], search._instance
-        monkeypatch.setattr(search, "_instance", lambda *args: built.append(args) or real(*args))
+        # no refresh, so it reports one evaluation per candidate
+        built, real = [], search._candidate
+        monkeypatch.setattr(search, "_candidate", lambda *args: built.append(args) or real(*args))
         res = anneal(self.OBJ, SearchConfig(depth=4, steps=100, seed=0))
         assert (len(built), res.evaluations) == (100, 119)
         built.clear()
         res = anneal(self.OBJ, SearchConfig(depth=4, strategy="tower", steps=100, seed=0))
         assert (len(built), res.evaluations) == (100, 100)
+
+    @pytest.mark.parametrize("depth", [0, 1, 4, 8])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("kind", list(search.OBJECTIVE_KINDS))
+    def test_best_candidate_replays_bit_for_bit(self, kind, strategy, depth):
+        # every candidate is evaluated from its buffers; the best, serialized
+        # and reloaded as a validated instance, evaluates to the same float,
+        # and each step and each stopping-time refresh counts one evaluation
+        steps, obj = 40, Objective(kind, p=2.0)
+        res = anneal(obj, SearchConfig(depth=depth, strategy=strategy, dist="mixed",
+                                       steps=steps, seed=depth))
+        back = instance_from_dict(json.loads(json.dumps(res.best_instance)))
+        assert evaluate(obj, back) == res.best_ratio
+        refreshes = (steps - 1) // max(1, steps // 20) if strategy == "stopping_time" else 0
+        assert res.evaluations == steps + refreshes
 
     def test_inadmissible_spec_rejected(self):
         obj = Objective("main_theorem", p=2.0,

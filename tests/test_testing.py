@@ -117,6 +117,19 @@ class TestTestingConstant:
                 separated += 1
         assert separated >= 90
 
+    def test_array_form_matches_brute_force(self):
+        # testing_values, which testing_constant and the anneal read, gives
+        # every family cube's ratio in (level, index) order
+        for inst in random_corpus(60, seed=8, depths=(0, 1, 2, 3, 4)):
+            depth, mask = inst.pair.geometry.depth, inst.family.flat_mask
+            cubes = [(c.level, c.index) for c in inst.family.sorted_cubes()]
+            ref = oracles.brute_testing_ratios(cubes, inst.pair.w_leaves, inst.pair.sigma_leaves,
+                                               inst.pair.p, depth)
+            vals = testing.testing_values(inst.pair, mask)
+            assert vals.shape == (len(cubes),)
+            for R, val in zip(cubes, vals.tolist()):
+                assert val == pytest.approx(ref[R], rel=1e-12), (depth, R)
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("family, expected", [
         ([(1, 0), (2, 2), (3, 7)], (1, 0)),  # the coarsest cube
